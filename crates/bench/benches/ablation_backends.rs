@@ -10,7 +10,7 @@ use bench::{criterion_group, criterion_main};
 use steno_expr::{DataContext, Expr, UdfRegistry};
 use steno_linq::{interp, Enumerable};
 use steno_query::Query;
-use steno_vm::query::{StenoOptions, VectorizationPolicy};
+use steno_vm::query::{CompileFeedback, StenoOptions, VectorizationPolicy};
 use steno_vm::{CompiledQuery, EngineKind};
 
 fn backends(c: &mut Criterion) {
@@ -25,7 +25,7 @@ fn backends(c: &mut Criterion) {
 
     let vectorized = CompiledQuery::compile(&q, (&ctx).into(), &udfs).unwrap();
     assert_eq!(vectorized.engine(), EngineKind::Vectorized);
-    let fused = CompiledQuery::compile_tuned(
+    let fused = CompiledQuery::compile_with(
         &q,
         (&ctx).into(),
         &udfs,
@@ -33,11 +33,12 @@ fn backends(c: &mut Criterion) {
             vectorize: VectorizationPolicy::Off,
             ..StenoOptions::default()
         },
+        CompileFeedback::default(),
     )
     .unwrap();
     assert!(fused.fused_loops() > 0);
     assert_eq!(fused.engine(), EngineKind::Scalar);
-    let unfused = CompiledQuery::compile_tuned(
+    let unfused = CompiledQuery::compile_with(
         &q,
         (&ctx).into(),
         &udfs,
@@ -46,6 +47,7 @@ fn backends(c: &mut Criterion) {
             vectorize: VectorizationPolicy::Off,
             ..StenoOptions::default()
         },
+        CompileFeedback::default(),
     )
     .unwrap();
     assert_eq!(unfused.fused_loops(), 0);

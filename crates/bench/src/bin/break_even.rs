@@ -10,7 +10,7 @@ use bench::workloads::{scaled, uniform_doubles};
 use steno_expr::{DataContext, UdfRegistry};
 use steno_linq::Enumerable;
 use steno_query::Query;
-use steno_vm::{CompiledQuery, QueryCache};
+use steno_vm::{CompiledQuery, QueryCache, StenoOptions};
 
 fn main() {
     let udfs = UdfRegistry::new();
@@ -57,11 +57,14 @@ fn main() {
     // Amortization via the cache: "the compiled query object can then be
     // cached by the application" (§3.3, §7.1).
     let cache = QueryCache::new();
+    let opts = StenoOptions::default();
     let data = uniform_doubles(scaled(1 << 20), 10);
     let ctx = DataContext::new().with_source("xs", data);
     let t = Instant::now();
     for _ in 0..50 {
-        let compiled = cache.get_or_compile(&q, (&ctx).into(), &udfs).unwrap();
+        let (compiled, _) = cache
+            .get_or_compile(&q, (&ctx).into(), &udfs, opts)
+            .unwrap();
         let _ = compiled.run(&ctx, &udfs).unwrap();
     }
     let amortized = t.elapsed() / 50;

@@ -131,7 +131,8 @@ fn compile_static(q: &QueryExpr, ctx: &DataContext, udfs: &UdfRegistry) -> Compi
         rewrites: false,
         ..StenoOptions::default()
     };
-    CompiledQuery::compile_tuned(q, ctx.into(), udfs, opts).expect("compile static")
+    CompiledQuery::compile_with(q, ctx.into(), udfs, opts, CompileFeedback::default())
+        .expect("compile static")
 }
 
 /// Feedback-directed compile: the rewrite pass sees selectivities
@@ -142,7 +143,7 @@ fn compile_feedback(q: &QueryExpr, sample: &DataContext, udfs: &UdfRegistry) -> 
         sample_ctx: Some(sample),
         loop_stats: None,
     };
-    CompiledQuery::compile_tuned_feedback(q, sample.into(), udfs, StenoOptions::default(), fb)
+    CompiledQuery::compile_with(q, sample.into(), udfs, StenoOptions::default(), fb)
         .expect("compile feedback")
 }
 

@@ -37,7 +37,7 @@ use bench::workloads::{scaled, uniform_doubles};
 use steno_expr::{DataContext, Expr, UdfRegistry, Value};
 use steno_linq::Enumerable;
 use steno_query::{Query, QueryExpr};
-use steno_vm::query::StenoOptions;
+use steno_vm::query::{CompileFeedback, StenoOptions};
 use steno_vm::{CompiledQuery, EngineKind, VectorizationPolicy};
 
 const SAMPLES: usize = 7;
@@ -73,19 +73,17 @@ fn compile_tiers(
     ctx: &DataContext,
     udfs: &UdfRegistry,
 ) -> (CompiledQuery, CompiledQuery, CompiledQuery) {
-    let scalar = CompiledQuery::compile_tuned(
+    let scalar = CompiledQuery::compile_with(
         q,
         ctx.into(),
         udfs,
         opts(false, VectorizationPolicy::Off),
+        CompileFeedback::default(),
     )
     .expect("compile scalar");
-    let fused =
-        CompiledQuery::compile_tuned(q, ctx.into(), udfs, opts(true, VectorizationPolicy::Off))
-            .expect("compile fused");
-    let vectorized =
-        CompiledQuery::compile_tuned(q, ctx.into(), udfs, opts(true, VectorizationPolicy::Auto))
-            .expect("compile vectorized");
+    let compile = |o| CompiledQuery::compile_with(q, ctx.into(), udfs, o, CompileFeedback::default());
+    let fused = compile(opts(true, VectorizationPolicy::Off)).expect("compile fused");
+    let vectorized = compile(opts(true, VectorizationPolicy::Auto)).expect("compile vectorized");
     assert_eq!(scalar.engine(), EngineKind::Scalar);
     assert_eq!(fused.engine(), EngineKind::Scalar);
     assert_eq!(
@@ -387,9 +385,14 @@ fn profiled_acceptance_run() {
         .select(Expr::var("x") * Expr::var("x"), "x")
         .sum()
         .build();
+    let profiled = steno::Exec {
+        profile: true,
+        ..steno::Exec::default()
+    };
     let (_, _, profile) = engine
-        .execute_profiled(&q, &ctx, &udfs)
+        .execute_with(&q, &ctx, &udfs, &profiled)
         .expect("profiled run");
+    let profile = profile.expect("a profiled run returns its profile");
     println!("\n== profiled sum_of_squares ==");
     println!("{profile}");
     let snapshot = metrics.snapshot();

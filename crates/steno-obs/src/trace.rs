@@ -192,7 +192,7 @@ pub struct Tracer {
 
 impl Tracer {
     /// The inert tracer: records nothing, never reads the clock.
-    pub fn disabled() -> Tracer {
+    pub const fn disabled() -> Tracer {
         Tracer { inner: None }
     }
 

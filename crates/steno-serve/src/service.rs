@@ -40,7 +40,7 @@ use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use steno::{Steno, StenoError};
+use steno::{Exec, Steno, StenoError};
 use steno_cluster::sync::{Condvar, Mutex};
 use steno_cluster::{CancelToken, FailureClass, FaultKind, FaultPlan, RetryPolicy};
 use steno_expr::{DataContext, UdfRegistry, Value};
@@ -688,78 +688,59 @@ fn run_job(
     if degraded {
         collector.add("serve.degraded_compiles", 1);
     }
-    let compile_start = Instant::now();
-    let compiled = shared.engine.compile_with_options_traced(
-        &job.query,
-        SourceTypes::from(&job.ctx),
-        &job.udfs,
-        options,
+    let exec = Exec {
         tracer,
         parent,
-    );
+        options: Some(options),
+        // Adaptive re-optimization costs a compile; a service already
+        // shedding compile load (breaker open, degraded tier) must not
+        // add speculative ones.
+        reopt: !degraded,
+        ..Exec::default()
+    };
+    let compile_start = Instant::now();
+    let sources = SourceTypes::from(&job.ctx);
+    let compiled = shared.engine.compile_with(&job.query, sources, &job.udfs, &exec);
     let compile_took = compile_start.elapsed();
 
-    match compiled {
+    let plan = match compiled {
         Ok(plan) => {
             shared.breaker.record_compile(compile_took, true);
-            let exec = PlanExec {
-                compiled: &plan,
-                opts: options,
-                // Adaptive re-optimization costs a compile; a service
-                // already shedding compile load (breaker open, degraded
-                // tier) must not add speculative ones.
-                allow_reopt: !degraded,
-            };
-            execute_with_retries(shared, job, Some(&exec), tracer, parent)
+            Some(plan)
         }
-        Err(e @ (StenoError::Verify(_) | StenoError::TapeCheck(_))) => {
-            // An independent verifier rejected the compiled query —
-            // the plan verifier caught an optimizer bug, or the tape
-            // verifier caught a backend miscompile. Either way it is
-            // deterministic for this query: remember it and count it
-            // against the breaker.
-            shared.breaker.record_verifier_failure();
+        Err(e) if e.is_unsupported() => {
+            // The engine's iterator fallback runs it: no second lookup.
+            collector.add("serve.fallback_exec", 1);
+            None
+        }
+        Err(e) => {
+            // A genuine compile failure, or an independent verifier
+            // rejected the compiled query (the plan verifier caught an
+            // optimizer bug, or the tape verifier a backend miscompile).
+            // Either way it is deterministic for this query: remember
+            // it, and count verifier rejections against the breaker.
+            if matches!(e, StenoError::Verify(_) | StenoError::TapeCheck(_)) {
+                shared.breaker.record_verifier_failure();
+            }
             let message = e.to_string();
             shared.negcache.lock().insert(neg_key, message.clone());
-            Err(ServeError::QueryFailed {
+            return Err(ServeError::QueryFailed {
                 message,
                 class: FailureClass::Deterministic,
-            })
+            });
         }
-        Err(StenoError::Optimize(_)) => {
-            // Either an unsupported shape (the facade will run its
-            // iterator fallback) or a genuine compile failure (the
-            // facade will re-surface it, and we negative-cache below).
-            collector.add("serve.fallback_exec", 1);
-            execute_with_retries(shared, job, None, tracer, parent)
-        }
-        Err(e) => Err(ServeError::QueryFailed {
-            message: e.to_string(),
-            class: FailureClass::Deterministic,
-        }),
-    }
-}
-
-/// How to run a successfully compiled plan: the plan itself, the
-/// options it was compiled under (the engine's adaptive statistics key
-/// on them), and whether drift-triggered re-optimization may spend a
-/// compile right now.
-struct PlanExec<'a> {
-    compiled: &'a Arc<CompiledQuery>,
-    opts: StenoOptions,
-    allow_reopt: bool,
+    };
+    execute_with_retries(shared, job, plan.as_deref(), &exec)
 }
 
 /// The attempt/retry loop shared by the compiled and fallback paths.
-/// `plan: None` runs through the facade's interruptible entry (iterator
-/// fallback for unsupported shapes — polled per element stride, so the
-/// deadline holds mid-run too).
+/// `plan: None` runs the engine's iterator fallback (unsupported shapes
+/// — polled per element stride, so the deadline holds mid-run too).
 fn execute_with_retries(
     shared: &Shared,
     job: &Job,
-    plan: Option<&PlanExec<'_>>,
-    tracer: &Tracer,
-    parent: Option<SpanId>,
+    plan: Option<&CompiledQuery>,
+    exec: &Exec<'_>,
 ) -> Result<Value, ServeError> {
     let collector = shared.engine.collector().clone();
     let cancel = job.cancel.clone();
@@ -774,7 +755,7 @@ fn execute_with_retries(
             return Err(ServeError::DeadlineExceeded);
         }
 
-        let mut aspan = tracer.span("serve.attempt", parent);
+        let mut aspan = exec.tracer.span("serve.attempt", exec.parent);
         aspan.note("attempt", attempt as u64);
         let attempt_span = aspan.id();
 
@@ -812,7 +793,12 @@ fn execute_with_retries(
                             job.seq
                         ));
                     }
-                    run_attempt(shared, job, plan, &interrupt, tracer, attempt_span)
+                    let attempt = Exec {
+                        interrupt: &interrupt,
+                        parent: attempt_span,
+                        ..*exec
+                    };
+                    run_attempt(shared, job, plan, &attempt)
                 }));
                 match outcome {
                     Ok(Ok(value)) => return Ok(value),
@@ -858,76 +844,31 @@ fn execute_with_retries(
 /// One execution attempt on the chosen path. All errors here are
 /// terminal for the job: transient failures only enter via fault
 /// injection and contained panics, which the retry loop sees directly.
+/// On an adaptive engine with `exec.reopt` set, the run feeds profiled
+/// samples and bounded drift-triggered re-optimization; a live tracer
+/// forces the profiled run, so per-loop spans record.
 fn run_attempt(
     shared: &Shared,
     job: &Job,
-    plan: Option<&PlanExec<'_>>,
-    interrupt: &Interrupt,
-    tracer: &Tracer,
-    parent: Option<SpanId>,
+    plan: Option<&CompiledQuery>,
+    exec: &Exec<'_>,
 ) -> Result<Value, ServeError> {
-    match plan {
-        Some(exec) => {
-            let result = if exec.allow_reopt {
-                // The adaptive entry: profiled sampling and bounded
-                // drift-triggered re-optimization (a no-op unless the
-                // engine was built `with_adaptive`). A live tracer
-                // forces the profiled run, so per-loop spans record.
-                shared.engine.run_compiled_traced(
-                    &job.query,
-                    &job.ctx,
-                    &job.udfs,
-                    exec.compiled,
-                    interrupt,
-                    exec.opts,
-                    tracer,
-                    parent,
-                )
-            } else if tracer.enabled() {
-                exec.compiled
-                    .run_traced(&job.ctx, &job.udfs, interrupt, tracer, parent)
-                    .map(|(value, _prof)| value)
-                    .map_err(StenoError::Vm)
-            } else {
-                exec.compiled
-                    .run_with(&job.ctx, &job.udfs, interrupt)
-                    .map_err(StenoError::Vm)
-            };
-            result.map_err(|e| match e {
-                StenoError::Vm(VmError::Cancelled) => ServeError::Cancelled,
-                StenoError::Vm(VmError::DeadlineExceeded) => ServeError::DeadlineExceeded,
-                // Data-dependent VM errors (division by zero and
-                // friends) are deterministic: a retry re-reads the same
-                // data. Not negative-cached — they depend on the data,
-                // which may change between submissions.
-                other => ServeError::QueryFailed {
-                    message: other.to_string(),
-                    class: FailureClass::Deterministic,
-                },
-            })
-        }
-        None => shared
-            .engine
-            .execute_with_interrupt_traced(&job.query, &job.ctx, &job.udfs, interrupt, tracer, parent)
-            .map(|(v, _path)| v)
-            .map_err(|e| match e {
-                StenoError::Vm(VmError::Cancelled) => ServeError::Cancelled,
-                StenoError::Vm(VmError::DeadlineExceeded) => ServeError::DeadlineExceeded,
-                e => {
-                    let message = e.to_string();
-                    if matches!(e, StenoError::Optimize(_) | StenoError::Parse(_)) {
-                        // Structural failure: deterministic for this
-                        // query text, worth remembering.
-                        let key = format!("{}|{}", job.tenant, job.query);
-                        shared.negcache.lock().insert(key, message.clone());
-                    }
-                    ServeError::QueryFailed {
-                        message,
-                        class: FailureClass::Deterministic,
-                    }
-                }
-            }),
-    }
+    shared
+        .engine
+        .run_compiled(&job.query, &job.ctx, &job.udfs, plan, exec)
+        .map(|(value, _, _)| value)
+        .map_err(|e| match e {
+            StenoError::Vm(VmError::Cancelled) => ServeError::Cancelled,
+            StenoError::Vm(VmError::DeadlineExceeded) => ServeError::DeadlineExceeded,
+            // Data-dependent errors (division by zero and friends) are
+            // deterministic: a retry re-reads the same data. Not
+            // negative-cached — they depend on the data, which may
+            // change between submissions.
+            other => ServeError::QueryFailed {
+                message: other.to_string(),
+                class: FailureClass::Deterministic,
+            },
+        })
 }
 
 fn payload_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -1293,6 +1234,21 @@ mod tests {
             .unwrap();
         assert_eq!(got, Value::I64(16));
         assert_eq!(metrics.counter_value("serve.fallback_exec"), 1);
+    }
+
+    #[test]
+    fn unsupported_shapes_are_looked_up_once() {
+        // The fallback runs straight off the failed compile: no second
+        // cache lookup, compile error or `engine.compile` span.
+        let (svc, metrics) = service_with(ServeConfig::default());
+        let q = Query::source("xs")
+            .concat(Query::source("xs"))
+            .count()
+            .build();
+        svc.execute_blocking(QueryRequest::new("acme", q, ctx(8), UdfRegistry::new()))
+            .unwrap();
+        assert_eq!(svc.engine().detailed_cache_stats().misses, 1);
+        assert_eq!(metrics.counter_value("steno.compile.error"), 1);
     }
 
     #[test]

@@ -1094,28 +1094,14 @@ fn restore(
 /// Returns [`CompileError`] for shapes the VM cannot execute (none are
 /// produced by the standard lower → generate pipeline).
 pub fn assemble(p: &ImpProgram, udfs: &UdfRegistry) -> Result<Program, CompileError> {
-    assemble_with(p, udfs, true, true)
+    assemble_hinted(p, udfs, true, true, None)
 }
 
-/// As [`assemble`], with the vectorized and loop-fusion tiers switchable
-/// (used by the back-end ablation and the engine's
-/// `VectorizationPolicy`).
-///
-/// # Errors
-///
-/// As [`assemble`].
-pub fn assemble_with(
-    p: &ImpProgram,
-    udfs: &UdfRegistry,
-    fusion: bool,
-    vectorize: bool,
-) -> Result<Program, CompileError> {
-    assemble_hinted(p, udfs, fusion, vectorize, None)
-}
-
-/// As [`assemble_with`], additionally accepting a cost-model tier hint
-/// (observed element counts and selection density from profiled runs of
-/// a previous compilation of the same query). `PreferScalar` advice
+/// As [`assemble`], with the loop-fusion and vectorized tiers switchable
+/// (the back-end ablation and the engine's `VectorizationPolicy`) and an
+/// optional cost-model tier hint (observed element counts and selection
+/// density from profiled runs of a previous compilation of the same
+/// query). `PreferScalar` advice
 /// skips the batch-vectorized tier — below the break-even element count
 /// its per-loop setup costs more than it saves — and the rationale is
 /// recorded on each loop's [`LoopPlan::chosen_by`] for `EXPLAIN`.

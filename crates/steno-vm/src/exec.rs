@@ -76,30 +76,21 @@ fn idx_check(index: i64, len: usize) -> Result<usize, VmError> {
     }
 }
 
-/// Executes a program against resolved bindings, returning its result.
+/// Executes a program against resolved bindings, returning its result,
+/// polling `interrupt` cooperatively: the scalar dispatch loop checks it
+/// at loop back-edges (amortized over [`POLL_STRIDE`] elements) and the
+/// batch engine checks it at every 1024-lane batch boundary, so a
+/// cancelled or past-deadline query aborts in bounded time instead of
+/// running to completion. An inert interrupt costs two `Option` checks
+/// per poll point.
 ///
 /// # Errors
 ///
 /// Returns a [`VmError`] for data-dependent failures (division by zero,
 /// out-of-range indexing) or shape mismatches (only possible with
-/// hand-assembled programs).
-pub fn run_program(p: &Program, bindings: &Bindings) -> Result<Value, VmError> {
-    let mut unused = QueryProfile::default();
-    run_impl::<false>(p, bindings, &mut unused, &Interrupt::none(), &Tracer::disabled(), None)
-}
-
-/// As [`run_program`], polling `interrupt` cooperatively: the scalar
-/// dispatch loop checks it at loop back-edges (amortized over
-/// [`POLL_STRIDE`] elements) and the batch engine checks it at every
-/// 1024-lane batch boundary, so a cancelled or past-deadline query
-/// aborts in bounded time instead of running to completion. An inert
-/// interrupt makes this identical to [`run_program`].
-///
-/// # Errors
-///
-/// As [`run_program`], plus [`VmError::Cancelled`] and
-/// [`VmError::DeadlineExceeded`].
-pub fn run_program_with(
+/// hand-assembled programs), plus [`VmError::Cancelled`] and
+/// [`VmError::DeadlineExceeded`] once `interrupt` fires.
+pub fn run_program(
     p: &Program,
     bindings: &Bindings,
     interrupt: &Interrupt,
@@ -109,47 +100,19 @@ pub fn run_program_with(
 }
 
 /// As [`run_program`], additionally filling a [`QueryProfile`] with
-/// per-operator element counts and wall time. This is a separate
-/// monomorphization of the same dispatch loop, so [`run_program`]
-/// compiles every profiling branch out and pays nothing for the
-/// feature's existence.
+/// per-operator element counts and wall time, and recording a `vm.run`
+/// root span plus one `vm.loop` span per `FusedLoop`/`BatchLoop`
+/// instruction into `tracer` (annotated with tier, element counts, and
+/// selection density). This is a separate monomorphization of the same
+/// dispatch loop, so [`run_program`] compiles every profiling branch out
+/// and pays nothing for the feature's existence. Loop spans open
+/// *before* the interrupt check at loop entry, so a query aborted by a
+/// deadline still records the loop it died in. With a disabled tracer
+/// this is a plain profiled run.
 ///
 /// # Errors
 ///
 /// As [`run_program`].
-pub fn run_program_profiled(
-    p: &Program,
-    bindings: &Bindings,
-) -> Result<(Value, QueryProfile), VmError> {
-    run_program_profiled_with(p, bindings, &Interrupt::none())
-}
-
-/// As [`run_program_profiled`], polling `interrupt` like
-/// [`run_program_with`] — the entry point for adaptive execution under a
-/// deadline, where the engine wants run facts *and* bounded abort.
-///
-/// # Errors
-///
-/// As [`run_program_with`].
-pub fn run_program_profiled_with(
-    p: &Program,
-    bindings: &Bindings,
-    interrupt: &Interrupt,
-) -> Result<(Value, QueryProfile), VmError> {
-    run_program_traced(p, bindings, interrupt, &Tracer::disabled(), None)
-}
-
-/// As [`run_program_profiled_with`], additionally recording a `vm.run`
-/// root span plus one `vm.loop` span per `FusedLoop`/`BatchLoop`
-/// instruction into `tracer` (annotated with tier, element counts, and
-/// selection density). Loop spans open *before* the interrupt check at
-/// loop entry, so a query aborted by a deadline still records the loop
-/// it died in. With a disabled tracer this is exactly
-/// [`run_program_profiled_with`].
-///
-/// # Errors
-///
-/// As [`run_program_with`].
 pub fn run_program_traced(
     p: &Program,
     bindings: &Bindings,

@@ -55,8 +55,11 @@ impl fmt::Debug for Interrupt {
 
 impl Interrupt {
     /// The inert interrupt: never fires.
-    pub fn none() -> Interrupt {
-        Interrupt::default()
+    pub const fn none() -> Interrupt {
+        Interrupt {
+            cancelled: None,
+            deadline: None,
+        }
     }
 
     /// Aborts execution with [`VmError::DeadlineExceeded`] once the

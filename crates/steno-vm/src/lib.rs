@@ -56,7 +56,7 @@ pub mod sink;
 
 pub use check::{check_program, CheckError, ObligationKind, TapeReport};
 pub use compile::{assemble, CompileError};
-pub use exec::{run_program, run_program_profiled, run_program_with, VmError};
+pub use exec::{run_program, VmError};
 pub use instr::{FallbackReason, Instr, LoopPlan, LoopTier, Program};
 pub use interrupt::{CancelProbe, Interrupt};
 pub use profile::QueryProfile;

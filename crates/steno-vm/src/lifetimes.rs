@@ -1170,7 +1170,7 @@ mod tests {
             sources: vec![],
             udfs: vec![],
         };
-        let v = crate::exec::run_program(&p, &bindings).unwrap();
+        let v = crate::exec::run_program(&p, &bindings, &crate::Interrupt::none()).unwrap();
         assert_eq!(v, steno_expr::Value::I64(5));
     }
 
@@ -1215,7 +1215,7 @@ mod tests {
             sources: vec![],
             udfs: vec![],
         };
-        let v = crate::exec::run_program(&p, &bindings).unwrap();
+        let v = crate::exec::run_program(&p, &bindings, &crate::Interrupt::none()).unwrap();
         assert_eq!(v, steno_expr::Value::I64(5));
     }
 }

@@ -28,7 +28,7 @@ use steno_opt::{
 };
 
 use crate::compile::assemble_hinted;
-use crate::exec::{run_program, run_program_with, VmError};
+use crate::exec::{run_program, VmError};
 use crate::instr::Program;
 use crate::interrupt::Interrupt;
 use crate::prepared::Bindings;
@@ -157,58 +157,24 @@ impl CompiledQuery {
         sources: SourceTypes,
         udfs: &UdfRegistry,
     ) -> Result<CompiledQuery, OptimizeError> {
-        Self::compile_with(q, sources, udfs, LowerOptions::default())
+        let opts = StenoOptions::default();
+        Self::compile_with(q, sources, udfs, opts, CompileFeedback::default())
     }
 
-    /// As [`CompiledQuery::compile`] with explicit lowering options (used
-    /// by the specialization ablation).
+    /// The fully-tunable, feedback-directed entry point: as
+    /// [`CompiledQuery::compile`] under explicit [`StenoOptions`]
+    /// (ablation benchmarks, degraded serving tiers), additionally
+    /// consuming measured run facts. With a
+    /// [`CompileFeedback::sample_ctx`] the rewrite pass measures
+    /// per-predicate selectivities and may reorder or push down filters;
+    /// with [`CompileFeedback::loop_stats`] the backend applies the §7.1
+    /// break-even to pick loop tiers instead of the static order.
+    /// [`CompileFeedback::default`] is a blind first compile.
     ///
     /// # Errors
     ///
     /// As [`CompiledQuery::compile`].
     pub fn compile_with(
-        q: &QueryExpr,
-        sources: SourceTypes,
-        udfs: &UdfRegistry,
-        opts: LowerOptions,
-    ) -> Result<CompiledQuery, OptimizeError> {
-        Self::compile_tuned(
-            q,
-            sources,
-            udfs,
-            StenoOptions {
-                lower: opts,
-                ..StenoOptions::default()
-            },
-        )
-    }
-
-    /// The fully-tunable entry point (ablation benchmarks).
-    ///
-    /// # Errors
-    ///
-    /// As [`CompiledQuery::compile`].
-    pub fn compile_tuned(
-        q: &QueryExpr,
-        sources: SourceTypes,
-        udfs: &UdfRegistry,
-        opts: StenoOptions,
-    ) -> Result<CompiledQuery, OptimizeError> {
-        Self::compile_tuned_feedback(q, sources, udfs, opts, CompileFeedback::default())
-    }
-
-    /// The feedback-directed entry point: as
-    /// [`CompiledQuery::compile_tuned`], additionally consuming measured
-    /// run facts. With a [`CompileFeedback::sample_ctx`] the rewrite
-    /// pass measures per-predicate selectivities and may reorder or push
-    /// down filters; with [`CompileFeedback::loop_stats`] the backend
-    /// applies the §7.1 break-even to pick loop tiers instead of the
-    /// static order.
-    ///
-    /// # Errors
-    ///
-    /// As [`CompiledQuery::compile`].
-    pub fn compile_tuned_feedback(
         q: &QueryExpr,
         sources: SourceTypes,
         udfs: &UdfRegistry,
@@ -242,15 +208,7 @@ impl CompiledQuery {
             chain
         };
         let chain = passes::fold_constants(&chain);
-        Self::finish_feedback(
-            chain,
-            udfs,
-            start,
-            opts.fusion,
-            opts.vectorize == VectorizationPolicy::Auto,
-            rewrites,
-            feedback.loop_stats,
-        )
+        Self::finish(chain, udfs, start, opts, rewrites, feedback.loop_stats)
     }
 
     /// Compiles a pre-lowered QUIL chain (used by the distributed planner,
@@ -260,25 +218,15 @@ impl CompiledQuery {
     ///
     /// Returns [`OptimizeError::Gen`] for internal failures.
     pub fn from_chain(chain: &QuilChain, udfs: &UdfRegistry) -> Result<CompiledQuery, OptimizeError> {
-        Self::finish_tuned(chain.clone(), udfs, Instant::now(), true, true)
+        let opts = StenoOptions::default();
+        Self::finish(chain.clone(), udfs, Instant::now(), opts, Vec::new(), None)
     }
 
-    fn finish_tuned(
+    fn finish(
         chain: QuilChain,
         udfs: &UdfRegistry,
         start: Instant,
-        fusion: bool,
-        vectorize: bool,
-    ) -> Result<CompiledQuery, OptimizeError> {
-        Self::finish_feedback(chain, udfs, start, fusion, vectorize, Vec::new(), None)
-    }
-
-    fn finish_feedback(
-        chain: QuilChain,
-        udfs: &UdfRegistry,
-        start: Instant,
-        fusion: bool,
-        vectorize: bool,
+        opts: StenoOptions,
         rewrites: Vec<RewriteEvent>,
         loop_stats: Option<LoopStats>,
     ) -> Result<CompiledQuery, OptimizeError> {
@@ -286,7 +234,8 @@ impl CompiledQuery {
         let imp = generate(&chain).map_err(|e| OptimizeError::Gen(e.to_string()))?;
         let rust_source = render_rust(&imp);
         let tier_hint = loop_stats.map(|ls| choose_tier(&ls, crate::batch::BATCH));
-        let program = assemble_hinted(&imp, udfs, fusion, vectorize, tier_hint)
+        let vectorize = opts.vectorize == VectorizationPolicy::Auto;
+        let program = assemble_hinted(&imp, udfs, opts.fusion, vectorize, tier_hint)
             .map_err(|e| OptimizeError::Gen(e.to_string()))?;
         Ok(CompiledQuery {
             program,
@@ -318,8 +267,7 @@ impl CompiledQuery {
     /// Returns [`VmError`] for missing sources/UDFs or data-dependent
     /// failures.
     pub fn run(&self, ctx: &DataContext, udfs: &UdfRegistry) -> Result<Value, VmError> {
-        let bindings = Bindings::resolve(&self.program, ctx, udfs)?;
-        run_program(&self.program, &bindings)
+        self.run_with(ctx, udfs, &Interrupt::none())
     }
 
     /// As [`CompiledQuery::run`], polling `interrupt` at loop back-edges
@@ -338,47 +286,15 @@ impl CompiledQuery {
         interrupt: &Interrupt,
     ) -> Result<Value, VmError> {
         let bindings = Bindings::resolve(&self.program, ctx, udfs)?;
-        run_program_with(&self.program, &bindings, interrupt)
+        run_program(&self.program, &bindings, interrupt)
     }
 
-    /// As [`CompiledQuery::run`], additionally returning a
-    /// [`crate::profile::QueryProfile`] of where elements and time went.
-    /// Runs the profiled monomorphization of the interpreter; use
-    /// [`CompiledQuery::run`] when the counters are not needed.
-    ///
-    /// # Errors
-    ///
-    /// As [`CompiledQuery::run`].
-    pub fn run_profiled(
-        &self,
-        ctx: &DataContext,
-        udfs: &UdfRegistry,
-    ) -> Result<(Value, crate::profile::QueryProfile), VmError> {
-        let bindings = Bindings::resolve(&self.program, ctx, udfs)?;
-        crate::exec::run_program_profiled(&self.program, &bindings)
-    }
-
-    /// As [`CompiledQuery::run_profiled`] with cooperative interruption
-    /// (see [`CompiledQuery::run_with`]) — profiled adaptive execution
-    /// under a deadline.
-    ///
-    /// # Errors
-    ///
-    /// As [`CompiledQuery::run_with`].
-    pub fn run_profiled_with(
-        &self,
-        ctx: &DataContext,
-        udfs: &UdfRegistry,
-        interrupt: &Interrupt,
-    ) -> Result<(Value, crate::profile::QueryProfile), VmError> {
-        let bindings = Bindings::resolve(&self.program, ctx, udfs)?;
-        crate::exec::run_program_profiled_with(&self.program, &bindings, interrupt)
-    }
-
-    /// As [`CompiledQuery::run_profiled_with`], additionally recording
-    /// `vm.run`/`vm.loop` spans into `tracer` (see
-    /// [`crate::exec::run_program_traced`]). With a disabled tracer this
-    /// is exactly [`CompiledQuery::run_profiled_with`].
+    /// As [`CompiledQuery::run_with`], additionally returning a
+    /// [`crate::profile::QueryProfile`] of where elements and time went
+    /// and recording `vm.run`/`vm.loop` spans into `tracer` (see
+    /// [`crate::exec::run_program_traced`]). Runs the profiled
+    /// monomorphization of the interpreter; with a disabled tracer this
+    /// is a plain profiled run.
     ///
     /// # Errors
     ///
@@ -624,6 +540,12 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// The cache key of `q` compiled under `opts`: every lookup and every
+/// per-plan statistic goes through this one key.
+fn plan_key(q: &QueryExpr, opts: StenoOptions) -> String {
+    format!("{opts:?}|{q}")
+}
+
 impl QueryCache {
     /// Creates an empty, unbounded cache.
     pub fn new() -> QueryCache {
@@ -644,8 +566,10 @@ impl QueryCache {
         lock(&self.inner).capacity
     }
 
-    /// Returns the compiled form of `q`, compiling at most once per
-    /// distinct query text.
+    /// Returns the compiled form of `q` under `opts`, compiling at most
+    /// once per distinct (options, query text) pair, and whether the
+    /// lookup hit (`true`) or compiled fresh (`false`) — the per-query
+    /// view of the aggregate [`QueryCache::stats`].
     ///
     /// # Errors
     ///
@@ -655,52 +579,19 @@ impl QueryCache {
         q: &QueryExpr,
         sources: SourceTypes,
         udfs: &UdfRegistry,
-    ) -> Result<Arc<CompiledQuery>, OptimizeError> {
-        let key = q.to_string();
-        if let Some(hit) = lock(&self.inner).get(&key) {
-            return Ok(hit);
-        }
-        let compiled = Arc::new(CompiledQuery::compile(q, sources, udfs)?);
-        lock(&self.inner).insert(key, Arc::clone(&compiled));
-        Ok(compiled)
-    }
-
-    /// As [`QueryCache::get_or_compile`] with explicit tuning options;
-    /// distinct options compile (and cache) separately.
-    ///
-    /// # Errors
-    ///
-    /// Propagates compilation errors (which are not cached).
-    pub fn get_or_compile_tuned(
-        &self,
-        q: &QueryExpr,
-        sources: SourceTypes,
-        udfs: &UdfRegistry,
-        opts: StenoOptions,
-    ) -> Result<Arc<CompiledQuery>, OptimizeError> {
-        self.get_or_compile_tuned_traced(q, sources, udfs, opts)
-            .map(|(compiled, _hit)| compiled)
-    }
-
-    /// As [`QueryCache::get_or_compile_tuned`], additionally reporting
-    /// whether the lookup hit (`true`) or compiled fresh (`false`) —
-    /// the per-query view of the aggregate [`QueryCache::stats`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates compilation errors (which are not cached).
-    pub fn get_or_compile_tuned_traced(
-        &self,
-        q: &QueryExpr,
-        sources: SourceTypes,
-        udfs: &UdfRegistry,
         opts: StenoOptions,
     ) -> Result<(Arc<CompiledQuery>, bool), OptimizeError> {
-        let key = format!("{opts:?}|{q}");
+        let key = plan_key(q, opts);
         if let Some(hit) = lock(&self.inner).get(&key) {
             return Ok((hit, true));
         }
-        let compiled = Arc::new(CompiledQuery::compile_tuned(q, sources, udfs, opts)?);
+        let compiled = Arc::new(CompiledQuery::compile_with(
+            q,
+            sources,
+            udfs,
+            opts,
+            CompileFeedback::default(),
+        )?);
         lock(&self.inner).insert(key, Arc::clone(&compiled));
         Ok((compiled, false))
     }
@@ -729,7 +620,7 @@ impl QueryCache {
     /// observed workload has departed the plan's assumptions far enough
     /// (and for long enough — see [`DriftConfig`]'s hysteresis gates)
     /// to justify re-optimizing. The caller recompiles with
-    /// [`CompiledQuery::compile_tuned_feedback`] and installs the
+    /// [`CompiledQuery::compile_with`] and installs the
     /// result via [`QueryCache::install_reoptimized`]; this method
     /// never blocks on compilation itself. Returns `None` for uncached
     /// queries and plans that still fit.
@@ -740,7 +631,7 @@ impl QueryCache {
         run: ObservedRun,
         cfg: &DriftConfig,
     ) -> Option<String> {
-        let key = format!("{opts:?}|{q}");
+        let key = plan_key(q, opts);
         let mut inner = lock(&self.inner);
         let entry = inner.entries.get_mut(&key)?;
         entry.stats.observe(run, cfg);
@@ -760,7 +651,7 @@ impl QueryCache {
         compiled: Arc<CompiledQuery>,
         reason: &str,
     ) {
-        let key = format!("{opts:?}|{q}");
+        let key = plan_key(q, opts);
         let mut inner = lock(&self.inner);
         if let Some(entry) = inner.entries.get_mut(&key) {
             entry.compiled = compiled;
@@ -772,7 +663,7 @@ impl QueryCache {
     /// The re-optimization events recorded for `q`, oldest first; empty
     /// when the plan never drifted (or is not cached).
     pub fn reopt_events(&self, q: &QueryExpr, opts: StenoOptions) -> Vec<String> {
-        let key = format!("{opts:?}|{q}");
+        let key = plan_key(q, opts);
         lock(&self.inner)
             .entries
             .get(&key)
@@ -783,7 +674,7 @@ impl QueryCache {
     /// How many observed runs have been folded into `q`'s cached plan
     /// statistics ([`QueryCache::note_run`] calls).
     pub fn plan_runs(&self, q: &QueryExpr, opts: StenoOptions) -> u64 {
-        let key = format!("{opts:?}|{q}");
+        let key = plan_key(q, opts);
         lock(&self.inner)
             .entries
             .get(&key)
@@ -797,7 +688,7 @@ impl QueryCache {
     /// ticks it, profiled or not, unlike [`QueryCache::note_run`] which
     /// only the profiled runs reach.
     pub fn begin_run(&self, q: &QueryExpr, opts: StenoOptions) -> u64 {
-        let key = format!("{opts:?}|{q}");
+        let key = plan_key(q, opts);
         let mut inner = lock(&self.inner);
         match inner.entries.get_mut(&key) {
             Some(e) => {
@@ -810,10 +701,10 @@ impl QueryCache {
     }
 
     /// The decayed per-loop observations for `q`'s cached plan, in the
-    /// shape [`CompiledQuery::compile_tuned_feedback`] consumes; `None`
+    /// shape [`CompiledQuery::compile_with`] consumes; `None`
     /// before the first observed run (or for uncached queries).
     pub fn plan_loop_stats(&self, q: &QueryExpr, opts: StenoOptions) -> Option<LoopStats> {
-        let key = format!("{opts:?}|{q}");
+        let key = plan_key(q, opts);
         let inner = lock(&self.inner);
         let entry = inner.entries.get(&key)?;
         if entry.stats.runs == 0 {
@@ -856,6 +747,35 @@ mod tests {
         compiled.run(&c, &udfs).unwrap()
     }
 
+    /// A blind compile under explicit options.
+    fn compile_opts(
+        q: &QueryExpr,
+        c: &DataContext,
+        udfs: &UdfRegistry,
+        opts: StenoOptions,
+    ) -> CompiledQuery {
+        CompiledQuery::compile_with(q, c.into(), udfs, opts, CompileFeedback::default()).unwrap()
+    }
+
+    /// A cache lookup over `ctx()` with no UDFs.
+    fn lookup(cache: &QueryCache, q: &QueryExpr, opts: StenoOptions) -> Arc<CompiledQuery> {
+        let c = ctx();
+        let udfs = UdfRegistry::new();
+        cache.get_or_compile(q, (&c).into(), &udfs, opts).unwrap().0
+    }
+
+    /// A profiled run with an inert interrupt and no tracer.
+    fn profiled(
+        compiled: &CompiledQuery,
+        c: &DataContext,
+        udfs: &UdfRegistry,
+    ) -> (Value, crate::profile::QueryProfile) {
+        let tracer = steno_obs::Tracer::disabled();
+        compiled
+            .run_traced(c, udfs, &Interrupt::none(), &tracer, None)
+            .unwrap()
+    }
+
     #[test]
     fn sum_of_squares_runs() {
         let q = Query::source("xs")
@@ -879,12 +799,10 @@ mod tests {
 
     #[test]
     fn cache_compiles_once() {
-        let c = ctx();
-        let udfs = UdfRegistry::new();
         let cache = QueryCache::new();
         let q = Query::source("xs").sum().build();
-        let a = cache.get_or_compile(&q, (&c).into(), &udfs).unwrap();
-        let b = cache.get_or_compile(&q, (&c).into(), &udfs).unwrap();
+        let a = lookup(&cache, &q, StenoOptions::default());
+        let b = lookup(&cache, &q, StenoOptions::default());
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(cache.stats(), (1, 1));
         assert_eq!(cache.len(), 1);
@@ -1008,8 +926,7 @@ mod tests {
             vectorize: VectorizationPolicy::Off,
             ..StenoOptions::default()
         };
-        let compiled =
-            CompiledQuery::compile_tuned(&q, (&c).into(), &UdfRegistry::new(), opts).unwrap();
+        let compiled = compile_opts(&q, &c, &UdfRegistry::new(), opts);
         assert_eq!(compiled.vectorized_loops(), 0);
         assert!(compiled.batch_fallbacks().is_empty());
         for plan in compiled.loop_plans() {
@@ -1020,8 +937,6 @@ mod tests {
 
     #[test]
     fn tuned_cache_keys_on_options() {
-        let c = ctx();
-        let udfs = UdfRegistry::new();
         let cache = QueryCache::new();
         let q = Query::source("xs").sum().build();
         let auto = StenoOptions::default();
@@ -1030,17 +945,17 @@ mod tests {
             ..StenoOptions::default()
         };
         // Distinct options must not collide.
-        let a = cache.get_or_compile_tuned(&q, (&c).into(), &udfs, auto).unwrap();
-        let b = cache.get_or_compile_tuned(&q, (&c).into(), &udfs, off).unwrap();
+        let a = lookup(&cache, &q, auto);
+        let b = lookup(&cache, &q, off);
         assert!(!Arc::ptr_eq(&a, &b));
         assert_eq!(a.engine(), EngineKind::Vectorized);
         assert_eq!(b.engine(), EngineKind::Scalar);
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.stats(), (0, 2));
         // Identical options must hit.
-        let a2 = cache.get_or_compile_tuned(&q, (&c).into(), &udfs, auto).unwrap();
+        let a2 = lookup(&cache, &q, auto);
         assert!(Arc::ptr_eq(&a, &a2));
-        let b2 = cache.get_or_compile_tuned(&q, (&c).into(), &udfs, off).unwrap();
+        let b2 = lookup(&cache, &q, off);
         assert!(Arc::ptr_eq(&b, &b2));
         // Counters must agree: every miss is a cached entry, every
         // lookup is either a hit or a miss.
@@ -1060,7 +975,7 @@ mod tests {
         let udfs = UdfRegistry::new();
         let compiled = CompiledQuery::compile(&q, (&c).into(), &udfs).unwrap();
         assert_eq!(compiled.engine(), EngineKind::Vectorized);
-        let (value, prof) = compiled.run_profiled(&c, &udfs).unwrap();
+        let (value, prof) = profiled(&compiled, &c, &udfs);
         assert_eq!(compiled.run(&c, &udfs).unwrap(), value);
         assert_eq!(prof.batch_loops, 1);
         assert_eq!(prof.batches, 1);
@@ -1083,7 +998,7 @@ mod tests {
             .build();
         let c = ctx();
         let compiled = CompiledQuery::compile(&q, (&c).into(), &udfs).unwrap();
-        let (value, prof) = compiled.run_profiled(&c, &udfs).unwrap();
+        let (value, prof) = profiled(&compiled, &c, &udfs);
         assert_eq!(value, Value::F64(20.0));
         assert_eq!(prof.udf_calls, 4);
         assert_eq!(prof.src_reads, 4);
@@ -1093,26 +1008,24 @@ mod tests {
 
     #[test]
     fn lru_eviction_caps_the_cache_and_counts() {
-        let c = ctx();
-        let udfs = UdfRegistry::new();
         let cache = QueryCache::with_capacity(2);
         assert_eq!(cache.capacity(), Some(2));
         let q1 = Query::source("xs").sum().build();
         let q2 = Query::source("xs").count().build();
         let q3 = Query::source("ns").sum().build();
-        cache.get_or_compile(&q1, (&c).into(), &udfs).unwrap();
-        cache.get_or_compile(&q2, (&c).into(), &udfs).unwrap();
+        lookup(&cache, &q1, StenoOptions::default());
+        lookup(&cache, &q2, StenoOptions::default());
         // Touch q1 so q2 is the least recently used.
-        cache.get_or_compile(&q1, (&c).into(), &udfs).unwrap();
-        cache.get_or_compile(&q3, (&c).into(), &udfs).unwrap();
+        lookup(&cache, &q1, StenoOptions::default());
+        lookup(&cache, &q3, StenoOptions::default());
         let stats = cache.detailed_stats();
         assert_eq!(stats.len, 2);
         assert_eq!(stats.evictions, 1);
         assert_eq!(stats.capacity, Some(2));
         // q1 survived (recently used); q2 was evicted and recompiles.
         let (hits_before, misses_before) = cache.stats();
-        cache.get_or_compile(&q1, (&c).into(), &udfs).unwrap();
-        cache.get_or_compile(&q2, (&c).into(), &udfs).unwrap();
+        lookup(&cache, &q1, StenoOptions::default());
+        lookup(&cache, &q2, StenoOptions::default());
         let (hits, misses) = cache.stats();
         assert_eq!(hits, hits_before + 1, "q1 must still be cached");
         assert_eq!(misses, misses_before + 1, "q2 must have been evicted");
@@ -1122,12 +1035,10 @@ mod tests {
     #[test]
     fn reinserting_a_cached_key_does_not_evict() {
         // Hitting an existing key at capacity must not push anything out.
-        let c = ctx();
-        let udfs = UdfRegistry::new();
         let cache = QueryCache::with_capacity(1);
         let q = Query::source("xs").sum().build();
         for _ in 0..5 {
-            cache.get_or_compile(&q, (&c).into(), &udfs).unwrap();
+            lookup(&cache, &q, StenoOptions::default());
         }
         let stats = cache.detailed_stats();
         assert_eq!((stats.len, stats.evictions), (1, 0));
@@ -1142,11 +1053,9 @@ mod tests {
         // intact (the satellite contract for the VM cache lock).
         use std::panic::{catch_unwind, AssertUnwindSafe};
 
-        let c = ctx();
-        let udfs = UdfRegistry::new();
         let cache = std::sync::Arc::new(QueryCache::new());
         let q = Query::source("xs").sum().build();
-        cache.get_or_compile(&q, (&c).into(), &udfs).unwrap();
+        lookup(&cache, &q, StenoOptions::default());
 
         let poisoner = std::sync::Arc::clone(&cache);
         let handle = std::thread::spawn(move || {
@@ -1160,9 +1069,9 @@ mod tests {
         // The cache still serves hits and accepts inserts.
         let before = cache.detailed_stats();
         assert_eq!(before.len, 1);
-        cache.get_or_compile(&q, (&c).into(), &udfs).unwrap();
+        lookup(&cache, &q, StenoOptions::default());
         let q2 = Query::source("ns").sum().build();
-        cache.get_or_compile(&q2, (&c).into(), &udfs).unwrap();
+        lookup(&cache, &q2, StenoOptions::default());
         let after = cache.detailed_stats();
         assert_eq!(after.len, 2);
         assert_eq!(after.hits, before.hits + 1);
@@ -1231,23 +1140,6 @@ mod tests {
     }
 
     #[test]
-    fn tuned_and_default_compiles_share_no_entries() {
-        // The default-keyed and option-keyed entries are distinct even
-        // for the same query text, so mixing entry points cannot serve a
-        // differently-tuned program.
-        let c = ctx();
-        let udfs = UdfRegistry::new();
-        let cache = QueryCache::new();
-        let q = Query::source("xs").sum().build();
-        let plain = cache.get_or_compile(&q, (&c).into(), &udfs).unwrap();
-        let tuned = cache
-            .get_or_compile_tuned(&q, (&c).into(), &udfs, StenoOptions::default())
-            .unwrap();
-        assert!(!Arc::ptr_eq(&plain, &tuned));
-        assert_eq!(cache.len(), 2);
-    }
-
-    #[test]
     fn drift_lifecycle_is_deterministic_and_does_not_flap() {
         // The full re-optimization state machine, driven with synthetic
         // observations so every gate (min_runs, break-even, hysteresis,
@@ -1266,9 +1158,7 @@ mod tests {
         assert_eq!(cache.plan_runs(&q, opts), 0);
         assert!(cache.plan_loop_stats(&q, opts).is_none());
 
-        let compiled = cache
-            .get_or_compile_tuned(&q, (&c).into(), &udfs, opts)
-            .unwrap();
+        let compiled = lookup(&cache, &q, opts);
         // The exec clock ticks on every begin_run, independent of
         // profiled-run bookkeeping.
         assert_eq!(cache.begin_run(&q, opts), 0);
@@ -1312,13 +1202,9 @@ mod tests {
 
         // Install the re-optimized plan: entry swaps, event recorded,
         // and rebasing resets the drift baseline.
-        let recompiled = Arc::new(
-            CompiledQuery::compile_tuned(&q, (&c).into(), &udfs, opts).unwrap(),
-        );
+        let recompiled = Arc::new(compile_opts(&q, &c, &udfs, opts));
         cache.install_reoptimized(&q, opts, Arc::clone(&recompiled), &reason);
-        let current = cache
-            .get_or_compile_tuned(&q, (&c).into(), &udfs, opts)
-            .unwrap();
+        let current = lookup(&cache, &q, opts);
         assert!(Arc::ptr_eq(&current, &recompiled));
         assert!(!Arc::ptr_eq(&current, &compiled));
         let events = cache.reopt_events(&q, opts);
@@ -1350,7 +1236,7 @@ mod tests {
         let c = ctx();
         let udfs = UdfRegistry::new();
         let opts = StenoOptions::default();
-        let baseline = CompiledQuery::compile_tuned(&q, (&c).into(), &udfs, opts).unwrap();
+        let baseline = compile_opts(&q, &c, &udfs, opts);
         assert_eq!(baseline.engine(), EngineKind::Vectorized);
 
         let fb = CompileFeedback {
@@ -1361,8 +1247,7 @@ mod tests {
                 ns_per_elem: None,
             }),
         };
-        let tuned =
-            CompiledQuery::compile_tuned_feedback(&q, (&c).into(), &udfs, opts, fb).unwrap();
+        let tuned = CompiledQuery::compile_with(&q, (&c).into(), &udfs, opts, fb).unwrap();
         let plans = tuned.loop_plans();
         assert!(!plans.is_empty());
         let why = plans[0].chosen_by.as_deref().expect("rationale recorded");
@@ -1383,8 +1268,7 @@ mod tests {
                 ns_per_elem: None,
             }),
         };
-        let tuned =
-            CompiledQuery::compile_tuned_feedback(&q, (&c).into(), &udfs, opts, fb).unwrap();
+        let tuned = CompiledQuery::compile_with(&q, (&c).into(), &udfs, opts, fb).unwrap();
         let plans = tuned.loop_plans();
         assert_eq!(plans[0].tier, crate::instr::LoopTier::Vectorized);
         let why = plans[0].chosen_by.as_deref().expect("rationale recorded");
@@ -1405,13 +1289,12 @@ mod tests {
             .where_(Expr::var("x").lt(Expr::litf(5.0)), "x") // keeps 5%
             .sum()
             .build();
-        let baseline = CompiledQuery::compile_tuned(&q, (&c).into(), &udfs, opts).unwrap();
+        let baseline = compile_opts(&q, &c, &udfs, opts);
         let fb = CompileFeedback {
             sample_ctx: Some(&c),
             loop_stats: None,
         };
-        let tuned =
-            CompiledQuery::compile_tuned_feedback(&q, (&c).into(), &udfs, opts, fb).unwrap();
+        let tuned = CompiledQuery::compile_with(&q, (&c).into(), &udfs, opts, fb).unwrap();
         let applied: Vec<_> = tuned
             .rewrite_log()
             .iter()
@@ -1436,8 +1319,7 @@ mod tests {
             sample_ctx: Some(&c),
             loop_stats: None,
         };
-        let plain =
-            CompiledQuery::compile_tuned_feedback(&q, (&c).into(), &udfs, no_rw, fb).unwrap();
+        let plain = CompiledQuery::compile_with(&q, (&c).into(), &udfs, no_rw, fb).unwrap();
         assert!(plain.rewrite_log().is_empty());
         assert_eq!(
             plain.run(&c, &udfs).unwrap(),

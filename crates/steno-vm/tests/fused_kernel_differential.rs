@@ -5,7 +5,7 @@
 //!
 //! * the fused single-pass loop (`run`, the default path when the
 //!   planner recognized the tape),
-//! * the unfused kernel sequence (`run_profiled` — profiled executions
+//! * the unfused kernel sequence (`run_traced` — profiled executions
 //!   keep taking the tape precisely so this comparison stays alive),
 //! * the scalar interpreter tier (`VectorizationPolicy::Off`).
 //!
@@ -15,11 +15,12 @@
 //! raises, and a deadline test proves fused loops still poll the
 //! interrupt at batch boundaries.
 
-use steno_expr::{Column, DataContext, Expr, UdfRegistry};
+use steno_expr::{Column, DataContext, Expr, UdfRegistry, Value};
 use steno_linq::interp;
+use steno_obs::Tracer;
 use steno_query::{Query, QueryExpr};
-use steno_vm::query::StenoOptions;
-use steno_vm::{CompiledQuery, Interrupt, VectorizationPolicy, VmError};
+use steno_vm::query::{CompileFeedback, StenoOptions};
+use steno_vm::{CompiledQuery, Interrupt, QueryProfile, VectorizationPolicy, VmError};
 
 const SIZES: [usize; 3] = [1023, 1024, 1025];
 
@@ -27,11 +28,23 @@ fn x() -> Expr {
     Expr::var("x")
 }
 
-fn scalar_opts() -> StenoOptions {
-    StenoOptions {
+/// Compiles `q` on the scalar tier (vectorization off).
+fn compile_scalar(q: &QueryExpr, c: &DataContext, u: &UdfRegistry) -> CompiledQuery {
+    let opts = StenoOptions {
         vectorize: VectorizationPolicy::Off,
         ..StenoOptions::default()
-    }
+    };
+    CompiledQuery::compile_with(q, c.into(), u, opts, CompileFeedback::default())
+        .unwrap_or_else(|e| panic!("scalar compile {q}: {e}"))
+}
+
+/// The profiled run, which executes the unfused kernel tape.
+fn run_tape(
+    compiled: &CompiledQuery,
+    c: &DataContext,
+    u: &UdfRegistry,
+) -> Result<(Value, QueryProfile), VmError> {
+    compiled.run_traced(c, u, &Interrupt::none(), &Tracer::disabled(), None)
 }
 
 /// Compiles `q` with the default options, asserts the planner attached
@@ -60,12 +73,11 @@ fn check_shape(q: &QueryExpr, c: &DataContext, expect_fused: Option<&str>) {
             "expected {q} to stay on the kernel path; got {whole_tape:?}"
         ),
     }
-    let scalar = CompiledQuery::compile_tuned(q, c.into(), &u, scalar_opts())
-        .unwrap_or_else(|e| panic!("scalar compile {q}: {e}"));
+    let scalar = compile_scalar(q, c, &u);
 
     let expected = interp::execute(q, c, &u).expect("interpreter failed");
     let fused_v = compiled.run(c, &u).expect("fused run failed");
-    let (tape_v, _) = compiled.run_profiled(c, &u).expect("tape run failed");
+    let (tape_v, _) = run_tape(&compiled, c, &u).expect("tape run failed");
     let scalar_v = scalar.run(c, &u).expect("scalar run failed");
     assert_eq!(expected.key(), fused_v.key(), "interp vs fused for {q}");
     assert_eq!(fused_v.key(), tape_v.key(), "fused vs kernel tape for {q}");
@@ -263,11 +275,10 @@ fn checked_division_trap_parity() {
         "checked division must stay on the kernel path: {:?}",
         compiled.fused_kernels()
     );
-    let scalar =
-        CompiledQuery::compile_tuned(&q, (&c).into(), &u, scalar_opts()).expect("compile scalar");
+    let scalar = compile_scalar(&q, &c, &u);
     assert_eq!(compiled.run(&c, &u), Err(VmError::DivisionByZero));
     assert_eq!(
-        compiled.run_profiled(&c, &u).map(|(v, _)| v),
+        run_tape(&compiled, &c, &u).map(|(v, _)| v),
         Err(VmError::DivisionByZero)
     );
     assert_eq!(scalar.run(&c, &u), Err(VmError::DivisionByZero));
@@ -288,8 +299,7 @@ fn index_trap_parity_under_threaded_dispatch() {
         .sum()
         .build();
     let compiled = CompiledQuery::compile(&q, (&c).into(), &u).expect("compile");
-    let scalar =
-        CompiledQuery::compile_tuned(&q, (&c).into(), &u, scalar_opts()).expect("compile scalar");
+    let scalar = compile_scalar(&q, &c, &u);
     let expected = Err(VmError::IndexOutOfBounds { index: 9, len: 3 });
     assert_eq!(compiled.run(&c, &u), expected);
     assert_eq!(scalar.run(&c, &u), expected);

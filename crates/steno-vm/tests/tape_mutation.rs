@@ -14,7 +14,7 @@ use steno_expr::{DataContext, Expr, UdfRegistry};
 use steno_query::{Query, QueryExpr};
 use steno_vm::batch::BOp;
 use steno_vm::check::{check_program, ObligationKind};
-use steno_vm::query::StenoOptions;
+use steno_vm::query::{CompileFeedback, StenoOptions};
 use steno_vm::{CompiledQuery, Instr, Program, VectorizationPolicy};
 
 fn x() -> Expr {
@@ -33,7 +33,7 @@ fn ictx() -> DataContext {
 
 fn compile(q: &QueryExpr, ctx: &DataContext, opts: StenoOptions) -> Program {
     let udfs = UdfRegistry::new();
-    let c = CompiledQuery::compile_tuned(q, ctx.into(), &udfs, opts)
+    let c = CompiledQuery::compile_with(q, ctx.into(), &udfs, opts, CompileFeedback::default())
         .unwrap_or_else(|e| panic!("compile failed for {q}: {e}"));
     assert!(
         check_program(c.program()).is_ok(),

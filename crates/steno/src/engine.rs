@@ -9,6 +9,7 @@
 
 use std::fmt;
 use std::sync::Arc;
+use std::time::Instant;
 
 use steno_cluster::exec::{DistError, RuntimeConfig};
 use steno_cluster::{ClusterSpec, DistributedCollection, JobReport, VertexEngine};
@@ -84,6 +85,17 @@ impl fmt::Display for StenoError {
 
 impl std::error::Error for StenoError {}
 
+impl StenoError {
+    /// `true` when optimization failed only because the query's shape is
+    /// outside what Steno optimizes — the iterator fallback runs it.
+    pub fn is_unsupported(&self) -> bool {
+        matches!(
+            self,
+            StenoError::Optimize(OptimizeError::Lower(steno_quil::LowerError::Unsupported(_)))
+        )
+    }
+}
+
 /// The query optimizer and executor.
 ///
 /// Owns a [`QueryCache`], so repeated executions of the same query pay
@@ -114,6 +126,52 @@ impl Default for Steno {
             verify: cfg!(debug_assertions),
             adaptive: false,
             drift: DriftConfig::default(),
+        }
+    }
+}
+
+static INERT: Interrupt = Interrupt::none();
+static UNTRACED: Tracer = Tracer::disabled();
+
+/// The per-call context of [`Steno::execute_with`],
+/// [`Steno::run_compiled`] and [`Steno::compile_with`]. The default is
+/// the plain path of [`Steno::execute`]: no deadline, no tracing, the
+/// engine's options, no profile, re-optimization allowed.
+///
+/// A run is profiled iff `profile` is set, the tracer is enabled, or an
+/// adaptive sample is due (the first `ADAPTIVE_WARMUP` runs of a plan
+/// and every `ADAPTIVE_PERIOD`-th run after). A profiled run feeds the
+/// cached plan's statistics iff the engine is adaptive and `reopt` is
+/// set.
+#[derive(Clone, Copy)]
+pub struct Exec<'a> {
+    /// Deadline/cancellation, polled by the VM at loop back-edges and
+    /// batch boundaries and by the iterator fallback per stride of
+    /// elements.
+    pub interrupt: &'a Interrupt,
+    /// Receives the engine's spans; a live tracer forces a profiled run,
+    /// since the `vm.loop` spans are the measurement.
+    pub tracer: &'a Tracer,
+    /// The span the engine's spans hang under.
+    pub parent: Option<SpanId>,
+    /// Compile options overriding the engine's for this call.
+    pub options: Option<StenoOptions>,
+    /// Run the profiled interpreter and return its [`QueryProfile`].
+    pub profile: bool,
+    /// Whether a profiled run may feed an adaptive engine's plan
+    /// statistics and trigger drift re-optimization.
+    pub reopt: bool,
+}
+
+impl Default for Exec<'_> {
+    fn default() -> Self {
+        Exec {
+            interrupt: &INERT,
+            tracer: &UNTRACED,
+            parent: None,
+            options: None,
+            profile: false,
+            reopt: true,
         }
     }
 }
@@ -265,54 +323,59 @@ impl Steno {
         ctx: &DataContext,
         udfs: &UdfRegistry,
     ) -> Result<Value, StenoError> {
-        self.execute_traced(q, ctx, udfs).map(|(v, _)| v)
+        self.execute_with(q, ctx, udfs, &Exec::default())
+            .map(|(v, _, _)| v)
     }
 
-    /// Compiles through the cache, reporting hit/miss into the
-    /// engine's collector (compile latency is recorded on misses).
-    /// Freshly compiled plans are checked by the independent verifier
-    /// when [`Steno::with_verify`] is on; cache hits were verified when
-    /// they were first compiled and are not re-checked.
+    /// As [`Steno::execute`] under a per-call [`Exec`] context, also
+    /// reporting which path ran and, when the run was profiled, a
+    /// [`QueryProfile`] of where elements and time went (`cache_hit` set
+    /// on the optimized path; only `wall` on the iterator fallback).
+    ///
+    /// # Errors
+    ///
+    /// As [`Steno::execute`]; once `exec.interrupt` fires, both paths
+    /// report [`StenoError::Vm`] with [`VmError::DeadlineExceeded`] or
+    /// [`VmError::Cancelled`].
+    pub fn execute_with(
+        &self,
+        q: &QueryExpr,
+        ctx: &DataContext,
+        udfs: &UdfRegistry,
+        exec: &Exec<'_>,
+    ) -> Result<(Value, ExecutionPath, Option<QueryProfile>), StenoError> {
+        let plan = match self.compile_metered(q, SourceTypes::from(ctx), udfs, exec) {
+            Ok(plan) => Some(plan),
+            Err(e) if e.is_unsupported() => None,
+            Err(e) => return Err(e),
+        };
+        let compiled = plan.as_ref().map(|(c, _)| c.as_ref());
+        let (value, path, mut prof) = self.run_compiled(q, ctx, udfs, compiled, exec)?;
+        if let (Some(prof), Some((_, hit))) = (&mut prof, &plan) {
+            prof.cache_hit = Some(*hit);
+        }
+        Ok((value, path, prof))
+    }
+
+    /// Compiles through the cache under `exec.options` (the engine's
+    /// options by default), reporting hit/miss into the engine's
+    /// collector (compile latency is recorded on misses) and an
+    /// `engine.compile` span (annotated with cache hit and compile time)
+    /// into `exec.tracer`. Freshly compiled plans are checked by the
+    /// independent verifiers, each under its own span, when
+    /// [`Steno::with_verify`] is on; cache hits were verified when they
+    /// were first compiled and are not re-checked.
     fn compile_metered(
         &self,
         q: &QueryExpr,
         sources: SourceTypes,
         udfs: &UdfRegistry,
+        exec: &Exec<'_>,
     ) -> Result<(Arc<CompiledQuery>, bool), StenoError> {
-        self.compile_metered_with(q, sources, udfs, self.options)
-    }
-
-    /// As [`Steno::compile_metered`], with explicit per-call options
-    /// (the cache keys on the options, so plans compiled under
-    /// different policies coexist).
-    fn compile_metered_with(
-        &self,
-        q: &QueryExpr,
-        sources: SourceTypes,
-        udfs: &UdfRegistry,
-        options: StenoOptions,
-    ) -> Result<(Arc<CompiledQuery>, bool), StenoError> {
-        self.compile_metered_spanned(q, sources, udfs, options, &Tracer::disabled(), None)
-    }
-
-    /// The traced core of every compile path: records an
-    /// `engine.compile` span (annotated with cache hit and compile
-    /// time) plus an `engine.verify` span for fresh compilations when
-    /// the verifier is on. With a disabled tracer this is exactly the
-    /// metered compile.
-    fn compile_metered_spanned(
-        &self,
-        q: &QueryExpr,
-        sources: SourceTypes,
-        udfs: &UdfRegistry,
-        options: StenoOptions,
-        tracer: &Tracer,
-        parent: Option<SpanId>,
-    ) -> Result<(Arc<CompiledQuery>, bool), StenoError> {
+        let (tracer, parent) = (exec.tracer, exec.parent);
         let mut cspan = tracer.span("engine.compile", parent);
-        let result = self
-            .cache
-            .get_or_compile_tuned_traced(q, sources, udfs, options);
+        let options = exec.options.unwrap_or(self.options);
+        let result = self.cache.get_or_compile(q, sources, udfs, options);
         if self.collector.enabled() {
             match &result {
                 Ok((_, true)) => self.collector.add("steno.cache.hit", 1),
@@ -362,139 +425,63 @@ impl Steno {
         Ok((compiled, hit))
     }
 
-    /// As [`Steno::execute`], also reporting which path ran.
-    ///
-    /// # Errors
-    ///
-    /// As [`Steno::execute`].
-    pub fn execute_traced(
-        &self,
-        q: &QueryExpr,
-        ctx: &DataContext,
-        udfs: &UdfRegistry,
-    ) -> Result<(Value, ExecutionPath), StenoError> {
-        match self.compile_metered(q, SourceTypes::from(ctx), udfs) {
-            Ok((compiled, _hit)) => {
-                let span = steno_obs::Span::start(self.collector.as_ref(), "steno.exec_ns");
-                let result = if self.adaptive {
-                    self.run_adaptive(q, ctx, udfs, &compiled)
-                } else {
-                    compiled.run(ctx, udfs).map_err(StenoError::Vm)
-                };
-                drop(span);
-                self.collector.add("steno.query.executed", 1);
-                result.map(|v| (v, ExecutionPath::Optimized))
-            }
-            Err(StenoError::Optimize(OptimizeError::Lower(
-                steno_quil::LowerError::Unsupported(_),
-            ))) => {
-                // The paper's behaviour: shapes Steno does not optimize
-                // run through the stock iterator implementation.
-                self.collector.add("steno.query.fallback", 1);
-                let _span = steno_obs::Span::start(self.collector.as_ref(), "steno.exec_ns");
-                interp::execute(q, ctx, udfs)
-                    .map(|v| (v, ExecutionPath::Fallback))
-                    .map_err(StenoError::Eval)
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    /// The adaptive arm of [`Steno::execute_traced`]: runs the plan
-    /// (profiled on the sampling cadence — the first
-    /// [`ADAPTIVE_WARMUP`] runs and every [`ADAPTIVE_PERIOD`]-th run
-    /// after), folds the observed facts into the cached plan's decayed
-    /// statistics, and on drift recompiles with the measured feedback
-    /// and swaps the cached plan. The query's own result is never at
-    /// stake: re-optimization happens after the value is computed, and
-    /// a failed or verifier-rejected recompile only counts a metric and
-    /// leaves the current plan installed.
-    fn run_adaptive(
-        &self,
-        q: &QueryExpr,
-        ctx: &DataContext,
-        udfs: &UdfRegistry,
-        compiled: &CompiledQuery,
-    ) -> Result<Value, StenoError> {
-        self.run_compiled_adaptive(q, ctx, udfs, compiled, &Interrupt::none(), self.options)
-    }
-
-    /// Runs an already-compiled plan under `interrupt`, applying the
-    /// engine's adaptive sampling and drift-triggered re-optimization
-    /// when [`Steno::with_adaptive`] is on. `opts` must be the options
-    /// the plan was compiled under — the cache keys its statistics and
-    /// any re-optimized replacement on them. This is the entry a
+    /// Runs an already-compiled plan under a per-call [`Exec`] context,
+    /// or — with `plan: None` — the iterator fallback, the paper's
+    /// behaviour for shapes Steno does not optimize. This is the entry a
     /// serving layer uses to run plans it compiled itself (e.g. under a
     /// degraded policy) while still feeding the profile→plan loop.
+    /// `exec.options` must be the options the plan was compiled under:
+    /// the cache keys its statistics on them. When fed statistics
+    /// drift, the plan is recompiled with the measured feedback and
+    /// swapped in the cache after the value is computed; a failed or
+    /// verifier-rejected recompile only counts a metric.
     ///
     /// # Errors
     ///
-    /// As [`Steno::execute`]; additionally [`VmError::DeadlineExceeded`]
-    /// / [`VmError::Cancelled`] (wrapped in [`StenoError::Vm`]) once
-    /// `interrupt` fires.
-    pub fn run_compiled_adaptive(
+    /// As [`Steno::execute_with`].
+    pub fn run_compiled(
         &self,
         q: &QueryExpr,
         ctx: &DataContext,
         udfs: &UdfRegistry,
-        compiled: &CompiledQuery,
-        interrupt: &Interrupt,
-        opts: StenoOptions,
-    ) -> Result<Value, StenoError> {
-        self.run_compiled_traced(q, ctx, udfs, compiled, interrupt, opts, &Tracer::disabled(), None)
-    }
-
-    /// As [`Steno::run_compiled_adaptive`], recording `vm.run`/`vm.loop`
-    /// spans into `tracer` and an `engine.reopt` span when the run
-    /// triggers a drift recompilation. A live tracer forces the profiled
-    /// interpreter (the spans *are* the measurement), so traced runs
-    /// always feed the plan's decayed statistics; with a disabled tracer
-    /// the adaptive sampling cadence is unchanged.
-    ///
-    /// # Errors
-    ///
-    /// As [`Steno::run_compiled_adaptive`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_compiled_traced(
-        &self,
-        q: &QueryExpr,
-        ctx: &DataContext,
-        udfs: &UdfRegistry,
-        compiled: &CompiledQuery,
-        interrupt: &Interrupt,
-        opts: StenoOptions,
-        tracer: &Tracer,
-        parent: Option<SpanId>,
-    ) -> Result<Value, StenoError> {
-        if !self.adaptive {
-            if tracer.enabled() {
-                let (value, _) = compiled
-                    .run_traced(ctx, udfs, interrupt, tracer, parent)
-                    .map_err(StenoError::Vm)?;
-                return Ok(value);
-            }
-            return compiled.run_with(ctx, udfs, interrupt).map_err(StenoError::Vm);
-        }
-        let runs = self.cache.begin_run(q, opts);
-        let sample = runs < ADAPTIVE_WARMUP || runs.is_multiple_of(ADAPTIVE_PERIOD);
-        if !sample && !tracer.enabled() {
-            return compiled.run_with(ctx, udfs, interrupt).map_err(StenoError::Vm);
+        plan: Option<&CompiledQuery>,
+        exec: &Exec<'_>,
+    ) -> Result<(Value, ExecutionPath, Option<QueryProfile>), StenoError> {
+        let _span = steno_obs::Span::start(self.collector.as_ref(), "steno.exec_ns");
+        let Some(compiled) = plan else {
+            self.collector.add("steno.query.fallback", 1);
+            return run_fallback(q, ctx, udfs, exec);
+        };
+        self.collector.add("steno.query.executed", 1);
+        let opts = exec.options.unwrap_or(self.options);
+        let feed = self.adaptive && exec.reopt;
+        let sample = feed && {
+            let runs = self.cache.begin_run(q, opts);
+            runs < ADAPTIVE_WARMUP || runs.is_multiple_of(ADAPTIVE_PERIOD)
+        };
+        if !(exec.profile || exec.tracer.enabled() || sample) {
+            let value = compiled
+                .run_with(ctx, udfs, exec.interrupt)
+                .map_err(StenoError::Vm)?;
+            return Ok((value, ExecutionPath::Optimized, None));
         }
         let (value, prof) = compiled
-            .run_traced(ctx, udfs, interrupt, tracer, parent)
+            .run_traced(ctx, udfs, exec.interrupt, exec.tracer, exec.parent)
             .map_err(StenoError::Vm)?;
-        // Exactly one tier runs each loop, so summing the per-tier
-        // element counters yields the elements that flowed through.
-        let observed = ObservedRun {
-            elements: (prof.src_reads + prof.batch_elements_in + prof.fused_elements) as f64,
-            density: prof.selection_density(),
-            exec_ns: prof.wall.as_nanos() as f64,
-            loop_ns: prof.loop_ns as f64,
-        };
-        if let Some(reason) = self.cache.note_run(q, opts, observed, &self.drift) {
-            self.reoptimize(q, ctx, udfs, &reason, opts, tracer, parent);
+        if feed {
+            // Exactly one tier runs each loop, so summing the per-tier
+            // element counters yields the elements that flowed through.
+            let observed = ObservedRun {
+                elements: (prof.src_reads + prof.batch_elements_in + prof.fused_elements) as f64,
+                density: prof.selection_density(),
+                exec_ns: prof.wall.as_nanos() as f64,
+                loop_ns: prof.loop_ns as f64,
+            };
+            if let Some(reason) = self.cache.note_run(q, opts, observed, &self.drift) {
+                self.reoptimize(q, ctx, udfs, &reason, exec);
+            }
         }
-        Ok(value)
+        Ok((value, ExecutionPath::Optimized, Some(prof)))
     }
 
     /// Recompiles `q` with measured feedback (sampled selectivities from
@@ -502,35 +489,25 @@ impl Steno {
     /// the result — but only after the independent plan verifier accepts
     /// it, regardless of [`Steno::with_verify`]: a re-optimization
     /// replaces a known-good plan, so it is never trusted blind.
-    #[allow(clippy::too_many_arguments)]
     fn reoptimize(
         &self,
         q: &QueryExpr,
         ctx: &DataContext,
         udfs: &UdfRegistry,
         reason: &str,
-        opts: StenoOptions,
-        tracer: &Tracer,
-        parent: Option<SpanId>,
+        exec: &Exec<'_>,
     ) {
-        let mut rspan = tracer.span("engine.reopt", parent);
+        let opts = exec.options.unwrap_or(self.options);
+        let mut rspan = exec.tracer.span("engine.reopt", exec.parent);
         let feedback = CompileFeedback {
             sample_ctx: Some(ctx),
             loop_stats: self.cache.plan_loop_stats(q, opts),
         };
-        let recompiled = match CompiledQuery::compile_tuned_feedback(
-            q,
-            SourceTypes::from(ctx),
-            udfs,
-            opts,
-            feedback,
-        ) {
-            Ok(c) => c,
-            Err(_) => {
-                rspan.note("outcome", "error");
-                self.collector.add("steno.reopt.error", 1);
-                return;
-            }
+        let sources = SourceTypes::from(ctx);
+        let Ok(recompiled) = CompiledQuery::compile_with(q, sources, udfs, opts, feedback) else {
+            rspan.note("outcome", "error");
+            self.collector.add("steno.reopt.error", 1);
+            return;
         };
         if steno_analysis::verify(recompiled.chain(), udfs).is_err() {
             rspan.note("outcome", "rejected");
@@ -552,186 +529,6 @@ impl Steno {
         rspan.note("outcome", "installed");
         rspan.note("reason", reason.to_string());
         self.collector.add("steno.reopt", 1);
-    }
-
-    /// As [`Steno::execute_traced`], threading a deadline/cancellation
-    /// [`Interrupt`] into *both* executors: the VM polls it at loop
-    /// back-edges and batch boundaries, and the iterator fallback polls
-    /// it per stride of elements — so unsupported shapes no longer run
-    /// to completion past their deadline.
-    ///
-    /// # Errors
-    ///
-    /// As [`Steno::execute`]; once the interrupt fires, both paths
-    /// report [`StenoError::Vm`] with [`VmError::DeadlineExceeded`] or
-    /// [`VmError::Cancelled`].
-    pub fn execute_with_interrupt(
-        &self,
-        q: &QueryExpr,
-        ctx: &DataContext,
-        udfs: &UdfRegistry,
-        interrupt: &Interrupt,
-    ) -> Result<(Value, ExecutionPath), StenoError> {
-        match self.compile_metered(q, SourceTypes::from(ctx), udfs) {
-            Ok((compiled, _hit)) => {
-                let span = steno_obs::Span::start(self.collector.as_ref(), "steno.exec_ns");
-                let result =
-                    self.run_compiled_adaptive(q, ctx, udfs, &compiled, interrupt, self.options);
-                drop(span);
-                self.collector.add("steno.query.executed", 1);
-                result.map(|v| (v, ExecutionPath::Optimized))
-            }
-            Err(StenoError::Optimize(OptimizeError::Lower(
-                steno_quil::LowerError::Unsupported(_),
-            ))) => {
-                self.collector.add("steno.query.fallback", 1);
-                let _span = steno_obs::Span::start(self.collector.as_ref(), "steno.exec_ns");
-                let probe: interp::StopProbe = {
-                    let interrupt = interrupt.clone();
-                    Arc::new(move || match interrupt.check() {
-                        Ok(()) => None,
-                        Err(VmError::DeadlineExceeded) => Some(interp::Stop::Deadline),
-                        Err(_) => Some(interp::Stop::Cancelled),
-                    })
-                };
-                interp::execute_interruptible(q, ctx, udfs, probe)
-                    .map(|v| (v, ExecutionPath::Fallback))
-                    .map_err(|e| match e {
-                        // Interruptions surface uniformly as VM errors,
-                        // matching the optimized path, so callers handle
-                        // one shape.
-                        EvalError::Interrupted { deadline: true } => {
-                            StenoError::Vm(VmError::DeadlineExceeded)
-                        }
-                        EvalError::Interrupted { deadline: false } => {
-                            StenoError::Vm(VmError::Cancelled)
-                        }
-                        other => StenoError::Eval(other),
-                    })
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    /// As [`Steno::execute_with_interrupt`], recording the full engine
-    /// span hierarchy into `tracer`: `engine.compile` / `engine.verify`
-    /// on the compile side, `vm.run` + per-loop `vm.loop` spans on the
-    /// optimized path, `engine.fallback_exec` on the iterator fallback,
-    /// and `engine.reopt` when a traced run triggers drift
-    /// recompilation. With a disabled tracer this is exactly
-    /// [`Steno::execute_with_interrupt`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Steno::execute_with_interrupt`].
-    pub fn execute_with_interrupt_traced(
-        &self,
-        q: &QueryExpr,
-        ctx: &DataContext,
-        udfs: &UdfRegistry,
-        interrupt: &Interrupt,
-        tracer: &Tracer,
-        parent: Option<SpanId>,
-    ) -> Result<(Value, ExecutionPath), StenoError> {
-        match self.compile_metered_spanned(
-            q,
-            SourceTypes::from(ctx),
-            udfs,
-            self.options,
-            tracer,
-            parent,
-        ) {
-            Ok((compiled, _hit)) => {
-                let span = steno_obs::Span::start(self.collector.as_ref(), "steno.exec_ns");
-                let result = self.run_compiled_traced(
-                    q,
-                    ctx,
-                    udfs,
-                    &compiled,
-                    interrupt,
-                    self.options,
-                    tracer,
-                    parent,
-                );
-                drop(span);
-                self.collector.add("steno.query.executed", 1);
-                result.map(|v| (v, ExecutionPath::Optimized))
-            }
-            Err(StenoError::Optimize(OptimizeError::Lower(
-                steno_quil::LowerError::Unsupported(_),
-            ))) => {
-                self.collector.add("steno.query.fallback", 1);
-                let _span = steno_obs::Span::start(self.collector.as_ref(), "steno.exec_ns");
-                let _fspan = tracer.span("engine.fallback_exec", parent);
-                let probe: interp::StopProbe = {
-                    let interrupt = interrupt.clone();
-                    Arc::new(move || match interrupt.check() {
-                        Ok(()) => None,
-                        Err(VmError::DeadlineExceeded) => Some(interp::Stop::Deadline),
-                        Err(_) => Some(interp::Stop::Cancelled),
-                    })
-                };
-                interp::execute_interruptible(q, ctx, udfs, probe)
-                    .map(|v| (v, ExecutionPath::Fallback))
-                    .map_err(|e| match e {
-                        EvalError::Interrupted { deadline: true } => {
-                            StenoError::Vm(VmError::DeadlineExceeded)
-                        }
-                        EvalError::Interrupted { deadline: false } => {
-                            StenoError::Vm(VmError::Cancelled)
-                        }
-                        other => StenoError::Eval(other),
-                    })
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    /// As [`Steno::execute_traced`], additionally returning a
-    /// [`QueryProfile`] of where elements and time went: per-operator
-    /// element counts, batches executed, selection-vector density, and
-    /// whether this compilation hit the query cache. Runs the profiled
-    /// interpreter monomorphization; use [`Steno::execute`] when the
-    /// counters are not needed. Fallback executions return the profile
-    /// with only `wall` and `cache_hit: Some(false)` semantics absent
-    /// (`cache_hit` is `None` — the fallback never touches the cache).
-    ///
-    /// # Errors
-    ///
-    /// As [`Steno::execute`].
-    pub fn execute_profiled(
-        &self,
-        q: &QueryExpr,
-        ctx: &DataContext,
-        udfs: &UdfRegistry,
-    ) -> Result<(Value, ExecutionPath, QueryProfile), StenoError> {
-        match self.compile_metered(q, SourceTypes::from(ctx), udfs) {
-            Ok((compiled, hit)) => {
-                let span = steno_obs::Span::start(self.collector.as_ref(), "steno.exec_ns");
-                let result = compiled.run_profiled(ctx, udfs);
-                drop(span);
-                self.collector.add("steno.query.executed", 1);
-                result
-                    .map(|(v, mut prof)| {
-                        prof.cache_hit = Some(hit);
-                        (v, ExecutionPath::Optimized, prof)
-                    })
-                    .map_err(StenoError::Vm)
-            }
-            Err(StenoError::Optimize(OptimizeError::Lower(
-                steno_quil::LowerError::Unsupported(_),
-            ))) => {
-                self.collector.add("steno.query.fallback", 1);
-                let start = std::time::Instant::now();
-                let value = interp::execute(q, ctx, udfs).map_err(StenoError::Eval)?;
-                let prof = QueryProfile {
-                    wall: start.elapsed(),
-                    ..QueryProfile::default()
-                };
-                Ok((value, ExecutionPath::Fallback, prof))
-            }
-            Err(e) => Err(e),
-        }
     }
 
     /// Explains how this engine would execute `q` against sources of
@@ -771,7 +568,11 @@ impl Steno {
         options: StenoOptions,
     ) -> Result<Explain, StenoError> {
         let query = q.to_string();
-        match self.compile_metered_with(q, sources, udfs, options) {
+        let exec = Exec {
+            options: Some(options),
+            ..Exec::default()
+        };
+        match self.compile_metered(q, sources, udfs, &exec) {
             Ok((compiled, _hit)) => {
                 let lints = steno_analysis::run_default_lints(compiled.chain(), udfs)
                     .iter()
@@ -809,9 +610,7 @@ impl Steno {
                     },
                 })
             }
-            Err(StenoError::Optimize(OptimizeError::Lower(
-                e @ steno_quil::LowerError::Unsupported(_),
-            ))) => Ok(Explain {
+            Err(e) if e.is_unsupported() => Ok(Explain {
                 query,
                 plan: ExplainPlan::Fallback {
                     reason: e.to_string(),
@@ -850,49 +649,28 @@ impl Steno {
         sources: SourceTypes,
         udfs: &UdfRegistry,
     ) -> Result<Arc<CompiledQuery>, StenoError> {
-        self.compile_metered(q, sources, udfs)
-            .map(|(compiled, _hit)| compiled)
+        self.compile_with(q, sources, udfs, &Exec::default())
     }
 
-    /// As [`Steno::compile`], with per-call [`StenoOptions`] overriding
-    /// the engine default. The cache keys on the options, so a service
-    /// layer can degrade individual compilations (e.g. pin
+    /// As [`Steno::compile`] under a per-call [`Exec`] context:
+    /// `exec.options` overrides the engine default, and `engine.compile`
+    /// (plus, on fresh compilations, `engine.verify`/`engine.tapecheck`)
+    /// spans go into `exec.tracer`. The cache keys on the options, so a
+    /// service layer can degrade individual compilations (e.g. pin
     /// [`VectorizationPolicy::Off`] while a breaker is open) without
-    /// poisoning plans cached under the healthy policy. Goes through
-    /// the same metering and verifier as every other compile.
+    /// poisoning plans cached under the healthy policy.
     ///
     /// # Errors
     ///
     /// As [`Steno::compile`].
-    pub fn compile_with_options(
+    pub fn compile_with(
         &self,
         q: &QueryExpr,
         sources: SourceTypes,
         udfs: &UdfRegistry,
-        options: StenoOptions,
+        exec: &Exec<'_>,
     ) -> Result<Arc<CompiledQuery>, StenoError> {
-        self.compile_metered_with(q, sources, udfs, options)
-            .map(|(compiled, _hit)| compiled)
-    }
-
-    /// As [`Steno::compile_with_options`], recording `engine.compile`
-    /// (and, on fresh compilations, `engine.verify`) spans into the
-    /// caller's per-query trace. With a disabled tracer this is exactly
-    /// `compile_with_options`.
-    ///
-    /// # Errors
-    ///
-    /// As [`Steno::compile`].
-    pub fn compile_with_options_traced(
-        &self,
-        q: &QueryExpr,
-        sources: SourceTypes,
-        udfs: &UdfRegistry,
-        options: StenoOptions,
-        tracer: &Tracer,
-        parent: Option<SpanId>,
-    ) -> Result<Arc<CompiledQuery>, StenoError> {
-        self.compile_metered_spanned(q, sources, udfs, options, tracer, parent)
+        self.compile_metered(q, sources, udfs, exec)
             .map(|(compiled, _hit)| compiled)
     }
 
@@ -983,6 +761,43 @@ impl Steno {
     }
 }
 
+/// The iterator fallback of [`Steno::run_compiled`], under an
+/// `engine.fallback_exec` span. An inert interrupt takes the plain
+/// interpreter; otherwise the interpreter polls it per stride of
+/// elements. A profiled fallback reports only its wall time.
+fn run_fallback(
+    q: &QueryExpr,
+    ctx: &DataContext,
+    udfs: &UdfRegistry,
+    exec: &Exec<'_>,
+) -> Result<(Value, ExecutionPath, Option<QueryProfile>), StenoError> {
+    let _fspan = exec.tracer.span("engine.fallback_exec", exec.parent);
+    let start = (exec.profile || exec.tracer.enabled()).then(Instant::now);
+    let value = if exec.interrupt.is_inert() {
+        interp::execute(q, ctx, udfs)
+    } else {
+        let interrupt = exec.interrupt.clone();
+        let probe: interp::StopProbe = Arc::new(move || match interrupt.check() {
+            Ok(()) => None,
+            Err(VmError::DeadlineExceeded) => Some(interp::Stop::Deadline),
+            Err(_) => Some(interp::Stop::Cancelled),
+        });
+        interp::execute_interruptible(q, ctx, udfs, probe)
+    };
+    // Interruptions surface as VM errors, matching the optimized path,
+    // so callers handle one shape.
+    let value = value.map_err(|e| match e {
+        EvalError::Interrupted { deadline: true } => StenoError::Vm(VmError::DeadlineExceeded),
+        EvalError::Interrupted { deadline: false } => StenoError::Vm(VmError::Cancelled),
+        other => StenoError::Eval(other),
+    })?;
+    let prof = start.map(|t| QueryProfile {
+        wall: t.elapsed(),
+        ..QueryProfile::default()
+    });
+    Ok((value, ExecutionPath::Fallback, prof))
+}
+
 /// Renders the measured loop facts a plan was compiled against for the
 /// EXPLAIN `measured:` line.
 fn render_measured(ls: steno_opt::LoopStats) -> String {
@@ -1013,9 +828,10 @@ mod tests {
             .select(Expr::var("x") * Expr::var("x"), "x")
             .sum()
             .build();
-        let (v, path) = engine
-            .execute_traced(&q, &ctx(), &UdfRegistry::new())
+        let (v, path, prof) = engine
+            .execute_with(&q, &ctx(), &UdfRegistry::new(), &Exec::default())
             .unwrap();
+        assert!(prof.is_none(), "the plain path does not profile");
         assert_eq!(v, Value::F64(30.0));
         assert_eq!(path, ExecutionPath::Optimized);
     }
@@ -1025,9 +841,10 @@ mod tests {
         let engine = Steno::new();
         // Concat is outside the QUIL operator classes.
         let q = Query::source("xs").concat(Query::source("xs")).count().build();
-        let (v, path) = engine
-            .execute_traced(&q, &ctx(), &UdfRegistry::new())
+        let (v, path, prof) = engine
+            .execute_with(&q, &ctx(), &UdfRegistry::new(), &Exec::default())
             .unwrap();
+        assert!(prof.is_none(), "the plain path does not profile");
         assert_eq!(v, Value::I64(8));
         assert_eq!(path, ExecutionPath::Fallback);
     }
@@ -1299,14 +1116,20 @@ mod tests {
             .build();
         let c = ctx();
         let udfs = UdfRegistry::new();
-        let (v, path, prof) = engine.execute_profiled(&q, &c, &udfs).unwrap();
+        let profiled = Exec {
+            profile: true,
+            ..Exec::default()
+        };
+        let (v, path, prof) = engine.execute_with(&q, &c, &udfs, &profiled).unwrap();
+        let prof = prof.unwrap();
         assert_eq!(v, Value::F64(29.0));
         assert_eq!(path, ExecutionPath::Optimized);
         assert_eq!(prof.cache_hit, Some(false));
         assert_eq!(prof.batch_elements_in, 4);
         assert_eq!(prof.batch_elements_selected, 3);
         // Second run: same counters, but served from the cache.
-        let (_, _, prof2) = engine.execute_profiled(&q, &c, &udfs).unwrap();
+        let (_, _, prof2) = engine.execute_with(&q, &c, &udfs, &profiled).unwrap();
+        let prof2 = prof2.unwrap();
         assert_eq!(prof2.cache_hit, Some(true));
         assert_eq!(prof2.selection_density(), Some(0.75));
     }
@@ -1435,8 +1258,12 @@ mod tests {
             vectorize: VectorizationPolicy::Off,
             ..*engine.options()
         };
+        let degraded = Exec {
+            options: Some(degraded),
+            ..Exec::default()
+        };
         let scalar = engine
-            .compile_with_options(&q, SourceTypes::from(&c), &udfs, degraded)
+            .compile_with(&q, SourceTypes::from(&c), &udfs, &degraded)
             .unwrap();
         assert_eq!(scalar.engine(), EngineKind::Scalar);
 
@@ -1446,7 +1273,7 @@ mod tests {
         assert_eq!(stats.misses, 2);
         assert_eq!(stats.len, 2);
         let again = engine
-            .compile_with_options(&q, SourceTypes::from(&c), &udfs, degraded)
+            .compile_with(&q, SourceTypes::from(&c), &udfs, &degraded)
             .unwrap();
         assert!(Arc::ptr_eq(&scalar, &again));
         assert_eq!(engine.detailed_cache_stats().hits, 1);
@@ -1497,7 +1324,11 @@ mod tests {
 
         // Inert interrupt: identical to the plain entry, still fallback.
         let inert = Interrupt::none();
-        let (v, path) = engine.execute_with_interrupt(&q, &c, &udfs, &inert).unwrap();
+        let with = |interrupt| Exec {
+            interrupt,
+            ..Exec::default()
+        };
+        let (v, path, _) = engine.execute_with(&q, &c, &udfs, &with(&inert)).unwrap();
         assert_eq!(path, ExecutionPath::Fallback);
         assert_eq!(v, engine.execute(&q, &c, &udfs).unwrap());
 
@@ -1505,7 +1336,7 @@ mod tests {
         // error shape the VM path reports.
         let expired =
             Interrupt::none().with_deadline(Instant::now() - Duration::from_millis(1));
-        match engine.execute_with_interrupt(&q, &c, &udfs, &expired) {
+        match engine.execute_with(&q, &c, &udfs, &with(&expired)) {
             Err(StenoError::Vm(VmError::DeadlineExceeded)) => {}
             other => panic!("expected deadline error, got {other:?}"),
         }
@@ -1513,7 +1344,7 @@ mod tests {
         // Cancel probe: same, with the cancellation error.
         let probe = Arc::new(|| true) as steno_vm::CancelProbe;
         let cancelled = Interrupt::none().with_cancel_probe(probe);
-        match engine.execute_with_interrupt(&q, &c, &udfs, &cancelled) {
+        match engine.execute_with(&q, &c, &udfs, &with(&cancelled)) {
             Err(StenoError::Vm(VmError::Cancelled)) => {}
             other => panic!("expected cancelled error, got {other:?}"),
         }
@@ -1522,7 +1353,7 @@ mod tests {
         let supported = Query::source("xs").sum().build();
         let expired =
             Interrupt::none().with_deadline(Instant::now() - Duration::from_millis(1));
-        match engine.execute_with_interrupt(&supported, &c, &udfs, &expired) {
+        match engine.execute_with(&supported, &c, &udfs, &with(&expired)) {
             Err(StenoError::Vm(VmError::DeadlineExceeded)) => {}
             other => panic!("expected deadline error, got {other:?}"),
         }
@@ -1622,5 +1453,74 @@ mod tests {
         assert!(text.contains("\n  measured: "), "{text}");
         assert!(text.contains("ns/elem"), "{text}");
         assert!(text.contains("chosen-by: \"measured-cost:"), "{text}");
+    }
+
+    #[test]
+    fn profiled_runs_feed_adaptive_plan_statistics() {
+        // One rule: a run is profiled when asked, traced, or due for an
+        // adaptive sample, and an adaptive engine folds every profiled
+        // run into the cached plan's statistics.
+        let engine = Steno::new().with_adaptive(true);
+        let opts = *engine.options();
+        let c = ctx();
+        let udfs = UdfRegistry::new();
+        let n = 2 * ADAPTIVE_WARMUP + 8;
+
+        let q = Query::source("xs")
+            .where_(Expr::var("x").gt(Expr::litf(1.5)), "x")
+            .sum()
+            .build();
+        let profiled = Exec {
+            profile: true,
+            ..Exec::default()
+        };
+        for _ in 0..n {
+            let (_, _, prof) = engine.execute_with(&q, &c, &udfs, &profiled).unwrap();
+            assert!(prof.is_some());
+        }
+        assert_eq!(engine.cache.plan_runs(&q, opts), n);
+
+        // With reopt off a profiled run feeds nothing.
+        let no_reopt = Exec {
+            reopt: false,
+            ..profiled
+        };
+        engine.execute_with(&q, &c, &udfs, &no_reopt).unwrap();
+        assert_eq!(engine.cache.plan_runs(&q, opts), n);
+
+        // Unasked, only the adaptive samples are profiled, and exactly
+        // those are fed.
+        let plain = Query::source("xs").sum().build();
+        let mut sampled = 0;
+        for _ in 0..n {
+            let (_, _, prof) = engine
+                .execute_with(&plain, &c, &udfs, &Exec::default())
+                .unwrap();
+            sampled += u64::from(prof.is_some());
+        }
+        assert!(sampled < n, "the steady state is not profiled");
+        assert_eq!(engine.cache.plan_runs(&plain, opts), sampled);
+    }
+
+    #[test]
+    fn one_cache_key_serves_lookups_and_plan_statistics() {
+        let engine = Steno::new();
+        let opts = StenoOptions::default();
+        let q = Query::source("xs").sum().build();
+        let c = ctx();
+        let udfs = UdfRegistry::new();
+        let (plan, hit) = engine
+            .cache
+            .get_or_compile(&q, SourceTypes::from(&c), &udfs, opts)
+            .unwrap();
+        assert!(!hit);
+        // The per-plan statistics find the plan the lookup inserted...
+        assert_eq!(engine.cache.begin_run(&q, opts), 0);
+        assert_eq!(engine.cache.begin_run(&q, opts), 1);
+        // ...and a default-options compile through the engine hits it.
+        let again = engine.compile(&q, SourceTypes::from(&c), &udfs).unwrap();
+        assert!(Arc::ptr_eq(&plan, &again));
+        let stats = engine.detailed_cache_stats();
+        assert_eq!((stats.hits, stats.misses, stats.len), (1, 1, 1));
     }
 }

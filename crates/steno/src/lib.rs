@@ -54,13 +54,13 @@ pub mod engine;
 pub mod explain;
 pub mod rt;
 
-pub use engine::{ExecutionPath, Steno, StenoError};
+pub use engine::{Exec, ExecutionPath, Steno, StenoError};
 pub use explain::{Explain, ExplainPlan};
 pub use steno_macros::steno;
 
 /// The commonly-used types, in one import.
 pub mod prelude {
-    pub use crate::engine::{ExecutionPath, Steno, StenoError};
+    pub use crate::engine::{Exec, ExecutionPath, Steno, StenoError};
     pub use crate::explain::{Explain, ExplainPlan};
     pub use steno_cluster::{
         ClusterSpec, DistError, DistributedCollection, FaultPlan, JobReport, RetryPolicy,

@@ -6,8 +6,9 @@
 //! 1. `Steno::explain` — where the optimizer sent each loop (vectorized
 //!    / fused / scalar) and, when vectorization was refused, the exact
 //!    reason,
-//! 2. `Steno::execute_profiled` — the per-query `QueryProfile`
-//!    (batches, selection density, scalar work, cache hits),
+//! 2. `Steno::execute_with` with `profile: true` — the per-query
+//!    `QueryProfile` (batches, selection density, scalar work, cache
+//!    hits),
 //! 3. `MemoryCollector` — engine- and cluster-level counters and
 //!    latency histograms, snapshotted as stable JSON.
 //!
@@ -62,7 +63,12 @@ fn main() -> Result<(), StenoError> {
     println!("{}", engine.explain(&q_udf, (&ctx).into(), &with_udf)?);
 
     // ---- 3. Per-query profile: what the run actually did. ----
-    let (value, path, profile) = engine.execute_profiled(&q, &ctx, &udfs)?;
+    let profiled = Exec {
+        profile: true,
+        ..Exec::default()
+    };
+    let (value, path, profile) = engine.execute_with(&q, &ctx, &udfs, &profiled)?;
+    let profile = profile.unwrap_or_default();
     println!("result {value} via {path:?}");
     println!("{profile}");
     println!("profile JSON: {}\n", profile.to_json());

@@ -7,7 +7,7 @@
 use std::time::Instant;
 
 use steno::prelude::*;
-use steno::vm::query::StenoOptions;
+use steno::vm::query::{CompileFeedback, StenoOptions};
 use steno::vm::CompiledQuery;
 use steno_quil::LowerOptions;
 
@@ -49,7 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let fast = t.elapsed();
 
     // ...versus the naive plan (materialize every bag, then count).
-    let naive = CompiledQuery::compile_tuned(
+    let naive = CompiledQuery::compile_with(
         &q,
         (&ctx).into(),
         &udfs,
@@ -59,6 +59,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             },
             ..StenoOptions::default()
         },
+        CompileFeedback::default(),
     )?;
     let t = Instant::now();
     let hist2 = naive.run(&ctx, &udfs)?;

@@ -7,7 +7,8 @@
 //! latency, and the overload counters, and writes `BENCH_serve.json`.
 //!
 //! Run with `--smoke` for the CI mode: a short run that must finish
-//! well under 30 s, shed at least once, and contain every panic.
+//! well under 30 s, shed at least once, and contain every panic. Smoke
+//! runs write `target/BENCH_serve.smoke.json` instead.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -176,8 +177,17 @@ fn main() {
         scrape2.lines().count()
     );
 
-    let out = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("BENCH_serve.json");
-    std::fs::write(&out, report.to_json()).expect("write BENCH_serve.json");
+    // Smoke records go under `target/`: only a full run may replace the
+    // checked-in `BENCH_serve.json`.
+    let root = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let out = if smoke {
+        let dir = root.join("target");
+        std::fs::create_dir_all(&dir).expect("create target/");
+        dir.join("BENCH_serve.smoke.json")
+    } else {
+        root.join("BENCH_serve.json")
+    };
+    std::fs::write(&out, report.to_json()).expect("write the serve record");
     println!("wrote {}", out.display());
 
     // The contract this example doubles as a smoke test for: overload

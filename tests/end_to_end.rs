@@ -19,7 +19,9 @@ fn agree(text: &str) {
     let engine = Steno::new();
     let (q, _) = steno::syntax::parse_query(text).expect("parse");
     let via_interp = interp::execute(&q, &c, &udfs).expect("interp");
-    let (via_engine, _) = engine.execute_traced(&q, &c, &udfs).expect("engine");
+    let (via_engine, _, _) = engine
+        .execute_with(&q, &c, &udfs, &Exec::default())
+        .expect("engine");
     assert_eq!(via_interp.key(), via_engine.key(), "query: {text}");
 }
 
@@ -78,7 +80,7 @@ fn fallback_handles_unsupported_shapes() {
     let udfs = UdfRegistry::new();
     let engine = Steno::new();
     let q = Query::source("xs").concat(Query::source("ys")).count().build();
-    let (v, path) = engine.execute_traced(&q, &c, &udfs).unwrap();
+    let (v, path, _) = engine.execute_with(&q, &c, &udfs, &Exec::default()).unwrap();
     assert_eq!(v, Value::I64(504));
     assert_eq!(path, ExecutionPath::Fallback);
 }
@@ -154,7 +156,9 @@ fn join_canonicalizes_to_the_section_5_form_and_executes() {
         "canonical form: {q}"
     );
     let via_interp = interp::execute(&q, &people, &udfs).unwrap();
-    let (via_engine, path) = engine.execute_traced(&q, &people, &udfs).unwrap();
+    let (via_engine, path, _) = engine
+        .execute_with(&q, &people, &udfs, &Exec::default())
+        .unwrap();
     assert_eq!(via_interp.key(), via_engine.key());
     // The canonical form is fully optimizable: no fallback.
     assert_eq!(path, ExecutionPath::Optimized);

@@ -45,8 +45,9 @@ fn compile_pair(
         sample_ctx: Some(data),
         loop_stats: None,
     };
-    let with = CompiledQuery::compile_tuned_feedback(q, SourceTypes::from(data), udfs, on, fb);
-    let without = CompiledQuery::compile_tuned(q, SourceTypes::from(data), udfs, off);
+    let with = CompiledQuery::compile_with(q, SourceTypes::from(data), udfs, on, fb);
+    let blind = CompileFeedback::default();
+    let without = CompiledQuery::compile_with(q, SourceTypes::from(data), udfs, off, blind);
     match (with, without) {
         (Ok(a), Ok(b)) => Some((a, b)),
         (Err(_), Err(_)) => None,

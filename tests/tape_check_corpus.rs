@@ -67,8 +67,8 @@ fn option_matrix() -> Vec<StenoOptions> {
 fn check_all_modes(q: &QueryExpr, data: &DataContext, udfs: &UdfRegistry, label: &str) -> usize {
     let mut checked = 0usize;
     for opts in option_matrix() {
-        if let Ok(c) = CompiledQuery::compile_tuned(q, SourceTypes::from(data), udfs, opts)
-        {
+        let blind = CompileFeedback::default();
+        if let Ok(c) = CompiledQuery::compile_with(q, SourceTypes::from(data), udfs, opts, blind) {
             let report = steno_vm::check_program(c.program()).unwrap_or_else(|e| {
                 panic!("false positive on `{label}` (opts {opts:?}): {e}")
             });
@@ -82,7 +82,7 @@ fn check_all_modes(q: &QueryExpr, data: &DataContext, udfs: &UdfRegistry, label:
         sample_ctx: Some(data),
         loop_stats: None,
     };
-    if let Ok(c) = CompiledQuery::compile_tuned_feedback(
+    if let Ok(c) = CompiledQuery::compile_with(
         q,
         SourceTypes::from(data),
         udfs,
