@@ -10,6 +10,7 @@ use bench::workloads::{scaled, uniform_doubles};
 use steno_expr::{DataContext, UdfRegistry};
 use steno_linq::Enumerable;
 use steno_query::Query;
+use steno_vm::query::OptimizeError;
 use steno_vm::{CompiledQuery, QueryCache, StenoOptions};
 
 fn main() {
@@ -63,13 +64,16 @@ fn main() {
     let t = Instant::now();
     for _ in 0..50 {
         let (compiled, _) = cache
-            .get_or_compile(&q, (&ctx).into(), &udfs, opts)
+            .get_or_compile(&q, (&ctx).into(), &udfs, opts, |_| {
+                Ok::<_, OptimizeError>(())
+            })
             .unwrap();
         let _ = compiled.run(&ctx, &udfs).unwrap();
     }
     let amortized = t.elapsed() / 50;
-    let (hits, misses) = cache.stats();
+    let stats = cache.detailed_stats();
     println!(
-        "cached executions: {amortized:.2?}/run over 50 runs (cache hits {hits}, misses {misses})"
+        "cached executions: {amortized:.2?}/run over 50 runs (cache hits {}, misses {})",
+        stats.hits, stats.misses
     );
 }

@@ -79,8 +79,6 @@ pub struct ServeConfig {
     pub faults: FaultPlan,
     /// Compile-pressure breaker tuning.
     pub breaker: BreakerConfig,
-    /// Entries kept in the deterministic-failure negative cache.
-    pub negative_cache_capacity: usize,
 }
 
 impl Default for ServeConfig {
@@ -95,7 +93,6 @@ impl Default for ServeConfig {
             retry: RetryPolicy::default(),
             faults: FaultPlan::none(),
             breaker: BreakerConfig::default(),
-            negative_cache_capacity: 128,
         }
     }
 }
@@ -287,6 +284,9 @@ impl Dispatch {
     }
 }
 
+/// Entries kept in the deterministic-failure negative cache.
+const NEGATIVE_CACHE_CAPACITY: usize = 128;
+
 /// Bounded FIFO of `(tenant, query) → message` for failures that are
 /// deterministic at compile time: re-submissions fail fast instead of
 /// re-running the whole compile pipeline to the same rejection.
@@ -303,7 +303,7 @@ impl NegativeCache {
     }
 
     fn insert(&mut self, key: String, message: String) {
-        if self.cap == 0 || self.map.contains_key(&key) {
+        if self.map.contains_key(&key) {
             return;
         }
         if self.map.len() >= self.cap {
@@ -338,7 +338,7 @@ impl QueryService {
     pub fn start(engine: Steno, cfg: ServeConfig) -> QueryService {
         let shared = Arc::new(Shared {
             negcache: Mutex::new(NegativeCache {
-                cap: cfg.negative_cache_capacity,
+                cap: NEGATIVE_CACHE_CAPACITY,
                 ..NegativeCache::default()
             }),
             breaker: CompileBreaker::new(cfg.breaker.clone()),
@@ -886,7 +886,7 @@ mod tests {
     use super::*;
     use steno_expr::Expr;
     use steno_obs::MemoryCollector;
-    use steno_query::Query;
+    use steno_query::{QFn2, Query};
 
     fn sum_query(threshold: f64) -> QueryExpr {
         Query::source("xs")
@@ -1223,6 +1223,36 @@ mod tests {
             "second submission must hit the negative cache"
         );
         assert_eq!(metrics.counter_value("serve.retries"), 0);
+    }
+
+    #[test]
+    fn verifier_rejections_reach_every_tenant() {
+        // The negative cache is per tenant, so the second tenant's
+        // submission compiles again. A rejected plan never enters the
+        // engine's plan cache, so that compile is rejected too instead
+        // of running the unverified plan.
+        let svc = QueryService::start(Steno::new().with_verify(true), ServeConfig::default());
+        let bad = Query::source("ns")
+            .aggregate_assoc(
+                Expr::liti(0),
+                "a",
+                "x",
+                Expr::var("a") + Expr::var("x"),
+                QFn2::new("p", "q", Expr::var("p") - Expr::var("q")),
+            )
+            .build();
+        let data = DataContext::new().with_source("ns", (0..100).collect::<Vec<i64>>());
+        for tenant in ["acme", "globex"] {
+            let req = QueryRequest::new(tenant, bad.clone(), data.clone(), UdfRegistry::new());
+            match svc.execute_blocking(req) {
+                Err(ServeError::QueryFailed { class, message }) => {
+                    assert_eq!(class, FailureClass::Deterministic, "{tenant}");
+                    assert!(message.contains("plan verification failed"), "{message}");
+                }
+                other => panic!("{tenant}: want QueryFailed, got {other:?}"),
+            }
+        }
+        assert_eq!(svc.engine().detailed_cache_stats().len, 0);
     }
 
     #[test]

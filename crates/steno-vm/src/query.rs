@@ -137,9 +137,7 @@ const SELECTIVITY_SAMPLE: usize = 512;
 #[derive(Clone, Debug)]
 pub struct CompiledQuery {
     program: Program,
-    rust_source: String,
     compile_time: Duration,
-    quil: String,
     chain: QuilChain,
     rewrites: Vec<RewriteEvent>,
     measured: Option<LoopStats>,
@@ -230,18 +228,14 @@ impl CompiledQuery {
         rewrites: Vec<RewriteEvent>,
         loop_stats: Option<LoopStats>,
     ) -> Result<CompiledQuery, OptimizeError> {
-        let quil = chain.to_string();
         let imp = generate(&chain).map_err(|e| OptimizeError::Gen(e.to_string()))?;
-        let rust_source = render_rust(&imp);
         let tier_hint = loop_stats.map(|ls| choose_tier(&ls, crate::batch::BATCH));
         let vectorize = opts.vectorize == VectorizationPolicy::Auto;
         let program = assemble_hinted(&imp, udfs, opts.fusion, vectorize, tier_hint)
             .map_err(|e| OptimizeError::Gen(e.to_string()))?;
         Ok(CompiledQuery {
             program,
-            rust_source,
             compile_time: start.elapsed(),
-            quil,
             chain,
             rewrites,
             measured: loop_stats,
@@ -326,14 +320,18 @@ impl CompiledQuery {
         &self.rewrites
     }
 
-    /// The generated Rust source (the paper's generated C#, Fig. 5–8).
-    pub fn rust_source(&self) -> &str {
-        &self.rust_source
+    /// The generated Rust source (the paper's generated C#, Fig. 5–8),
+    /// rendered from the stored chain on each call: compilation itself
+    /// never pays for the text.
+    pub fn rust_source(&self) -> String {
+        // `finish` already generated code from this chain, so this
+        // cannot fail; the error arm only keeps the accessor total.
+        generate(&self.chain).map_or_else(|e| format!("// {e}"), |imp| render_rust(&imp))
     }
 
-    /// The QUIL sentence this query lowered to.
-    pub fn quil(&self) -> &str {
-        &self.quil
+    /// The QUIL sentence this query lowered to, rendered on each call.
+    pub fn quil(&self) -> String {
+        self.chain.to_string()
     }
 
     /// How long optimization + code generation took (the one-off cost of
@@ -568,39 +566,36 @@ impl QueryCache {
 
     /// Returns the compiled form of `q` under `opts`, compiling at most
     /// once per distinct (options, query text) pair, and whether the
-    /// lookup hit (`true`) or compiled fresh (`false`) — the per-query
-    /// view of the aggregate [`QueryCache::stats`].
+    /// lookup hit (`true`) or compiled fresh (`false`).
+    ///
+    /// The cache is the one place plans are admitted: a miss runs
+    /// compile → `admit` → insert, so a plan `admit` rejects is never
+    /// inserted or returned, and the next lookup of the same key
+    /// misses, recompiles and is checked again. Hits return plans that
+    /// were admitted when they were inserted.
     ///
     /// # Errors
     ///
-    /// Propagates compilation errors (which are not cached).
-    pub fn get_or_compile(
+    /// Propagates compilation errors and `admit`'s rejection; neither
+    /// is cached.
+    pub fn get_or_compile<E: From<OptimizeError>>(
         &self,
         q: &QueryExpr,
         sources: SourceTypes,
         udfs: &UdfRegistry,
         opts: StenoOptions,
-    ) -> Result<(Arc<CompiledQuery>, bool), OptimizeError> {
+        admit: impl FnOnce(&CompiledQuery) -> Result<(), E>,
+    ) -> Result<(Arc<CompiledQuery>, bool), E> {
         let key = plan_key(q, opts);
         if let Some(hit) = lock(&self.inner).get(&key) {
             return Ok((hit, true));
         }
-        let compiled = Arc::new(CompiledQuery::compile_with(
-            q,
-            sources,
-            udfs,
-            opts,
-            CompileFeedback::default(),
-        )?);
+        let compiled =
+            CompiledQuery::compile_with(q, sources, udfs, opts, CompileFeedback::default())?;
+        admit(&compiled)?;
+        let compiled = Arc::new(compiled);
         lock(&self.inner).insert(key, Arc::clone(&compiled));
         Ok((compiled, false))
-    }
-
-    /// `(hits, misses)` counters (see [`QueryCache::detailed_stats`]
-    /// for the full set including evictions).
-    pub fn stats(&self) -> (u64, u64) {
-        let inner = lock(&self.inner);
-        (inner.hits, inner.misses)
     }
 
     /// The full counter set: hits, misses, evictions, occupancy, cap.
@@ -761,7 +756,16 @@ mod tests {
     fn lookup(cache: &QueryCache, q: &QueryExpr, opts: StenoOptions) -> Arc<CompiledQuery> {
         let c = ctx();
         let udfs = UdfRegistry::new();
-        cache.get_or_compile(q, (&c).into(), &udfs, opts).unwrap().0
+        cache
+            .get_or_compile(q, (&c).into(), &udfs, opts, |_| Ok::<_, OptimizeError>(()))
+            .unwrap()
+            .0
+    }
+
+    /// `(hits, misses)` of a cache.
+    fn hits_misses(cache: &QueryCache) -> (u64, u64) {
+        let stats = cache.detailed_stats();
+        (stats.hits, stats.misses)
     }
 
     /// A profiled run with an inert interrupt and no tracer.
@@ -804,7 +808,39 @@ mod tests {
         let a = lookup(&cache, &q, StenoOptions::default());
         let b = lookup(&cache, &q, StenoOptions::default());
         assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(cache.stats(), (1, 1));
+        assert_eq!(hits_misses(&cache), (1, 1));
+        assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn rejected_plans_are_never_cached() {
+        // The admission check runs between compile and insert: a plan it
+        // rejects is neither returned nor inserted, so the next lookup
+        // misses and is checked again.
+        let cache = QueryCache::new();
+        let q = Query::source("xs").sum().build();
+        let c = ctx();
+        let udfs = UdfRegistry::new();
+        let mut checked = 0;
+        for round in 1..=2 {
+            let got = cache.get_or_compile(&q, (&c).into(), &udfs, StenoOptions::default(), |_| {
+                checked += 1;
+                Err(OptimizeError::Gen("rejected".into()))
+            });
+            assert!(matches!(got, Err(OptimizeError::Gen(_))));
+            assert_eq!(checked, round);
+            assert_eq!(cache.len(), 0);
+            assert_eq!(hits_misses(&cache), (0, round as u64));
+        }
+        // An accepting check admits the plan; the next lookup hits it
+        // without checking again.
+        let admitted = lookup(&cache, &q, StenoOptions::default());
+        let hit = cache
+            .get_or_compile(&q, (&c).into(), &udfs, StenoOptions::default(), |_| {
+                Err(OptimizeError::Gen("a hit is never re-checked".into()))
+            })
+            .unwrap();
+        assert!(hit.1 && Arc::ptr_eq(&admitted, &hit.0));
         assert_eq!(cache.len(), 1);
     }
 
@@ -951,7 +987,7 @@ mod tests {
         assert_eq!(a.engine(), EngineKind::Vectorized);
         assert_eq!(b.engine(), EngineKind::Scalar);
         assert_eq!(cache.len(), 2);
-        assert_eq!(cache.stats(), (0, 2));
+        assert_eq!(hits_misses(&cache), (0, 2));
         // Identical options must hit.
         let a2 = lookup(&cache, &q, auto);
         assert!(Arc::ptr_eq(&a, &a2));
@@ -959,7 +995,7 @@ mod tests {
         assert!(Arc::ptr_eq(&b, &b2));
         // Counters must agree: every miss is a cached entry, every
         // lookup is either a hit or a miss.
-        let (hits, misses) = cache.stats();
+        let (hits, misses) = hits_misses(&cache);
         assert_eq!((hits, misses), (2, 2));
         assert_eq!(misses as usize, cache.len());
     }
@@ -1023,10 +1059,10 @@ mod tests {
         assert_eq!(stats.evictions, 1);
         assert_eq!(stats.capacity, Some(2));
         // q1 survived (recently used); q2 was evicted and recompiles.
-        let (hits_before, misses_before) = cache.stats();
+        let (hits_before, misses_before) = hits_misses(&cache);
         lookup(&cache, &q1, StenoOptions::default());
         lookup(&cache, &q2, StenoOptions::default());
-        let (hits, misses) = cache.stats();
+        let (hits, misses) = hits_misses(&cache);
         assert_eq!(hits, hits_before + 1, "q1 must still be cached");
         assert_eq!(misses, misses_before + 1, "q2 must have been evicted");
         assert_eq!(cache.detailed_stats().evictions, 2);

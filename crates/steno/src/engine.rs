@@ -69,6 +69,12 @@ impl From<DistError> for StenoError {
     }
 }
 
+impl From<OptimizeError> for StenoError {
+    fn from(e: OptimizeError) -> StenoError {
+        StenoError::Optimize(e)
+    }
+}
+
 impl fmt::Display for StenoError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -265,11 +271,11 @@ impl Steno {
         self
     }
 
-    /// Turns the independent plan verifier on or off. When on, every
-    /// fresh compilation's optimized QUIL chain is re-typechecked and
-    /// its parallel plan cross-derived by `steno-analysis` before the
-    /// query is returned; a rejection surfaces as
-    /// [`StenoError::Verify`] instead of a silently wrong plan. The
+    /// Turns the independent verifiers on or off. When on, every fresh
+    /// compilation's plan and tape are checked before the plan is
+    /// cached or returned; a rejection surfaces as [`StenoError::Verify`]
+    /// or [`StenoError::TapeCheck`] instead of a silently wrong plan,
+    /// and is never cached, so later calls are rejected too. The
     /// default is on in debug builds and off in release builds (cache
     /// hits never re-verify, so the steady-state cost is zero either
     /// way).
@@ -361,10 +367,10 @@ impl Steno {
     /// options by default), reporting hit/miss into the engine's
     /// collector (compile latency is recorded on misses) and an
     /// `engine.compile` span (annotated with cache hit and compile time)
-    /// into `exec.tracer`. Freshly compiled plans are checked by the
-    /// independent verifiers, each under its own span, when
-    /// [`Steno::with_verify`] is on; cache hits were verified when they
-    /// were first compiled and are not re-checked.
+    /// into `exec.tracer`. When [`Steno::with_verify`] is on, the cache
+    /// runs compile → [`Steno::admit`] → insert, so a plan either
+    /// verifier rejects is never cached or returned; cache hits were
+    /// admitted when they were inserted and are not re-checked.
     fn compile_metered(
         &self,
         q: &QueryExpr,
@@ -374,55 +380,61 @@ impl Steno {
     ) -> Result<(Arc<CompiledQuery>, bool), StenoError> {
         let (tracer, parent) = (exec.tracer, exec.parent);
         let mut cspan = tracer.span("engine.compile", parent);
+        let compile_id = cspan.id().or(parent);
         let options = exec.options.unwrap_or(self.options);
-        let result = self.cache.get_or_compile(q, sources, udfs, options);
-        if self.collector.enabled() {
-            match &result {
-                Ok((_, true)) => self.collector.add("steno.cache.hit", 1),
-                Ok((compiled, false)) => {
-                    self.collector.add("steno.cache.miss", 1);
-                    let ns = u64::try_from(compiled.compile_time().as_nanos()).unwrap_or(u64::MAX);
-                    self.collector.observe_ns("steno.compile_ns", ns);
-                }
-                Err(_) => self.collector.add("steno.compile.error", 1),
+        let result = self.cache.get_or_compile(q, sources, udfs, options, |compiled| {
+            if self.verify {
+                self.admit(compiled, udfs, tracer, compile_id)
+            } else {
+                Ok(())
             }
-        }
-        if let Ok((compiled, hit)) = &result {
-            cspan.note("cache_hit", u64::from(*hit));
-            if !hit {
+        });
+        match &result {
+            Ok((_, true)) => {
+                cspan.note("cache_hit", 1u64);
+                self.collector.add("steno.cache.hit", 1);
+            }
+            Ok((compiled, false)) => {
                 let ns = u64::try_from(compiled.compile_time().as_nanos()).unwrap_or(u64::MAX);
+                cspan.note("cache_hit", 0u64);
                 cspan.note("compile_ns", ns);
+                self.collector.add("steno.cache.miss", 1);
+                self.collector.observe_ns("steno.compile_ns", ns);
+            }
+            Err(_) => self.collector.add("steno.compile.error", 1),
+        }
+        result
+    }
+
+    /// The one plan-admission check, for fresh compilations and
+    /// re-optimizations alike: the plan verifier over the QUIL chain,
+    /// then the tape verifier over the bytecode, which catches a
+    /// backend miscompile of a sound plan.
+    fn admit(
+        &self,
+        compiled: &CompiledQuery,
+        udfs: &UdfRegistry,
+        tracer: &Tracer,
+        parent: Option<SpanId>,
+    ) -> Result<(), StenoError> {
+        {
+            let _vspan = tracer.span("engine.verify", parent);
+            steno_analysis::verify(compiled.chain(), udfs).map_err(StenoError::Verify)?;
+            self.collector.add("steno.verify.passed", 1);
+        }
+        let mut tspan = tracer.span("engine.tapecheck", parent);
+        match steno_vm::check_program(compiled.program()) {
+            Ok(report) => {
+                tspan.note("obligations", u64::from(report.total()));
+                self.collector.add("steno.tapecheck.passed", 1);
+                Ok(())
+            }
+            Err(e) => {
+                tspan.note("outcome", "rejected");
+                self.collector.add("steno.tapecheck.rejected", 1);
+                Err(StenoError::TapeCheck(e))
             }
         }
-        let compile_id = cspan.id();
-        drop(cspan);
-        let (compiled, hit) = result.map_err(StenoError::Optimize)?;
-        if self.verify && !hit {
-            {
-                let _vspan = tracer.span("engine.verify", compile_id.or(parent));
-                steno_analysis::verify(compiled.chain(), udfs).map_err(StenoError::Verify)?;
-                self.collector.add("steno.verify.passed", 1);
-            }
-            // Second, independent line of defense: the QUIL verifier
-            // above checks the *plan*; the tape verifier re-derives
-            // proof obligations over the compiled *bytecode* (dataflow,
-            // control flow, poll reachability, unchecked-division
-            // proofs, pass equivalence), so a backend miscompile is
-            // caught even when the plan was sound.
-            let mut tspan = tracer.span("engine.tapecheck", compile_id.or(parent));
-            match steno_vm::check_program(compiled.program()) {
-                Ok(report) => {
-                    tspan.note("obligations", u64::from(report.total()));
-                    self.collector.add("steno.tapecheck.passed", 1);
-                }
-                Err(e) => {
-                    tspan.note("outcome", "rejected");
-                    self.collector.add("steno.tapecheck.rejected", 1);
-                    return Err(StenoError::TapeCheck(e));
-                }
-            }
-        }
-        Ok((compiled, hit))
     }
 
     /// Runs an already-compiled plan under a per-call [`Exec`] context,
@@ -486,9 +498,9 @@ impl Steno {
 
     /// Recompiles `q` with measured feedback (sampled selectivities from
     /// the live data, decayed loop stats from the cache) and installs
-    /// the result — but only after the independent plan verifier accepts
-    /// it, regardless of [`Steno::with_verify`]: a re-optimization
-    /// replaces a known-good plan, so it is never trusted blind.
+    /// the result — but only after [`Steno::admit`] accepts it,
+    /// regardless of [`Steno::with_verify`]: a re-optimization replaces
+    /// a known-good plan, so it is never trusted blind.
     fn reoptimize(
         &self,
         q: &QueryExpr,
@@ -509,21 +521,14 @@ impl Steno {
             self.collector.add("steno.reopt.error", 1);
             return;
         };
-        if steno_analysis::verify(recompiled.chain(), udfs).is_err() {
+        if self
+            .admit(&recompiled, udfs, exec.tracer, rspan.id().or(exec.parent))
+            .is_err()
+        {
             rspan.note("outcome", "rejected");
             self.collector.add("steno.reopt.rejected", 1);
             return;
         }
-        // A re-optimization replaces a plan that has been producing
-        // correct answers, so its tape is held to the same standard:
-        // the bytecode verifier must accept it before it is installed.
-        if steno_vm::check_program(recompiled.program()).is_err() {
-            rspan.note("outcome", "tape-rejected");
-            self.collector.add("steno.tapecheck.rejected", 1);
-            self.collector.add("steno.reopt.rejected", 1);
-            return;
-        }
-        self.collector.add("steno.tapecheck.passed", 1);
         self.cache
             .install_reoptimized(q, opts, Arc::new(recompiled), reason);
         rspan.note("outcome", "installed");
@@ -589,7 +594,7 @@ impl Steno {
                 Ok(Explain {
                     query,
                     plan: ExplainPlan::Optimized {
-                        quil: compiled.quil().to_string(),
+                        quil: compiled.quil(),
                         engine: compiled.engine(),
                         instr_count: compiled.instr_count(),
                         loops: compiled.loop_plans().to_vec(),
@@ -672,11 +677,6 @@ impl Steno {
     ) -> Result<Arc<CompiledQuery>, StenoError> {
         self.compile_metered(q, sources, udfs, exec)
             .map(|(compiled, _hit)| compiled)
-    }
-
-    /// `(hits, misses)` of the query cache.
-    pub fn cache_stats(&self) -> (u64, u64) {
-        self.cache.stats()
     }
 
     /// Full query-cache counters: hits, misses, evictions, live
@@ -815,7 +815,7 @@ fn render_measured(ls: steno_opt::LoopStats) -> String {
 mod tests {
     use super::*;
     use steno_expr::{Expr, Ty};
-    use steno_query::Query;
+    use steno_query::{QFn2, Query};
 
     fn ctx() -> DataContext {
         DataContext::new().with_source("xs", vec![1.0, 2.0, 3.0, 4.0])
@@ -899,9 +899,8 @@ mod tests {
         for _ in 0..5 {
             engine.execute(&q, &c, &udfs).unwrap();
         }
-        let (hits, misses) = engine.cache_stats();
-        assert_eq!(misses, 1);
-        assert_eq!(hits, 4);
+        let stats = engine.detailed_cache_stats();
+        assert_eq!((stats.hits, stats.misses), (4, 1));
     }
 
     #[test]
@@ -1038,6 +1037,34 @@ mod tests {
             queries.len() as u64
         );
         assert_eq!(metrics.counter_value("steno.tapecheck.rejected"), 0);
+    }
+
+    #[test]
+    fn rejected_plans_are_never_cached_or_run() {
+        // A combiner that is not associative: the plan verifier rejects
+        // the compiled plan. Every call must be rejected, not only the
+        // first, and the cache must never hold the plan.
+        let engine = Steno::new().with_verify(true);
+        let q = Query::source("ns")
+            .aggregate_assoc(
+                Expr::liti(0),
+                "a",
+                "x",
+                Expr::var("a") + Expr::var("x"),
+                QFn2::new("p", "q", Expr::var("p") - Expr::var("q")),
+            )
+            .build();
+        let c = DataContext::new().with_source("ns", (0..100).collect::<Vec<i64>>());
+        let udfs = UdfRegistry::new();
+        for call in 0..3 {
+            let got = engine.execute(&q, &c, &udfs);
+            assert!(
+                matches!(got, Err(StenoError::Verify(_))),
+                "call {call}: {got:?}"
+            );
+        }
+        let stats = engine.detailed_cache_stats();
+        assert_eq!((stats.len, stats.hits, stats.misses), (0, 0, 3));
     }
 
     #[test]
@@ -1511,7 +1538,9 @@ mod tests {
         let udfs = UdfRegistry::new();
         let (plan, hit) = engine
             .cache
-            .get_or_compile(&q, SourceTypes::from(&c), &udfs, opts)
+            .get_or_compile(&q, SourceTypes::from(&c), &udfs, opts, |_| {
+                Ok::<_, OptimizeError>(())
+            })
             .unwrap();
         assert!(!hit);
         // The per-plan statistics find the plan the lookup inserted...

@@ -126,9 +126,9 @@ fn cache_survives_across_queries() {
         engine.execute_text("xs.sum()", &c, &udfs).unwrap();
         engine.execute_text("xs.min()", &c, &udfs).unwrap();
     }
-    let (hits, misses) = engine.cache_stats();
-    assert_eq!(misses, 2);
-    assert_eq!(hits, 4);
+    let stats = engine.detailed_cache_stats();
+    assert_eq!(stats.misses, 2);
+    assert_eq!(stats.hits, 4);
 }
 
 #[test]
