@@ -1,9 +1,9 @@
 //! Back-end ablation: where does the Steno speedup come from?
 //!
-//! SumSq through: the AST interpreter (no optimization at all), the VM
-//! with the loop-fusion tier disabled (generated loops, per-instruction
-//! dispatch), the fused-scalar VM, the batch-vectorized VM (the
-//! default), and the boxed-iterator LINQ baseline for reference.
+//! SumSq through: the AST interpreter (no optimization at all), the
+//! scalar VM (generated loops, per-instruction dispatch), the
+//! batch-vectorized VM (the default), and the boxed-iterator LINQ
+//! baseline for reference.
 
 use bench::harness::Criterion;
 use bench::{criterion_group, criterion_main};
@@ -25,7 +25,7 @@ fn backends(c: &mut Criterion) {
 
     let vectorized = CompiledQuery::compile(&q, (&ctx).into(), &udfs).unwrap();
     assert_eq!(vectorized.engine(), EngineKind::Vectorized);
-    let fused = CompiledQuery::compile_with(
+    let scalar = CompiledQuery::compile_with(
         &q,
         (&ctx).into(),
         &udfs,
@@ -36,21 +36,7 @@ fn backends(c: &mut Criterion) {
         CompileFeedback::default(),
     )
     .unwrap();
-    assert!(fused.fused_loops() > 0);
-    assert_eq!(fused.engine(), EngineKind::Scalar);
-    let unfused = CompiledQuery::compile_with(
-        &q,
-        (&ctx).into(),
-        &udfs,
-        StenoOptions {
-            fusion: false,
-            vectorize: VectorizationPolicy::Off,
-            ..StenoOptions::default()
-        },
-        CompileFeedback::default(),
-    )
-    .unwrap();
-    assert_eq!(unfused.fused_loops(), 0);
+    assert_eq!(scalar.engine(), EngineKind::Scalar);
     let xs = Enumerable::from_vec(data);
 
     let mut group = c.benchmark_group("ablation_backends_sumsq");
@@ -61,11 +47,8 @@ fn backends(c: &mut Criterion) {
     group.bench_function("linq_typed", |b| {
         b.iter(|| std::hint::black_box(xs.select(|x| x * x).sum()))
     });
-    group.bench_function("vm_no_fusion", |b| {
-        b.iter(|| std::hint::black_box(unfused.run(&ctx, &udfs).unwrap()))
-    });
-    group.bench_function("vm_fused", |b| {
-        b.iter(|| std::hint::black_box(fused.run(&ctx, &udfs).unwrap()))
+    group.bench_function("vm_scalar", |b| {
+        b.iter(|| std::hint::black_box(scalar.run(&ctx, &udfs).unwrap()))
     });
     group.bench_function("vm_vectorized", |b| {
         b.iter(|| std::hint::black_box(vectorized.run(&ctx, &udfs).unwrap()))

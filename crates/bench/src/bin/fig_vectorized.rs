@@ -1,12 +1,11 @@
 //! `fig_vectorized`: the batch-vectorization ablation (§9's MonetDB/X100
 //! direction), and the producer of `BENCH_vm.json`.
 //!
-//! Each workload runs on four engines:
+//! Each workload runs on up to four engines:
 //!
 //! * `linq` — the unoptimized boxed-iterator chains (§2's baseline),
-//! * `vm_scalar` — the bytecode VM with fusion and vectorization off
+//! * `vm_scalar` — the bytecode VM with vectorization off
 //!   (per-instruction dispatch over unboxed registers),
-//! * `vm_fused` — the scalar whole-loop fusion tier,
 //! * `vm_vectorized` — the typed column-batch engine (the default), and
 //! * `hand` — the hand-written Rust loop, as the floor.
 //!
@@ -59,40 +58,30 @@ fn bench_time<O>(routine: impl FnMut() -> O) -> Duration {
     }
 }
 
-fn opts(fusion: bool, vectorize: VectorizationPolicy) -> StenoOptions {
+fn opts(vectorize: VectorizationPolicy) -> StenoOptions {
     StenoOptions {
-        fusion,
         vectorize,
         ..StenoOptions::default()
     }
 }
 
-/// Compiles `q` three ways and checks the engines landed where expected.
+/// Compiles `q` two ways and checks the engines landed where expected.
 fn compile_tiers(
     q: &QueryExpr,
     ctx: &DataContext,
     udfs: &UdfRegistry,
-) -> (CompiledQuery, CompiledQuery, CompiledQuery) {
-    let scalar = CompiledQuery::compile_with(
-        q,
-        ctx.into(),
-        udfs,
-        opts(false, VectorizationPolicy::Off),
-        CompileFeedback::default(),
-    )
-    .expect("compile scalar");
+) -> (CompiledQuery, CompiledQuery) {
     let compile = |o| CompiledQuery::compile_with(q, ctx.into(), udfs, o, CompileFeedback::default());
-    let fused = compile(opts(true, VectorizationPolicy::Off)).expect("compile fused");
-    let vectorized = compile(opts(true, VectorizationPolicy::Auto)).expect("compile vectorized");
+    let scalar = compile(opts(VectorizationPolicy::Off)).expect("compile scalar");
+    let vectorized = compile(opts(VectorizationPolicy::Auto)).expect("compile vectorized");
     assert_eq!(scalar.engine(), EngineKind::Scalar);
-    assert_eq!(fused.engine(), EngineKind::Scalar);
     assert_eq!(
         vectorized.engine(),
         EngineKind::Vectorized,
         "workload must vectorize; fallbacks: {:?}",
         vectorized.batch_fallbacks()
     );
-    (scalar, fused, vectorized)
+    (scalar, vectorized)
 }
 
 struct Row {
@@ -128,7 +117,7 @@ fn sum_of_squares(records: &mut Vec<BenchRecord>) {
         .select(Expr::var("x") * Expr::var("x"), "x")
         .sum()
         .build();
-    let (scalar, fused, vectorized) = compile_tiers(&q, &ctx, &udfs);
+    let (scalar, vectorized) = compile_tiers(&q, &ctx, &udfs);
 
     // All engines agree before any of them is timed.
     let expect = {
@@ -138,7 +127,7 @@ fn sum_of_squares(records: &mut Vec<BenchRecord>) {
         }
         s
     };
-    for c in [&scalar, &fused, &vectorized] {
+    for c in [&scalar, &vectorized] {
         assert_eq!(c.run(&ctx, &udfs).expect("run"), Value::F64(expect));
     }
 
@@ -151,10 +140,6 @@ fn sum_of_squares(records: &mut Vec<BenchRecord>) {
         Row {
             engine: "vm_scalar",
             median: bench_time(|| scalar.run(&ctx, &udfs).expect("run")),
-        },
-        Row {
-            engine: "vm_fused",
-            median: bench_time(|| fused.run(&ctx, &udfs).expect("run")),
         },
         Row {
             engine: "vm_vectorized",
@@ -186,7 +171,7 @@ fn filtered_sum(records: &mut Vec<BenchRecord>) {
         .select(Expr::var("x") * Expr::litf(2.0), "x")
         .sum()
         .build();
-    let (scalar, fused, vectorized) = compile_tiers(&q, &ctx, &udfs);
+    let (scalar, vectorized) = compile_tiers(&q, &ctx, &udfs);
 
     let expect = {
         let mut s = 0.0;
@@ -197,7 +182,7 @@ fn filtered_sum(records: &mut Vec<BenchRecord>) {
         }
         s
     };
-    for c in [&scalar, &fused, &vectorized] {
+    for c in [&scalar, &vectorized] {
         assert_eq!(c.run(&ctx, &udfs).expect("run"), Value::F64(expect));
     }
 
@@ -212,10 +197,6 @@ fn filtered_sum(records: &mut Vec<BenchRecord>) {
         Row {
             engine: "vm_scalar",
             median: bench_time(|| scalar.run(&ctx, &udfs).expect("run")),
-        },
-        Row {
-            engine: "vm_fused",
-            median: bench_time(|| fused.run(&ctx, &udfs).expect("run")),
         },
         Row {
             engine: "vm_vectorized",
@@ -249,7 +230,7 @@ fn int_even_squares(records: &mut Vec<BenchRecord>) {
         .select(Expr::var("x") * Expr::var("x"), "x")
         .sum()
         .build();
-    let (scalar, fused, vectorized) = compile_tiers(&q, &ctx, &udfs);
+    let (scalar, vectorized) = compile_tiers(&q, &ctx, &udfs);
 
     let expect = {
         let mut s = 0i64;
@@ -260,7 +241,7 @@ fn int_even_squares(records: &mut Vec<BenchRecord>) {
         }
         s
     };
-    for c in [&scalar, &fused, &vectorized] {
+    for c in [&scalar, &vectorized] {
         assert_eq!(c.run(&ctx, &udfs).expect("run"), Value::I64(expect));
     }
 
@@ -268,10 +249,6 @@ fn int_even_squares(records: &mut Vec<BenchRecord>) {
         Row {
             engine: "vm_scalar",
             median: bench_time(|| scalar.run(&ctx, &udfs).expect("run")),
-        },
-        Row {
-            engine: "vm_fused",
-            median: bench_time(|| fused.run(&ctx, &udfs).expect("run")),
         },
         Row {
             engine: "vm_vectorized",
@@ -316,7 +293,7 @@ fn guarded_div_collatz(records: &mut Vec<BenchRecord>) {
         )
         .sum_by(Expr::var("y"), "y")
         .build();
-    let (scalar, fused, vectorized) = compile_tiers(&q, &ctx, &udfs);
+    let (scalar, vectorized) = compile_tiers(&q, &ctx, &udfs);
     assert!(
         vectorized.guards_dropped() >= 2,
         "range analysis must drop both the % 2 and / 2 guards: {}",
@@ -334,7 +311,7 @@ fn guarded_div_collatz(records: &mut Vec<BenchRecord>) {
         }
         s
     };
-    for c in [&scalar, &fused, &vectorized] {
+    for c in [&scalar, &vectorized] {
         assert_eq!(c.run(&ctx, &udfs).expect("run"), Value::I64(expect));
     }
 
@@ -342,10 +319,6 @@ fn guarded_div_collatz(records: &mut Vec<BenchRecord>) {
         Row {
             engine: "vm_scalar",
             median: bench_time(|| scalar.run(&ctx, &udfs).expect("run")),
-        },
-        Row {
-            engine: "vm_fused",
-            median: bench_time(|| fused.run(&ctx, &udfs).expect("run")),
         },
         Row {
             engine: "vm_vectorized",

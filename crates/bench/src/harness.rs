@@ -208,23 +208,6 @@ impl BenchRecord {
     }
 }
 
-/// Escapes a string for inclusion in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Renders records as a JSON array (stable field order, one object per
 /// line) without any external dependency.
 pub fn render_bench_json(records: &[BenchRecord]) -> String {
@@ -237,8 +220,8 @@ pub fn render_bench_json(records: &[BenchRecord]) -> String {
         out.push_str(&format!(
             "  {{\"workload\": \"{}\", \"engine\": \"{}\", \"elements\": {}, \
              \"ns_per_elem\": {:.4}, \"elements_per_sec\": {:.1}{}}}{}\n",
-            json_escape(&r.workload),
-            json_escape(&r.engine),
+            steno_obs::json::escape(&r.workload),
+            steno_obs::json::escape(&r.engine),
             r.elements,
             r.ns_per_elem,
             r.elements_per_sec,

@@ -10,7 +10,7 @@
 //!   to accept loops it would otherwise refuse and to drop per-lane
 //!   trap guards (e.g. a divisor of shape `x % 7 + 9` provably excludes
 //!   zero, so the division can never trap).
-//! * [`verify`] — an independent re-typechecker and plan cross-checker
+//! * [`verify`](mod@verify) — an independent re-typechecker and plan cross-checker
 //!   for lowered QUIL ([`verify()`]). It re-derives homomorphism from
 //!   first principles and concretely tests combiner associativity on
 //!   exactly-representable sample grids, so an optimizer bug that

@@ -21,7 +21,7 @@
 //! only works if this engine reports failures the same structured way
 //! `steno-vm` does. Because `steno_linq` iterator closures cannot return
 //! `Result`, errors inside a pull are recorded in a shared first-error
-//! cell ([`Scope`]) and surfaced when the chain's driver loop finishes;
+//! cell (`Scope`) and surfaced when the chain's driver loop finishes;
 //! closures yield inert placeholder values after a failure so the
 //! remaining pulls are cheap and side-effect free.
 

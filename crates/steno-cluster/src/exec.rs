@@ -383,20 +383,6 @@ pub enum DistError {
     },
 }
 
-impl DistError {
-    /// The underlying per-vertex error message, when the failure came
-    /// from a map vertex — for byte-comparison against single-node
-    /// engine errors.
-    pub fn vertex_message(&self) -> Option<&str> {
-        match self {
-            DistError::VertexFailed { message, .. } => Some(message),
-            DistError::VertexPanic { payload, .. } => Some(payload),
-            DistError::RetriesExhausted { last, .. } => Some(last),
-            _ => None,
-        }
-    }
-}
-
 impl fmt::Display for DistError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -515,26 +515,6 @@ pub fn execute_interruptible(
     }
 }
 
-/// Executes a query with outer-scope bindings (used for nested queries and
-/// by the distributed runtime for per-partition subqueries).
-///
-/// # Errors
-///
-/// As [`execute`]; the query is *not* re-type-checked.
-pub fn execute_with_env(
-    q: &QueryExpr,
-    ctx: &DataContext,
-    udfs: &UdfRegistry,
-    env: &Env,
-) -> Result<Value, EvalError> {
-    let rt = Rt {
-        ctx: Arc::new(ctx.clone()),
-        udfs: Arc::new(udfs.clone()),
-        interrupt: None,
-    };
-    execute_in(q, &rt, env)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -7,7 +7,7 @@
 //! at run time. This crate closes that loop with three cooperating
 //! pieces, each consumed by `steno-vm` and the `Steno` engine facade:
 //!
-//! 1. [`rewrite`] — a verified algebraic rewrite pass over QUIL chains:
+//! 1. [`rewrite`](mod@rewrite) — a verified algebraic rewrite pass over QUIL chains:
 //!    Take/Skip propagation, map·map fusion, selectivity-driven filter
 //!    reordering, predicate pushdown past pure maps, and adjacent-filter
 //!    fusion. Every rewrite is re-checked by the independent

@@ -110,8 +110,9 @@ const PUSHDOWN_MAX_SELECTIVITY: f64 = 0.5;
 /// ([`steno_quil::ir::OpSpan::op_index`]) to its observed pass fraction
 /// in `[0, 1]`; `None` (or a missing entry) disables the
 /// feedback-directed rules for that predicate. Every applied rewrite has
-/// been re-checked by [`steno_analysis::verify`]; rewrites the verifier
-/// rejects are reverted and logged with `applied: false`.
+/// been re-checked by
+/// [`steno_analysis::verify`](fn@steno_analysis::verify); rewrites the
+/// verifier rejects are reverted and logged with `applied: false`.
 pub fn rewrite(
     chain: &QuilChain,
     udfs: &UdfRegistry,

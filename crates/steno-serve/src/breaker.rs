@@ -10,6 +10,9 @@
 //! are pinned to the scalar tier ([`VectorizationPolicy::Off`]), which
 //! skips the vectorizer entirely — cheaper to compile, still correct,
 //! and cached under its own options key so healthy plans are untouched.
+//! Degraded plans run every loop as scalar bytecode, slower per element
+//! than the vectorized tier, but fully tape-verified and interruptible
+//! by a request deadline at every loop back-edge.
 //!
 //! Classic three-state lifecycle:
 //!

@@ -1,10 +1,8 @@
 //! The vectorized execution tier: typed column batches with selection
 //! vectors.
 //!
-//! The fusion tier ([`crate::fuse`]) already collapses whole f64 loops
-//! into superinstructions, but it is single-typed: one f64 slot bank,
-//! masks encoded as 1.0/0.0, i64 pipelines left on the scalar path. This
-//! module generalizes it into a proper vectorized engine in the
+//! This is the only tier above the scalar bytecode: every loop it
+//! refuses runs element-at-a-time. It is a vectorized engine in the
 //! MonetDB/X100 style the paper's §9 gestures at:
 //!
 //! * **three unboxed slot banks** (`f64`, `i64`, `bool`), each a vector

@@ -12,8 +12,8 @@
 //!
 //! * **Cfg** — every branch target in bounds, no fall-off-the-end, and
 //!   every cycle in the instruction graph crosses an interrupt poll
-//!   (backward transfers poll in [`crate::exec`]; `FusedLoop`/`BatchLoop`
-//!   poll at batch boundaries), so `steno-serve` deadlines always fire.
+//!   (backward transfers poll in [`crate::exec`]; `BatchLoop` polls at
+//!   batch boundaries), so `steno-serve` deadlines always fire.
 //! * **Dataflow** — typed def-before-use over F/I/V register banks and
 //!   over batch slots *after* `pack_batch_slots` reuse and
 //!   `shrink_frames`: no read of a register or slot that is out of
@@ -27,7 +27,7 @@
 //!   bisimulation for the scalar tape (validating hoisting, pair
 //!   fusion, and `BrCmp*`/`IncJump`/`MulAdd*` superinstructions against
 //!   their de-sugared forms), and effect-stream comparison for batch
-//!   tapes and fused whole-loop kernels.
+//!   tapes and their fused whole-tape kernels.
 //!
 //! The checker is deliberately written against a *different* semantic
 //! model than the passes it audits (must-defined bitsets, hash-consed
@@ -226,13 +226,13 @@ fn check_cfg(instrs: &[Instr], rep: &mut TapeReport) -> Result<(), CheckError> {
     rep.cfg += 1; // the no-fall-off obligation itself
 
     // Poll obligation: every cycle must cross a polling edge. Backward
-    // transfers poll; `FusedLoop`/`BatchLoop` poll internally at batch
-    // boundaries (`run_fused`/`run_batch` consult the interrupt flag per
-    // chunk), so their self-contained loops are structurally discharged.
+    // transfers poll; `BatchLoop` polls internally at batch boundaries
+    // (the batch runner and its fused kernels consult the interrupt flag
+    // per chunk), so its self-contained loop is structurally discharged.
     // Remove all polling edges and require the rest to be acyclic
     // (Kahn's algorithm on the non-polling edge subgraph).
     for ins in instrs {
-        if matches!(ins, Instr::FusedLoop(_) | Instr::BatchLoop(_)) {
+        if matches!(ins, Instr::BatchLoop(_)) {
             rep.polls += 1;
         }
     }
@@ -479,7 +479,7 @@ enum SymKey {
     ConstB(bool),
     /// A boxed constant, by its `Debug` rendering.
     ConstV(String),
-    /// A loop-invariant parameter of a batch/fused loop.
+    /// A loop-invariant parameter of a batch loop.
     ParamF(u8),
     ParamI(u8),
     /// The unknown value of register `reg` of `bank` at cut-point
@@ -1894,18 +1894,6 @@ fn run_scalar_seg(
             Instr::OutPush(v) => {
                 let x = st.v[*v as usize];
                 let _ = eff!("outpush", 0, vec![x]);
-            }
-            Instr::FusedLoop(k) => {
-                // Same Arc on both sides (the passes clone the instr
-                // vec, not the kernel), so the pointer identifies it;
-                // the kernel body itself is not re-verified here.
-                let mut ops: Vec<Sym> =
-                    k.params.iter().map(|r| st.f[*r as usize]).collect();
-                ops.extend(k.accs.iter().map(|r| st.f[*r as usize]));
-                let res = eff!("fusedloop", Arc::as_ptr(k) as u64, ops);
-                for (out, r) in k.accs.iter().enumerate() {
-                    st.f[*r as usize] = res(out as u32, syms);
-                }
             }
             Instr::BatchLoop(b) => {
                 let mut ops: Vec<Sym> =

@@ -75,7 +75,6 @@ struct Compiler<'a> {
     udfs: &'a UdfRegistry,
     sinks: HashMap<String, SinkMeta>,
     n_sinks: u32,
-    n_fused: u32,
     n_batch: u32,
     batch_fallbacks: Vec<FallbackReason>,
     n_guards_dropped: u32,
@@ -83,7 +82,6 @@ struct Compiler<'a> {
     fused_kernels: Vec<String>,
     n_slots_reused: u32,
     loops: Vec<LoopCtx>,
-    fusion: bool,
     vectorize: bool,
     /// Cost-model tier advice from profiled runs (see `steno-opt`):
     /// `PreferScalar` skips the batch tier for every loop, with the
@@ -587,11 +585,11 @@ impl<'a> Compiler<'a> {
                 body,
             } => {
                 // Tier order: vectorized (typed batches, selection
-                // vectors) first, then the f64-only fusion tier, then the
-                // generic scalar loop. Each failed tier leaves no trace in
-                // the emitted program. A cost-model hint (observed element
-                // counts below the batch break-even, §7.1) overrides the
-                // static order and skips the batch tier outright.
+                // vectors) first, then the generic scalar loop. A refused
+                // vectorization leaves no trace in the emitted program.
+                // A cost-model hint (observed element counts below the
+                // batch break-even, §7.1) overrides the static order and
+                // skips the batch tier outright.
                 let chosen_by = self.tier_hint.as_ref().map(|(_, why)| why.clone());
                 let skip_batch = matches!(
                     self.tier_hint,
@@ -617,18 +615,12 @@ impl<'a> Compiler<'a> {
                     }
                 }
                 // Record the plan before compiling the body, so for
-                // nested loops the outer plan precedes the inner ones;
-                // the tier is patched if fusion succeeds.
-                let plan_idx = self.loop_plans.len();
+                // nested loops the outer plan precedes the inner ones.
                 self.loop_plans.push(LoopPlan {
                     tier: LoopTier::Scalar,
                     vectorize_fallback,
                     chosen_by,
                 });
-                if self.fusion && self.try_fuse_loop(p, header, elem_var, *body) {
-                    self.loop_plans[plan_idx].tier = LoopTier::Fused;
-                    return Ok(());
-                }
                 self.compile_loop(p, header, elem_var, *body)
             }
             Stmt::IfNotContinue { cond } => {
@@ -1094,17 +1086,22 @@ fn restore(
 /// Returns [`CompileError`] for shapes the VM cannot execute (none are
 /// produced by the standard lower → generate pipeline).
 pub fn assemble(p: &ImpProgram, udfs: &UdfRegistry) -> Result<Program, CompileError> {
-    assemble_hinted(p, udfs, true, true, None)
+    assemble_hinted(p, udfs, false, true, None)
 }
 
-/// As [`assemble`], with the loop-fusion and vectorized tiers switchable
-/// (the back-end ablation and the engine's `VectorizationPolicy`) and an
-/// optional cost-model tier hint (observed element counts and selection
+/// As [`assemble`], with the vectorized tier switchable (the back-end
+/// ablation and the engine's `VectorizationPolicy`) and an optional
+/// cost-model tier hint (observed element counts and selection
 /// density from profiled runs of a previous compilation of the same
 /// query). `PreferScalar` advice
 /// skips the batch-vectorized tier — below the break-even element count
 /// its per-loop setup costs more than it saves — and the rationale is
 /// recorded on each loop's [`LoopPlan::chosen_by`] for `EXPLAIN`.
+///
+/// `fusion` is ignored: the loop-fusion tier it switched was removed
+/// (the batch tier covers its loops), and the argument remains only
+/// for callers not yet updated. Every loop the vectorizer refuses runs
+/// on the scalar tier.
 ///
 /// # Errors
 ///
@@ -1112,7 +1109,7 @@ pub fn assemble(p: &ImpProgram, udfs: &UdfRegistry) -> Result<Program, CompileEr
 pub fn assemble_hinted(
     p: &ImpProgram,
     udfs: &UdfRegistry,
-    fusion: bool,
+    _fusion: bool,
     vectorize: bool,
     tier_hint: Option<(steno_opt::TierAdvice, String)>,
 ) -> Result<Program, CompileError> {
@@ -1129,7 +1126,6 @@ pub fn assemble_hinted(
         udfs,
         sinks: HashMap::new(),
         n_sinks: 0,
-        n_fused: 0,
         n_batch: 0,
         batch_fallbacks: Vec::new(),
         n_guards_dropped: 0,
@@ -1137,7 +1133,6 @@ pub fn assemble_hinted(
         fused_kernels: Vec::new(),
         n_slots_reused: 0,
         loops: Vec::new(),
-        fusion,
         vectorize,
         tier_hint,
     };
@@ -1157,7 +1152,6 @@ pub fn assemble_hinted(
         n_iregs: c.ni,
         n_vregs: c.nv,
         n_sinks: c.n_sinks,
-        n_fused: c.n_fused,
         n_batch: c.n_batch,
         batch_fallbacks: c.batch_fallbacks,
         n_guards_dropped: c.n_guards_dropped,
@@ -1173,8 +1167,8 @@ pub fn assemble_hinted(
     };
     // Reference tape for the tape verifier: the program exactly as
     // assembled, before any backend pass rewrites it. The clone shares
-    // the Arc'd FusedLoop/BatchLoop payloads, so this is shallow in the
-    // loop bodies.
+    // the Arc'd BatchLoop payloads, so this is shallow in the loop
+    // bodies.
     program.shadow = Some(std::sync::Arc::new(crate::instr::ScalarShadow {
         instrs: program.instrs.clone(),
         n_fregs: program.n_fregs,
@@ -1189,357 +1183,6 @@ pub fn assemble_hinted(
     crate::lifetimes::fuse_scalar_pairs(&mut program);
     crate::lifetimes::shrink_frames(&mut program);
     Ok(program)
-}
-
-// ---------------------------------------------------------------------
-// The loop-fusion tier (see crate::fuse).
-// ---------------------------------------------------------------------
-
-/// Builder state for one fusion attempt.
-struct FuseAttempt {
-    n_slots: u16,
-    prologue: Vec<crate::fuse::VOp>,
-    tape: Vec<crate::fuse::VOp>,
-    reductions: Vec<crate::fuse::Reduction>,
-    /// Loop-local f64 variables → slot.
-    locals: HashMap<String, u8>,
-    /// Constant cache: bits → prologue slot.
-    consts: HashMap<u64, u8>,
-    /// Outer (loop-invariant) f64 registers → prologue slot.
-    param_slots: HashMap<u32, u8>,
-    params: Vec<u32>,
-    /// Accumulator f64 registers → accumulator index.
-    acc_ids: HashMap<String, u8>,
-    accs: Vec<u32>,
-    /// Current guard mask slot.
-    mask: Option<u8>,
-}
-
-impl FuseAttempt {
-    fn slot(&mut self) -> Option<u8> {
-        if self.n_slots >= 200 {
-            return None;
-        }
-        self.n_slots += 1;
-        Some((self.n_slots - 1) as u8)
-    }
-
-    fn const_slot(&mut self, x: f64) -> Option<u8> {
-        if let Some(s) = self.consts.get(&x.to_bits()) {
-            return Some(*s);
-        }
-        let s = self.slot()?;
-        self.prologue.push(crate::fuse::VOp::Const(s, x));
-        self.consts.insert(x.to_bits(), s);
-        Some(s)
-    }
-
-    fn param_slot(&mut self, reg: u32) -> Option<u8> {
-        if let Some(s) = self.param_slots.get(&reg) {
-            return Some(*s);
-        }
-        let s = self.slot()?;
-        let idx = self.params.len() as u8;
-        self.params.push(reg);
-        self.prologue.push(crate::fuse::VOp::Param(s, idx));
-        self.param_slots.insert(reg, s);
-        Some(s)
-    }
-}
-
-impl<'a> Compiler<'a> {
-    /// Attempts to compile a loop with the fusion tier. Returns `true` and
-    /// emits a [`Instr::FusedLoop`] on success; on failure nothing is
-    /// emitted and the generic path takes over.
-    fn try_fuse_loop(
-        &mut self,
-        p: &ImpProgram,
-        header: &LoopHeader,
-        elem_var: &str,
-        body: steno_codegen::imp::BlockId,
-    ) -> bool {
-        use crate::fuse::{FusedKernel, Reduction, VOp, NO_MASK};
-
-        // Only plain f64 source columns fuse.
-        let LoopHeader::Source {
-            name,
-            elem_ty: Ty::F64,
-        } = header
-        else {
-            return false;
-        };
-        let stmts = p.flatten(body);
-
-        // Pre-scan: which names are assigned inside the loop? Those must
-        // be f64 accumulators declared outside with += / min / max shape.
-        let mut assigned: Vec<&str> = Vec::new();
-        for s in &stmts {
-            match s {
-                Stmt::Decl { ty: Ty::F64, .. } | Stmt::IfNotContinue { .. } => {}
-                Stmt::Assign { name, .. } => assigned.push(name),
-                // Grouped aggregation fuses when the sink is fully scalar
-                // with f64 keys; checked in the main pass below.
-                Stmt::GroupAggUpdate { .. } => {}
-                _ => return false,
-            }
-        }
-
-        let mut at = FuseAttempt {
-            n_slots: 0,
-            prologue: Vec::new(),
-            tape: Vec::new(),
-            reductions: Vec::new(),
-            locals: HashMap::new(),
-            consts: HashMap::new(),
-            param_slots: HashMap::new(),
-            params: Vec::new(),
-            acc_ids: HashMap::new(),
-            accs: Vec::new(),
-            mask: None,
-        };
-
-        // Register accumulators up front so expression compilation can
-        // reject any read of them inside value pipelines.
-        for name in &assigned {
-            if at.acc_ids.contains_key(*name) {
-                continue;
-            }
-            let Some((Loc::F(reg), Ty::F64)) = self.scope.get(*name) else {
-                return false;
-            };
-            let id = at.accs.len() as u8;
-            at.accs.push(*reg);
-            at.acc_ids.insert((*name).to_string(), id);
-        }
-
-        // The loop element.
-        let Some(x_slot) = at.slot() else {
-            return false;
-        };
-        at.tape.push(VOp::LoadX(x_slot));
-        at.locals.insert(elem_var.to_string(), x_slot);
-
-        // Compile the body.
-        for s in &stmts {
-            match s {
-                Stmt::Decl {
-                    name,
-                    ty: Ty::F64,
-                    init,
-                } => {
-                    let Some(slot) = self.fuse_expr(&mut at, init) else {
-                        return false;
-                    };
-                    at.locals.insert(name.clone(), slot);
-                }
-                Stmt::IfNotContinue { cond } => {
-                    let Some(c) = self.fuse_expr(&mut at, cond) else {
-                        return false;
-                    };
-                    at.mask = match at.mask {
-                        None => Some(c),
-                        Some(m) => {
-                            let Some(d) = at.slot() else { return false };
-                            at.tape.push(VOp::AndM(d, m, c));
-                            Some(d)
-                        }
-                    };
-                }
-                Stmt::GroupAggUpdate {
-                    sink,
-                    key,
-                    acc_param,
-                    elem_param,
-                    value,
-                    update,
-                } => {
-                    use crate::fuse::{Reduction, NO_MASK};
-                    let Some(meta) = self.sinks.get(sink) else {
-                        return false;
-                    };
-                    let id = meta.id;
-                    let repr = match &meta.acc {
-                        Some((AccRepr::SF, _)) => AccRepr::SF,
-                        Some((AccRepr::SI, _)) => AccRepr::SI,
-                        _ => return false,
-                    };
-                    // The key must be an f64 tape expression.
-                    let Some(key_slot) = self.fuse_expr(&mut at, key) else {
-                        return false;
-                    };
-                    // Inline the element into the update and match the
-                    // fold shape.
-                    let u = steno_expr::subst::subst(update, elem_param, value);
-                    let mask = at.mask.unwrap_or(NO_MASK);
-                    let acc_var = Expr::Var(acc_param.clone());
-                    match (repr, &u) {
-                        (AccRepr::SI, Expr::Bin(BinOp::Add, a, b)) => {
-                            let n = match (&**a, &**b) {
-                                (x, Expr::LitI64(n)) if *x == acc_var => *n,
-                                (Expr::LitI64(n), x) if *x == acc_var => *n,
-                                _ => return false,
-                            };
-                            at.reductions.push(Reduction::GroupCount {
-                                sink: id,
-                                key: key_slot,
-                                n,
-                                mask,
-                            });
-                        }
-                        (AccRepr::SF, Expr::Bin(BinOp::Add, a, b)) => {
-                            let e = if **a == acc_var {
-                                &**b
-                            } else if **b == acc_var {
-                                &**a
-                            } else {
-                                return false;
-                            };
-                            if steno_expr::subst::free_vars(e).contains(acc_param) {
-                                return false;
-                            }
-                            let Some(val) = self.fuse_expr(&mut at, e) else {
-                                return false;
-                            };
-                            at.reductions.push(Reduction::GroupAddF {
-                                sink: id,
-                                key: key_slot,
-                                val,
-                                mask,
-                            });
-                        }
-                        _ => return false,
-                    }
-                }
-                Stmt::Assign { name, expr } => {
-                    let acc = at.acc_ids[name.as_str()];
-                    // Recognize acc = acc ⊕ e / acc.min(e) / acc.max(e).
-                    let (kind, e) = match expr {
-                        Expr::Bin(BinOp::Add, a, b) => {
-                            if **a == Expr::Var(name.clone()) {
-                                ('+', b.as_ref())
-                            } else if **b == Expr::Var(name.clone()) {
-                                ('+', a.as_ref())
-                            } else {
-                                return false;
-                            }
-                        }
-                        Expr::Bin(BinOp::Min, a, b) if **a == Expr::Var(name.clone()) => {
-                            ('<', b.as_ref())
-                        }
-                        Expr::Bin(BinOp::Max, a, b) if **a == Expr::Var(name.clone()) => {
-                            ('>', b.as_ref())
-                        }
-                        _ => return false,
-                    };
-                    let Some(val) = self.fuse_expr(&mut at, e) else {
-                        return false;
-                    };
-                    let mask = at.mask.unwrap_or(NO_MASK);
-                    at.reductions.push(match kind {
-                        '+' => Reduction::Add { acc, val, mask },
-                        '<' => Reduction::Min { acc, val, mask },
-                        _ => Reduction::Max { acc, val, mask },
-                    });
-                }
-                _ => return false,
-            }
-        }
-        if at.reductions.is_empty() {
-            // A fused loop with no observable effect would be wrong for
-            // sequence-yielding loops; those stay generic.
-            return false;
-        }
-
-        let sid = self.src_id(name);
-        self.n_fused += 1;
-        self.emit(Instr::FusedLoop(std::sync::Arc::new(FusedKernel {
-            src: sid,
-            params: at.params,
-            accs: at.accs,
-            n_slots: at.n_slots as u8,
-            prologue: at.prologue,
-            tape: at.tape,
-            reductions: at.reductions,
-        })));
-        true
-    }
-
-    /// Compiles an expression into a batch slot, or fails the attempt.
-    fn fuse_expr(&mut self, at: &mut FuseAttempt, e: &Expr) -> Option<u8> {
-        use crate::fuse::VOp;
-        match e {
-            Expr::Var(name) => {
-                if let Some(s) = at.locals.get(name) {
-                    return Some(*s);
-                }
-                if at.acc_ids.contains_key(name) {
-                    // Accumulators may not feed value pipelines.
-                    return None;
-                }
-                match self.scope.get(name) {
-                    Some((Loc::F(reg), Ty::F64)) => {
-                        let reg = *reg;
-                        at.param_slot(reg)
-                    }
-                    _ => None,
-                }
-            }
-            Expr::LitF64(x) => at.const_slot(*x),
-            Expr::LitBool(b) => at.const_slot(if *b { 1.0 } else { 0.0 }),
-            Expr::Bin(op, a, b) => {
-                let ra = self.fuse_expr(at, a)?;
-                let rb = self.fuse_expr(at, b)?;
-                let d = at.slot()?;
-                let vop = match op {
-                    BinOp::Add => VOp::Add(d, ra, rb),
-                    BinOp::Sub => VOp::Sub(d, ra, rb),
-                    BinOp::Mul => VOp::Mul(d, ra, rb),
-                    BinOp::Div => VOp::Div(d, ra, rb),
-                    BinOp::Rem => VOp::Rem(d, ra, rb),
-                    BinOp::Min => VOp::Min(d, ra, rb),
-                    BinOp::Max => VOp::Max(d, ra, rb),
-                    BinOp::Lt => VOp::Lt(d, ra, rb),
-                    BinOp::Le => VOp::Le(d, ra, rb),
-                    BinOp::Gt => VOp::Gt(d, ra, rb),
-                    BinOp::Ge => VOp::Ge(d, ra, rb),
-                    BinOp::Eq => VOp::EqM(d, ra, rb),
-                    BinOp::Ne => VOp::NeM(d, ra, rb),
-                    BinOp::And => VOp::AndM(d, ra, rb),
-                    BinOp::Or => VOp::OrM(d, ra, rb),
-                };
-                at.tape.push(vop);
-                Some(d)
-            }
-            Expr::Un(op, a) => {
-                let ra = self.fuse_expr(at, a)?;
-                let d = at.slot()?;
-                let vop = match op {
-                    UnOp::Neg => VOp::Neg(d, ra),
-                    UnOp::Abs => VOp::Abs(d, ra),
-                    UnOp::Sqrt => VOp::Sqrt(d, ra),
-                    UnOp::Floor => VOp::Floor(d, ra),
-                    UnOp::Not => VOp::NotM(d, ra),
-                };
-                at.tape.push(vop);
-                Some(d)
-            }
-            Expr::If(c, t, els) => {
-                let rc = self.fuse_expr(at, c)?;
-                let rt = self.fuse_expr(at, t)?;
-                let re = self.fuse_expr(at, els)?;
-                let d = at.slot()?;
-                at.tape.push(VOp::Select {
-                    dst: d,
-                    mask: rc,
-                    t: rt,
-                    e: re,
-                });
-                Some(d)
-            }
-            // Integer literals, casts, calls, pairs, rows: generic path.
-            _ => None,
-        }
-    }
 }
 
 // ---------------------------------------------------------------------

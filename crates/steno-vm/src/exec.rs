@@ -101,12 +101,12 @@ pub fn run_program(
 
 /// As [`run_program`], additionally filling a [`QueryProfile`] with
 /// per-operator element counts and wall time, and recording a `vm.run`
-/// root span plus one `vm.loop` span per `FusedLoop`/`BatchLoop`
+/// root span plus one `vm.loop` span per `BatchLoop`
 /// instruction into `tracer` (annotated with tier, element counts, and
 /// selection density). This is a separate monomorphization of the same
 /// dispatch loop, so [`run_program`] compiles every profiling branch out
 /// and pays nothing for the feature's existence. Loop spans open
-/// *before* the interrupt check at loop entry, so a query aborted by a
+/// *before* the loop first polls the interrupt, so a query aborted by a
 /// deadline still records the loop it died in. With a disabled tracer
 /// this is a plain profiled run.
 ///
@@ -127,7 +127,7 @@ pub fn run_program_traced(
     prof.wall = start.elapsed();
     root.note("scalar_instrs", prof.scalar_instrs);
     root.note("out_elements", prof.out_elements);
-    if prof.batch_loops == 0 && prof.fused_loops_run == 0 {
+    if prof.batch_loops == 0 {
         root.note("tier", "scalar");
     }
     drop(root);
@@ -732,51 +732,6 @@ fn run_impl<const PROFILE: bool>(
                 vregs[*d as usize] = frozen[*s as usize][iregs[*i as usize] as usize].clone()
             }
 
-            Instr::FusedLoop(kernel) => {
-                // The span opens before the interrupt check so a
-                // deadline-aborted query still records the loop it died
-                // in (the guard records partial spans on drop).
-                let mut lspan = if PROFILE {
-                    tracer.span("vm.loop", parent)
-                } else {
-                    SpanGuard::disabled()
-                };
-                let t0 = if PROFILE {
-                    Some(std::time::Instant::now())
-                } else {
-                    None
-                };
-                // The fused tier runs its whole source in one call, so
-                // the check sits at loop entry; sub-loop granularity is
-                // the vectorized tier's job (per-batch, below).
-                interrupt.check()?;
-                let PreparedSource::F64(data) = &bindings.sources[kernel.src as usize] else {
-                    return Err(shape("fused source is not f64"));
-                };
-                if PROFILE {
-                    prof.fused_loops_run += 1;
-                    prof.fused_elements += data.len() as u64;
-                    lspan.note("tier", "fused");
-                    lspan.note("elements", data.len() as u64);
-                }
-                // acc_values layout: [accumulators..., params...].
-                let mut acc_values =
-                    Vec::with_capacity(kernel.accs.len() + kernel.params.len());
-                for r in &kernel.accs {
-                    acc_values.push(fregs[*r as usize]);
-                }
-                for r in &kernel.params {
-                    acc_values.push(fregs[*r as usize]);
-                }
-                let data = std::sync::Arc::clone(data);
-                crate::fuse::run_kernel(kernel, &data, &mut acc_values, &mut sinks);
-                for (i, r) in kernel.accs.iter().enumerate() {
-                    fregs[*r as usize] = acc_values[i];
-                }
-                if let Some(t0) = t0 {
-                    prof.loop_ns += t0.elapsed().as_nanos() as u64;
-                }
-            }
             Instr::BatchLoop(bp) => {
                 use crate::batch::{BatchData, Lane};
                 let data = match (&bindings.sources[bp.src as usize], bp.src_lane) {

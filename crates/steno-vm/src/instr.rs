@@ -317,8 +317,6 @@ pub enum Instr {
     // ---- output ----
     /// Append a boxed value to the output buffer.
     OutPush(VReg),
-    /// A fused whole-loop kernel over an f64 source (see [`crate::fuse`]).
-    FusedLoop(crate::fuse::KernelRef),
     /// A vectorized whole-loop batch program over a typed source
     /// (see [`crate::batch`]).
     BatchLoop(crate::batch::BatchRef),
@@ -339,12 +337,14 @@ pub enum Instr {
 pub enum LoopTier {
     /// Compiled to a [`Instr::BatchLoop`] column-at-a-time program.
     Vectorized,
-    /// Compiled to a [`Instr::FusedLoop`] whole-loop kernel.
+    /// Once the loop-fusion tier, which was removed; no loop lands here.
+    #[deprecated(note = "the loop-fusion tier was removed; no loop is compiled to it")]
     Fused,
     /// Compiled to plain element-at-a-time bytecode.
     Scalar,
 }
 
+#[allow(deprecated)]
 impl std::fmt::Display for LoopTier {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
@@ -541,8 +541,6 @@ pub struct Program {
     pub n_vregs: u32,
     /// Number of sinks.
     pub n_sinks: u32,
-    /// Number of loops compiled by the fusion tier.
-    pub n_fused: u32,
     /// Number of loops compiled by the vectorized tier.
     pub n_batch: u32,
     /// Why loops (if any) fell back from the vectorized tier, in
@@ -554,7 +552,7 @@ pub struct Program {
     /// because range analysis proved the divisor non-zero.
     pub n_guards_dropped: u32,
     /// Tier decision per compiled loop, in compilation order. The EXPLAIN
-    /// facility renders these; counts agree with `n_fused`/`n_batch`.
+    /// facility renders these; the vectorized count agrees with `n_batch`.
     pub loop_plans: Vec<LoopPlan>,
     /// Display names of the fused batch kernels the backend installed
     /// (whole-tape shapes first, then peephole pairs), in loop order.

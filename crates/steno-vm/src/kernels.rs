@@ -148,28 +148,6 @@ pub fn check_divisors(
     Ok(())
 }
 
-/// `dst[k] = f(a[k], b[k])` over the live lanes only (dead lanes may hold
-/// zero divisors and must not be touched).
-#[inline]
-pub fn map2_sel<T: Copy>(
-    dst: &mut [T; BATCH],
-    a: &[T; BATCH],
-    b: &[T; BATCH],
-    sel: Option<&[u32]>,
-    len: usize,
-    f: impl Fn(T, T) -> T,
-) {
-    match sel {
-        None => map2(dst, a, b, len, f),
-        Some(sel) => {
-            for &k in sel {
-                let k = k as usize;
-                dst[k] = f(a[k], b[k]);
-            }
-        }
-    }
-}
-
 // ---------------------------------------------------------------------
 // Strict folds: surviving lanes in ascending element order, so results
 // are bit-identical to sequential execution.

@@ -42,7 +42,6 @@
 pub mod batch;
 pub mod compile;
 pub mod check;
-pub mod fuse;
 pub mod fuse_kernels;
 pub mod exec;
 pub mod instr;

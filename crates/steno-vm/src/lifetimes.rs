@@ -644,15 +644,6 @@ pub(crate) fn instr_io(instr: &Instr, mut f: impl FnMut(RegBank, u32, bool)) {
         }
 
         Instr::OutPush(v) => f(V, *v, false),
-        Instr::FusedLoop(k) => {
-            for p in &k.params {
-                f(F, *p, false);
-            }
-            for a in &k.accs {
-                f(F, *a, false);
-                f(F, *a, true);
-            }
-        }
         Instr::BatchLoop(bp) => {
             for p in &bp.f_params {
                 f(F, *p, false);
@@ -1147,7 +1138,6 @@ mod tests {
             n_iregs: 3,
             n_vregs: 0,
             n_sinks: 0,
-            n_fused: 0,
             n_batch: 0,
             batch_fallbacks: vec![],
             n_guards_dropped: 0,
@@ -1193,7 +1183,6 @@ mod tests {
             n_iregs: 3,
             n_vregs: 0,
             n_sinks: 0,
-            n_fused: 0,
             n_batch: 0,
             batch_fallbacks: vec![],
             n_guards_dropped: 0,

@@ -123,7 +123,6 @@ mod tests {
             n_iregs: 0,
             n_vregs: 0,
             n_sinks: 0,
-            n_fused: 0,
             n_batch: 0,
             batch_fallbacks: vec![],
             n_guards_dropped: 0,

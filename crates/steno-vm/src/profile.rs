@@ -14,8 +14,8 @@ use std::time::Duration;
 /// Execution counters for one run of a compiled query.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct QueryProfile {
-    /// Scalar instructions dispatched (each `FusedLoop`/`BatchLoop`
-    /// counts once here; their per-element work is tracked below).
+    /// Scalar instructions dispatched (each `BatchLoop` counts once
+    /// here; its per-element work is tracked below).
     pub scalar_instrs: u64,
     /// Elements read from prepared sources by scalar `SrcGet*`.
     pub src_reads: u64,
@@ -33,12 +33,7 @@ pub struct QueryProfile {
     pub batch_elements_in: u64,
     /// Elements still selected after each batch's predicates ran.
     pub batch_elements_selected: u64,
-    /// `FusedLoop` kernels executed.
-    pub fused_loops_run: u64,
-    /// Source elements consumed by fused kernels.
-    pub fused_elements: u64,
-    /// Wall time spent inside loop instructions (`FusedLoop` +
-    /// `BatchLoop` bodies), nanoseconds. Zero when the query ran purely
+    /// Wall time spent inside `BatchLoop` bodies, nanoseconds. Zero when the query ran purely
     /// scalar, in which case [`QueryProfile::wall`] is the loop time.
     pub loop_ns: u64,
     /// Wall-clock time of the run.
@@ -71,8 +66,7 @@ impl QueryProfile {
             "{{\"scalar_instrs\": {}, \"src_reads\": {}, \"udf_calls\": {}, \
              \"sink_pushes\": {}, \"out_elements\": {}, \"batch_loops\": {}, \
              \"batches\": {}, \"batch_elements_in\": {}, \"batch_elements_selected\": {}, \
-             \"selection_density\": {}, \"fused_loops_run\": {}, \"fused_elements\": {}, \
-             \"loop_ns\": {}, \"wall_ns\": {}, \"cache_hit\": {}}}",
+             \"selection_density\": {}, \"loop_ns\": {}, \"wall_ns\": {}, \"cache_hit\": {}}}",
             self.scalar_instrs,
             self.src_reads,
             self.udf_calls,
@@ -83,8 +77,6 @@ impl QueryProfile {
             self.batch_elements_in,
             self.batch_elements_selected,
             density,
-            self.fused_loops_run,
-            self.fused_elements,
             self.loop_ns,
             self.wall.as_nanos(),
             cache_hit,
@@ -109,13 +101,6 @@ impl std::fmt::Display for QueryProfile {
                 self.batch_elements_in,
                 self.batch_elements_selected,
                 density
-            )?;
-        }
-        if self.fused_loops_run > 0 {
-            writeln!(
-                f,
-                "  fused: {} kernel(s), {} elements",
-                self.fused_loops_run, self.fused_elements
             )?;
         }
         write!(f, "  wall: {:?}", self.wall)?;

@@ -56,22 +56,25 @@ impl std::error::Error for OptimizeError {}
 
 /// Whether the compiler may emit batch-vectorized loops.
 ///
-/// `Auto` (the default) vectorizes every eligible fused loop and falls
-/// back to the scalar tiers otherwise; `Off` disables the tier entirely
-/// (ablation baselines, debugging). Per-loop fallback reasons are
-/// reported by [`CompiledQuery::batch_fallbacks`].
+/// `Auto` (the default) vectorizes every eligible loop and falls back
+/// to the scalar tier otherwise; `Off` disables the tier entirely
+/// (ablation baselines, debugging, the serve breaker's degraded plans).
+/// Under `Off` every loop runs on the scalar tier, which the tape
+/// verifier checks in full and which polls interrupts at every
+/// back-edge. Per-loop fallback reasons are reported by
+/// [`CompiledQuery::batch_fallbacks`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum VectorizationPolicy {
     /// Vectorize when the operator chain and element types allow it.
     Auto,
-    /// Never vectorize; use the scalar/fused tiers only.
+    /// Never vectorize; every loop runs on the scalar tier.
     Off,
 }
 
 /// Which execution tier a compiled query's hot loops landed in.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EngineKind {
-    /// All loops run element-at-a-time (scalar or fused-scalar).
+    /// All loops run element-at-a-time as scalar bytecode.
     Scalar,
     /// At least one loop runs on the typed column-batch engine.
     Vectorized,
@@ -92,7 +95,9 @@ impl std::fmt::Display for EngineKind {
 pub struct StenoOptions {
     /// QUIL-level options (GroupByAggregate specialization, §4.3).
     pub lower: LowerOptions,
-    /// Whether the VM's loop-fusion tier runs.
+    /// Read by nothing: the VM's loop-fusion tier it switched was
+    /// removed. Still set by `Default`, so plan keys are unchanged.
+    #[deprecated(note = "the loop-fusion tier was removed; this option has no effect")]
     pub fusion: bool,
     /// Whether the VM's batch-vectorization tier runs.
     pub vectorize: VectorizationPolicy,
@@ -104,6 +109,7 @@ pub struct StenoOptions {
     pub rewrites: bool,
 }
 
+#[allow(deprecated)]
 impl Default for StenoOptions {
     fn default() -> StenoOptions {
         StenoOptions {
@@ -231,7 +237,7 @@ impl CompiledQuery {
         let imp = generate(&chain).map_err(|e| OptimizeError::Gen(e.to_string()))?;
         let tier_hint = loop_stats.map(|ls| choose_tier(&ls, crate::batch::BATCH));
         let vectorize = opts.vectorize == VectorizationPolicy::Auto;
-        let program = assemble_hinted(&imp, udfs, opts.fusion, vectorize, tier_hint)
+        let program = assemble_hinted(&imp, udfs, false, vectorize, tier_hint)
             .map_err(|e| OptimizeError::Gen(e.to_string()))?;
         Ok(CompiledQuery {
             program,
@@ -348,11 +354,6 @@ impl CompiledQuery {
     /// The number of bytecode instructions.
     pub fn instr_count(&self) -> usize {
         self.program.len()
-    }
-
-    /// How many loops the fusion tier compiled to whole-loop kernels.
-    pub fn fused_loops(&self) -> u32 {
-        self.program.n_fused
     }
 
     /// How many loops the vectorization tier compiled to column-batch
@@ -1173,6 +1174,42 @@ mod tests {
             compiled.run_with(&c, &udfs, &cancelled),
             Err(VmError::Cancelled)
         );
+    }
+
+    #[test]
+    fn unvectorized_f64_loops_take_the_interruptible_scalar_tier() {
+        use crate::interrupt::{CancelProbe, Interrupt};
+        use crate::instr::LoopTier;
+        use std::sync::atomic::{AtomicU32, Ordering};
+
+        // With the vectorizer off, a plain f64 loop runs on the scalar
+        // tier, so a cancel that arrives after loop entry still lands at
+        // a back-edge instead of being missed until the loop ends.
+        let udfs = UdfRegistry::new();
+        let big: Vec<f64> = (0..50_000).map(f64::from).collect();
+        let c = DataContext::new().with_source("xs", big);
+        let q = Query::source("xs")
+            .select(Expr::var("x") * Expr::var("x"), "x")
+            .sum()
+            .build();
+        let opts = StenoOptions {
+            vectorize: VectorizationPolicy::Off,
+            ..StenoOptions::default()
+        };
+        let compiled = compile_opts(&q, &c, &udfs, opts);
+        assert!(!compiled.loop_plans().is_empty());
+        for plan in compiled.loop_plans() {
+            assert_eq!(plan.tier, LoopTier::Scalar, "{plan:?}");
+        }
+        let calls = Arc::new(AtomicU32::new(0));
+        let seen = Arc::clone(&calls);
+        let probe = Arc::new(move || seen.fetch_add(1, Ordering::Relaxed) > 0) as CancelProbe;
+        let cancelled = Interrupt::none().with_cancel_probe(probe);
+        assert_eq!(
+            compiled.run_with(&c, &udfs, &cancelled),
+            Err(VmError::Cancelled)
+        );
+        assert!(calls.load(Ordering::Relaxed) >= 2);
     }
 
     #[test]

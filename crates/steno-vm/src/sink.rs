@@ -91,8 +91,8 @@ impl ScalarKey {
 }
 
 /// Finds (or inserts, seeded with `default`) the entry slot for `key` in
-/// a scalar-key f64 grouped-aggregate table. Shared by the fused and
-/// vectorized tiers and the scalar interpreter so first-appearance order
+/// a scalar-key f64 grouped-aggregate table. Shared by the vectorized
+/// tier and the scalar interpreter so first-appearance order
 /// is defined in exactly one place.
 #[inline]
 pub fn upsert_sf(

@@ -45,7 +45,6 @@ fn compile(q: &QueryExpr, ctx: &DataContext, opts: StenoOptions) -> Program {
 
 fn scalar_opts() -> StenoOptions {
     StenoOptions {
-        fusion: false,
         vectorize: VectorizationPolicy::Off,
         ..StenoOptions::default()
     }

@@ -484,7 +484,7 @@ impl Steno {
             // Exactly one tier runs each loop, so summing the per-tier
             // element counters yields the elements that flowed through.
             let observed = ObservedRun {
-                elements: (prof.src_reads + prof.batch_elements_in + prof.fused_elements) as f64,
+                elements: (prof.src_reads + prof.batch_elements_in) as f64,
                 density: prof.selection_density(),
                 exec_ns: prof.wall.as_nanos() as f64,
                 loop_ns: prof.loop_ns as f64,
@@ -599,7 +599,6 @@ impl Steno {
                         instr_count: compiled.instr_count(),
                         loops: compiled.loop_plans().to_vec(),
                         vectorized_loops: compiled.vectorized_loops(),
-                        fused_loops: compiled.fused_loops(),
                         batch_size: compiled.batch_size(),
                         result_ty: compiled.result_ty().to_string(),
                         guards_dropped: compiled.guards_dropped(),

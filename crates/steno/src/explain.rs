@@ -4,7 +4,7 @@
 //! [`crate::engine::Steno::explain`] renders the full lowering pipeline
 //! for a query — the original AST, the canonical QUIL sentence it
 //! lowered to, and the tier decision for every compiled loop
-//! (vectorized / fused / scalar, with the vectorizer's exact refusal
+//! (vectorized / scalar, with the vectorizer's exact refusal
 //! reason when one was recorded). Queries outside the QUIL operator
 //! classes explain as the fallback path with the lowering error.
 //!
@@ -15,7 +15,7 @@
 
 use steno_obs::json;
 use steno_opt::RewriteEvent;
-use steno_vm::{EngineKind, LoopPlan, LoopTier};
+use steno_vm::{EngineKind, LoopPlan};
 
 /// The explained plan for one query.
 #[derive(Clone, Debug)]
@@ -45,8 +45,6 @@ pub enum ExplainPlan {
         loops: Vec<LoopPlan>,
         /// Loops on the vectorized tier (agrees with `loops`).
         vectorized_loops: u32,
-        /// Loops on the fused tier (agrees with `loops`).
-        fused_loops: u32,
         /// Batch width of the vectorized engine.
         batch_size: usize,
         /// The query's result type.
@@ -191,7 +189,6 @@ impl Explain {
                 instr_count,
                 loops,
                 vectorized_loops,
-                fused_loops,
                 batch_size,
                 result_ty,
                 guards_dropped,
@@ -223,7 +220,7 @@ impl Explain {
                         format!(
                             "{{\"tier\": \"{}\", \"vectorize_fallback\": {fallback}, \
                              \"chosen_by\": {chosen}}}",
-                            tier_name(p.tier)
+                            p.tier
                         )
                     })
                     .collect();
@@ -257,7 +254,7 @@ impl Explain {
                 format!(
                     "{{\"query\": \"{}\", \"optimized\": true, \"quil\": \"{}\", \
                      \"engine\": \"{engine}\", \"instr_count\": {instr_count}, \
-                     \"vectorized_loops\": {vectorized_loops}, \"fused_loops\": {fused_loops}, \
+                     \"vectorized_loops\": {vectorized_loops}, \
                      \"batch_size\": {batch_size}, \"result_ty\": \"{}\", \
                      \"guards_dropped\": {guards_dropped}, \"fused_kernels\": [{}], \
                      \"slots_reused\": {slots_reused}, \"hoisted\": {hoisted}, \
@@ -284,14 +281,6 @@ impl Explain {
     }
 }
 
-fn tier_name(t: LoopTier) -> &'static str {
-    match t {
-        LoopTier::Vectorized => "vectorized",
-        LoopTier::Fused => "fused",
-        LoopTier::Scalar => "scalar",
-    }
-}
-
 impl std::fmt::Display for Explain {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(&self.render())
@@ -301,7 +290,7 @@ impl std::fmt::Display for Explain {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use steno_vm::FallbackReason;
+    use steno_vm::{FallbackReason, LoopTier};
 
     #[test]
     fn fallback_renders_reason_in_text_and_json() {
@@ -344,7 +333,6 @@ mod tests {
                     },
                 ],
                 vectorized_loops: 1,
-                fused_loops: 0,
                 batch_size: 1024,
                 result_ty: "f64".to_string(),
                 guards_dropped: 2,
@@ -462,7 +450,6 @@ mod tests {
                 instr_count: 3,
                 loops: vec![],
                 vectorized_loops: 0,
-                fused_loops: 0,
                 batch_size: 1024,
                 result_ty: "i64".to_string(),
                 guards_dropped: 0,
@@ -485,7 +472,6 @@ mod tests {
             "engine",
             "instr_count",
             "vectorized_loops",
-            "fused_loops",
             "batch_size",
             "result_ty",
             "guards_dropped",

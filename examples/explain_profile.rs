@@ -4,8 +4,7 @@
 //! Walks the full `steno-obs` surface:
 //!
 //! 1. `Steno::explain` — where the optimizer sent each loop (vectorized
-//!    / fused / scalar) and, when vectorization was refused, the exact
-//!    reason,
+//!    or scalar) and, when vectorization was refused, the exact reason,
 //! 2. `Steno::execute_with` with `profile: true` — the per-query
 //!    `QueryProfile` (batches, selection density, scalar work, cache
 //!    hits),

@@ -3,7 +3,7 @@
 //! [`steno_vm::check_program`]. The mutation harness
 //! (`crates/steno-vm/tests/tape_mutation.rs`) proves the checker
 //! rejects miscompiles; this test proves it accepts correct compiles —
-//! across every tier (scalar, vectorized, fused), with and without the
+//! across every tier (scalar, vectorized), with and without the
 //! rewrite pass, and on the feedback-directed compile path.
 
 use steno_expr::{Column, DataContext, Expr, UdfRegistry};
@@ -46,11 +46,6 @@ fn option_matrix() -> Vec<StenoOptions> {
         auto,
         StenoOptions {
             vectorize: VectorizationPolicy::Off,
-            ..auto
-        },
-        StenoOptions {
-            vectorize: VectorizationPolicy::Off,
-            fusion: false,
             ..auto
         },
         StenoOptions {
