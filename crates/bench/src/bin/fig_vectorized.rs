@@ -342,6 +342,52 @@ fn guarded_div_collatz(records: &mut Vec<BenchRecord>) {
     report("guarded_div_collatz", n, rows, records);
 }
 
+/// `xs.Average()` of 10^6 doubles. The `(sum, count)` accumulator is a
+/// pair; the code generator's scalar replacement splits it into two
+/// scalar locals, which is what admits the loop to the batch tier.
+fn average(records: &mut Vec<BenchRecord>) {
+    let n = scaled(1_000_000);
+    let data = uniform_doubles(n, 11);
+    let ctx = DataContext::new().with_source("xs", data.clone());
+    let udfs = UdfRegistry::new();
+    let q = Query::source("xs").average().build();
+    let (scalar, vectorized) = compile_tiers(&q, &ctx, &udfs);
+
+    let hand = |data: &[f64]| {
+        let (mut s, mut c) = (0.0, 0i64);
+        for &x in data {
+            s += x;
+            c += 1;
+        }
+        s / c as f64
+    };
+    let expect = hand(&data);
+    for c in [&scalar, &vectorized] {
+        assert_eq!(c.run(&ctx, &udfs).expect("run"), Value::F64(expect));
+    }
+
+    let xs = Enumerable::from_vec(data.clone());
+    let rows = vec![
+        Row {
+            engine: "linq",
+            median: bench_time(|| xs.average()),
+        },
+        Row {
+            engine: "vm_scalar",
+            median: bench_time(|| scalar.run(&ctx, &udfs).expect("run")),
+        },
+        Row {
+            engine: "vm_vectorized",
+            median: bench_time(|| vectorized.run(&ctx, &udfs).expect("run")),
+        },
+        Row {
+            engine: "hand",
+            median: bench_time(|| hand(&data)),
+        },
+    ];
+    report("average", n, rows, records);
+}
+
 /// One observed run of the acceptance workload through the facade with
 /// a live collector: prints the per-query profile and the metrics
 /// snapshot, and proves the snapshot JSON parses back.
@@ -378,13 +424,14 @@ fn profiled_acceptance_run() {
     println!("wrote metrics snapshot to {path}");
 }
 
-/// Runs all four workloads and returns their records.
+/// Runs all five workloads and returns their records.
 fn measure() -> Vec<BenchRecord> {
     let mut records = Vec::new();
     sum_of_squares(&mut records);
     filtered_sum(&mut records);
     int_even_squares(&mut records);
     guarded_div_collatz(&mut records);
+    average(&mut records);
     records
 }
 

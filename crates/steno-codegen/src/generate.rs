@@ -8,6 +8,7 @@ use steno_quil::ir::{
 use steno_quil::substitute::subst_chain;
 
 use crate::imp::{BlockId, ImpProgram, LoopHeader, SinkDecl, Stmt, Terminal};
+use crate::scalarize::scalarize;
 
 /// An internal invariant violation during code generation. Lowered,
 /// grammar-valid chains never produce one.
@@ -742,12 +743,22 @@ pub fn generate(chain: &QuilChain) -> Result<ImpProgram, GenError> {
             Terminal::Sequence(chain.elem_ty())
         }
     };
-    Ok(ImpProgram {
-        blocks: g.blocks,
+    let mut program = ImpProgram {
+        blocks: std::mem::take(&mut g.blocks),
         root,
         terminal,
-        sources: g.sources,
-    })
+        sources: std::mem::take(&mut g.sources),
+    };
+    // Last step: scalar replacement of pair-typed locals (DESIGN.md §8),
+    // so every consumer of the program sees the same flattened locals.
+    scalarize(&mut program, &mut |of| {
+        if of.starts_with("agg_") {
+            g.fresh_agg()
+        } else {
+            g.fresh_elem()
+        }
+    });
+    Ok(program)
 }
 
 #[cfg(test)]
@@ -801,6 +812,31 @@ mod tests {
         assert!(matches!(&flat[2], Stmt::Return { value } if value.to_string() == "agg_0"));
         assert_eq!(p.terminal, Terminal::Scalar(Ty::F64));
         assert_eq!(p.sources, vec!["xs".to_string()]);
+    }
+
+    #[test]
+    fn average_accumulator_is_split_into_scalar_locals() {
+        // The (sum, count) pair of Average becomes two scalar locals with
+        // one fold each, and the finisher reads the leaves directly.
+        let p = gen(Query::source("xs").average().build());
+        let flat = p.flatten(p.root);
+        assert!(matches!(&flat[0], Stmt::Decl { name, ty: Ty::F64, init }
+            if name == "agg_1" && *init == Expr::litf(0.0)));
+        assert!(matches!(&flat[1], Stmt::Decl { name, ty: Ty::I64, init }
+            if name == "agg_2" && *init == Expr::liti(0)));
+        let Stmt::For { body, .. } = &flat[2] else {
+            panic!("expected loop, got {:?}", flat[2]);
+        };
+        let body = p.flatten(*body);
+        assert_eq!(body.len(), 2, "{body:?}");
+        assert!(matches!(&body[0], Stmt::Assign { name, expr }
+            if name == "agg_1" && expr.to_string() == "(agg_1 + elem_0)"));
+        assert!(matches!(&body[1], Stmt::Assign { name, expr }
+            if name == "agg_2" && expr.to_string() == "(agg_2 + 1)"));
+        assert!(matches!(&flat[3], Stmt::Return { value }
+            if value.to_string() == "(agg_1 / (agg_2 as f64))"));
+        assert_eq!(flat.len(), 4);
+        assert_eq!(p.terminal, Terminal::Scalar(Ty::F64));
     }
 
     #[test]
@@ -899,14 +935,19 @@ mod tests {
         assert!(matches!(&body[0], Stmt::GroupAggUpdate { key, .. }
             if key.to_string() == "(elem_0 % 3)"));
         // ω: loop over the sink projecting (key, count) pairs, yielding.
+        // The projected pair is scalar-replaced: one local per field,
+        // rebuilt at the yield.
         let Stmt::For { header, body: sink_body, .. } = &flat[2] else {
             panic!("sink loop expected, got {:?}", flat[2]);
         };
         assert!(matches!(header, LoopHeader::Sink { .. }));
         let sink_body = p.flatten(*sink_body);
-        assert!(matches!(&sink_body[0], Stmt::Decl { init, .. }
-            if init.to_string() == "(elem_1.0, elem_1.1)"));
-        assert!(matches!(&sink_body[1], Stmt::Yield { .. }));
+        assert!(matches!(&sink_body[0], Stmt::Decl { name, init, .. }
+            if name == "elem_3" && init.to_string() == "elem_1.0"));
+        assert!(matches!(&sink_body[1], Stmt::Decl { name, init, .. }
+            if name == "elem_4" && init.to_string() == "elem_1.1"));
+        assert!(matches!(&sink_body[2], Stmt::Yield { value }
+            if value.to_string() == "(elem_3, elem_4)"));
     }
 
     #[test]

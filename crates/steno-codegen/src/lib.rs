@@ -20,6 +20,7 @@
 pub mod generate;
 pub mod imp;
 pub mod printer;
+mod scalarize;
 
 pub use generate::{generate, GenError};
 pub use imp::{BlockId, ImpProgram, LoopHeader, SinkDecl, Stmt, Terminal};

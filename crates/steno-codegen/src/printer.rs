@@ -292,6 +292,25 @@ mod tests {
     }
 
     #[test]
+    fn average_prints_scalar_replaced_accumulator() {
+        let text = render(Query::source("xs").average().build());
+        assert_eq!(
+            text,
+            "\
+// -> f64
+let mut agg_1: f64 = 0.0;
+let mut agg_2: i64 = 0;
+for __i in 0..xs.len() {
+    let elem_0 = xs[__i];
+    agg_1 = (agg_1 + elem_0);
+    agg_2 = (agg_2 + 1);
+}
+return (agg_1 / (agg_2 as f64));
+"
+        );
+    }
+
+    #[test]
     fn filter_prints_continue_guard() {
         let text = render(
             Query::source("xs")

@@ -236,18 +236,15 @@ pub fn lex(text: &str) -> Result<Vec<Token>, LexError> {
                 while i < bytes.len() && bytes[i].is_ascii_digit() {
                     i += 1;
                 }
-                // A float has a fractional part: digits '.' digits. The
-                // dot must be followed by a digit, otherwise it is field
-                // access (`x.0` is projection, lexed as Ident/Int/Dot...).
-                let is_float = i + 1 < bytes.len()
+                // A float has a fractional part: digits '.' digits. Right
+                // after a `.` the digits are a projection index, so
+                // `acc.0.1` lexes as Ident Dot Int Dot Int, not as
+                // Ident Dot Float.
+                let after_dot = out.last() == Some(&Token::Dot);
+                let is_float = !after_dot
+                    && i + 1 < bytes.len()
                     && bytes[i] == b'.'
-                    && bytes[i + 1].is_ascii_digit()
-                    && {
-                        // Disambiguate: `1.0` is a float; projections only
-                        // apply to identifiers, so digits-dot-digits is
-                        // always a float here.
-                        true
-                    };
+                    && bytes[i + 1].is_ascii_digit();
                 if is_float {
                     i += 1;
                     while i < bytes.len() && bytes[i].is_ascii_digit() {
@@ -335,6 +332,31 @@ mod tests {
                 Token::RParen
             ]
         );
+    }
+
+    #[test]
+    fn digits_after_a_dot_are_projection_indices() {
+        assert_eq!(
+            lex("acc.0.1").unwrap(),
+            vec![
+                Token::Ident("acc".into()),
+                Token::Dot,
+                Token::Int(0),
+                Token::Dot,
+                Token::Int(1)
+            ]
+        );
+        assert_eq!(
+            lex("acc.1 + 1.5").unwrap(),
+            vec![
+                Token::Ident("acc".into()),
+                Token::Dot,
+                Token::Int(1),
+                Token::Plus,
+                Token::Float(1.5)
+            ]
+        );
+        assert_eq!(lex("1.5").unwrap(), vec![Token::Float(1.5)]);
     }
 
     #[test]

@@ -1222,6 +1222,15 @@ mod tests {
     }
 
     #[test]
+    fn nested_projections_parse() {
+        assert_eq!(parse_expr("acc.0.1").unwrap(), Expr::var("acc").field(0).field(1));
+        assert_eq!(
+            q("xs.aggregate(((0.0, 0.0), 0), |acc, x| ((acc.0.0 + x, acc.0.1 + x * x), acc.1 + 1))"),
+            "xs.Aggregate(((0.0, 0.0), 0), |acc, x| (((acc.0.0 + x), (acc.0.1 + (x * x))), (acc.1 + 1)))"
+        );
+    }
+
+    #[test]
     fn expressions_parse_with_precedence() {
         assert_eq!(parse_expr("1 + 2 * 3").unwrap().to_string(), "(1 + (2 * 3))");
         assert_eq!(

@@ -93,7 +93,9 @@ fn check_all_modes(q: &QueryExpr, data: &DataContext, udfs: &UdfRegistry, label:
 
 /// The text corpus from `rewrite_differential.rs`: parser-driven
 /// queries covering filters, maps, pagination, ordering, grouping,
-/// distinct, and guarded integer division.
+/// distinct, and guarded integer division — plus the pair-typed locals
+/// the code generator scalar-replaces (a filtered average, tuple
+/// aggregates including a swap and nested pairs, a pair `select`).
 const TEXT_CORPUS: &[&str] = &[
     "from x in ns where x % 2 == 0 select x * x",
     "(from x in xs select x * x).sum()",
@@ -118,6 +120,11 @@ const TEXT_CORPUS: &[&str] = &[
     "ns.select(|x| x % 9).distinct().order_by(|x| x)",
     "ns.where(|x| x != 0).select(|x| 60 / x).sum()",
     "xs.order_by(|x| x).take(3).sum()",
+    "xs.where(|x| x > 0.5).average()",
+    "xs.aggregate((0.0, 0), |acc, x| (acc.0 + x, acc.1 + 1))",
+    "xs.aggregate((0.0, 1.0), |acc, x| (acc.1, acc.0 + x))",
+    "xs.aggregate(((0.0, 0.0), 0), |acc, x| ((acc.0.0 + x, acc.0.1 + x * x), acc.1 + 1))",
+    "xs.select(|x| (x, x * 2.0)).select(|p| p.0 + p.1).sum()",
 ];
 
 #[test]
