@@ -388,6 +388,105 @@ fn average(records: &mut Vec<BenchRecord>) {
     report("average", n, rows, records);
 }
 
+/// `ns.Skip(n/1000).Take(9n/10).Sum()`: the leading positional operators
+/// fold into the loop's index window, so the batch loop reads only the
+/// window's slice of the column and the scalar loop starts and stops at
+/// its bounds.
+fn take_skip(records: &mut Vec<BenchRecord>) {
+    let n = scaled(1_000_000);
+    let (skip, take) = (n / 1000, n / 10 * 9);
+    let data: Vec<i64> = (0..n as i64).collect();
+    let ctx = DataContext::new().with_source("ns", data.clone());
+    let udfs = UdfRegistry::new();
+    let q = Query::source("ns").skip(skip).take(take).sum().build();
+    let (scalar, vectorized) = compile_tiers(&q, &ctx, &udfs);
+
+    let hand = |data: &[i64]| {
+        let mut s = 0i64;
+        for &x in &data[skip..skip + take] {
+            s = s.wrapping_add(x);
+        }
+        s
+    };
+    let expect = hand(&data);
+    for c in [&scalar, &vectorized] {
+        assert_eq!(c.run(&ctx, &udfs).expect("run"), Value::I64(expect));
+    }
+
+    let ns = Enumerable::from_vec(data.clone());
+    let rows = vec![
+        Row {
+            engine: "linq",
+            median: bench_time(|| ns.skip(skip).take(take).sum()),
+        },
+        Row {
+            engine: "vm_scalar",
+            median: bench_time(|| scalar.run(&ctx, &udfs).expect("run")),
+        },
+        Row {
+            engine: "vm_vectorized",
+            median: bench_time(|| vectorized.run(&ctx, &udfs).expect("run")),
+        },
+        Row {
+            engine: "hand",
+            median: bench_time(|| hand(&data)),
+        },
+    ];
+    report("take_skip", n, rows, records);
+}
+
+/// `xs.TakeWhile(x < 2.0).Count()` over uniform `[0, 1)` doubles: the
+/// predicate never fails, so the batch loop's first-failing-lane cut is
+/// checked on every batch and never fires.
+fn take_while(records: &mut Vec<BenchRecord>) {
+    let n = scaled(1_000_000);
+    let data = uniform_doubles(n, 13);
+    let ctx = DataContext::new().with_source("xs", data.clone());
+    let udfs = UdfRegistry::new();
+    let q = Query::source("xs")
+        .take_while(Expr::var("x").lt(Expr::litf(2.0)), "x")
+        .count()
+        .build();
+    let (scalar, vectorized) = compile_tiers(&q, &ctx, &udfs);
+
+    let hand = |data: &[f64]| {
+        let mut c = 0i64;
+        for &x in data {
+            if x < 2.0 {
+                c += 1;
+            } else {
+                break;
+            }
+        }
+        c
+    };
+    let expect = hand(&data);
+    for c in [&scalar, &vectorized] {
+        assert_eq!(c.run(&ctx, &udfs).expect("run"), Value::I64(expect));
+    }
+
+    let xs = Enumerable::from_vec(data.clone());
+    let rows = vec![
+        Row {
+            engine: "linq",
+            median: bench_time(|| xs.take_while(|x| x < 2.0).count()),
+        },
+        Row {
+            engine: "vm_scalar",
+            median: bench_time(|| scalar.run(&ctx, &udfs).expect("run")),
+        },
+        Row {
+            engine: "vm_vectorized",
+            median: bench_time(|| vectorized.run(&ctx, &udfs).expect("run")),
+        },
+        Row {
+            engine: "hand",
+            median: bench_time(|| hand(&data)),
+        },
+    ];
+    report("take_while", n, rows, records);
+}
+
 /// One observed run of the acceptance workload through the facade with
 /// a live collector: prints the per-query profile and the metrics
 /// snapshot, and proves the snapshot JSON parses back.
@@ -424,7 +523,7 @@ fn profiled_acceptance_run() {
     println!("wrote metrics snapshot to {path}");
 }
 
-/// Runs all five workloads and returns their records.
+/// Runs all seven workloads and returns their records.
 fn measure() -> Vec<BenchRecord> {
     let mut records = Vec::new();
     sum_of_squares(&mut records);
@@ -432,6 +531,8 @@ fn measure() -> Vec<BenchRecord> {
     int_even_squares(&mut records);
     guarded_div_collatz(&mut records);
     average(&mut records);
+    take_skip(&mut records);
+    take_while(&mut records);
     records
 }
 

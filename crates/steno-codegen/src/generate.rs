@@ -7,7 +7,7 @@ use steno_quil::ir::{
 };
 use steno_quil::substitute::subst_chain;
 
-use crate::imp::{BlockId, ImpProgram, LoopHeader, SinkDecl, Stmt, Terminal};
+use crate::imp::{BlockId, ImpProgram, LoopHeader, SinkDecl, Stmt, Terminal, Window};
 use crate::scalarize::scalarize;
 
 /// An internal invariant violation during code generation. Lowered,
@@ -25,11 +25,19 @@ impl std::error::Error for GenError {}
 
 /// An `(α, μ, ω)` insertion-pointer triple (Fig. 5): statements are
 /// appended to the ends of these blocks.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 struct Ptrs {
     alpha: BlockId,
     mu: BlockId,
     omega: BlockId,
+    /// The block holding the `For` whose body is `μ`, while the pointers
+    /// are that loop's own; `None` after a Fig. 11 splice, whose stream
+    /// spans several loops and so has no single index window.
+    head: Option<BlockId>,
+    /// The bodies of the loops the stream runs through, outermost
+    /// first: one for a plain stream, more after a splice. An early exit
+    /// must leave every one of them.
+    bodies: Vec<BlockId>,
 }
 
 /// What iterating the pending sink produces, beyond the raw element.
@@ -92,7 +100,43 @@ impl Gen {
     }
 
     fn ptrs(&self) -> Ptrs {
-        *self.stack.last().expect("insertion-pointer stack empty")
+        self.stack
+            .last()
+            .expect("insertion-pointer stack empty")
+            .clone()
+    }
+
+    /// Folds a positional operator into the window of the current loop,
+    /// when the pointers are the loop's own and its body `μ` so far
+    /// satisfies `fits`. Returns whether it folded.
+    fn fold_window(
+        &mut self,
+        fits: fn(&[Stmt]) -> bool,
+        op: impl FnOnce(Window) -> Window,
+    ) -> bool {
+        let Ptrs { mu, head, .. } = self.ptrs();
+        let Some(at) = head else {
+            return false;
+        };
+        if !fits(&self.blocks[mu.0]) {
+            return false;
+        }
+        for s in &mut self.blocks[at.0] {
+            if let Stmt::For { body, window, .. } = s {
+                if *body == mu {
+                    *window = op(*window);
+                    return true;
+                }
+            }
+        }
+        unreachable!("loop head block lacks the loop")
+    }
+
+    /// Puts `IfBreak(cond)` first in each of `bodies`.
+    fn break_at_tops(&mut self, bodies: &[BlockId], cond: &Expr) {
+        for b in bodies {
+            self.blocks[b.0].insert(0, Stmt::IfBreak { cond: cond.clone() });
+        }
     }
 
     fn fresh_elem(&mut self) -> String {
@@ -133,10 +177,17 @@ impl Gen {
                 header,
                 elem_var: elem_var.clone(),
                 body: mu,
+                window: Window::ALL,
             },
         );
         self.push_stmt(at, Stmt::BlockRef(omega));
-        self.stack.push(Ptrs { alpha, mu, omega });
+        self.stack.push(Ptrs {
+            alpha,
+            mu,
+            omega,
+            head: Some(at),
+            bodies: vec![mu],
+        });
         elem_var
     }
 
@@ -308,10 +359,17 @@ impl Gen {
                 kind: PredKind::Take(n),
                 ..
             } => {
-                // Counter-guarded predicate. A `break` would be incorrect
-                // after a nested splice (it would only exit the inner
-                // loop), so Take filters instead of exiting early.
-                let Ptrs { alpha, mu, .. } = self.ptrs();
+                // Selects are 1:1 and lazily never run past the window,
+                // so a take folds over a body of declarations.
+                let only_decls: fn(&[Stmt]) -> bool =
+                    |mu| mu.iter().all(|s| matches!(s, Stmt::Decl { .. }));
+                if self.fold_window(only_decls, |w| w.take(*n)) {
+                    return Ok(State::Iterating { elem });
+                }
+                // Otherwise a counter, checked at the top of every loop
+                // the stream runs through, so no upstream operator runs
+                // on an element the take will not pull.
+                let Ptrs { alpha, mu, bodies, .. } = self.ptrs();
                 let cnt = self.fresh_ctrl("taken");
                 self.push_stmt(
                     alpha,
@@ -321,12 +379,7 @@ impl Gen {
                         init: Expr::liti(0),
                     },
                 );
-                self.push_stmt(
-                    mu,
-                    Stmt::IfNotContinue {
-                        cond: Expr::var(cnt.clone()).lt(Expr::liti(*n as i64)),
-                    },
-                );
+                self.break_at_tops(&bodies, &Expr::var(cnt.clone()).ge(count_lit(*n)));
                 self.push_stmt(
                     mu,
                     Stmt::Assign {
@@ -340,6 +393,11 @@ impl Gen {
                 kind: PredKind::Skip(n),
                 ..
             } => {
+                // The interpreter runs upstream operators on skipped
+                // elements, so only a skip with nothing upstream folds.
+                if self.fold_window(<[Stmt]>::is_empty, |w| w.skip(*n)) {
+                    return Ok(State::Iterating { elem });
+                }
                 let Ptrs { alpha, mu, .. } = self.ptrs();
                 let cnt = self.fresh_ctrl("skipped");
                 self.push_stmt(
@@ -353,7 +411,7 @@ impl Gen {
                 self.push_stmt(
                     mu,
                     Stmt::If {
-                        cond: Expr::var(cnt.clone()).lt(Expr::liti(*n as i64)),
+                        cond: Expr::var(cnt.clone()).lt(count_lit(*n)),
                         then: vec![
                             Stmt::Assign {
                                 name: cnt.clone(),
@@ -371,32 +429,38 @@ impl Gen {
                 kind: PredKind::TakeWhile(p),
                 ..
             } => {
-                let Ptrs { alpha, mu, .. } = self.ptrs();
-                let taking = self.fresh_ctrl("taking");
+                let Ptrs { alpha, mu, bodies, .. } = self.ptrs();
+                let stop = subst(p, param, &Expr::var(elem.clone())).not();
+                if let [_] = bodies.as_slice() {
+                    self.push_stmt(mu, Stmt::IfBreak { cond: stop });
+                    return Ok(State::Iterating { elem });
+                }
+                // After a splice a break leaves only the innermost loop:
+                // raise a flag that every enclosing stream loop checks
+                // at its top.
+                let done = self.fresh_ctrl("done");
                 self.push_stmt(
                     alpha,
                     Stmt::Decl {
-                        name: taking.clone(),
+                        name: done.clone(),
                         ty: Ty::Bool,
-                        init: Expr::litb(true),
+                        init: Expr::litb(false),
                     },
                 );
-                let cond = Expr::var(taking.clone())
-                    .and(subst(p, param, &Expr::var(elem.clone())));
                 self.push_stmt(
                     mu,
-                    Stmt::If {
-                        cond,
-                        then: vec![],
-                        els: vec![
-                            Stmt::Assign {
-                                name: taking,
-                                expr: Expr::litb(false),
-                            },
-                            Stmt::Continue,
-                        ],
+                    Stmt::Assign {
+                        name: done.clone(),
+                        expr: stop,
                     },
                 );
+                self.push_stmt(
+                    mu,
+                    Stmt::IfBreak {
+                        cond: Expr::var(done.clone()),
+                    },
+                );
+                self.break_at_tops(&bodies[..bodies.len() - 1], &Expr::var(done));
                 Ok(State::Iterating { elem })
             }
             QuilOp::Pred {
@@ -430,7 +494,7 @@ impl Gen {
                 Ok(State::Iterating { elem })
             }
             QuilOp::Sink(sink_op) => {
-                let Ptrs { alpha, mu, omega } = self.ptrs();
+                let Ptrs { alpha, mu, omega, .. } = self.ptrs();
                 let sink = self.fresh_sink();
                 let bind = |e: &Expr| subst(e, &sink_op.param, &Expr::var(elem.clone()));
                 match &sink_op.kind {
@@ -680,15 +744,25 @@ impl Gen {
                     .stack
                     .pop()
                     .ok_or_else(|| GenError("pointer stack underflow (outer)".into()))?;
+                let mut bodies = outer.bodies;
+                bodies.extend(inner.bodies);
                 self.stack.push(Ptrs {
                     alpha: outer.alpha,
                     mu: inner.mu,
                     omega: outer.omega,
+                    head: None,
+                    bodies,
                 });
                 Ok(State::Iterating { elem })
             }
         }
     }
+}
+
+/// An element count as an i64 literal, saturating at `i64::MAX` (no
+/// loop runs that long).
+fn count_lit(n: usize) -> Expr {
+    Expr::liti(i64::try_from(n).unwrap_or(i64::MAX))
 }
 
 /// Generates an imperative program for a QUIL chain.
@@ -972,22 +1046,116 @@ mod tests {
     }
 
     #[test]
-    fn take_skip_emit_counters() {
+    fn take_skip_fold_into_window() {
+        // Leading positional operators become the loop's index window:
+        // no counters, no guards, the body is just the yield.
         let p = gen(Query::source("xs").skip(2).take(3).build());
-        let names = flat_names(&p);
-        // Two counter declarations precede the loop.
-        assert_eq!(
-            names.iter().filter(|n| n.starts_with("Decl")).count(),
-            2,
-            "{names:?}"
+        let flat = p.flatten(p.root);
+        assert_eq!(flat.len(), 1, "{flat:?}");
+        let Stmt::For { body, window, .. } = &flat[0] else {
+            panic!("loop expected, got {:?}", flat[0]);
+        };
+        assert_eq!(*window, Window { skip: 2, take: Some(3) });
+        assert!(matches!(p.flatten(*body).as_slice(), [Stmt::Yield { .. }]));
+
+        // A take folds over selects (they are 1:1); a skip after a select
+        // keeps its counter, because the interpreter evaluates the select
+        // on skipped elements. The take after it then counts too.
+        let p = gen(
+            Query::source("xs")
+                .take(5)
+                .select(Expr::var("x") + Expr::litf(1.0), "x")
+                .take(4)
+                .skip(1)
+                .take(2)
+                .build(),
         );
         let flat = p.flatten(p.root);
-        let Stmt::For { body, .. } = flat.last().unwrap() else {
+        let Stmt::For { body, window, .. } = flat.last().unwrap() else {
             panic!("loop expected last");
         };
+        assert_eq!(*window, Window { skip: 0, take: Some(4) });
+        let names = flat_names(&p);
+        assert_eq!(names.iter().filter(|n| n.starts_with("Decl")).count(), 2, "{names:?}");
         let body = p.flatten(*body);
-        assert!(matches!(&body[0], Stmt::If { .. })); // skip guard
-        assert!(matches!(&body[1], Stmt::IfNotContinue { .. })); // take guard
+        assert!(matches!(&body[0], Stmt::IfBreak { cond }
+            if cond.to_string() == "(taken_1 >= 2)"), "{body:?}");
+        assert!(matches!(&body[1], Stmt::Decl { .. }));
+        assert!(matches!(&body[2], Stmt::If { .. })); // skip counter
+
+        // Window arithmetic saturates.
+        let w = Window::ALL.skip(usize::MAX).take(usize::MAX).skip(5);
+        assert_eq!(w, Window { skip: usize::MAX, take: Some(usize::MAX - 5) });
+        assert_eq!(Window::ALL.take(3).skip(10), Window { skip: 3, take: Some(0) });
+    }
+
+    #[test]
+    fn take_after_where_breaks_at_the_top_of_the_body() {
+        // The counter check comes first, so neither the filter nor the
+        // select runs on an element the take will not pull.
+        let p = gen(
+            Query::source("ns")
+                .where_((Expr::liti(100) / Expr::var("x")).gt(Expr::liti(1)), "x")
+                .take(3)
+                .sum()
+                .build(),
+        );
+        let flat = p.flatten(p.root);
+        assert!(matches!(&flat[0], Stmt::Decl { name, init, .. }
+            if name == "taken_0" && *init == Expr::liti(0)));
+        let Stmt::For { body, window, .. } = &flat[2] else {
+            panic!("loop expected, got {:?}", flat[2]);
+        };
+        assert_eq!(*window, Window::ALL);
+        let body = p.flatten(*body);
+        assert!(matches!(&body[0], Stmt::IfBreak { cond }
+            if cond.to_string() == "(taken_0 >= 3)"), "{body:?}");
+        assert!(matches!(&body[1], Stmt::IfNotContinue { .. }));
+        assert!(matches!(&body[2], Stmt::Assign { name, .. } if name == "taken_0"));
+        assert!(matches!(&body[3], Stmt::Assign { name, .. } if name == "agg_0"));
+    }
+
+    #[test]
+    fn take_while_breaks_and_splices_raise_a_flag() {
+        let p = gen(
+            Query::source("xs")
+                .take_while(Expr::var("x").lt(Expr::litf(2.0)), "x")
+                .count()
+                .build(),
+        );
+        let flat = p.flatten(p.root);
+        let Stmt::For { body, .. } = &flat[1] else {
+            panic!("loop expected, got {:?}", flat[1]);
+        };
+        let body = p.flatten(*body);
+        assert!(matches!(&body[0], Stmt::IfBreak { cond }
+            if cond.to_string() == "(!(elem_0 < 2.0))"), "{body:?}");
+
+        // After select_many the break leaves only the inner loop; the
+        // outer loop checks the flag at its top.
+        let p = gen(
+            Query::source("xs")
+                .select_many(Query::source("ys"), "x")
+                .take_while(Expr::var("y").lt(Expr::litf(2.0)), "y")
+                .count()
+                .build(),
+        );
+        let flat = p.flatten(p.root);
+        assert!(flat.iter().any(|s| matches!(s, Stmt::Decl { name, .. } if name == "done_0")));
+        let Some(Stmt::For { body, .. }) = flat.iter().find(|s| matches!(s, Stmt::For { .. }))
+        else {
+            panic!("outer loop expected");
+        };
+        let outer = p.flatten(*body);
+        assert!(matches!(&outer[0], Stmt::IfBreak { cond } if cond.to_string() == "done_0"));
+        let Some(Stmt::For { body: inner, .. }) =
+            outer.iter().find(|s| matches!(s, Stmt::For { .. }))
+        else {
+            panic!("inner loop expected");
+        };
+        let inner = p.flatten(*inner);
+        assert!(matches!(&inner[0], Stmt::Assign { name, .. } if name == "done_0"));
+        assert!(matches!(&inner[1], Stmt::IfBreak { cond } if cond.to_string() == "done_0"));
     }
 
     #[test]

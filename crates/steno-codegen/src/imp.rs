@@ -55,6 +55,45 @@ pub enum LoopHeader {
     },
 }
 
+/// The positional window of a loop: it visits the indices
+/// `skip..skip + take` of its header's range, clipped to that range.
+/// `take: None` runs to the end. Leading `skip`/`take` operators fold
+/// into it (DESIGN.md §8), so the loop never touches elements outside it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Window {
+    /// Indices skipped at the start of the range.
+    pub skip: usize,
+    /// Most indices visited after the skipped ones.
+    pub take: Option<usize>,
+}
+
+impl Window {
+    /// The whole range.
+    pub const ALL: Window = Window { skip: 0, take: None };
+
+    /// This window followed by `skip(n)`: `lo = min(lo + n, hi)`.
+    pub fn skip(self, n: usize) -> Window {
+        match self.take {
+            None => Window { skip: self.skip.saturating_add(n), take: None },
+            Some(t) => {
+                let n = n.min(t);
+                Window { skip: self.skip.saturating_add(n), take: Some(t - n) }
+            }
+        }
+    }
+
+    /// This window followed by `take(n)`: `hi = min(hi, lo + n)`.
+    pub fn take(self, n: usize) -> Window {
+        Window { skip: self.skip, take: Some(self.take.map_or(n, |t| t.min(n))) }
+    }
+
+    /// The exclusive upper index bound, `lo + take` (saturating), or
+    /// `None` when the window runs to the end of the range.
+    pub fn end(self) -> Option<usize> {
+        self.take.map(|t| self.skip.saturating_add(t))
+    }
+}
+
 /// What kind of intermediate collection a sink variable holds.
 #[derive(Clone, Debug, PartialEq)]
 pub enum SinkDecl {
@@ -110,13 +149,15 @@ pub enum Stmt {
         elem_var: String,
         /// The loop body block.
         body: BlockId,
+        /// The indices of the header's range the loop visits.
+        window: Window,
     },
     /// `if !(cond) { continue; }` — the predicate form of Fig. 6(b).
     IfNotContinue {
         /// The predicate that must hold for the element to survive.
         cond: Expr,
     },
-    /// `if cond { break; }`.
+    /// `if cond { break; }`: leaves the innermost loop.
     IfBreak {
         /// Loop-exit condition.
         cond: Expr,
@@ -280,6 +321,7 @@ mod tests {
                 header: LoopHeader::Range { start: 0, count: 3 },
                 elem_var: "elem_0".into(),
                 body: BlockId(2),
+                window: Window::ALL,
             },
         ];
         blocks[2] = vec![Stmt::Assign {

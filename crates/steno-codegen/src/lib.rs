@@ -23,5 +23,5 @@ pub mod printer;
 mod scalarize;
 
 pub use generate::{generate, GenError};
-pub use imp::{BlockId, ImpProgram, LoopHeader, SinkDecl, Stmt, Terminal};
+pub use imp::{BlockId, ImpProgram, LoopHeader, SinkDecl, Stmt, Terminal, Window};
 pub use printer::render_rust;

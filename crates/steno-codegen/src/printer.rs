@@ -11,7 +11,7 @@ use std::collections::HashSet;
 
 use steno_expr::{Expr, Value};
 
-use crate::imp::{BlockId, ImpProgram, LoopHeader, SinkDecl, Stmt, Terminal};
+use crate::imp::{BlockId, ImpProgram, LoopHeader, SinkDecl, Stmt, Terminal, Window};
 
 /// A growing indented text buffer.
 struct Writer {
@@ -84,6 +84,22 @@ pub fn render_expr(e: &Expr) -> String {
     }
 }
 
+/// The index range of a windowed loop over `len` elements:
+/// `lo..len`, or `lo..hi.min(len)` when the window has an end.
+fn index_range(w: Window, len: &str) -> String {
+    match w.end() {
+        None => format!("{}..{len}", w.skip),
+        Some(hi) => format!("{}..{hi}usize.min({len})", w.skip),
+    }
+}
+
+/// The window of a loop over a statically known `count` of elements,
+/// clipped to it.
+fn static_range(w: Window, count: usize) -> (usize, usize) {
+    let hi = w.end().map_or(count, |hi| hi.min(count));
+    (w.skip.min(hi), hi)
+}
+
 fn collect_assigned(p: &ImpProgram, id: BlockId, out: &mut HashSet<String>) {
     for stmt in p.block(id) {
         match stmt {
@@ -124,33 +140,45 @@ fn render_stmt(w: &mut Writer, stmt: &Stmt, assigned: &HashSet<String>, p: &ImpP
             header,
             elem_var,
             body,
+            window,
         } => {
             match header {
                 LoopHeader::Source { name, .. } => {
                     // Indexed access "enables the compiler to hoist the
                     // array bounds check" (§4.2).
-                    w.line(&format!("for __i in 0..{name}.len() {{"));
+                    let range = index_range(*window, &format!("{name}.len()"));
+                    w.line(&format!("for __i in {range} {{"));
                     w.indent += 1;
                     w.line(&format!("let {elem_var} = {name}[__i];"));
                 }
                 LoopHeader::Range { start, count } => {
-                    w.line(&format!("for __i in 0..{count}usize {{"));
+                    let (lo, hi) = static_range(*window, *count);
+                    w.line(&format!("for __i in {lo}..{hi}usize {{"));
                     w.indent += 1;
                     w.line(&format!("let {elem_var} = {start}i64 + __i as i64;"));
                 }
                 LoopHeader::Repeat { value, count } => {
-                    w.line(&format!("for __i in 0..{count}usize {{"));
+                    let (lo, hi) = static_range(*window, *count);
+                    w.line(&format!("for __i in {lo}..{hi}usize {{"));
                     w.indent += 1;
                     w.line(&format!("let {elem_var} = {};", value_literal(value)));
                 }
                 LoopHeader::SeqExpr { expr, .. } => {
                     w.line(&format!("let __seq = {};", render_expr(expr)));
-                    w.line("for __i in 0..__seq.len() {");
+                    let range = index_range(*window, "__seq.len()");
+                    w.line(&format!("for __i in {range} {{"));
                     w.indent += 1;
                     w.line(&format!("let {elem_var} = __seq[__i];"));
                 }
                 LoopHeader::Sink { name, .. } => {
-                    w.line(&format!("for {elem_var} in {name}.iter() {{"));
+                    let mut iter = format!("{name}.iter()");
+                    if window.skip > 0 {
+                        iter.push_str(&format!(".skip({})", window.skip));
+                    }
+                    if let Some(t) = window.take {
+                        iter.push_str(&format!(".take({t})"));
+                    }
+                    w.line(&format!("for {elem_var} in {iter} {{"));
                     w.indent += 1;
                 }
             }
@@ -161,9 +189,12 @@ fn render_stmt(w: &mut Writer, stmt: &Stmt, assigned: &HashSet<String>, p: &ImpP
         Stmt::IfNotContinue { cond } => {
             w.line(&format!("if !{} {{ continue; }}", render_expr(cond)));
         }
-        Stmt::IfBreak { cond } => {
-            w.line(&format!("if {} {{ break; }}", render_expr(cond)));
-        }
+        Stmt::IfBreak { cond } => match cond {
+            Expr::Un(steno_expr::expr::UnOp::Not, c) => {
+                w.line(&format!("if !{} {{ break; }}", render_expr(c)));
+            }
+            _ => w.line(&format!("if {} {{ break; }}", render_expr(cond))),
+        },
         Stmt::If { cond, then, els } => {
             w.line(&format!("if {} {{", render_expr(cond)));
             w.indent += 1;
@@ -339,6 +370,45 @@ return (agg_1 / (agg_2 as f64));
         let agg_pos = text.find("agg_0 = ").unwrap();
         let inner_loop_pos = text.find("0..ys.len()").unwrap();
         assert!(agg_pos > inner_loop_pos, "aggregate inside inner loop");
+    }
+
+    #[test]
+    fn windowed_loop_prints_an_index_range() {
+        let text = render(Query::source("xs").skip(2).take(3).sum().build());
+        assert_eq!(
+            text,
+            "\
+// -> f64
+let mut agg_0: f64 = 0.0;
+for __i in 2..5usize.min(xs.len()) {
+    let elem_0 = xs[__i];
+    agg_0 = (agg_0 + elem_0);
+}
+return agg_0;
+"
+        );
+    }
+
+    #[test]
+    fn take_while_prints_a_break() {
+        let text = render(
+            Query::source("xs")
+                .take_while(Expr::var("x").lt(Expr::litf(2.0)), "x")
+                .build(),
+        );
+        assert_eq!(
+            text,
+            "\
+// -> Vec<f64>
+let mut __out = Vec::new();
+for __i in 0..xs.len() {
+    let elem_0 = xs[__i];
+    if !(elem_0 < 2.0) { break; }
+    __out.push(elem_0);
+}
+return __out;
+"
+        );
     }
 
     #[test]

@@ -25,6 +25,7 @@
 //! loops, multiple yields — falls back to the scalar bytecode path, and
 //! the compiler records why (see `Program::batch_fallbacks`).
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use steno_expr::Value;
@@ -237,6 +238,11 @@ pub enum BOp {
     /// Intersect the selection vector with mask `b[m]` (a `Where`
     /// clause). Subsequent folds/effects see only surviving lanes.
     Filter(u8),
+    /// Early exit (`IfBreak`): keep the live lanes before the first live
+    /// lane where `b[c]` holds; when one does, the loop ends after this
+    /// batch. The compiler emits it only with no trapping op and no
+    /// effect before it on the tape, since those ran on every lane.
+    Cut(u8),
 
     // -- folds (strict, ascending element order over live lanes) -------
     /// `f_acc[acc] += f[val]` per live lane.
@@ -346,6 +352,8 @@ pub enum BOp {
 /// tape; execution never touches it.
 #[derive(Clone, Debug, PartialEq)]
 pub struct BatchShadow {
+    /// The source index window as the vectorizer recorded it.
+    pub window: Range<usize>,
     /// f64 slot count before packing.
     pub n_f: u8,
     /// i64 slot count before packing.
@@ -379,6 +387,10 @@ pub struct BatchProgram {
     pub src: SrcId,
     /// The source's element lane.
     pub src_lane: Lane,
+    /// The source indices the loop visits (the IMP loop's positional
+    /// window), clipped to the column at run time; `0..usize::MAX` is
+    /// the whole column.
+    pub window: Range<usize>,
     /// Loop-invariant f64 inputs, read from these registers at entry.
     pub f_params: Vec<FReg>,
     /// Loop-invariant i64/bool inputs (bools live in I registers).
@@ -440,6 +452,17 @@ impl BatchData<'_> {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// The part of the column inside `window`, which is clipped to it.
+    pub fn window(self, window: &Range<usize>) -> Self {
+        let hi = window.end.min(self.len());
+        let r = window.start.min(hi)..hi;
+        match self {
+            BatchData::F(xs) => BatchData::F(&xs[r]),
+            BatchData::I(xs) => BatchData::I(&xs[r]),
+            BatchData::B(xs) => BatchData::B(&xs[r]),
+        }
     }
 }
 
@@ -507,10 +530,13 @@ pub fn run_batch(
         // points: cancellation/deadline latency is bounded by one
         // 1024-lane tape pass. Inert interrupts cost two Option checks.
         interrupt.check()?;
-        let len = (total - start).min(BATCH);
+        let n_in = (total - start).min(BATCH);
+        // A dense cut shortens the batch in place.
+        let mut len = n_in;
         // Selection state resets per chunk: dense until a Filter fires.
         let mut dense = true;
         sel.clear();
+        let mut cut = false;
 
         // Kernel helpers. Slot packing reuses dead slots, so a
         // destination may alias its sources; the `_any` kernels pick a
@@ -695,6 +721,19 @@ pub fn run_batch(
                     }
                 }
 
+                BOp::Cut(c) => {
+                    let stop = &b_bank[c as usize];
+                    if dense {
+                        if let Some(k) = kernels::first_set(stop, len) {
+                            len = k;
+                            cut = true;
+                        }
+                    } else if let Some(j) = sel.iter().position(|&k| stop[k as usize]) {
+                        sel.truncate(j);
+                        cut = true;
+                    }
+                }
+
                 BOp::RedAddF { acc, val } => kernels::fold(
                     &mut f_accs[acc as usize],
                     &f_bank[val as usize],
@@ -816,10 +855,13 @@ pub fn run_batch(
         }
         if let Some(p) = prof.as_deref_mut() {
             p.batches += 1;
-            p.batch_elements_in += len as u64;
+            p.batch_elements_in += n_in as u64;
             p.batch_elements_selected += if dense { len } else { sel.len() } as u64;
         }
-        start += len;
+        if cut {
+            break;
+        }
+        start += n_in;
     }
     Ok(())
 }
@@ -872,6 +914,7 @@ mod tests {
         let bp = BatchProgram {
             src: 0,
             src_lane: Lane::F,
+            window: 0..usize::MAX,
             f_params: vec![],
             i_params: vec![],
             f_accs: vec![0],
@@ -919,6 +962,7 @@ mod tests {
         let bp = BatchProgram {
             src: 0,
             src_lane: Lane::I,
+            window: 0..usize::MAX,
             f_params: vec![],
             i_params: vec![],
             f_accs: vec![],
@@ -966,6 +1010,7 @@ mod tests {
         let bp = BatchProgram {
             src: 0,
             src_lane: Lane::I,
+            window: 0..usize::MAX,
             f_params: vec![],
             i_params: vec![],
             f_accs: vec![],
@@ -1035,6 +1080,7 @@ mod tests {
         let bp = BatchProgram {
             src: 0,
             src_lane: Lane::F,
+            window: 0..usize::MAX,
             f_params: vec![],
             i_params: vec![],
             f_accs: vec![],
@@ -1097,6 +1143,7 @@ mod tests {
         let bp = BatchProgram {
             src: 0,
             src_lane: Lane::B,
+            window: 0..usize::MAX,
             f_params: vec![3, 4],
             i_params: vec![],
             f_accs: vec![],
@@ -1145,6 +1192,7 @@ mod tests {
         let bp = BatchProgram {
             src: 0,
             src_lane: Lane::F,
+            window: 0..usize::MAX,
             f_params: vec![],
             i_params: vec![],
             f_accs: vec![0],

@@ -22,6 +22,12 @@
 //!   interval fact excluding zero, *re-derived here* from
 //!   [`steno_analysis::analyze`] on the recorded divisor expression —
 //!   the checker recomputes the proof rather than trusting compile.rs.
+//! * **Cut** — every early-exit `Cut` on a batch tape is preceded by no
+//!   trapping division and no effect (fold, group upsert, yield): those
+//!   run eagerly on every lane of the batch, including lanes past the
+//!   exit the scalar loop never reaches. Re-derived from the tape, not
+//!   trusted from the vectorizer, and the loop's index window must equal
+//!   the one its shadow recorded.
 //! * **Equiv** — the optimized tape is equivalent to its shadow
 //!   (pre-optimization) tape by symbolic execution: cut-point
 //!   bisimulation for the scalar tape (validating hoisting, pair
@@ -33,7 +39,7 @@
 //! model than the passes it audits (must-defined bitsets, hash-consed
 //! symbolic values, ordered effect streams) so a bug in a pass and a
 //! bug in the checker are unlikely to coincide. Its own evidence of
-//! strength is `tests/tape_mutation.rs`: nine classes of deliberate
+//! strength is `tests/tape_mutation.rs`: ten classes of deliberate
 //! miscompile injected into real corpus tapes, every one rejected.
 
 use std::collections::HashMap;
@@ -59,6 +65,8 @@ pub enum ObligationKind {
     Polls,
     /// Unchecked division justified by a re-derived interval fact.
     Div,
+    /// Early-exit cut preceded by no trap and no effect.
+    Cut,
     /// Optimized tape equivalent to its pre-optimization shadow.
     Equiv,
 }
@@ -70,6 +78,7 @@ impl fmt::Display for ObligationKind {
             ObligationKind::Dataflow => "dataflow",
             ObligationKind::Polls => "polls",
             ObligationKind::Div => "div",
+            ObligationKind::Cut => "cut",
             ObligationKind::Equiv => "equiv",
         };
         f.write_str(s)
@@ -108,6 +117,8 @@ pub struct TapeReport {
     pub polls: u32,
     /// Unchecked divisions re-justified from interval analysis.
     pub div: u32,
+    /// Early-exit cuts proven to follow no trap and no effect.
+    pub cut: u32,
     /// Equivalence cut-points / kernel shapes discharged symbolically.
     pub equiv: u32,
 }
@@ -115,15 +126,15 @@ pub struct TapeReport {
 impl TapeReport {
     /// Total obligations discharged across all categories.
     pub fn total(&self) -> u32 {
-        self.cfg + self.dataflow + self.polls + self.div + self.equiv
+        self.cfg + self.dataflow + self.polls + self.div + self.cut + self.equiv
     }
 
     /// One-line summary for EXPLAIN output, e.g.
-    /// `passed (cfg 3, dataflow 17, polls 1, div 0, equiv 4)`.
+    /// `passed (cfg 3, dataflow 17, polls 1, div 0, cut 0, equiv 4)`.
     pub fn summary(&self) -> String {
         format!(
-            "passed (cfg {}, dataflow {}, polls {}, div {}, equiv {})",
-            self.cfg, self.dataflow, self.polls, self.div, self.equiv
+            "passed (cfg {}, dataflow {}, polls {}, div {}, cut {}, equiv {})",
+            self.cfg, self.dataflow, self.polls, self.div, self.cut, self.equiv
         )
     }
 }
@@ -644,6 +655,8 @@ struct BatchRun {
     /// `(operand syms, is_rem)` per unchecked division, in tape order.
     unchecked: Vec<(Sym, Sym, bool)>,
     reads: u32,
+    /// Cuts proven to follow no trap and no effect.
+    cuts: u32,
 }
 
 /// Symbolically executes one prologue+tape over `syms`, producing the
@@ -663,7 +676,10 @@ fn run_batch_tape(
         i: vec![None; n_i as usize],
         b: vec![None; n_b as usize],
     };
-    let mut run = BatchRun { effects: Vec::new(), unchecked: Vec::new(), reads: 0 };
+    let mut run = BatchRun { effects: Vec::new(), unchecked: Vec::new(), reads: 0, cuts: 0 };
+    // The first op that must not precede a cut: a trapping division or
+    // an effect, both of which run on every lane of the batch.
+    let mut eager: Option<&'static str> = None;
 
     fn oob(who: &str, lane: &str, s: u8, n: u8) -> CheckError {
         err(
@@ -733,6 +749,22 @@ fn run_batch_tape(
 
     let src = syms.intern(SymKey::SrcElem);
     for op in tape {
+        if eager.is_none() {
+            eager = match op {
+                BOp::DivI(..) | BOp::RemI(..) => Some("trapping division"),
+                BOp::RedAddF { .. }
+                | BOp::RedMinF { .. }
+                | BOp::RedMaxF { .. }
+                | BOp::RedAddI { .. }
+                | BOp::RedMinI { .. }
+                | BOp::RedMaxI { .. }
+                | BOp::MulRedAddF { .. }
+                | BOp::MulRedAddI { .. } => Some("fold"),
+                BOp::GroupAddF { .. } | BOp::GroupAddI { .. } => Some("group upsert"),
+                BOp::OutF(_) | BOp::OutI(_) | BOp::OutB(_) => Some("yield"),
+                _ => None,
+            };
+        }
         match *op {
             BOp::LoadF(d) => wr!(f, n_f, "f64", d, src),
             BOp::LoadI(d) => wr!(i, n_i, "i64", d, src),
@@ -945,6 +977,21 @@ fn run_batch_tape(
                 let x = rd!(b, n_b, "bool", m);
                 run.effects.push(Effect { tag: "filter", id: 0, args: vec![x] });
             }
+            BOp::Cut(m) => {
+                if let Some(what) = eager {
+                    return Err(err(
+                        ObligationKind::Cut,
+                        format!(
+                            "batch {who}: cut #{} follows a {what}, which runs on \
+                             lanes past the exit",
+                            run.cuts
+                        ),
+                    ));
+                }
+                let x = rd!(b, n_b, "bool", m);
+                run.effects.push(Effect { tag: "cut", id: 0, args: vec![x] });
+                run.cuts += 1;
+            }
 
             BOp::RedAddF { acc, val } => {
                 let x = rd!(f, n_f, "f64", val);
@@ -1044,6 +1091,7 @@ fn check_batch(bp: &BatchProgram, rep: &mut TapeReport) -> Result<(), CheckError
         &mut syms, bp.n_f, bp.n_i, bp.n_b, &bp.prologue, &bp.tape, "tape",
     )?;
     rep.dataflow += final_run.reads;
+    rep.cut += final_run.cuts;
 
     let Some(shadow) = &bp.shadow else {
         // Hand-assembled batch program: still hold it to the div-proof
@@ -1060,6 +1108,18 @@ fn check_batch(bp: &BatchProgram, rep: &mut TapeReport) -> Result<(), CheckError
         &shadow.tape,
         "shadow",
     )?;
+
+    // The window bounds which source elements the loop reads at all;
+    // no backend pass may move it.
+    if bp.window != shadow.window {
+        return Err(err(
+            ObligationKind::Equiv,
+            format!(
+                "batch window {:?} differs from the shadow's {:?}",
+                bp.window, shadow.window
+            ),
+        ));
+    }
 
     // A dropped zero-guard turns a trapping DivI into DivIUnchecked
     // *after* shadow capture. Check it before the effect streams so the

@@ -8,7 +8,7 @@
 
 use std::collections::HashMap;
 
-use steno_codegen::imp::{ImpProgram, LoopHeader, SinkDecl, Stmt, Terminal};
+use steno_codegen::imp::{ImpProgram, LoopHeader, SinkDecl, Stmt, Terminal, Window};
 use steno_expr::expr::{BinOp, UnOp};
 use steno_expr::{Expr, Ty, UdfRegistry, Value};
 
@@ -583,6 +583,7 @@ impl<'a> Compiler<'a> {
                 header,
                 elem_var,
                 body,
+                window,
             } => {
                 // Tier order: vectorized (typed batches, selection
                 // vectors) first, then the generic scalar loop. A refused
@@ -597,7 +598,7 @@ impl<'a> Compiler<'a> {
                 );
                 let mut vectorize_fallback = None;
                 if self.vectorize && !skip_batch {
-                    match self.try_vectorize_loop(p, header, elem_var, *body) {
+                    match self.try_vectorize_loop(p, header, elem_var, *body, *window) {
                         Ok(()) => {
                             self.loop_plans.push(LoopPlan {
                                 tier: LoopTier::Vectorized,
@@ -621,7 +622,7 @@ impl<'a> Compiler<'a> {
                     vectorize_fallback,
                     chosen_by,
                 });
-                self.compile_loop(p, header, elem_var, *body)
+                self.compile_loop(p, header, elem_var, *body, *window)
             }
             Stmt::IfNotContinue { cond } => {
                 let c = self.bool_expr(cond)?;
@@ -899,9 +900,11 @@ impl<'a> Compiler<'a> {
         header: &LoopHeader,
         elem_var: &str,
         body: steno_codegen::imp::BlockId,
+        window: Window,
     ) -> Result<(), CompileError> {
         // Pre-loop setup producing: a length register, an index register,
-        // and a closure-free per-iteration element load.
+        // and a closure-free per-iteration element load. The window
+        // starts the index at its `lo` and clamps the length to its `hi`.
         enum Load {
             SrcF(u32),
             SrcI(u32),
@@ -915,7 +918,7 @@ impl<'a> Compiler<'a> {
         }
         let idx = self.i();
         let len = self.i();
-        self.emit(Instr::ConstI(idx, 0));
+        self.emit(Instr::ConstI(idx, index_imm(window.skip)));
         let (load, elem_slot): (Load, (Loc, Ty)) = match header {
             LoopHeader::Source { name, elem_ty } => {
                 let sid = self.src_id(name);
@@ -993,6 +996,11 @@ impl<'a> Compiler<'a> {
                 )
             }
         };
+        if let Some(hi) = window.end() {
+            let r = self.i();
+            self.emit(Instr::ConstI(r, index_imm(hi)));
+            self.emit(Instr::MinI(len, len, r));
+        }
 
         let top = self.here();
         let cmp = self.i();
@@ -1062,6 +1070,12 @@ impl<'a> Compiler<'a> {
         restore(&mut self.scope, elem_var, saved);
         Ok(())
     }
+}
+
+/// A loop index bound as an i64 immediate, saturating at `i64::MAX`
+/// (past the end of any collection).
+fn index_imm(n: usize) -> i64 {
+    i64::try_from(n).unwrap_or(i64::MAX)
 }
 
 fn restore(
@@ -1465,6 +1479,7 @@ impl<'a> Compiler<'a> {
         header: &LoopHeader,
         elem_var: &str,
         body: steno_codegen::imp::BlockId,
+        window: Window,
     ) -> Result<(), FallbackReason> {
         use crate::batch::{BOp, BatchProgram, KeyRef, Lane};
 
@@ -1490,6 +1505,7 @@ impl<'a> Compiler<'a> {
                     }
                 }
                 Stmt::IfNotContinue { .. }
+                | Stmt::IfBreak { .. }
                 | Stmt::GroupAggUpdate { .. }
                 | Stmt::Yield { .. } => {}
                 Stmt::Assign { name, .. } => assigned.push(name),
@@ -1595,6 +1611,22 @@ impl<'a> Compiler<'a> {
                         return Err(FallbackReason::Shape("filter predicate is not boolean"));
                     }
                     at.tape.push(BOp::Filter(c));
+                }
+                Stmt::IfBreak { cond } => {
+                    let (lane, c) = self.vec_expr(&mut at, cond)?;
+                    if lane != Lane::B {
+                        return Err(FallbackReason::Shape("break condition is not boolean"));
+                    }
+                    // A batch runs everything before the cut on lanes
+                    // past it, which the scalar loop never reaches: only
+                    // pure, non-trapping work may precede it.
+                    if at.n_traps > 0 {
+                        return Err(FallbackReason::TrapBeforeCut);
+                    }
+                    if at.effects {
+                        return Err(FallbackReason::EffectBeforeCut);
+                    }
+                    at.tape.push(BOp::Cut(c));
                 }
                 Stmt::Assign { name, expr } => {
                     // Recognize acc = acc + e / acc.min(e) / acc.max(e).
@@ -1730,6 +1762,7 @@ impl<'a> Compiler<'a> {
         let mut bp = BatchProgram {
             src: sid,
             src_lane,
+            window: window.skip..window.end().unwrap_or(usize::MAX),
             f_params: at.f_params,
             i_params: at.i_params,
             f_accs: at.f_accs,
@@ -1746,6 +1779,7 @@ impl<'a> Compiler<'a> {
         // Reference tape for the tape verifier, captured before the
         // backend passes below rewrite the slots and ops.
         bp.shadow = Some(std::sync::Arc::new(crate::batch::BatchShadow {
+            window: bp.window.clone(),
             n_f: bp.n_f,
             n_i: bp.n_i,
             n_b: bp.n_b,

@@ -739,7 +739,8 @@ fn run_impl<const PROFILE: bool>(
                     (PreparedSource::I64(v), Lane::I) => BatchData::I(v.as_slice()),
                     (PreparedSource::Bool(v), Lane::B) => BatchData::B(v.as_slice()),
                     _ => return Err(shape("batch source lane mismatch")),
-                };
+                }
+                .window(&bp.window);
                 let mut f_accs: Vec<f64> =
                     bp.f_accs.iter().map(|r| fregs[*r as usize]).collect();
                 let mut i_accs: Vec<i64> =

@@ -451,6 +451,8 @@ pub fn plan(bp: &BatchProgram) -> Option<FusedTape> {
             BOp::LoadF(d) => ef[d as usize] = EF::X,
             BOp::LoadI(d) => ei[d as usize] = EI::X,
             BOp::LoadB(_) => return None,
+            // The fused loops run the whole column: no early exit.
+            BOp::Cut(_) => return None,
 
             BOp::MulF(d, a, b) => {
                 ef[d as usize] = match (ef[a as usize], ef[b as usize]) {

@@ -402,6 +402,13 @@ pub enum FallbackReason {
     /// A grouped fold ignores its value operand, but dropping it would
     /// erase a trap the scalar semantics produces.
     DroppedValueMayTrap,
+    /// A trapping op runs before an early-exit cut: eager batch
+    /// evaluation would trap on lanes past the exit, which the scalar
+    /// loop never reaches.
+    TrapBeforeCut,
+    /// A fold, group upsert or yield runs before an early-exit cut: the
+    /// batch would apply it to lanes past the exit.
+    EffectBeforeCut,
     /// An accumulator was read inside a value pipeline.
     AccumulatorInPipeline(String),
     /// A free variable is not an unboxed scalar register.
@@ -442,7 +449,9 @@ impl FallbackReason {
             FallbackReason::Budget(_) => "budget",
             FallbackReason::TrapUnderConditional
             | FallbackReason::TrapUnderShortCircuit
-            | FallbackReason::DroppedValueMayTrap => "trap-semantics",
+            | FallbackReason::DroppedValueMayTrap
+            | FallbackReason::TrapBeforeCut
+            | FallbackReason::EffectBeforeCut => "trap-semantics",
         }
     }
 }
@@ -479,6 +488,10 @@ impl std::fmt::Display for FallbackReason {
             FallbackReason::DroppedValueMayTrap => {
                 f.write_str("dropped group value could trap")
             }
+            FallbackReason::TrapBeforeCut => {
+                f.write_str("trapping op before an early exit")
+            }
+            FallbackReason::EffectBeforeCut => f.write_str("effect before an early exit"),
             FallbackReason::AccumulatorInPipeline(name) => {
                 write!(f, "accumulator `{name}` read inside a value pipeline")
             }

@@ -104,6 +104,21 @@ pub fn filter_dense(sel: &mut Vec<u32>, mask: &[bool; BATCH], len: usize) {
     }
 }
 
+/// The first lane of `mask[..len]` that is set. Scans 64-lane chunks
+/// with a branch-free OR first, so a mask with no set lane costs one
+/// vectorized pass.
+#[inline]
+pub fn first_set(mask: &[bool; BATCH], len: usize) -> Option<usize> {
+    let mut base = 0;
+    for chunk in mask[..len].chunks(64) {
+        if chunk.iter().fold(false, |a, &b| a | b) {
+            return chunk.iter().position(|&b| b).map(|k| base + k);
+        }
+        base += chunk.len();
+    }
+    None
+}
+
 /// Intersects an existing selection vector with a mask (order preserved).
 #[inline]
 pub fn filter_sel(sel: &mut Vec<u32>, mask: &[bool; BATCH]) {

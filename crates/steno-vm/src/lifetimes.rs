@@ -146,7 +146,7 @@ fn bop_slots_mut(op: &mut BOp, mut f: impl FnMut(BankK, &mut u8, bool)) {
             f(B, dst, true);
         }
 
-        BOp::Filter(m) => f(B, m, false),
+        BOp::Filter(m) | BOp::Cut(m) => f(B, m, false),
 
         BOp::RedAddF { val, .. } | BOp::RedMinF { val, .. } | BOp::RedMaxF { val, .. } => {
             f(F, val, false);
@@ -1025,6 +1025,7 @@ mod tests {
         let mut bp = BatchProgram {
             src: 0,
             src_lane: Lane::F,
+            window: 0..usize::MAX,
             f_params: vec![],
             i_params: vec![],
             f_accs: vec![0],
@@ -1078,6 +1079,7 @@ mod tests {
         let mut bp = BatchProgram {
             src: 0,
             src_lane: Lane::I,
+            window: 0..usize::MAX,
             f_params: vec![],
             i_params: vec![],
             f_accs: vec![],

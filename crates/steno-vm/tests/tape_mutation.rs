@@ -382,3 +382,44 @@ fn mangled_fused_kernel_caught() {
     assert!(mangled, "expected a fused SumF kernel");
     assert_rejected(&p, &[ObligationKind::Equiv], "mangled fused kernel");
 }
+
+// ---------------------------------------------------------------------
+// 10. Broken early exit: a fold hoisted above a `take_while` cut (it
+//     would fold lanes past the exit), or a loop's index window widened
+//     against the one its shadow recorded (it would read elements a
+//     `skip`/`take` excludes).
+// ---------------------------------------------------------------------
+#[test]
+fn fold_moved_above_a_cut_caught() {
+    let q = Query::source("xs")
+        .take_while(x().lt(Expr::litf(2.0)), "x")
+        .sum()
+        .build();
+    let mut p = compile(&q, &fctx(), StenoOptions::default());
+    let mut moved = false;
+    mutate_batch(&mut p, |bp| {
+        let cut = bp.tape.iter().position(|op| matches!(op, BOp::Cut(_)));
+        let fold = bp.tape.iter().position(|op| matches!(op, BOp::RedAddF { .. }));
+        if let (Some(cut), Some(fold)) = (cut, fold) {
+            let op = bp.tape.remove(fold);
+            bp.tape.insert(cut, op);
+            moved = true;
+        }
+    });
+    assert!(moved, "expected a Cut and a RedAddF in the batch tape");
+    assert_rejected(&p, &[ObligationKind::Cut], "fold moved above a cut");
+}
+
+#[test]
+fn widened_window_caught() {
+    let q = Query::source("ns").skip(10).take(100).sum().build();
+    let mut p = compile(&q, &ictx(), StenoOptions::default());
+    let mut widened = false;
+    mutate_batch(&mut p, |bp| {
+        assert_eq!(bp.window, 10..110);
+        bp.window = 0..usize::MAX;
+        widened = true;
+    });
+    assert!(widened);
+    assert_rejected(&p, &[ObligationKind::Equiv], "widened window");
+}

@@ -435,16 +435,22 @@ fn non_vectorizable_shapes_fall_back_and_agree() {
         .with_source("ys", vec![0.5, 2.0, -3.0])
         .with_source("ns", vec![7i64, 1, 4, 4, -2, 8, 0, 3, 3, 5]);
 
+    // Positional windows and the scalar-replaced average vectorize.
+    for q in [
+        Query::source("xs").take(3).sum().build(),
+        Query::source("xs").skip(2).take(3).build(),
+        Query::source("xs").average().build(),
+    ] {
+        check3_vectorized(&q, &c, &u);
+    }
+
     let cases = vec![
         Query::source("xs").order_by(x(), "x").build(),
         Query::source("ns").distinct().build(),
-        Query::source("xs").take(3).sum().build(),
-        Query::source("xs").skip(2).take(3).build(),
         Query::source("xs")
             .select_many(Query::source("ys").select(x() * Expr::var("y"), "y"), "x")
             .sum()
             .build(),
-        Query::source("xs").average().build(),
         Query::source("xs").first().build(),
     ];
     for q in &cases {

@@ -95,7 +95,9 @@ fn check_all_modes(q: &QueryExpr, data: &DataContext, udfs: &UdfRegistry, label:
 /// queries covering filters, maps, pagination, ordering, grouping,
 /// distinct, and guarded integer division — plus the pair-typed locals
 /// the code generator scalar-replaces (a filtered average, tuple
-/// aggregates including a swap and nested pairs, a pair `select`).
+/// aggregates including a swap and nested pairs, a pair `select`) and
+/// the positional early exits (windows over a source and over a sorted
+/// sink, a counter `take` after a filter, `take_while` after a select).
 const TEXT_CORPUS: &[&str] = &[
     "from x in ns where x % 2 == 0 select x * x",
     "(from x in xs select x * x).sum()",
@@ -125,6 +127,12 @@ const TEXT_CORPUS: &[&str] = &[
     "xs.aggregate((0.0, 1.0), |acc, x| (acc.1, acc.0 + x))",
     "xs.aggregate(((0.0, 0.0), 0), |acc, x| ((acc.0.0 + x, acc.0.1 + x * x), acc.1 + 1))",
     "xs.select(|x| (x, x * 2.0)).select(|p| p.0 + p.1).sum()",
+    "ns.select(|x| 1000 / x).take(40).sum()",
+    "ns.where(|x| x % 4 == 1).take(25).sum()",
+    "xs.select(|x| x * 0.5).take_while(|x| x < 20.0).sum()",
+    "xs.take(0).sum()",
+    "ns.skip(5000).count()",
+    "xs.order_by(|x| 0.0 - x).skip(2).take(5)",
 ];
 
 #[test]
