@@ -6,11 +6,12 @@
 //!
 //! * `adaptive_filter_reorder` — a UDF pipeline whose first filter is an
 //!   expensive degree-15 polynomial score that keeps everything and
-//!   whose second is a one-comparison cut that keeps ~2%. The UDF pins
-//!   the loop to the scalar tier (batch compute is dense, so predicate
-//!   order is *all* that matters there), and the rewrite pass — fed the
-//!   selectivities measured on a 512-element sample — moves the cheap
-//!   selective cut first. Rows: `vm_static` (rewrites off),
+//!   whose second is a one-comparison cut that keeps ~2%. Every plan is
+//!   compiled with `VectorizationPolicy::Off`, because predicate order
+//!   shows only on the scalar tier (batch compute is dense, so the batch
+//!   tier evaluates both predicates on every lane in either order), and
+//!   the rewrite pass — fed the selectivities measured on a 512-element
+//!   sample — moves the cheap selective cut first. Rows: `vm_static` (rewrites off),
 //!   `vm_adaptive` (feedback-directed), `hand` (the optimal-order loop).
 //! * `adaptive_drift` — a pipeline of the same score against an
 //!   *opposing* range cut (`x < cut`), under a workload shift. The plan
@@ -39,7 +40,7 @@ use bench::workloads::{scaled, uniform_doubles};
 use steno_expr::{DataContext, Expr, Ty, UdfRegistry, Value};
 use steno_query::{Query, QueryExpr};
 use steno_vm::query::CompileFeedback;
-use steno_vm::{CompiledQuery, StenoOptions};
+use steno_vm::{CompiledQuery, StenoOptions, VectorizationPolicy};
 
 const SAMPLES: usize = 7;
 const SMOKE_SAMPLES: usize = 5;
@@ -87,10 +88,9 @@ fn poly_eval(x: f64) -> f64 {
     e
 }
 
-/// One pure UDF in the output position: keeps the loop off the batch
-/// tier (dense batch compute is order-insensitive, so the scalar tier
-/// is where predicate order shows), and its purity fact is what lets
-/// the rewrite pass reorder around it at all.
+/// One pure UDF in the output position: its purity fact is what lets
+/// the rewrite pass reorder around it at all. (A pure call no longer
+/// keeps a loop off the batch tier; [`scalar_opts`] does.)
 fn registry() -> UdfRegistry {
     let mut udfs = UdfRegistry::new();
     udfs.register_pure("boost", vec![Ty::F64], Ty::F64, |args: &[Value]| {
@@ -126,10 +126,19 @@ fn pipeline_lt(score_floor: f64, cut: f64) -> QueryExpr {
         .build()
 }
 
+/// The options of every plan here: the scalar tier, where predicate
+/// order shows (see the module docs).
+fn scalar_opts() -> StenoOptions {
+    StenoOptions {
+        vectorize: VectorizationPolicy::Off,
+        ..StenoOptions::default()
+    }
+}
+
 fn compile_static(q: &QueryExpr, ctx: &DataContext, udfs: &UdfRegistry) -> CompiledQuery {
     let opts = StenoOptions {
         rewrites: false,
-        ..StenoOptions::default()
+        ..scalar_opts()
     };
     CompiledQuery::compile_with(q, ctx.into(), udfs, opts, CompileFeedback::default())
         .expect("compile static")
@@ -143,7 +152,7 @@ fn compile_feedback(q: &QueryExpr, sample: &DataContext, udfs: &UdfRegistry) -> 
         sample_ctx: Some(sample),
         loop_stats: None,
     };
-    CompiledQuery::compile_with(q, sample.into(), udfs, StenoOptions::default(), fb)
+    CompiledQuery::compile_with(q, sample.into(), udfs, scalar_opts(), fb)
         .expect("compile feedback")
 }
 

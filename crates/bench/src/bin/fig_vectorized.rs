@@ -33,7 +33,7 @@ use std::time::Duration;
 
 use bench::harness::{best_time, median_time, merge_bench_json, smoke_gate, BenchRecord};
 use bench::workloads::{scaled, uniform_doubles};
-use steno_expr::{DataContext, Expr, UdfRegistry, Value};
+use steno_expr::{DataContext, Expr, Ty, UdfRegistry, Value};
 use steno_linq::Enumerable;
 use steno_query::{Query, QueryExpr};
 use steno_vm::query::{CompileFeedback, StenoOptions};
@@ -487,6 +487,58 @@ fn take_while(records: &mut Vec<BenchRecord>) {
     report("take_while", n, rows, records);
 }
 
+/// The pure UDF of [`pure_udf`], as the hand loop calls it.
+fn scale(x: f64) -> f64 {
+    x * 1.5 + 0.25
+}
+
+/// `xs.Select(|x| f(x)).Sum()` with `f` registered pure: the batch loop
+/// calls `f` once per lane from its `Call` op, the scalar loop once per
+/// element through boxed registers, and the hand loop calls the Rust
+/// function directly.
+fn pure_udf(records: &mut Vec<BenchRecord>) {
+    let n = scaled(1_000_000);
+    let data = uniform_doubles(n, 17);
+    let ctx = DataContext::new().with_source("xs", data.clone());
+    let mut udfs = UdfRegistry::new();
+    udfs.register_pure("f", vec![Ty::F64], Ty::F64, |args: &[Value]| {
+        Value::F64(scale(args[0].as_f64().unwrap_or(f64::NAN)))
+    });
+    let q = Query::source("xs")
+        .select(Expr::call("f", vec![Expr::var("x")]), "x")
+        .sum()
+        .build();
+    let (scalar, vectorized) = compile_tiers(&q, &ctx, &udfs);
+
+    let hand = |data: &[f64]| {
+        let mut s = 0.0;
+        for &x in data {
+            s += scale(x);
+        }
+        s
+    };
+    let expect = hand(&data);
+    for c in [&scalar, &vectorized] {
+        assert_eq!(c.run(&ctx, &udfs).expect("run"), Value::F64(expect));
+    }
+
+    let rows = vec![
+        Row {
+            engine: "vm_scalar",
+            median: bench_time(|| scalar.run(&ctx, &udfs).expect("run")),
+        },
+        Row {
+            engine: "vm_vectorized",
+            median: bench_time(|| vectorized.run(&ctx, &udfs).expect("run")),
+        },
+        Row {
+            engine: "hand",
+            median: bench_time(|| hand(&data)),
+        },
+    ];
+    report("pure_udf", n, rows, records);
+}
+
 /// One observed run of the acceptance workload through the facade with
 /// a live collector: prints the per-query profile and the metrics
 /// snapshot, and proves the snapshot JSON parses back.
@@ -523,7 +575,7 @@ fn profiled_acceptance_run() {
     println!("wrote metrics snapshot to {path}");
 }
 
-/// Runs all seven workloads and returns their records.
+/// Runs all eight workloads and returns their records.
 fn measure() -> Vec<BenchRecord> {
     let mut records = Vec::new();
     sum_of_squares(&mut records);
@@ -533,6 +585,7 @@ fn measure() -> Vec<BenchRecord> {
     average(&mut records);
     take_skip(&mut records);
     take_while(&mut records);
+    pure_udf(&mut records);
     records
 }
 

@@ -20,18 +20,24 @@
 //! Results are **bit-identical** to the scalar reference semantics:
 //! folds and effects consume live lanes in ascending element order, and
 //! trapping integer division checks exactly the lanes the scalar loop
-//! would evaluate (a dead lane dividing by zero must *not* fault).
-//! Anything that does not fit — boxed elements, UDF calls, nested
-//! loops, multiple yields — falls back to the scalar bytecode path, and
-//! the compiler records why (see `Program::batch_fallbacks`).
+//! would evaluate (a dead lane dividing by zero must *not* fault). A
+//! call to a UDF registered pure, whose parameters and result are all
+//! `f64`/`i64`/`bool`, is a `Call` op: the function runs once per live
+//! lane, in lane order, polling the interrupt like the scalar loop.
+//! Anything that does not fit — boxed elements, calls to impure or
+//! boxed-signature UDFs, nested loops, multiple yields — falls back to
+//! the scalar bytecode path, and the compiler records why (see
+//! `Program::batch_fallbacks`).
 
 use std::ops::Range;
 use std::sync::Arc;
 
+use steno_expr::udf::UdfFn;
 use steno_expr::Value;
 
-use crate::exec::VmError;
-use crate::instr::{FReg, IReg, SinkId, SrcId};
+use crate::exec::{unbox_b, unbox_f, unbox_i, VmError};
+use crate::instr::{FReg, IReg, SinkId, SrcId, UdfId};
+use crate::interrupt::POLL_STRIDE;
 use crate::kernels;
 use crate::sink::{upsert_sf, upsert_si, ScalarKey, SinkRt};
 
@@ -48,6 +54,18 @@ pub enum Lane {
     I,
     /// The bool bank.
     B,
+}
+
+impl Lane {
+    /// The lane holding values of type `ty`; `None` for a boxed type.
+    pub fn of(ty: &steno_expr::Ty) -> Option<Lane> {
+        match ty {
+            steno_expr::Ty::F64 => Some(Lane::F),
+            steno_expr::Ty::I64 => Some(Lane::I),
+            steno_expr::Ty::Bool => Some(Lane::B),
+            _ => None,
+        }
+    }
 }
 
 /// A loop-invariant slot fill, run once before the chunk loop.
@@ -76,6 +94,43 @@ pub enum KeyRef {
     I(u8),
     /// bool key slot.
     B(u8),
+}
+
+/// Most arguments a batch [`BOp::Call`] passes; a call with more stays
+/// on the scalar tier.
+pub const MAX_CALL_ARGS: usize = 3;
+
+/// The argument slots of a batch [`BOp::Call`], in parameter order,
+/// each tagged with its bank. Fixed-size so [`BOp`] stays `Copy`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct CallArgs {
+    len: u8,
+    slots: [(Lane, u8); MAX_CALL_ARGS],
+}
+
+impl CallArgs {
+    /// The arguments `slots`, or `None` past [`MAX_CALL_ARGS`].
+    pub fn new(slots: &[(Lane, u8)]) -> Option<CallArgs> {
+        if slots.len() > MAX_CALL_ARGS {
+            return None;
+        }
+        let mut args = CallArgs {
+            len: slots.len() as u8,
+            slots: [(Lane::F, 0); MAX_CALL_ARGS],
+        };
+        args.slots[..slots.len()].copy_from_slice(slots);
+        Some(args)
+    }
+
+    /// The argument slots.
+    pub fn as_slice(&self) -> &[(Lane, u8)] {
+        &self.slots[..self.len as usize]
+    }
+
+    /// The argument slots, for passes that renumber slots.
+    pub fn as_mut_slice(&mut self) -> &mut [(Lane, u8)] {
+        &mut self.slots[..self.len as usize]
+    }
 }
 
 /// One vectorized tape operation.
@@ -317,6 +372,22 @@ pub enum BOp {
     /// Push `b[s]` per live lane.
     OutB(u8),
 
+    // -- UDF calls (live lanes in order) -------------------------------
+    /// `dst = udfs[udf](args)` per live lane, in ascending lane order,
+    /// with the result unboxed exactly as the scalar tier's
+    /// `VToF`/`VToI`/`VToB` unbox it. Only a UDF registered pure with an
+    /// all-lane signature is called from a batch, so call count and
+    /// order are unobservable; a result of the wrong type is the op's
+    /// trap (`VmError::Shape`).
+    Call {
+        /// UDF index in the prepared registry.
+        udf: UdfId,
+        /// Argument slots, in parameter order.
+        args: CallArgs,
+        /// Destination bank (the return type's lane) and slot.
+        dst: (Lane, u8),
+    },
+
     // -- two-op fused kernels (see crate::fuse_kernels::peephole) ------
     /// `f[d] = f[a] * f[b] + f[c]` in one pass (two roundings, exactly
     /// as the unfused pair — not an FMA).
@@ -471,16 +542,17 @@ impl BatchData<'_> {
 /// `f_accs`/`i_accs` are the accumulator snapshots (updated in place and
 /// written back to registers by the caller); `f_params`/`i_params` are
 /// loop-invariant snapshots; `out` receives yielded elements in order.
-/// When `prof` is set, per-chunk batch counts and selection-vector
-/// density are accumulated into it (the `None` path stays untouched by
-/// profiling).
+/// `udfs` are the bound UDFs `Call` ops index. When `prof` is set,
+/// per-chunk batch counts, selection-vector density and UDF calls are
+/// accumulated into it (the `None` path stays untouched by profiling).
 ///
 /// # Errors
 ///
 /// [`VmError::DivisionByZero`] when a live lane of a `DivI`/`RemI`
-/// divides by zero — the same error the scalar loop would produce, and
+/// divides by zero, and [`VmError::Shape`] when a `Call` returns a value
+/// of the wrong type — the same error the scalar loop would produce, and
 /// with the same observable outcome, because the caller discards all
-/// partial state on `Err`.
+/// partial state on `Err`. The interrupt errors once it fires.
 #[allow(clippy::too_many_arguments)]
 pub fn run_batch(
     bp: &BatchProgram,
@@ -490,6 +562,7 @@ pub fn run_batch(
     f_params: &[f64],
     i_params: &[i64],
     sinks: &mut [SinkRt],
+    udfs: &[UdfFn],
     out: &mut Vec<Value>,
     mut prof: Option<&mut crate::profile::QueryProfile>,
     interrupt: &crate::interrupt::Interrupt,
@@ -521,6 +594,13 @@ pub fn run_batch(
             }
         }
     }
+
+    // One argument buffer for every call, and the scalar tier's poll
+    // budget, spent one unit per call: a slow UDF cannot hold a deadline
+    // for a whole batch.
+    let mut call_args: Vec<Value> = Vec::new();
+    let mut call_out: Option<Box<CallOut>> = None;
+    let mut intr_budget = POLL_STRIDE;
 
     let total = data.len();
     let mut sel: Vec<u32> = Vec::with_capacity(BATCH);
@@ -825,6 +905,43 @@ pub fn run_batch(
                     for_each_live(sel_opt!(), len, |k| out.push(Value::Bool(v[k])));
                 }
 
+                BOp::Call { udf, args, dst } => {
+                    // Results land in a scratch column first: packing may
+                    // give the destination an argument's slot.
+                    let mut cols = [ArgCol::B(&[false; BATCH]); MAX_CALL_ARGS];
+                    for (col, &(lane, s)) in cols.iter_mut().zip(args.as_slice()) {
+                        *col = match lane {
+                            Lane::F => ArgCol::F(&f_bank[s as usize]),
+                            Lane::I => ArgCol::I(&i_bank[s as usize]),
+                            Lane::B => ArgCol::B(&b_bank[s as usize]),
+                        };
+                    }
+                    call_args.clear();
+                    call_args.resize(args.as_slice().len(), Value::Bool(false));
+                    let mut call = LaneCall {
+                        f: udfs[udf as usize].as_ref(),
+                        cols: &cols[..args.as_slice().len()],
+                        args: &mut call_args,
+                        interrupt,
+                        budget: &mut intr_budget,
+                    };
+                    let out = call_out.get_or_insert_with(CallOut::new);
+                    let (lane, d) = dst;
+                    let calls = match lane {
+                        Lane::F => call.run(sel_opt!(), len, &mut out.f, unbox_f)?,
+                        Lane::I => call.run(sel_opt!(), len, &mut out.i, unbox_i)?,
+                        Lane::B => call.run(sel_opt!(), len, &mut out.b, unbox_b)?,
+                    };
+                    match lane {
+                        Lane::F => f_bank[d as usize][..len].copy_from_slice(&out.f[..len]),
+                        Lane::I => i_bank[d as usize][..len].copy_from_slice(&out.i[..len]),
+                        Lane::B => b_bank[d as usize][..len].copy_from_slice(&out.b[..len]),
+                    }
+                    if let Some(p) = prof.as_deref_mut() {
+                        p.udf_calls += calls;
+                    }
+                }
+
                 BOp::MulAddF(d, a, b, c) => {
                     kernels::map3_any(&mut f_bank, d, a, b, c, len, |x: f64, y: f64, z: f64| {
                         x * y + z
@@ -880,6 +997,126 @@ fn for_each_live(sel: Option<&[u32]>, len: usize, mut f: impl FnMut(usize)) {
                 f(k as usize);
             }
         }
+    }
+}
+
+/// A batch column a call argument is read from.
+#[derive(Clone, Copy)]
+enum ArgCol<'a> {
+    F(&'a [f64; BATCH]),
+    I(&'a [i64; BATCH]),
+    B(&'a [bool; BATCH]),
+}
+
+impl ArgCol<'_> {
+    #[inline]
+    fn value(self, k: usize) -> Value {
+        match self {
+            ArgCol::F(c) => Value::F64(c[k]),
+            ArgCol::I(c) => Value::I64(c[k]),
+            ArgCol::B(c) => Value::Bool(c[k]),
+        }
+    }
+}
+
+/// Per-lane results of a `Call`, one column per result lane.
+struct CallOut {
+    f: [f64; BATCH],
+    i: [i64; BATCH],
+    b: [bool; BATCH],
+}
+
+impl CallOut {
+    fn new() -> Box<CallOut> {
+        Box::new(CallOut {
+            f: [0.0; BATCH],
+            i: [0; BATCH],
+            b: [false; BATCH],
+        })
+    }
+}
+
+/// One `Call` op over one batch.
+struct LaneCall<'a, 'b> {
+    f: &'a (dyn Fn(&[Value]) -> Value + Send + Sync),
+    cols: &'a [ArgCol<'b>],
+    /// The reused argument buffer, one value per column.
+    args: &'a mut [Value],
+    interrupt: &'a crate::interrupt::Interrupt,
+    budget: &'a mut u32,
+}
+
+impl LaneCall<'_, '_> {
+    /// Calls the UDF once per live lane, in ascending lane order, polling
+    /// the interrupt before each call and unboxing each result into
+    /// `out`. Returns the number of calls. Kept out of `run_batch` so
+    /// the lane loop gets registers of its own.
+    #[inline(never)]
+    fn run<T>(
+        &mut self,
+        sel: Option<&[u32]>,
+        len: usize,
+        out: &mut [T; BATCH],
+        unbox: impl Fn(&Value) -> Result<T, VmError>,
+    ) -> Result<u64, VmError> {
+        match sel {
+            None => self.lanes(0..len, out, unbox),
+            Some(sel) => self.lanes(sel.iter().map(|&k| k as usize), out, unbox),
+        }
+    }
+
+    /// The lane loop. A one-argument call, the common case, gets a loop
+    /// per argument lane, so no lane pays to look up its column's type.
+    #[inline(always)]
+    fn lanes<T>(
+        &mut self,
+        lanes: impl Iterator<Item = usize>,
+        out: &mut [T; BATCH],
+        unbox: impl Fn(&Value) -> Result<T, VmError>,
+    ) -> Result<u64, VmError> {
+        match *self.cols {
+            [ArgCol::F(c)] => self.unary(lanes, out, unbox, |k| Value::F64(c[k])),
+            [ArgCol::I(c)] => self.unary(lanes, out, unbox, |k| Value::I64(c[k])),
+            [ArgCol::B(c)] => self.unary(lanes, out, unbox, |k| Value::Bool(c[k])),
+            _ => {
+                let polls = !self.interrupt.is_inert();
+                let mut calls = 0;
+                let (cols, args) = (self.cols, &mut *self.args);
+                for k in lanes {
+                    if polls {
+                        self.interrupt.poll(self.budget)?;
+                    }
+                    for (v, col) in args.iter_mut().zip(cols) {
+                        *v = col.value(k);
+                    }
+                    out[k] = unbox(&(self.f)(args))?;
+                    calls += 1;
+                }
+                Ok(calls)
+            }
+        }
+    }
+
+    #[inline(always)]
+    fn unary<T>(
+        &mut self,
+        lanes: impl Iterator<Item = usize>,
+        out: &mut [T; BATCH],
+        unbox: impl Fn(&Value) -> Result<T, VmError>,
+        value: impl Fn(usize) -> Value,
+    ) -> Result<u64, VmError> {
+        let polls = !self.interrupt.is_inert();
+        let mut calls = 0;
+        let arg = &mut self.args[0];
+        for k in lanes {
+            if polls {
+                self.interrupt.poll(self.budget)?;
+            }
+            *arg = value(k);
+            out[k] = unbox(&(self.f)(std::slice::from_ref(arg)))?;
+            calls += 1;
+        }
+        Ok(calls)
     }
 }
 
@@ -943,6 +1180,7 @@ mod tests {
             &[],
             &[],
             &mut empty_sinks(),
+            &[],
             &mut out,
             None,
             &crate::interrupt::Interrupt::none(),
@@ -994,6 +1232,7 @@ mod tests {
             &[],
             &[],
             &mut empty_sinks(),
+            &[],
             &mut out,
             None,
             &crate::interrupt::Interrupt::none(),
@@ -1041,6 +1280,7 @@ mod tests {
             &[],
             &[],
             &mut empty_sinks(),
+            &[],
             &mut out,
             None,
             &crate::interrupt::Interrupt::none(),
@@ -1067,6 +1307,7 @@ mod tests {
             &[],
             &[],
             &mut empty_sinks(),
+            &[],
             &mut out,
             None,
             &crate::interrupt::Interrupt::none(),
@@ -1118,6 +1359,7 @@ mod tests {
             &[],
             &[],
             &mut sinks,
+            &[],
             &mut out,
             None,
             &crate::interrupt::Interrupt::none(),
@@ -1175,6 +1417,7 @@ mod tests {
             &[2.5, -1.0],
             &[],
             &mut empty_sinks(),
+            &[],
             &mut out,
             None,
             &crate::interrupt::Interrupt::none(),
@@ -1224,6 +1467,7 @@ mod tests {
             &[],
             &[],
             &mut empty_sinks(),
+            &[],
             &mut out,
             None,
             &crate::interrupt::Interrupt::none(),

@@ -28,6 +28,11 @@
 //!   exit the scalar loop never reaches. Re-derived from the tape, not
 //!   trusted from the vectorizer, and the loop's index window must equal
 //!   the one its shadow recorded.
+//! * **Call** — every batch `Call` names a UDF the program records as
+//!   pure, its argument and destination lanes match the recorded
+//!   signature, and no trapping op of another error kind shares its
+//!   tape (the batch tier could otherwise report a different first
+//!   error than the scalar loop).
 //! * **Equiv** — the optimized tape is equivalent to its shadow
 //!   (pre-optimization) tape by symbolic execution: cut-point
 //!   bisimulation for the scalar tape (validating hoisting, pair
@@ -39,15 +44,15 @@
 //! model than the passes it audits (must-defined bitsets, hash-consed
 //! symbolic values, ordered effect streams) so a bug in a pass and a
 //! bug in the checker are unlikely to coincide. Its own evidence of
-//! strength is `tests/tape_mutation.rs`: ten classes of deliberate
+//! strength is `tests/tape_mutation.rs`: eleven classes of deliberate
 //! miscompile injected into real corpus tapes, every one rejected.
 
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
-use crate::batch::{BInit, BOp, BatchProgram, KeyRef};
-use crate::instr::{Instr, Program, ScalarShadow, SKey};
+use crate::batch::{BInit, BOp, BatchProgram, KeyRef, Lane};
+use crate::instr::{Instr, Program, ScalarShadow, SKey, UdfSig};
 use crate::lifetimes::{instr_io, RegBank};
 
 // ---------------------------------------------------------------------
@@ -67,6 +72,9 @@ pub enum ObligationKind {
     Div,
     /// Early-exit cut preceded by no trap and no effect.
     Cut,
+    /// Batch UDF call to a recorded pure UDF, lanes matching its
+    /// signature, alone in its tape's trap kind.
+    Call,
     /// Optimized tape equivalent to its pre-optimization shadow.
     Equiv,
 }
@@ -79,6 +87,7 @@ impl fmt::Display for ObligationKind {
             ObligationKind::Polls => "polls",
             ObligationKind::Div => "div",
             ObligationKind::Cut => "cut",
+            ObligationKind::Call => "call",
             ObligationKind::Equiv => "equiv",
         };
         f.write_str(s)
@@ -119,6 +128,9 @@ pub struct TapeReport {
     pub div: u32,
     /// Early-exit cuts proven to follow no trap and no effect.
     pub cut: u32,
+    /// Batch UDF calls proven pure, lane-correct and alone in their
+    /// tape's trap kind.
+    pub call: u32,
     /// Equivalence cut-points / kernel shapes discharged symbolically.
     pub equiv: u32,
 }
@@ -126,15 +138,15 @@ pub struct TapeReport {
 impl TapeReport {
     /// Total obligations discharged across all categories.
     pub fn total(&self) -> u32 {
-        self.cfg + self.dataflow + self.polls + self.div + self.cut + self.equiv
+        self.cfg + self.dataflow + self.polls + self.div + self.cut + self.call + self.equiv
     }
 
     /// One-line summary for EXPLAIN output, e.g.
-    /// `passed (cfg 3, dataflow 17, polls 1, div 0, cut 0, equiv 4)`.
+    /// `passed (cfg 3, dataflow 17, polls 1, div 0, cut 0, call 0, equiv 4)`.
     pub fn summary(&self) -> String {
         format!(
-            "passed (cfg {}, dataflow {}, polls {}, div {}, cut {}, equiv {})",
-            self.cfg, self.dataflow, self.polls, self.div, self.cut, self.equiv
+            "passed (cfg {}, dataflow {}, polls {}, div {}, cut {}, call {}, equiv {})",
+            self.cfg, self.dataflow, self.polls, self.div, self.cut, self.call, self.equiv
         )
     }
 }
@@ -151,6 +163,7 @@ pub fn check_program(p: &Program) -> Result<TapeReport, CheckError> {
     check_scalar_dataflow(&p.instrs, p.n_fregs, p.n_iregs, p.n_vregs, &mut rep)?;
     for ins in &p.instrs {
         if let Instr::BatchLoop(bp) = ins {
+            check_calls(bp, p, &mut rep)?;
             check_batch(bp, &mut rep)?;
         }
     }
@@ -762,6 +775,7 @@ fn run_batch_tape(
                 | BOp::MulRedAddI { .. } => Some("fold"),
                 BOp::GroupAddF { .. } | BOp::GroupAddI { .. } => Some("group upsert"),
                 BOp::OutF(_) | BOp::OutI(_) | BOp::OutB(_) => Some("yield"),
+                BOp::Call { .. } => Some("udf call"),
                 _ => None,
             };
         }
@@ -1050,6 +1064,31 @@ fn run_batch_tape(
                 run.effects.push(Effect { tag: "outb", id: 0, args: vec![x] });
             }
 
+            BOp::Call { udf, args, dst } => {
+                // An uninterpreted function of its arguments. The call
+                // can trap (a wrong-typed result), so it is also an
+                // effect that must stay in order.
+                let mut operands = vec![syms.ci(i64::from(udf))];
+                for &(lane, s) in args.as_slice() {
+                    operands.push(match lane {
+                        Lane::F => rd!(f, n_f, "f64", s),
+                        Lane::I => rd!(i, n_i, "i64", s),
+                        Lane::B => rd!(b, n_b, "bool", s),
+                    });
+                }
+                run.effects.push(Effect {
+                    tag: "call.trap",
+                    id: u64::from(udf),
+                    args: operands[1..].to_vec(),
+                });
+                let r = syms.apply("call", &operands);
+                match dst {
+                    (Lane::F, d) => wr!(f, n_f, "f64", d, r),
+                    (Lane::I, d) => wr!(i, n_i, "i64", d, r),
+                    (Lane::B, d) => wr!(b, n_b, "bool", d, r),
+                }
+            }
+
             BOp::MulAddF(d, a, b, c) => {
                 // Two roundings, product first: model exactly as the
                 // unfused pair so the shadow comparison is honest.
@@ -1079,6 +1118,75 @@ fn run_batch_tape(
         }
     }
     Ok(run)
+}
+
+/// The call obligation for every `Call` on one batch tape: the UDF
+/// index is in range, the program records the UDF as pure, the operand
+/// lanes match the recorded signature, and every trapping op on the
+/// tape raises the same error (a checked division raises
+/// `DivisionByZero`, a call the unbox error of its result lane).
+fn check_calls(bp: &BatchProgram, p: &Program, rep: &mut TapeReport) -> Result<(), CheckError> {
+    // The error kinds seen: `None` for a division's `DivisionByZero`,
+    // `Some(lane)` for a call's unbox error into that lane.
+    let mut kinds: Vec<Option<Lane>> = Vec::new();
+    let mut calls = 0;
+    for op in &bp.tape {
+        let kind = match *op {
+            BOp::DivI(..) | BOp::RemI(..) => None,
+            BOp::Call { udf, args, dst } => {
+                let name = p.udf_names.get(udf as usize).ok_or_else(|| {
+                    err(
+                        ObligationKind::Call,
+                        format!(
+                            "batch call to udf #{udf}, but the program names {}",
+                            p.udf_names.len()
+                        ),
+                    )
+                })?;
+                let Some(Some(UdfSig {
+                    params,
+                    ret,
+                    pure: true,
+                })) = p.udf_sigs.get(udf as usize)
+                else {
+                    return Err(err(
+                        ObligationKind::Call,
+                        format!(
+                            "batch call to udf `{name}`, which the program does not record as pure"
+                        ),
+                    ));
+                };
+                let want: Option<Vec<Lane>> = params.iter().map(Lane::of).collect();
+                let got: Vec<Lane> = args.as_slice().iter().map(|&(lane, _)| lane).collect();
+                if want.as_ref() != Some(&got) || Lane::of(ret) != Some(dst.0) {
+                    return Err(err(
+                        ObligationKind::Call,
+                        format!(
+                            "batch call to udf `{name}` passes lanes {got:?} into {:?}, but its \
+                             recorded signature is {params:?} -> {ret}",
+                            dst.0
+                        ),
+                    ));
+                }
+                calls += 1;
+                Some(dst.0)
+            }
+            _ => continue,
+        };
+        if !kinds.contains(&kind) {
+            kinds.push(kind);
+        }
+    }
+    if calls > 0 && kinds.len() > 1 {
+        return Err(err(
+            ObligationKind::Call,
+            format!(
+                "a batch call shares its tape with trapping ops of other error kinds ({kinds:?})"
+            ),
+        ));
+    }
+    rep.call += calls;
+    Ok(())
 }
 
 /// Checks one vectorized loop: slot dataflow on the optimized tape,

@@ -12,7 +12,7 @@ use steno_codegen::imp::{ImpProgram, LoopHeader, SinkDecl, Stmt, Terminal, Windo
 use steno_expr::expr::{BinOp, UnOp};
 use steno_expr::{Expr, Ty, UdfRegistry, Value};
 
-use crate::instr::{FallbackReason, Instr, LoopPlan, LoopTier, Pc, Program};
+use crate::instr::{FallbackReason, Instr, LoopPlan, LoopTier, Pc, Program, UdfSig};
 
 /// An error during bytecode assembly. Programs generated from lowered
 /// chains assemble cleanly; errors indicate unsupported shapes.
@@ -72,6 +72,8 @@ struct Compiler<'a> {
     src_names: Vec<String>,
     udf_ids: HashMap<String, u32>,
     udf_names: Vec<String>,
+    /// Per UDF id, the signature batch tapes call it under.
+    udf_sigs: Vec<Option<UdfSig>>,
     udfs: &'a UdfRegistry,
     sinks: HashMap<String, SinkMeta>,
     n_sinks: u32,
@@ -148,6 +150,7 @@ impl<'a> Compiler<'a> {
         }
         let id = self.udf_names.len() as u32;
         self.udf_names.push(name.to_string());
+        self.udf_sigs.push(None);
         self.udf_ids.insert(name.to_string(), id);
         id
     }
@@ -1137,6 +1140,7 @@ pub fn assemble_hinted(
         src_names: Vec::new(),
         udf_ids: HashMap::new(),
         udf_names: Vec::new(),
+        udf_sigs: Vec::new(),
         udfs,
         sinks: HashMap::new(),
         n_sinks: 0,
@@ -1176,6 +1180,7 @@ pub fn assemble_hinted(
         n_superinstrs: 0,
         source_names: c.src_names,
         udf_names: c.udf_names,
+        udf_sigs: c.udf_sigs,
         result_ty,
         shadow: None,
     };
@@ -1232,11 +1237,19 @@ struct VecAttempt {
     f_accs: Vec<u32>,
     i_acc_ids: HashMap<String, u8>,
     i_accs: Vec<u32>,
-    /// Trapping ops (integer div/rem) emitted so far. Snapshotted around
-    /// lazily-evaluated subexpressions (short-circuit right operands,
-    /// conditional branches): batch execution is eager, so a trap there
-    /// could fire on lanes the scalar semantics never evaluates.
+    /// Trapping ops (integer div/rem, UDF calls) emitted so far.
+    /// Snapshotted around lazily-evaluated subexpressions (short-circuit
+    /// right operands, conditional branches): batch execution is eager,
+    /// so a trap there could fire on lanes the scalar semantics never
+    /// evaluates.
     n_traps: u32,
+    /// The one error kind every trapping op on the tape raises (see
+    /// [`VecAttempt::trap`]).
+    trap_kind: Option<TrapKind>,
+    /// The UDFs the tape calls, by first call, with the signature each
+    /// call was compiled against. Registered in the program only when
+    /// the attempt succeeds.
+    calls: Vec<(String, UdfSig)>,
     /// Integer divisions whose zero-divisor guard was dropped because
     /// range analysis proved the divisor excludes zero. Tallied into
     /// `Program::n_guards_dropped` only when the attempt succeeds.
@@ -1253,7 +1266,39 @@ struct VecAttempt {
 
 const VEC_SLOT_CAP: u16 = 200;
 
+/// The error a batch trapping op raises.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum TrapKind {
+    /// A checked `DivI`/`RemI`: `VmError::DivisionByZero`.
+    DivisionByZero,
+    /// A UDF call whose result unboxes into this lane: the lane's
+    /// `VmError::Shape` text.
+    Unbox(crate::batch::Lane),
+}
+
 impl VecAttempt {
+    /// Records a trapping op. A tape holds trapping ops of one error kind
+    /// only: the batch runs each op over the whole batch before the next,
+    /// so of two ops that fail on different lanes it reports the first
+    /// op's error, while the scalar loop reports the first lane's. With
+    /// one kind both errors are the same value.
+    fn trap(&mut self, kind: TrapKind) -> Result<(), FallbackReason> {
+        if self.trap_kind.is_some_and(|k| k != kind) {
+            return Err(FallbackReason::MixedTrapKinds);
+        }
+        self.trap_kind = Some(kind);
+        self.n_traps += 1;
+        Ok(())
+    }
+
+    fn slot(&mut self, lane: crate::batch::Lane) -> Result<u8, FallbackReason> {
+        match lane {
+            crate::batch::Lane::F => self.slot_f(),
+            crate::batch::Lane::I => self.slot_i(),
+            crate::batch::Lane::B => self.slot_b(),
+        }
+    }
+
     fn slot_f(&mut self) -> Result<u8, FallbackReason> {
         if self.n_f >= VEC_SLOT_CAP {
             return Err(FallbackReason::Budget("f64 slot"));
@@ -1486,12 +1531,8 @@ impl<'a> Compiler<'a> {
         let LoopHeader::Source { name, elem_ty } = header else {
             return Err(FallbackReason::NotSourceLoop);
         };
-        let src_lane = match elem_ty {
-            Ty::F64 => Lane::F,
-            Ty::I64 => Lane::I,
-            Ty::Bool => Lane::B,
-            other => return Err(FallbackReason::BoxedSource(other.clone())),
-        };
+        let src_lane =
+            Lane::of(elem_ty).ok_or_else(|| FallbackReason::BoxedSource(elem_ty.clone()))?;
         let stmts = p.flatten(body);
 
         // Pre-scan: statement shapes, and which names are assigned (those
@@ -1500,7 +1541,7 @@ impl<'a> Compiler<'a> {
         for s in &stmts {
             match s {
                 Stmt::Decl { ty, .. } => {
-                    if !matches!(ty, Ty::F64 | Ty::I64 | Ty::Bool) {
+                    if Lane::of(ty).is_none() {
                         return Err(FallbackReason::BoxedLocal(ty.clone()));
                     }
                 }
@@ -1536,6 +1577,8 @@ impl<'a> Compiler<'a> {
             i_acc_ids: HashMap::new(),
             i_accs: Vec::new(),
             n_traps: 0,
+            trap_kind: None,
+            calls: Vec::new(),
             guards_dropped: 0,
             div_proofs: Vec::new(),
             n_outs: 0,
@@ -1572,35 +1615,20 @@ impl<'a> Compiler<'a> {
         }
 
         // The loop element.
-        let elem_slot = match src_lane {
-            Lane::F => {
-                let s = at.slot_f()?;
-                at.tape.push(BOp::LoadF(s));
-                (Lane::F, s)
-            }
-            Lane::I => {
-                let s = at.slot_i()?;
-                at.tape.push(BOp::LoadI(s));
-                (Lane::I, s)
-            }
-            Lane::B => {
-                let s = at.slot_b()?;
-                at.tape.push(BOp::LoadB(s));
-                (Lane::B, s)
-            }
-        };
-        at.locals.insert(elem_var.to_string(), elem_slot);
+        let s = at.slot(src_lane)?;
+        at.tape.push(match src_lane {
+            Lane::F => BOp::LoadF(s),
+            Lane::I => BOp::LoadI(s),
+            Lane::B => BOp::LoadB(s),
+        });
+        at.locals.insert(elem_var.to_string(), (src_lane, s));
 
         // Compile the body in statement order onto the unified tape.
         for s in &stmts {
             match s {
                 Stmt::Decl { name, ty, init } => {
                     let (lane, slot) = self.vec_expr(&mut at, init)?;
-                    let matches_ty = matches!(
-                        (ty, lane),
-                        (Ty::F64, Lane::F) | (Ty::I64, Lane::I) | (Ty::Bool, Lane::B)
-                    );
-                    if !matches_ty {
+                    if Lane::of(ty) != Some(lane) {
                         return Err(FallbackReason::DeclLaneMismatch(ty.clone()));
                     }
                     at.locals.insert(name.clone(), (lane, slot));
@@ -1756,6 +1784,10 @@ impl<'a> Compiler<'a> {
         }
 
         // Success: only now does compiler state change.
+        for (udf, sig) in at.calls {
+            let id = self.udf_id(&udf);
+            self.udf_sigs[id as usize] = Some(sig);
+        }
         let sid = self.src_id(name);
         self.n_batch += 1;
         self.n_guards_dropped += at.guards_dropped;
@@ -1926,7 +1958,7 @@ impl<'a> Compiler<'a> {
                                     at.div_proofs.push(proof);
                                     BOp::DivIUnchecked(d, ra, rb)
                                 } else {
-                                    at.n_traps += 1;
+                                    at.trap(TrapKind::DivisionByZero)?;
                                     BOp::DivI(d, ra, rb)
                                 }
                             }
@@ -1936,7 +1968,7 @@ impl<'a> Compiler<'a> {
                                     at.div_proofs.push(proof);
                                     BOp::RemIUnchecked(d, ra, rb)
                                 } else {
-                                    at.n_traps += 1;
+                                    at.trap(TrapKind::DivisionByZero)?;
                                     BOp::RemI(d, ra, rb)
                                 }
                             }
@@ -2062,7 +2094,63 @@ impl<'a> Compiler<'a> {
                     _ => Err(FallbackReason::CastUnsupported(ty.clone())),
                 }
             }
+            Expr::Call(name, args) => {
+                let udfs = self.udfs;
+                let udf = udfs.get(name).ok_or(FallbackReason::Shape("unknown udf"))?;
+                let lanes: Option<Vec<Lane>> = udf.params.iter().map(Lane::of).collect();
+                let (Some(params), Some(ret)) = (lanes, Lane::of(&udf.ret)) else {
+                    return Err(FallbackReason::BoxedUdf(name.clone()));
+                };
+                if !udf.pure {
+                    return Err(FallbackReason::ImpureUdf(name.clone()));
+                }
+                if params.len() != args.len() {
+                    return Err(FallbackReason::Shape("udf arity mismatch"));
+                }
+                let mut slots = Vec::with_capacity(args.len());
+                for (a, want) in args.iter().zip(&params) {
+                    let (lane, s) = self.vec_expr(at, a)?;
+                    if lane != *want {
+                        return Err(FallbackReason::LaneMismatch("udf argument"));
+                    }
+                    slots.push((lane, s));
+                }
+                let args = crate::batch::CallArgs::new(&slots)
+                    .ok_or(FallbackReason::Budget("udf argument"))?;
+                at.trap(TrapKind::Unbox(ret))?;
+                let sig = UdfSig {
+                    params: udf.params.clone(),
+                    ret: udf.ret.clone(),
+                    pure: true,
+                };
+                let udf = self.attempt_udf_id(at, name, sig);
+                let d = at.slot(ret)?;
+                at.tape.push(BOp::Call {
+                    udf,
+                    args,
+                    dst: (ret, d),
+                });
+                Ok((ret, d))
+            }
             other => Err(FallbackReason::Expression(expr_kind(other))),
         }
+    }
+
+    /// The id `name` has in the program, or gets when the attempt
+    /// succeeds (fresh names register in first-call order).
+    fn attempt_udf_id(&self, at: &mut VecAttempt, name: &str, sig: UdfSig) -> u32 {
+        if !at.calls.iter().any(|(n, _)| n == name) {
+            at.calls.push((name.to_string(), sig));
+        }
+        if let Some(id) = self.udf_ids.get(name) {
+            return *id;
+        }
+        let fresh_before = at
+            .calls
+            .iter()
+            .take_while(|(n, _)| n != name)
+            .filter(|(n, _)| !self.udf_ids.contains_key(n))
+            .count();
+        (self.udf_names.len() + fresh_before) as u32
     }
 }

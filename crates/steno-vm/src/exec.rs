@@ -67,6 +67,24 @@ fn shape(msg: &str) -> VmError {
     VmError::Shape(msg.into())
 }
 
+/// Unboxes an f64 as `VToF` does (an `I64` converts).
+#[inline]
+pub(crate) fn unbox_f(v: &Value) -> Result<f64, VmError> {
+    v.as_f64().ok_or_else(|| shape("expected a number"))
+}
+
+/// Unboxes an i64 as `VToI` does.
+#[inline]
+pub(crate) fn unbox_i(v: &Value) -> Result<i64, VmError> {
+    v.as_i64().ok_or_else(|| shape("expected an integer"))
+}
+
+/// Unboxes a boolean as `VToB` does.
+#[inline]
+pub(crate) fn unbox_b(v: &Value) -> Result<bool, VmError> {
+    v.as_bool().ok_or_else(|| shape("expected a boolean"))
+}
+
 #[inline]
 fn idx_check(index: i64, len: usize) -> Result<usize, VmError> {
     if index < 0 || index as usize >= len {
@@ -366,23 +384,9 @@ fn run_impl<const PROFILE: bool>(
             Instr::FToV(d, a) => vregs[*d as usize] = Value::F64(fregs[*a as usize]),
             Instr::IToV(d, a) => vregs[*d as usize] = Value::I64(iregs[*a as usize]),
             Instr::BToV(d, a) => vregs[*d as usize] = Value::Bool(iregs[*a as usize] != 0),
-            Instr::VToF(d, a) => {
-                fregs[*d as usize] = vregs[*a as usize]
-                    .as_f64()
-                    .ok_or_else(|| shape("expected a number"))?
-            }
-            Instr::VToI(d, a) => {
-                iregs[*d as usize] = vregs[*a as usize]
-                    .as_i64()
-                    .ok_or_else(|| shape("expected an integer"))?
-            }
-            Instr::VToB(d, a) => {
-                iregs[*d as usize] = i64::from(
-                    vregs[*a as usize]
-                        .as_bool()
-                        .ok_or_else(|| shape("expected a boolean"))?,
-                )
-            }
+            Instr::VToF(d, a) => fregs[*d as usize] = unbox_f(&vregs[*a as usize])?,
+            Instr::VToI(d, a) => iregs[*d as usize] = unbox_i(&vregs[*a as usize])?,
+            Instr::VToB(d, a) => iregs[*d as usize] = i64::from(unbox_b(&vregs[*a as usize])?),
 
             Instr::MkPair(d, a, b) => {
                 vregs[*d as usize] =
@@ -775,6 +779,7 @@ fn run_impl<const PROFILE: bool>(
                     &f_params,
                     &i_params,
                     &mut sinks,
+                    &bindings.udfs,
                     &mut out,
                     if PROFILE { Some(prof) } else { None },
                     interrupt,

@@ -417,7 +417,7 @@ fn ei_as_map(e: EI) -> Option<MapI> {
 /// the tape is exactly a (filter?)·map·sum pipeline whose pieces all
 /// match a pre-monomorphized shape. Checked (trapping) division, more
 /// than one filter, min/max folds, grouped aggregates, output pushes,
-/// casts, and boolean algebra all disqualify.
+/// UDF calls, casts, and boolean algebra all disqualify.
 pub fn plan(bp: &BatchProgram) -> Option<FusedTape> {
     if bp.src_lane == Lane::B {
         return None;
@@ -635,6 +635,7 @@ pub fn plan(bp: &BatchProgram) -> Option<FusedTape> {
             // path.
             BOp::GroupAddF { .. }
             | BOp::GroupAddI { .. }
+            | BOp::Call { .. }
             | BOp::OutF(..)
             | BOp::OutI(..)
             | BOp::OutB(..)
@@ -1162,8 +1163,14 @@ fn sum_i(
 ///   exactly commutative, so both orders fuse;
 /// * reductions fold live lanes only, exactly like the pair they
 ///   replace (`MulRedAdd` consults the same selection vector).
+///
+/// A tape that calls a UDF is left unfused: the call dominates its
+/// cost, and the kernel passes stay clear of an op they do not model.
 pub fn peephole(bp: &mut BatchProgram) -> Vec<&'static str> {
     let mut fused = Vec::new();
+    if bp.tape.iter().any(|op| matches!(op, BOp::Call { .. })) {
+        return fused;
+    }
     let mut out: Vec<BOp> = Vec::with_capacity(bp.tape.len());
     let mut i = 0;
     while i < bp.tape.len() {

@@ -402,6 +402,11 @@ pub enum FallbackReason {
     /// A grouped fold ignores its value operand, but dropping it would
     /// erase a trap the scalar semantics produces.
     DroppedValueMayTrap,
+    /// Trapping ops of two error kinds (a checked division and a UDF
+    /// call, or calls unboxing different result types) share a tape:
+    /// the batch runs each op over the whole batch, so it could report a
+    /// different first error than the element-at-a-time scalar loop.
+    MixedTrapKinds,
     /// A trapping op runs before an early-exit cut: eager batch
     /// evaluation would trap on lanes past the exit, which the scalar
     /// loop never reaches.
@@ -411,6 +416,13 @@ pub enum FallbackReason {
     EffectBeforeCut,
     /// An accumulator was read inside a value pipeline.
     AccumulatorInPipeline(String),
+    /// A call to a UDF not registered pure: the batch would call it in
+    /// a different order (and, before a filter, on a different set of
+    /// elements) than the scalar loop, which an effect could observe.
+    ImpureUdf(String),
+    /// A call to a UDF whose signature has a row, pair or sequence
+    /// parameter or result, which no batch lane holds.
+    BoxedUdf(String),
     /// A free variable is not an unboxed scalar register.
     NotUnboxedScalar(String),
     /// An assigned variable is not an unboxed f64/i64 accumulator.
@@ -437,7 +449,8 @@ impl FallbackReason {
             | FallbackReason::BoxedLocal(_)
             | FallbackReason::NotUnboxedScalar(_)
             | FallbackReason::NotUnboxedAccumulator(_)
-            | FallbackReason::AccumulatorInPipeline(_) => "boxed-value",
+            | FallbackReason::AccumulatorInPipeline(_)
+            | FallbackReason::BoxedUdf(_) => "boxed-value",
             FallbackReason::DeclLaneMismatch(_) | FallbackReason::LaneMismatch(_) => {
                 "lane-mismatch"
             }
@@ -450,8 +463,10 @@ impl FallbackReason {
             FallbackReason::TrapUnderConditional
             | FallbackReason::TrapUnderShortCircuit
             | FallbackReason::DroppedValueMayTrap
+            | FallbackReason::MixedTrapKinds
             | FallbackReason::TrapBeforeCut
             | FallbackReason::EffectBeforeCut => "trap-semantics",
+            FallbackReason::ImpureUdf(_) => "impure-udf",
         }
     }
 }
@@ -488,6 +503,9 @@ impl std::fmt::Display for FallbackReason {
             FallbackReason::DroppedValueMayTrap => {
                 f.write_str("dropped group value could trap")
             }
+            FallbackReason::MixedTrapKinds => {
+                f.write_str("trapping ops of different error kinds")
+            }
             FallbackReason::TrapBeforeCut => {
                 f.write_str("trapping op before an early exit")
             }
@@ -495,6 +513,8 @@ impl std::fmt::Display for FallbackReason {
             FallbackReason::AccumulatorInPipeline(name) => {
                 write!(f, "accumulator `{name}` read inside a value pipeline")
             }
+            FallbackReason::ImpureUdf(name) => write!(f, "udf `{name}` is not registered pure"),
+            FallbackReason::BoxedUdf(name) => write!(f, "udf `{name}` has a boxed signature"),
             FallbackReason::NotUnboxedScalar(name) => {
                 write!(f, "variable `{name}` is not an unboxed scalar")
             }
@@ -541,6 +561,21 @@ pub struct ScalarShadow {
     pub n_vregs: u32,
 }
 
+/// What a batch tape's calls assume about a UDF: the signature and
+/// purity it had in the registry the program was compiled against.
+/// [`crate::prepared::Bindings::resolve`] refuses a registry that binds
+/// the name differently, and the tape verifier ([`crate::check`])
+/// checks every batch call against it.
+#[derive(Clone, Debug, PartialEq)]
+pub struct UdfSig {
+    /// Parameter types (each `f64`, `i64` or `bool`).
+    pub params: Vec<Ty>,
+    /// Return type (`f64`, `i64` or `bool`).
+    pub ret: Ty,
+    /// Whether the UDF was registered pure.
+    pub pure: bool,
+}
+
 /// A complete bytecode program.
 #[derive(Clone, Debug)]
 pub struct Program {
@@ -581,6 +616,9 @@ pub struct Program {
     pub source_names: Vec<String>,
     /// UDF names in [`UdfId`] order.
     pub udf_names: Vec<String>,
+    /// Per UDF in [`UdfId`] order, the signature a batch tape calls it
+    /// under; `None` for a UDF only scalar bytecode calls.
+    pub udf_sigs: Vec<Option<UdfSig>>,
     /// Result type of the program.
     pub result_ty: Ty,
     /// Pre-optimization reference tape for translation validation, or

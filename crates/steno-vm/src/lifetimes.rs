@@ -26,7 +26,7 @@
 //! [`shrink_frames`] then recomputes register-bank sizes, so frames
 //! freed by the passes above are not allocated at run time.
 
-use crate::batch::{BInit, BOp, BatchProgram, KeyRef};
+use crate::batch::{BInit, BOp, BatchProgram, KeyRef, Lane};
 use crate::instr::{CmpOp, Instr, Program, SKey};
 
 // ---------------------------------------------------------------------
@@ -168,6 +168,13 @@ fn bop_slots_mut(op: &mut BOp, mut f: impl FnMut(BankK, &mut u8, bool)) {
         BOp::OutI(s) => f(I, s, false),
         BOp::OutB(s) => f(B, s, false),
 
+        BOp::Call { args, dst, .. } => {
+            for (lane, s) in args.as_mut_slice() {
+                f(lane_bank(*lane), s, false);
+            }
+            f(lane_bank(dst.0), &mut dst.1, true);
+        }
+
         BOp::MulAddF(d, a, b, c) => {
             f(F, a, false);
             f(F, b, false);
@@ -188,6 +195,14 @@ fn bop_slots_mut(op: &mut BOp, mut f: impl FnMut(BankK, &mut u8, bool)) {
             f(I, a, false);
             f(I, b, false);
         }
+    }
+}
+
+fn lane_bank(lane: Lane) -> BankK {
+    match lane {
+        Lane::F => BankK::F,
+        Lane::I => BankK::I,
+        Lane::B => BankK::B,
     }
 }
 
@@ -1062,6 +1077,7 @@ mod tests {
                 &[],
                 &[],
                 &mut [],
+                &[],
                 &mut out,
                 None,
                 &crate::interrupt::Interrupt::none(),
@@ -1111,6 +1127,7 @@ mod tests {
                 &[],
                 &[],
                 &mut [],
+                &[],
                 &mut out,
                 None,
                 &crate::interrupt::Interrupt::none(),
@@ -1150,6 +1167,7 @@ mod tests {
             n_superinstrs: 0,
             source_names: vec![],
             udf_names: vec![],
+            udf_sigs: vec![],
             result_ty: Ty::I64,
             shadow: None,
         };
@@ -1195,6 +1213,7 @@ mod tests {
             n_superinstrs: 0,
             source_names: vec![],
             udf_names: vec![],
+            udf_sigs: vec![],
             result_ty: Ty::I64,
             shadow: None,
         };

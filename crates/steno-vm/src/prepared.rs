@@ -68,9 +68,18 @@ pub struct Bindings {
 impl Bindings {
     /// Resolves a program's source and UDF names against a context.
     ///
+    /// A UDF a batch tape calls must be bound to a pure function with
+    /// the signature the program was compiled against
+    /// ([`Program::udf_sigs`]): the batch calls it once per live lane,
+    /// which only purity makes indistinguishable from the scalar order.
+    /// The plan cache does not key on the registry, so a cached plan can
+    /// meet a registry that binds the name differently.
+    ///
     /// # Errors
     ///
-    /// Returns [`VmError::MissingBinding`] for unknown names.
+    /// Returns [`VmError::MissingBinding`] for unknown names, and for a
+    /// batch-called UDF the registry binds to an impure function or to a
+    /// different signature.
     pub fn resolve(
         program: &Program,
         ctx: &DataContext,
@@ -84,10 +93,18 @@ impl Bindings {
             sources.push(PreparedSource::from(col));
         }
         let mut funcs = Vec::with_capacity(program.udf_names.len());
-        for name in &program.udf_names {
+        for (id, name) in program.udf_names.iter().enumerate() {
             let udf = udfs
                 .get(name)
                 .ok_or_else(|| VmError::MissingBinding(format!("udf `{name}`")))?;
+            if let Some(Some(sig)) = program.udf_sigs.get(id) {
+                if !udf.pure || udf.params != sig.params || udf.ret != sig.ret {
+                    return Err(VmError::MissingBinding(format!(
+                        "udf `{name}` as the pure {:?} -> {} function the plan batch-calls",
+                        sig.params, sig.ret
+                    )));
+                }
+            }
             funcs.push(Arc::clone(&udf.imp));
         }
         Ok(Bindings {
@@ -133,6 +150,7 @@ mod tests {
             n_superinstrs: 0,
             source_names: vec!["zzz".into()],
             udf_names: vec![],
+            udf_sigs: vec![],
             result_ty: Ty::F64,
             shadow: None,
         };

@@ -10,9 +10,9 @@
 
 use std::sync::Arc;
 
-use steno_expr::{DataContext, Expr, UdfRegistry};
+use steno_expr::{DataContext, Expr, Ty, UdfRegistry, Value};
 use steno_query::{Query, QueryExpr};
-use steno_vm::batch::BOp;
+use steno_vm::batch::{BOp, Lane};
 use steno_vm::check::{check_program, ObligationKind};
 use steno_vm::query::{CompileFeedback, StenoOptions};
 use steno_vm::{CompiledQuery, Instr, Program, VectorizationPolicy};
@@ -32,8 +32,16 @@ fn ictx() -> DataContext {
 }
 
 fn compile(q: &QueryExpr, ctx: &DataContext, opts: StenoOptions) -> Program {
-    let udfs = UdfRegistry::new();
-    let c = CompiledQuery::compile_with(q, ctx.into(), &udfs, opts, CompileFeedback::default())
+    compile_with_udfs(q, ctx, &UdfRegistry::new(), opts)
+}
+
+fn compile_with_udfs(
+    q: &QueryExpr,
+    ctx: &DataContext,
+    udfs: &UdfRegistry,
+    opts: StenoOptions,
+) -> Program {
+    let c = CompiledQuery::compile_with(q, ctx.into(), udfs, opts, CompileFeedback::default())
         .unwrap_or_else(|e| panic!("compile failed for {q}: {e}"));
     assert!(
         check_program(c.program()).is_ok(),
@@ -422,4 +430,45 @@ fn widened_window_caught() {
     });
     assert!(widened);
     assert_rejected(&p, &[ObligationKind::Equiv], "widened window");
+}
+
+// ---------------------------------------------------------------------
+// 11. Unsound batch calls: a batch tape calling a UDF the program does
+//     not record as pure (a stale purity fact), or a call whose result
+//     lands in a lane its recorded signature does not return.
+// ---------------------------------------------------------------------
+fn pure_udf_program() -> Program {
+    let mut udfs = UdfRegistry::new();
+    udfs.register_pure("f", vec![Ty::F64], Ty::F64, |args: &[Value]| {
+        Value::F64(args[0].as_f64().unwrap_or(0.0) * 1.5)
+    });
+    let q = Query::source("xs")
+        .select(Expr::call("f", vec![x()]), "x")
+        .sum()
+        .build();
+    compile_with_udfs(&q, &fctx(), &udfs, StenoOptions::default())
+}
+
+#[test]
+fn batch_call_to_an_impure_udf_caught() {
+    let mut p = pure_udf_program();
+    let sig = p.udf_sigs[0].as_mut().expect("the batch call is recorded");
+    sig.pure = false;
+    assert_rejected(&p, &[ObligationKind::Call], "batch call to an impure udf");
+}
+
+#[test]
+fn lane_mismatched_call_caught() {
+    let mut p = pure_udf_program();
+    let mut retyped = false;
+    mutate_batch(&mut p, |bp| {
+        for op in &mut bp.tape {
+            if let BOp::Call { dst, .. } = op {
+                dst.0 = Lane::I;
+                retyped = true;
+            }
+        }
+    });
+    assert!(retyped, "expected a Call in the batch tape");
+    assert_rejected(&p, &[ObligationKind::Call], "lane-mismatched call");
 }

@@ -6,7 +6,7 @@
 //! across every tier (scalar, vectorized), with and without the
 //! rewrite pass, and on the feedback-directed compile path.
 
-use steno_expr::{Column, DataContext, Expr, UdfRegistry};
+use steno_expr::{Column, DataContext, Expr, Ty, UdfRegistry, Value};
 use steno_query::typing::SourceTypes;
 use steno_query::{GroupResult, Query, QueryExpr};
 use steno_vm::query::{CompileFeedback, StenoOptions};
@@ -295,5 +295,59 @@ fn builder_corpus_has_zero_false_positives() {
     assert!(
         checked >= 3 * corpus.len(),
         "builder corpus must compile under most modes, checked {checked}"
+    );
+}
+
+/// UDF calls, pure and impure, across every lane signature: batch
+/// `Call`s (after a filter, as a filter, inside a window, after a cut,
+/// with a literal argument) discharge the call obligation; calls the
+/// vectorizer refuses (impure, before a cut, under a conditional, two
+/// trap kinds) compile to scalar tapes that must pass as well.
+#[test]
+fn udf_corpus_has_zero_false_positives() {
+    let data = ctx();
+    let mut udfs = UdfRegistry::new();
+    udfs.register_pure("lin", vec![Ty::F64], Ty::F64, |v: &[Value]| {
+        Value::F64(v[0].as_f64().unwrap_or(0.0) * 1.5 + 0.25)
+    });
+    udfs.register_pure("mix", vec![Ty::F64, Ty::F64], Ty::F64, |v: &[Value]| {
+        Value::F64(v[0].as_f64().unwrap_or(0.0) - v[1].as_f64().unwrap_or(0.0))
+    });
+    udfs.register_pure("odd", vec![Ty::I64], Ty::Bool, |v: &[Value]| {
+        Value::Bool(v[0].as_i64().unwrap_or(0) % 2 != 0)
+    });
+    udfs.register_pure("sq", vec![Ty::I64], Ty::I64, |v: &[Value]| {
+        let n = v[0].as_i64().unwrap_or(0);
+        Value::I64(n.wrapping_mul(n))
+    });
+    udfs.register("logged", vec![Ty::F64], Ty::F64, |v: &[Value]| v[0].clone());
+    let texts = [
+        "xs.select(|x| lin(x)).sum()",
+        "xs.where(|x| x > 0.0).select(|x| mix(x, 2.0)).sum()",
+        "ns.where(|x| odd(x)).count()",
+        "ns.select(|x| sq(x)).skip(3).take(50).sum()",
+        "xs.take_while(|x| x < 100.0).select(|x| lin(x) + mix(x, x)).max()",
+        "xs.select(|x| logged(x)).sum()",
+        "xs.take_while(|x| lin(x) < 100.0).count()",
+        "ns.select(|x| sq(x) / x).sum()",
+        "ns.where(|x| odd(x)).select(|x| sq(x)).sum()",
+    ];
+    let mut checked = 0usize;
+    let mut calls = 0u32;
+    for text in texts {
+        let (q, _) = steno_syntax::parse_query(text)
+            .unwrap_or_else(|e| panic!("UDF query failed to parse: `{text}`: {e}"));
+        checked += check_all_modes(&q, &data, &udfs, text);
+        let c = CompiledQuery::compile(&q, SourceTypes::from(&data), &udfs)
+            .unwrap_or_else(|e| panic!("`{text}` failed to compile: {e}"));
+        calls += steno_vm::check_program(c.program()).map_or(0, |r| r.call);
+    }
+    assert!(
+        checked >= 3 * texts.len(),
+        "UDF corpus must compile, checked {checked}"
+    );
+    assert!(
+        calls >= 5,
+        "batch calls must discharge call obligations, got {calls}"
     );
 }
