@@ -539,6 +539,116 @@ fn pure_udf(records: &mut Vec<BenchRecord>) {
     report("pure_udf", n, rows, records);
 }
 
+/// `xs.OrderBy(x => x).Take(10).Sum()` over uniform doubles: the
+/// sort sink's only reader is a static 10-element window, so the
+/// vectorized push loop keeps a top-10 of unboxed keys; the scalar VM
+/// sorts every key it pushed, and the hand loop sorts a full copy.
+fn order_take(records: &mut Vec<BenchRecord>) {
+    let n = scaled(1_000_000);
+    let data = uniform_doubles(n, 19);
+    let ctx = DataContext::new().with_source("xs", data.clone());
+    let udfs = UdfRegistry::new();
+    let x = || Expr::var("x");
+    let q = Query::source("xs").order_by(x(), "x").take(10).sum().build();
+    let (scalar, vectorized) = compile_tiers(&q, &ctx, &udfs);
+
+    let hand = |data: &[f64]| {
+        let mut v = data.to_vec();
+        v.sort_by(f64::total_cmp);
+        v.iter().take(10).sum::<f64>()
+    };
+    let expect = hand(&data);
+    for c in [&scalar, &vectorized] {
+        assert_eq!(c.run(&ctx, &udfs).expect("run"), Value::F64(expect));
+    }
+
+    let xs = Enumerable::from_vec(data.clone());
+    let rows = vec![
+        Row {
+            engine: "linq",
+            median: bench_time(|| xs.order_by_with(f64::total_cmp).take(10).sum()),
+        },
+        Row {
+            engine: "vm_scalar",
+            median: bench_time(|| scalar.run(&ctx, &udfs).expect("run")),
+        },
+        Row {
+            engine: "vm_vectorized",
+            median: bench_time(|| vectorized.run(&ctx, &udfs).expect("run")),
+        },
+        Row {
+            engine: "hand",
+            median: bench_time(|| hand(&data)),
+        },
+    ];
+    report("order_take", n, rows, records);
+}
+
+/// `ns.GroupBy(x => x % 16).Select(g => (g.Key, g.Sum()))` over
+/// non-negative integers: the key's interval is `-15..=15`, so the
+/// vectorized upsert loop aggregates into a direct-indexed slot array,
+/// as the hand loop does.
+fn group_agg(records: &mut Vec<BenchRecord>) {
+    let n = scaled(1_000_000);
+    let data: Vec<i64> = uniform_doubles(n, 23)
+        .into_iter()
+        .map(|u| (u * 1e6) as i64)
+        .collect();
+    let ctx = DataContext::new().with_source("ns", data.clone());
+    let udfs = UdfRegistry::new();
+    let (q, _) = steno_syntax::parse_query("ns.groupBy(|x| x % 16).select(|kv| (kv.0, kv.1.sum()))")
+        .expect("parse group_agg");
+    let (scalar, vectorized) = compile_tiers(&q, &ctx, &udfs);
+
+    let hand = |data: &[i64]| {
+        let mut slot = [usize::MAX; 16];
+        let mut sums: Vec<(i64, i64)> = Vec::new();
+        for &x in data {
+            let k = x % 16;
+            let at = &mut slot[k as usize];
+            if *at == usize::MAX {
+                *at = sums.len();
+                sums.push((k, 0));
+            }
+            sums[*at].1 = sums[*at].1.wrapping_add(x);
+        }
+        sums
+    };
+    let expect = Value::seq(
+        hand(&data)
+            .into_iter()
+            .map(|(k, s)| Value::pair(Value::I64(k), Value::I64(s)))
+            .collect(),
+    );
+    for c in [&scalar, &vectorized] {
+        assert_eq!(c.run(&ctx, &udfs).expect("run"), expect);
+    }
+
+    let ns = Enumerable::from_vec(data.clone());
+    let rows = vec![
+        Row {
+            engine: "linq",
+            median: bench_time(|| {
+                ns.group_by_select(|x| x % 16, |k, g| (k, g.sum()))
+                    .to_vec()
+            }),
+        },
+        Row {
+            engine: "vm_scalar",
+            median: bench_time(|| scalar.run(&ctx, &udfs).expect("run")),
+        },
+        Row {
+            engine: "vm_vectorized",
+            median: bench_time(|| vectorized.run(&ctx, &udfs).expect("run")),
+        },
+        Row {
+            engine: "hand",
+            median: bench_time(|| hand(&data)),
+        },
+    ];
+    report("group_agg", n, rows, records);
+}
+
 /// One observed run of the acceptance workload through the facade with
 /// a live collector: prints the per-query profile and the metrics
 /// snapshot, and proves the snapshot JSON parses back.
@@ -575,7 +685,7 @@ fn profiled_acceptance_run() {
     println!("wrote metrics snapshot to {path}");
 }
 
-/// Runs all eight workloads and returns their records.
+/// Runs all ten workloads and returns their records.
 fn measure() -> Vec<BenchRecord> {
     let mut records = Vec::new();
     sum_of_squares(&mut records);
@@ -586,6 +696,8 @@ fn measure() -> Vec<BenchRecord> {
     take_skip(&mut records);
     take_while(&mut records);
     pure_udf(&mut records);
+    order_take(&mut records);
+    group_agg(&mut records);
     records
 }
 

@@ -178,8 +178,24 @@ pub fn eval(expr: &Expr, env: &Env, udfs: &UdfRegistry) -> Result<Value, EvalErr
                         }
                     },
                 ),
-                BinOp::Min => num2(*op, &va, &vb, |x, y| Ok(x.min(y)), |x, y| Ok(x.min(y))),
-                BinOp::Max => num2(*op, &va, &vb, |x, y| Ok(x.max(y)), |x, y| Ok(x.max(y))),
+                // f64 min/max follow `total_cmp`, as the `Min`/`Max`
+                // aggregates do: the right operand wins only when it
+                // orders strictly first (last), so a NaN or a signed zero
+                // gives the same answer on every tier.
+                BinOp::Min => num2(
+                    *op,
+                    &va,
+                    &vb,
+                    |x, y| Ok(if y.total_cmp(&x).is_lt() { y } else { x }),
+                    |x, y| Ok(x.min(y)),
+                ),
+                BinOp::Max => num2(
+                    *op,
+                    &va,
+                    &vb,
+                    |x, y| Ok(if y.total_cmp(&x).is_gt() { y } else { x }),
+                    |x, y| Ok(x.max(y)),
+                ),
                 _ => compare(*op, &va, &vb),
             }
         }

@@ -33,6 +33,13 @@
 //!   signature, and no trapping op of another error kind shares its
 //!   tape (the batch tier could otherwise report a different first
 //!   error than the scalar loop).
+//! * **Sink** — every typed sink is used as it was created: a sort's
+//!   top-k bound is at least its only reader's window end (that reader
+//!   a batch loop, the sink never frozen for a scalar one), a
+//!   direct-indexed group table's slot range covers the key interval
+//!   *re-derived here* from each update site's recorded key expression,
+//!   sink appends and sink reads use the sink's lanes, and no sort or
+//!   distinct append precedes an early-exit `Cut`.
 //! * **Equiv** — the optimized tape is equivalent to its shadow
 //!   (pre-optimization) tape by symbolic execution: cut-point
 //!   bisimulation for the scalar tape (validating hoisting, pair
@@ -44,16 +51,17 @@
 //! model than the passes it audits (must-defined bitsets, hash-consed
 //! symbolic values, ordered effect streams) so a bug in a pass and a
 //! bug in the checker are unlikely to coincide. Its own evidence of
-//! strength is `tests/tape_mutation.rs`: eleven classes of deliberate
+//! strength is `tests/tape_mutation.rs`: twelve classes of deliberate
 //! miscompile injected into real corpus tapes, every one rejected.
 
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
-use crate::batch::{BInit, BOp, BatchProgram, KeyRef, Lane};
+use crate::batch::{recorded_interval, BInit, BOp, BatchProgram, BatchSrc, KeyRef, Lane};
 use crate::instr::{Instr, Program, ScalarShadow, SKey, UdfSig};
 use crate::lifetimes::{instr_io, RegBank};
+use crate::sink::{KeyRange, SortCols, SortSpec};
 
 // ---------------------------------------------------------------------
 // Public surface
@@ -75,6 +83,11 @@ pub enum ObligationKind {
     /// Batch UDF call to a recorded pure UDF, lanes matching its
     /// signature, alone in its tape's trap kind.
     Call,
+    /// Typed sinks: a top-k bound covers its only reader's window, a
+    /// direct-indexed group table's slot range covers every update
+    /// site's re-derived key interval, sink appends and sink reads match
+    /// the sink's lanes, and no append precedes a cut.
+    Sink,
     /// Optimized tape equivalent to its pre-optimization shadow.
     Equiv,
 }
@@ -88,6 +101,7 @@ impl fmt::Display for ObligationKind {
             ObligationKind::Div => "div",
             ObligationKind::Cut => "cut",
             ObligationKind::Call => "call",
+            ObligationKind::Sink => "sink",
             ObligationKind::Equiv => "equiv",
         };
         f.write_str(s)
@@ -131,6 +145,8 @@ pub struct TapeReport {
     /// Batch UDF calls proven pure, lane-correct and alone in their
     /// tape's trap kind.
     pub call: u32,
+    /// Typed-sink bounds, key ranges, appends and reads proven.
+    pub sink: u32,
     /// Equivalence cut-points / kernel shapes discharged symbolically.
     pub equiv: u32,
 }
@@ -138,15 +154,23 @@ pub struct TapeReport {
 impl TapeReport {
     /// Total obligations discharged across all categories.
     pub fn total(&self) -> u32 {
-        self.cfg + self.dataflow + self.polls + self.div + self.cut + self.call + self.equiv
+        self.cfg + self.dataflow + self.polls + self.div + self.cut + self.call + self.sink
+            + self.equiv
     }
 
     /// One-line summary for EXPLAIN output, e.g.
-    /// `passed (cfg 3, dataflow 17, polls 1, div 0, cut 0, call 0, equiv 4)`.
+    /// `passed (cfg 3, dataflow 17, polls 1, div 0, cut 0, call 0, sink 0, equiv 4)`.
     pub fn summary(&self) -> String {
         format!(
-            "passed (cfg {}, dataflow {}, polls {}, div {}, cut {}, call {}, equiv {})",
-            self.cfg, self.dataflow, self.polls, self.div, self.cut, self.call, self.equiv
+            "passed (cfg {}, dataflow {}, polls {}, div {}, cut {}, call {}, sink {}, equiv {})",
+            self.cfg,
+            self.dataflow,
+            self.polls,
+            self.div,
+            self.cut,
+            self.call,
+            self.sink,
+            self.equiv
         )
     }
 }
@@ -167,6 +191,7 @@ pub fn check_program(p: &Program) -> Result<TapeReport, CheckError> {
             check_batch(bp, &mut rep)?;
         }
     }
+    check_sinks(p, &mut rep)?;
     if let Some(shadow) = &p.shadow {
         check_scalar_equiv(shadow, p, &mut rep)?;
     }
@@ -496,6 +521,9 @@ type Sym = u32;
 enum SymKey {
     /// The current source element of a batch loop.
     SrcElem,
+    /// The second component of the current element of a batch loop
+    /// over `(key, accumulator)` pairs.
+    SrcSnd,
     /// An f64 constant, by bit pattern (so `-0.0 != 0.0`, `NaN == NaN`:
     /// the optimizer must preserve bits, not just numeric value).
     ConstF(u64),
@@ -693,6 +721,9 @@ fn run_batch_tape(
     // The first op that must not precede a cut: a trapping division or
     // an effect, both of which run on every lane of the batch.
     let mut eager: Option<&'static str> = None;
+    // A sink append before a cut breaks the sink obligation: the sink
+    // would hold elements past the exit.
+    let mut append_before_cut = false;
 
     fn oob(who: &str, lane: &str, s: u8, n: u8) -> CheckError {
         err(
@@ -726,6 +757,17 @@ fn run_batch_tape(
             *st.$bank
                 .get_mut(d as usize)
                 .ok_or_else(|| oob(who, $lane, d, $n))? = Some(v);
+        }};
+    }
+
+    macro_rules! lane_rd {
+        ($ls:expr) => {{
+            let (lane, s) = $ls;
+            match lane {
+                Lane::F => rd!(f, n_f, "f64", s),
+                Lane::I => rd!(i, n_i, "i64", s),
+                Lane::B => rd!(b, n_b, "bool", s),
+            }
         }};
     }
 
@@ -774,8 +816,12 @@ fn run_batch_tape(
                 | BOp::MulRedAddF { .. }
                 | BOp::MulRedAddI { .. } => Some("fold"),
                 BOp::GroupAddF { .. } | BOp::GroupAddI { .. } => Some("group upsert"),
-                BOp::OutF(_) | BOp::OutI(_) | BOp::OutB(_) => Some("yield"),
+                BOp::OutF(_) | BOp::OutI(_) | BOp::OutB(_) | BOp::OutPair(..) => Some("yield"),
                 BOp::Call { .. } => Some("udf call"),
+                BOp::SortPush { .. } | BOp::DistinctPush { .. } => {
+                    append_before_cut = true;
+                    Some("sink append")
+                }
                 _ => None,
             };
         }
@@ -783,6 +829,14 @@ fn run_batch_tape(
             BOp::LoadF(d) => wr!(f, n_f, "f64", d, src),
             BOp::LoadI(d) => wr!(i, n_i, "i64", d, src),
             BOp::LoadB(d) => wr!(b, n_b, "bool", d, src),
+            BOp::LoadSnd(lane, d) => {
+                let snd = syms.intern(SymKey::SrcSnd);
+                match lane {
+                    Lane::F => wr!(f, n_f, "f64", d, snd),
+                    Lane::I => wr!(i, n_i, "i64", d, snd),
+                    Lane::B => wr!(b, n_b, "bool", d, snd),
+                }
+            }
 
             BOp::AddF(d, a, b) => {
                 let (x, y) = (rd!(f, n_f, "f64", a), rd!(f, n_f, "f64", b));
@@ -993,8 +1047,13 @@ fn run_batch_tape(
             }
             BOp::Cut(m) => {
                 if let Some(what) = eager {
+                    let kind = if append_before_cut {
+                        ObligationKind::Sink
+                    } else {
+                        ObligationKind::Cut
+                    };
                     return Err(err(
-                        ObligationKind::Cut,
+                        kind,
                         format!(
                             "batch {who}: cut #{} follows a {what}, which runs on \
                              lanes past the exit",
@@ -1063,6 +1122,23 @@ fn run_batch_tape(
                 let x = rd!(b, n_b, "bool", s);
                 run.effects.push(Effect { tag: "outb", id: 0, args: vec![x] });
             }
+            BOp::OutPair(a, b) => {
+                let x = lane_rd!(a);
+                let y = lane_rd!(b);
+                let id = (lane_code(a.0) << 2) | lane_code(b.0);
+                run.effects.push(Effect { tag: "outpair", id, args: vec![x, y] });
+            }
+            BOp::SortPush { sink, key, val } => {
+                let k = lane_rd!(key);
+                let v = lane_rd!(val);
+                let id = (u64::from(sink) << 4) | (lane_code(key.0) << 2) | lane_code(val.0);
+                run.effects.push(Effect { tag: "sortpush", id, args: vec![k, v] });
+            }
+            BOp::DistinctPush { sink, val } => {
+                let v = lane_rd!(val);
+                let id = (u64::from(sink) << 2) | lane_code(val.0);
+                run.effects.push(Effect { tag: "distinctpush", id, args: vec![v] });
+            }
 
             BOp::Call { udf, args, dst } => {
                 // An uninterpreted function of its arguments. The call
@@ -1118,6 +1194,188 @@ fn run_batch_tape(
         }
     }
     Ok(run)
+}
+
+/// A lane as a two-bit code, for effect immediates.
+fn lane_code(lane: Lane) -> u64 {
+    match lane {
+        Lane::F => 0,
+        Lane::I => 1,
+        Lane::B => 2,
+    }
+}
+
+/// A sort spec as two symbolic immediates: the columns and direction,
+/// and the top-k bound (`-1` for none).
+fn sort_spec_code(spec: &SortSpec) -> (i64, i64) {
+    let cols = match spec.cols {
+        SortCols::Boxed => 0,
+        SortCols::Key(l) => 1 + lane_code(l) as i64,
+        SortCols::KeyVal(k, v) => 4 + 3 * lane_code(k) as i64 + lane_code(v) as i64,
+    };
+    let limit = spec.limit.map_or(-1, |k| i64::try_from(k).unwrap_or(i64::MAX));
+    ((cols << 1) | i64::from(spec.descending), limit)
+}
+
+/// A group table's key range as symbolic immediates (none for hash).
+fn range_syms(syms: &mut Syms, range: &Option<Arc<KeyRange>>) -> Vec<Sym> {
+    match range {
+        Some(r) => vec![syms.ci(r.lo), syms.ci(r.hi)],
+        None => Vec::new(),
+    }
+}
+
+/// The sink obligation over the whole program (see
+/// [`ObligationKind::Sink`]), re-derived from the tape:
+///
+/// * a sort sink with a top-k bound k has exactly one reader, a batch
+///   loop whose index window ends at or before k, and is never frozen
+///   for a scalar reader;
+/// * a direct-indexed group table has `i64` keys, at most
+///   [`crate::sink::DIRECT_SLOTS`] slots, one recorded proof per update
+///   site, and every proof's key expression re-analyzes to an interval
+///   inside the slot range;
+/// * every sort or distinct append, and every batch loop over a sink,
+///   uses the lanes the sink was created with.
+fn check_sinks(p: &Program, rep: &mut TapeReport) -> Result<(), CheckError> {
+    let mut news: HashMap<u32, &Instr> = HashMap::new();
+    let mut frozen: Vec<u32> = Vec::new();
+    let mut loops: Vec<&BatchProgram> = Vec::new();
+    // Update sites per sink: scalar loads and batch upserts.
+    let mut sites: HashMap<u32, usize> = HashMap::new();
+    for ins in &p.instrs {
+        match ins {
+            Instr::SinkNewSorted(s, _)
+            | Instr::SinkNewDistinct(s, _)
+            | Instr::SinkNewGroupAggSF(s, ..)
+            | Instr::SinkNewGroupAggSI(s, ..) => {
+                news.insert(*s, ins);
+            }
+            Instr::SinkFreeze(s) => frozen.push(*s),
+            Instr::GroupAccLoadSF(s, ..) | Instr::GroupAccLoadSI(s, ..) => {
+                *sites.entry(*s).or_default() += 1;
+            }
+            Instr::BatchLoop(bp) => {
+                loops.push(bp);
+                for op in &bp.tape {
+                    if let BOp::GroupAddF { sink, .. } | BOp::GroupAddI { sink, .. } = op {
+                        *sites.entry(*sink).or_default() += 1;
+                    }
+                }
+            }
+            _ => {}
+        }
+    }
+    let fail = |detail: String| err(ObligationKind::Sink, detail);
+
+    for (&s, ins) in &news {
+        match ins {
+            Instr::SinkNewSorted(_, spec) => {
+                let Some(k) = spec.limit else { continue };
+                if spec.cols == SortCols::Boxed {
+                    return Err(fail(format!("sink s{s}: a top-{k} bound on a boxed sort")));
+                }
+                let readers: Vec<&&BatchProgram> =
+                    loops.iter().filter(|bp| bp.src == BatchSrc::Sink(s)).collect();
+                if readers.len() != 1 || frozen.contains(&s) {
+                    return Err(fail(format!(
+                        "sink s{s}: a top-{k} bound needs exactly one batch reader, found {} \
+                         (and {} scalar)",
+                        readers.len(),
+                        usize::from(frozen.contains(&s))
+                    )));
+                }
+                let end = readers[0].window.end;
+                if end > k {
+                    return Err(fail(format!(
+                        "sink s{s}: top-{k} bound is narrower than its reader's window, which \
+                         reads up to index {end}"
+                    )));
+                }
+                rep.sink += 1;
+            }
+            Instr::SinkNewGroupAggSF(_, _, lane, Some(range))
+            | Instr::SinkNewGroupAggSI(_, _, lane, Some(range)) => {
+                if *lane != Lane::I
+                    || range.hi < range.lo
+                    || range.hi - range.lo >= crate::sink::DIRECT_SLOTS
+                {
+                    return Err(fail(format!(
+                        "sink s{s}: direct slot range {}..={} over {lane:?} keys is not a \
+                         batch of i64 keys",
+                        range.lo, range.hi
+                    )));
+                }
+                let n_sites = sites.get(&s).copied().unwrap_or(0);
+                if n_sites != range.proofs.len() {
+                    return Err(fail(format!(
+                        "sink s{s}: {n_sites} update sites but {} key proofs",
+                        range.proofs.len()
+                    )));
+                }
+                for (i, proof) in range.proofs.iter().enumerate() {
+                    let derived = recorded_interval(&proof.key, &proof.env);
+                    let inside = derived.is_some_and(|r| {
+                        r.lo.is_some_and(|lo| lo >= range.lo) && r.hi.is_some_and(|hi| hi <= range.hi)
+                    });
+                    if !inside {
+                        return Err(fail(format!(
+                            "sink s{s}: direct slots {}..={} do not cover key #{i} {:?}, \
+                             which re-derives {:?}",
+                            range.lo, range.hi, proof.key, derived
+                        )));
+                    }
+                    rep.sink += 1;
+                }
+            }
+            _ => {}
+        }
+    }
+
+    let lanes_of = |s: u32| -> Option<(Lane, Option<Lane>, Option<Lane>)> {
+        // (element lane, second-component lane, sort key lane)
+        match news.get(&s)? {
+            Instr::SinkNewSorted(_, spec) => match spec.cols {
+                SortCols::Key(l) => Some((l, None, Some(l))),
+                SortCols::KeyVal(k, v) => Some((v, None, Some(k))),
+                SortCols::Boxed => None,
+            },
+            Instr::SinkNewDistinct(_, l) => l.map(|l| (l, None, None)),
+            Instr::SinkNewGroupAggSF(_, _, k, _) => Some((*k, Some(Lane::F), None)),
+            Instr::SinkNewGroupAggSI(_, _, k, _) => Some((*k, Some(Lane::I), None)),
+            _ => None,
+        }
+    };
+    for bp in &loops {
+        if let BatchSrc::Sink(s) = bp.src {
+            let ok = lanes_of(s).is_some_and(|(l, snd, _)| l == bp.src_lane && snd == bp.snd_lane);
+            if !ok {
+                return Err(fail(format!(
+                    "batch loop reads sink s{s} as {:?}/{:?}, which is not how it was created",
+                    bp.src_lane, bp.snd_lane
+                )));
+            }
+            rep.sink += 1;
+        }
+        for op in &bp.tape {
+            let ok = match *op {
+                BOp::SortPush { sink, key, val } => {
+                    matches!(news.get(&sink), Some(Instr::SinkNewSorted(..)))
+                        && lanes_of(sink).is_some_and(|(l, _, k)| k == Some(key.0) && l == val.0)
+                }
+                BOp::DistinctPush { sink, val } => {
+                    matches!(news.get(&sink), Some(Instr::SinkNewDistinct(..)))
+                        && lanes_of(sink).is_some_and(|(l, _, _)| l == val.0)
+                }
+                _ => continue,
+            };
+            if !ok {
+                return Err(fail(format!("{op:?} does not match its sink's lanes")));
+            }
+            rep.sink += 1;
+        }
+    }
+    Ok(())
 }
 
 /// The call obligation for every `Call` on one batch tape: the UDF
@@ -1295,19 +1553,14 @@ fn check_div_proofs(
         ));
     }
     for (k, proof) in bp.div_proofs.iter().enumerate() {
-        let mut env = steno_expr::typecheck::TyEnv::new();
-        for (name, ty) in &proof.env {
-            env = env.with(name.clone(), ty.clone());
-        }
-        let facts = steno_analysis::analyze(&proof.divisor, &env);
-        let ok = facts.range.is_some_and(|r| r.excludes_zero());
-        if !ok {
+        let range = recorded_interval(&proof.divisor, &proof.env);
+        if !range.is_some_and(|r| r.excludes_zero()) {
             return Err(err(
                 ObligationKind::Div,
                 format!(
                     "unchecked division #{k}: recorded divisor {:?} does \
-                     not re-derive an interval excluding zero (got {:?})",
-                    proof.divisor, facts.range
+                     not re-derive an interval excluding zero (got {range:?})",
+                    proof.divisor
                 ),
             ));
         }
@@ -1964,19 +2217,24 @@ fn run_scalar_seg(
                 let x = st.i[*r as usize];
                 let _ = eff!("sinknewgroupaggi", u64::from(*s), vec![x]);
             }
-            Instr::SinkNewGroupAggSF(s, r) => {
-                let x = st.f[*r as usize];
-                let _ = eff!("sinknewgroupaggsf", u64::from(*s), vec![x]);
+            Instr::SinkNewGroupAggSF(s, r, k, range) => {
+                let mut ops = vec![st.f[*r as usize]];
+                ops.extend(range_syms(syms, range));
+                let _ = eff!("sinknewgroupaggsf", (u64::from(*s) << 2) | lane_code(*k), ops);
             }
-            Instr::SinkNewGroupAggSI(s, r) => {
-                let x = st.i[*r as usize];
-                let _ = eff!("sinknewgroupaggsi", u64::from(*s), vec![x]);
+            Instr::SinkNewGroupAggSI(s, r, k, range) => {
+                let mut ops = vec![st.i[*r as usize]];
+                ops.extend(range_syms(syms, range));
+                let _ = eff!("sinknewgroupaggsi", (u64::from(*s) << 2) | lane_code(*k), ops);
             }
-            Instr::SinkNewSorted(s, desc) => {
-                let _ = eff!("sinknewsorted", (u64::from(*s) << 1) | u64::from(*desc), vec![]);
+            Instr::SinkNewSorted(s, spec) => {
+                let (cols, k) = sort_spec_code(spec);
+                let ops = vec![syms.ci(cols), syms.ci(k)];
+                let _ = eff!("sinknewsorted", u64::from(*s), ops);
             }
-            Instr::SinkNewDistinct(s) => {
-                let _ = eff!("sinknewdistinct", u64::from(*s), vec![]);
+            Instr::SinkNewDistinct(s, lane) => {
+                let code = lane.map_or(3, lane_code);
+                let _ = eff!("sinknewdistinct", (u64::from(*s) << 2) | code, vec![]);
             }
             Instr::SinkNewVec(s) => {
                 let _ = eff!("sinknewvec", u64::from(*s), vec![]);

@@ -17,7 +17,7 @@ use crate::interrupt::{Interrupt, POLL_STRIDE};
 use crate::prepared::{Bindings, PreparedSource};
 use crate::instr::SKey;
 use crate::profile::QueryProfile;
-use crate::sink::{ScalarKey, SinkRt};
+use crate::sink::{max_total, min_total, DistinctSink, GroupTable, ScalarKey, SinkRt, SortCols, SortSink};
 
 /// A runtime error during bytecode execution.
 #[derive(Clone, Debug, PartialEq)]
@@ -83,6 +83,16 @@ pub(crate) fn unbox_i(v: &Value) -> Result<i64, VmError> {
 #[inline]
 pub(crate) fn unbox_b(v: &Value) -> Result<bool, VmError> {
     v.as_bool().ok_or_else(|| shape("expected a boolean"))
+}
+
+/// The key an `SKey` operand names, read from its register.
+#[inline]
+fn scalar_key(k: SKey, fregs: &[f64], iregs: &[i64]) -> ScalarKey {
+    match k {
+        SKey::F(r) => ScalarKey::F(fregs[r as usize]),
+        SKey::I(r) => ScalarKey::I(iregs[r as usize]),
+        SKey::B(r) => ScalarKey::B(iregs[r as usize] != 0),
+    }
 }
 
 #[inline]
@@ -292,10 +302,10 @@ fn run_impl<const PROFILE: bool>(
             Instr::SqrtF(d, a) => fregs[*d as usize] = fregs[*a as usize].sqrt(),
             Instr::FloorF(d, a) => fregs[*d as usize] = fregs[*a as usize].floor(),
             Instr::MinF(d, a, b) => {
-                fregs[*d as usize] = fregs[*a as usize].min(fregs[*b as usize])
+                fregs[*d as usize] = min_total(fregs[*a as usize], fregs[*b as usize])
             }
             Instr::MaxF(d, a, b) => {
-                fregs[*d as usize] = fregs[*a as usize].max(fregs[*b as usize])
+                fregs[*d as usize] = max_total(fregs[*a as usize], fregs[*b as usize])
             }
 
             Instr::AddI(d, a, b) => {
@@ -522,32 +532,32 @@ fn run_impl<const PROFILE: bool>(
                     last: 0,
                 }
             }
-            Instr::SinkNewGroupAggSF(s, d) => {
-                sinks[*s as usize] = SinkRt::GroupAggSF {
-                    index: HashMap::default(),
-                    entries: Vec::new(),
-                    default: fregs[*d as usize],
-                    last: 0,
+            Instr::SinkNewGroupAggSF(s, d, key, range) => {
+                let range = range.as_ref().map(|r| (r.lo, r.hi));
+                sinks[*s as usize] =
+                    SinkRt::GroupAggSF(GroupTable::new(*key, range, fregs[*d as usize]));
+            }
+            Instr::SinkNewGroupAggSI(s, d, key, range) => {
+                let range = range.as_ref().map(|r| (r.lo, r.hi));
+                sinks[*s as usize] =
+                    SinkRt::GroupAggSI(GroupTable::new(*key, range, iregs[*d as usize]));
+            }
+            Instr::SinkNewSorted(s, spec) => {
+                sinks[*s as usize] = match spec.cols {
+                    SortCols::Boxed => SinkRt::Sorted {
+                        items: Vec::new(),
+                        descending: spec.descending,
+                    },
+                    _ => SinkRt::SortedCols(SortSink::new(*spec)),
                 }
             }
-            Instr::SinkNewGroupAggSI(s, d) => {
-                sinks[*s as usize] = SinkRt::GroupAggSI {
-                    index: HashMap::default(),
-                    entries: Vec::new(),
-                    default: iregs[*d as usize],
-                    last: 0,
-                }
-            }
-            Instr::SinkNewSorted(s, desc) => {
-                sinks[*s as usize] = SinkRt::Sorted {
-                    items: Vec::new(),
-                    descending: *desc,
-                }
-            }
-            Instr::SinkNewDistinct(s) => {
-                sinks[*s as usize] = SinkRt::Distinct {
-                    seen: HashSet::new(),
-                    items: Vec::new(),
+            Instr::SinkNewDistinct(s, lane) => {
+                sinks[*s as usize] = match lane {
+                    Some(lane) => SinkRt::DistinctCols(DistinctSink::new(*lane)),
+                    None => SinkRt::Distinct {
+                        seen: HashSet::new(),
+                        items: Vec::new(),
+                    },
                 }
             }
             Instr::SinkNewVec(s) => sinks[*s as usize] = SinkRt::Vec { items: Vec::new() },
@@ -639,60 +649,36 @@ fn run_impl<const PROFILE: bool>(
                 entries[*last].1 = vregs[*r as usize].clone();
             }
             Instr::GroupAccLoadSF(s, d, k) => {
-                let key = match k {
-                    SKey::F(r) => ScalarKey::F(fregs[*r as usize]),
-                    SKey::I(r) => ScalarKey::I(iregs[*r as usize]),
-                    SKey::B(r) => ScalarKey::B(iregs[*r as usize] != 0),
-                };
-                let SinkRt::GroupAggSF {
-                    index,
-                    entries,
-                    default,
-                    last,
-                } = &mut sinks[*s as usize]
-                else {
+                let key = scalar_key(*k, &fregs, &iregs);
+                let SinkRt::GroupAggSF(t) = &mut sinks[*s as usize] else {
                     return Err(shape("sink is not a scalar f64 grouped aggregate"));
                 };
-                let slot = *index.entry(key.bits()).or_insert_with(|| {
-                    entries.push((key, *default));
-                    entries.len() - 1
-                });
-                *last = slot;
-                fregs[*d as usize] = entries[slot].1;
+                let slot = t.slot(key)?;
+                t.last = slot;
+                fregs[*d as usize] = t.accs[slot];
             }
             Instr::GroupAccStoreSF(s, r) => {
-                let SinkRt::GroupAggSF { entries, last, .. } = &mut sinks[*s as usize] else {
+                let SinkRt::GroupAggSF(t) = &mut sinks[*s as usize] else {
                     return Err(shape("sink is not a scalar f64 grouped aggregate"));
                 };
-                entries[*last].1 = fregs[*r as usize];
+                let last = t.last;
+                t.accs[last] = fregs[*r as usize];
             }
             Instr::GroupAccLoadSI(s, d, k) => {
-                let key = match k {
-                    SKey::F(r) => ScalarKey::F(fregs[*r as usize]),
-                    SKey::I(r) => ScalarKey::I(iregs[*r as usize]),
-                    SKey::B(r) => ScalarKey::B(iregs[*r as usize] != 0),
-                };
-                let SinkRt::GroupAggSI {
-                    index,
-                    entries,
-                    default,
-                    last,
-                } = &mut sinks[*s as usize]
-                else {
+                let key = scalar_key(*k, &fregs, &iregs);
+                let SinkRt::GroupAggSI(t) = &mut sinks[*s as usize] else {
                     return Err(shape("sink is not a scalar i64 grouped aggregate"));
                 };
-                let slot = *index.entry(key.bits()).or_insert_with(|| {
-                    entries.push((key, *default));
-                    entries.len() - 1
-                });
-                *last = slot;
-                iregs[*d as usize] = entries[slot].1;
+                let slot = t.slot(key)?;
+                t.last = slot;
+                iregs[*d as usize] = t.accs[slot];
             }
             Instr::GroupAccStoreSI(s, r) => {
-                let SinkRt::GroupAggSI { entries, last, .. } = &mut sinks[*s as usize] else {
+                let SinkRt::GroupAggSI(t) = &mut sinks[*s as usize] else {
                     return Err(shape("sink is not a scalar i64 grouped aggregate"));
                 };
-                entries[*last].1 = iregs[*r as usize];
+                let last = t.last;
+                t.accs[last] = iregs[*r as usize];
             }
             Instr::SinkPush(s, v) => {
                 if PROFILE {
@@ -706,6 +692,7 @@ fn run_impl<const PROFILE: bool>(
                             items.push(value.clone());
                         }
                     }
+                    SinkRt::DistinctCols(d) => d.push_value(&vregs[*v as usize])?,
                     _ => return Err(shape("sink is not a buffer")),
                 }
             }
@@ -713,21 +700,27 @@ fn run_impl<const PROFILE: bool>(
                 if PROFILE {
                     prof.sink_pushes += 1;
                 }
-                let SinkRt::Sorted { items, .. } = &mut sinks[*s as usize] else {
-                    return Err(shape("sink is not sorted"));
-                };
-                items.push((vregs[*k as usize].clone(), vregs[*v as usize].clone()));
-            }
-            Instr::SinkSeal(s) => {
-                let SinkRt::Sorted { items, descending } = &mut sinks[*s as usize] else {
-                    return Err(shape("sink is not sorted"));
-                };
-                if *descending {
-                    items.sort_by(|(ka, _), (kb, _)| kb.cmp_total(ka));
-                } else {
-                    items.sort_by(|(ka, _), (kb, _)| ka.cmp_total(kb));
+                match &mut sinks[*s as usize] {
+                    SinkRt::Sorted { items, .. } => {
+                        items.push((vregs[*k as usize].clone(), vregs[*v as usize].clone()));
+                    }
+                    SinkRt::SortedCols(ss) => {
+                        ss.push_values(&vregs[*k as usize], &vregs[*v as usize])?;
+                    }
+                    _ => return Err(shape("sink is not sorted")),
                 }
             }
+            Instr::SinkSeal(s) => match &mut sinks[*s as usize] {
+                SinkRt::Sorted { items, descending } => {
+                    if *descending {
+                        items.sort_by(|(ka, _), (kb, _)| kb.cmp_total(ka));
+                    } else {
+                        items.sort_by(|(ka, _), (kb, _)| ka.cmp_total(kb));
+                    }
+                }
+                SinkRt::SortedCols(ss) => ss.seal(),
+                _ => return Err(shape("sink is not sorted")),
+            },
             Instr::SinkFreeze(s) => {
                 frozen[*s as usize] = sinks[*s as usize].freeze();
             }
@@ -737,14 +730,32 @@ fn run_impl<const PROFILE: bool>(
             }
 
             Instr::BatchLoop(bp) => {
-                use crate::batch::{BatchData, Lane};
-                let data = match (&bindings.sources[bp.src as usize], bp.src_lane) {
-                    (PreparedSource::F64(v), Lane::F) => BatchData::F(v.as_slice()),
-                    (PreparedSource::I64(v), Lane::I) => BatchData::I(v.as_slice()),
-                    (PreparedSource::Bool(v), Lane::B) => BatchData::B(v.as_slice()),
-                    _ => return Err(shape("batch source lane mismatch")),
-                }
-                .window(&bp.window);
+                use crate::batch::{BatchData, BatchSrc, Lane};
+                // A loop over a sink reads its columns in place: the sink
+                // moves out of the bank for the loop (a loop never pushes
+                // into the sink it reads) and back in afterwards.
+                let read_sink = match bp.src {
+                    BatchSrc::Sink(s) => {
+                        Some((s, std::mem::replace(&mut sinks[s as usize], SinkRt::Empty)))
+                    }
+                    BatchSrc::Source(_) => None,
+                };
+                let (data, snd) = match (bp.src, &read_sink) {
+                    (BatchSrc::Source(s), _) => {
+                        let data = match (&bindings.sources[s as usize], bp.src_lane) {
+                            (PreparedSource::F64(v), Lane::F) => BatchData::F(v.as_slice()),
+                            (PreparedSource::I64(v), Lane::I) => BatchData::I(v.as_slice()),
+                            (PreparedSource::Bool(v), Lane::B) => BatchData::B(v.as_slice()),
+                            _ => return Err(shape("batch source lane mismatch")),
+                        };
+                        (data, None)
+                    }
+                    (BatchSrc::Sink(_), Some((_, sink))) => sink
+                        .columns()
+                        .ok_or_else(|| shape("batch loop over an untyped or unsealed sink"))?,
+                    (BatchSrc::Sink(_), None) => unreachable!("sink source taken above"),
+                };
+                let (data, snd) = (data.window(&bp.window), snd.map(|c| c.window(&bp.window)));
                 let mut f_accs: Vec<f64> =
                     bp.f_accs.iter().map(|r| fregs[*r as usize]).collect();
                 let mut i_accs: Vec<i64> =
@@ -774,6 +785,7 @@ fn run_impl<const PROFILE: bool>(
                 let batch_result = crate::batch::run_batch(
                     bp,
                     data,
+                    snd,
                     &mut f_accs,
                     &mut i_accs,
                     &f_params,
@@ -799,6 +811,9 @@ fn run_impl<const PROFILE: bool>(
                     }
                 }
                 drop(lspan);
+                if let Some((s, sink)) = read_sink {
+                    sinks[s as usize] = sink;
+                }
                 batch_result?;
                 if PROFILE {
                     prof.out_elements += (out.len() - out_before) as u64;

@@ -49,6 +49,7 @@
 use crate::batch::{BInit, BOp, BatchData, BatchProgram, Lane, BATCH};
 use crate::exec::VmError;
 use crate::interrupt::Interrupt;
+use crate::sink::{from_order_f, order_f};
 
 // ---------------------------------------------------------------------
 // Fused-shape descriptors.
@@ -635,6 +636,10 @@ pub fn plan(bp: &BatchProgram) -> Option<FusedTape> {
             // path.
             BOp::GroupAddF { .. }
             | BOp::GroupAddI { .. }
+            | BOp::SortPush { .. }
+            | BOp::DistinctPush { .. }
+            | BOp::LoadSnd(..)
+            | BOp::OutPair(..)
             | BOp::Call { .. }
             | BOp::OutF(..)
             | BOp::OutI(..)
@@ -756,11 +761,12 @@ fn loop_i(
     Ok(())
 }
 
-/// One fused min/max pass. Folds live lanes only, with the accumulator
-/// as the **left** operand of `fold` — exactly the order and operator
-/// ([`f64::min`]/[`f64::max`]) of the [`crate::kernels::fold`] sequence
-/// it replaces, so results stay bit-identical (including NaN
-/// propagation). Masked lanes skip the fold entirely rather than
+/// One fused min/max pass. Folds live lanes only, in the `total_cmp`
+/// order images of [`crate::sink::order_f`] — an `i64` min/max there is
+/// exactly the [`crate::sink::min_total`]/[`crate::sink::max_total`]
+/// fold of the [`crate::kernels::fold_order`] sequence it replaces, so
+/// results stay bit-identical (NaNs and signed zeros included) while the
+/// loop-carried step is one integer compare. Masked lanes skip the fold entirely rather than
 /// folding an identity: min/max have no universally exact identity
 /// element the way `-0.0` is for addition.
 #[inline]
@@ -770,18 +776,18 @@ fn fold_f(
     interrupt: &Interrupt,
     pred: impl Fn(f64) -> bool,
     map: impl Fn(f64) -> f64,
-    fold: impl Fn(f64, f64) -> f64,
+    fold: impl Fn(i64, i64) -> i64,
 ) -> Result<(), VmError> {
-    let mut a = *acc;
+    let mut a = order_f(*acc);
     for chunk in xs.chunks(BATCH) {
         interrupt.check()?;
         for &x in chunk {
             if pred(x) {
-                a = fold(a, map(x));
+                a = fold(a, order_f(map(x)));
             }
         }
     }
-    *acc = a;
+    *acc = from_order_f(a);
     Ok(())
 }
 
@@ -975,8 +981,8 @@ pub fn run_fused(
             let acc = &mut f_accs[*acc as usize];
             let pred = pred.map(|(op, c)| (op, c.get(f_params)));
             match kind {
-                FoldKind::Min => run_fold_f(pred, *map, xs, acc, f_params, interrupt, f64::min),
-                FoldKind::Max => run_fold_f(pred, *map, xs, acc, f_params, interrupt, f64::max),
+                FoldKind::Min => run_fold_f(pred, *map, xs, acc, f_params, interrupt, i64::min),
+                FoldKind::Max => run_fold_f(pred, *map, xs, acc, f_params, interrupt, i64::max),
             }
         }
         (FusedTape::FoldI { kind, pred, map, acc }, BatchData::I(xs)) => {
@@ -1006,7 +1012,7 @@ fn run_fold_f(
     acc: &mut f64,
     f_params: &[f64],
     interrupt: &Interrupt,
-    fold: impl Fn(f64, f64) -> f64 + Copy,
+    fold: impl Fn(i64, i64) -> i64 + Copy,
 ) -> Result<(), VmError> {
     match map {
         MapF::X => dispatch_fold_f!(pred, xs, acc, interrupt, |x| x, fold),

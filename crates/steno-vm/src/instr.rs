@@ -6,7 +6,12 @@
 //! the VM-level counterpart of the paper's *type specialization* (§4):
 //! the hot loop of a numeric query touches only unboxed registers.
 
+use std::sync::Arc;
+
 use steno_expr::{Ty, Value};
+
+use crate::batch::Lane;
+use crate::sink::{KeyRange, SortCols, SortSpec};
 
 /// An F-bank (f64) register index.
 pub type FReg = u32;
@@ -96,9 +101,9 @@ pub enum Instr {
     SqrtF(FReg, FReg),
     /// `dst = a.floor()`.
     FloorF(FReg, FReg),
-    /// `dst = a.min(b)`.
+    /// `dst = a.min(b)` in `total_cmp` order ([`crate::sink::min_total`]).
     MinF(FReg, FReg, FReg),
-    /// `dst = a.max(b)`.
+    /// `dst = a.max(b)` in `total_cmp` order.
     MaxF(FReg, FReg, FReg),
 
     // ---- i64 arithmetic (wrapping, like unchecked C#) ----
@@ -221,14 +226,17 @@ pub enum Instr {
     SinkNewGroupAggF(SinkId, FReg),
     /// Initialize a grouped-aggregate sink with an i64 default.
     SinkNewGroupAggI(SinkId, IReg),
-    /// Initialize a fully-scalar grouped-aggregate sink (f64 acc).
-    SinkNewGroupAggSF(SinkId, FReg),
-    /// Initialize a fully-scalar grouped-aggregate sink (i64 acc).
-    SinkNewGroupAggSI(SinkId, IReg),
-    /// Initialize a sort sink.
-    SinkNewSorted(SinkId, bool),
-    /// Initialize a distinct sink.
-    SinkNewDistinct(SinkId),
+    /// Initialize a fully-scalar grouped-aggregate sink (f64 acc) with
+    /// keys of the given lane, direct-indexed over a proven key range
+    /// when one is given (see [`crate::sink::KeyRange`]).
+    SinkNewGroupAggSF(SinkId, FReg, Lane, Option<Arc<KeyRange>>),
+    /// As [`Instr::SinkNewGroupAggSF`] with an i64 accumulator.
+    SinkNewGroupAggSI(SinkId, IReg, Lane, Option<Arc<KeyRange>>),
+    /// Initialize a sort sink: boxed, or typed columns with an optional
+    /// top-k bound.
+    SinkNewSorted(SinkId, SortSpec),
+    /// Initialize a distinct sink: typed over a lane, or boxed (`None`).
+    SinkNewDistinct(SinkId, Option<Lane>),
     /// Initialize a plain buffer sink.
     SinkNewVec(SinkId),
     /// Append `(key, value)` to a group sink.
@@ -254,11 +262,13 @@ pub enum Instr {
     GroupAccStoreSF(SinkId, FReg),
     /// Fully-scalar store to the remembered slot (i64 acc).
     GroupAccStoreSI(SinkId, IReg),
-    /// Push a value into a vec/distinct sink.
+    /// Push a value into a vec/distinct sink (a typed distinct sink
+    /// unboxes it).
     SinkPush(SinkId, VReg),
-    /// Push a keyed value into a sort sink.
+    /// Push a keyed value into a sort sink (a typed sort sink unboxes
+    /// both).
     SinkPushKeyed(SinkId, VReg, VReg),
-    /// Finalize a sort sink (sorts its buffer).
+    /// Finalize a sort sink (sorts its buffer, keeping its top-k bound).
     SinkSeal(SinkId),
     /// Materialize the sink contents for iteration.
     SinkFreeze(SinkId),
@@ -625,6 +635,60 @@ pub struct Program {
     /// `None` for hand-assembled programs (the checker then skips the
     /// scalar-equivalence obligation and checks the tape standalone).
     pub shadow: Option<std::sync::Arc<ScalarShadow>>,
+}
+
+/// One line per sink naming its representation, in sink order: e.g.
+/// `sink s0: sorted f64→f64, top 10` or
+/// `sink s1: group-agg i64→i64, direct[-15..=15]`. EXPLAIN prints these.
+pub fn sink_plans(p: &Program) -> Vec<String> {
+    fn lane(l: Lane) -> &'static str {
+        match l {
+            Lane::F => "f64",
+            Lane::I => "i64",
+            Lane::B => "bool",
+        }
+    }
+    let index = |r: &Option<Arc<KeyRange>>| match r {
+        Some(r) => format!("direct[{}..={}]", r.lo, r.hi),
+        None => "hash".to_string(),
+    };
+    p.instrs
+        .iter()
+        .filter_map(|ins| {
+            let (s, what) = match ins {
+                Instr::SinkNewSorted(s, spec) => {
+                    let mut what = match spec.cols {
+                        SortCols::Boxed => "sorted boxed".to_string(),
+                        SortCols::Key(k) => format!("sorted {}→{}", lane(k), lane(k)),
+                        SortCols::KeyVal(k, v) => format!("sorted {}→{}", lane(k), lane(v)),
+                    };
+                    if spec.descending {
+                        what.push_str(" descending");
+                    }
+                    if let Some(k) = spec.limit {
+                        what.push_str(&format!(", top {k}"));
+                    }
+                    (s, what)
+                }
+                Instr::SinkNewDistinct(s, l) => {
+                    (s, format!("distinct {}", l.map_or("boxed", lane)))
+                }
+                Instr::SinkNewGroupAggSF(s, _, k, r) => {
+                    (s, format!("group-agg {}→f64, {}", lane(*k), index(r)))
+                }
+                Instr::SinkNewGroupAggSI(s, _, k, r) => {
+                    (s, format!("group-agg {}→i64, {}", lane(*k), index(r)))
+                }
+                Instr::SinkNewGroupAggF(s, _)
+                | Instr::SinkNewGroupAggI(s, _)
+                | Instr::SinkNewGroupAggV(s, _) => (s, "group-agg boxed".to_string()),
+                Instr::SinkNewGroup(s) => (s, "group boxed".to_string()),
+                Instr::SinkNewVec(s) => (s, "vec boxed".to_string()),
+                _ => return None,
+            };
+            Some(format!("sink s{s}: {what}"))
+        })
+        .collect()
 }
 
 impl Program {

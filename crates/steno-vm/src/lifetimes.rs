@@ -53,6 +53,7 @@ fn bop_slots_mut(op: &mut BOp, mut f: impl FnMut(BankK, &mut u8, bool)) {
         BOp::LoadF(d) => f(F, d, true),
         BOp::LoadI(d) => f(I, d, true),
         BOp::LoadB(d) => f(B, d, true),
+        BOp::LoadSnd(lane, d) => f(lane_bank(*lane), d, true),
 
         BOp::AddF(d, a, b)
         | BOp::SubF(d, a, b)
@@ -167,6 +168,15 @@ fn bop_slots_mut(op: &mut BOp, mut f: impl FnMut(BankK, &mut u8, bool)) {
         BOp::OutF(s) => f(F, s, false),
         BOp::OutI(s) => f(I, s, false),
         BOp::OutB(s) => f(B, s, false),
+        BOp::OutPair(a, b) => {
+            f(lane_bank(a.0), &mut a.1, false);
+            f(lane_bank(b.0), &mut b.1, false);
+        }
+        BOp::SortPush { key, val, .. } => {
+            f(lane_bank(key.0), &mut key.1, false);
+            f(lane_bank(val.0), &mut val.1, false);
+        }
+        BOp::DistinctPush { val, .. } => f(lane_bank(val.0), &mut val.1, false),
 
         BOp::Call { args, dst, .. } => {
             for (lane, s) in args.as_mut_slice() {
@@ -224,7 +234,8 @@ pub fn bop_uses(op: &BOp, mut f: impl FnMut(BankK, u8)) {
     });
 }
 
-fn bop_def(op: &BOp) -> Option<(BankK, u8)> {
+/// The slot a batch op writes, if any.
+pub(crate) fn bop_def(op: &BOp) -> Option<(BankK, u8)> {
     let mut tmp = *op;
     let mut def = None;
     bop_slots_mut(&mut tmp, |bank, slot, is_def| {
@@ -613,13 +624,13 @@ pub(crate) fn instr_io(instr: &Instr, mut f: impl FnMut(RegBank, u32, bool)) {
 
         Instr::SinkNewGroup(_)
         | Instr::SinkNewSorted(_, _)
-        | Instr::SinkNewDistinct(_)
+        | Instr::SinkNewDistinct(_, _)
         | Instr::SinkNewVec(_)
         | Instr::SinkSeal(_)
         | Instr::SinkFreeze(_) => {}
         Instr::SinkNewGroupAggV(_, v) => f(V, *v, false),
-        Instr::SinkNewGroupAggF(_, r) | Instr::SinkNewGroupAggSF(_, r) => f(F, *r, false),
-        Instr::SinkNewGroupAggI(_, r) | Instr::SinkNewGroupAggSI(_, r) => f(I, *r, false),
+        Instr::SinkNewGroupAggF(_, r) | Instr::SinkNewGroupAggSF(_, r, ..) => f(F, *r, false),
+        Instr::SinkNewGroupAggI(_, r) | Instr::SinkNewGroupAggSI(_, r, ..) => f(I, *r, false),
         Instr::GroupPut(_, k, v) => {
             f(V, *k, false);
             f(V, *v, false);
@@ -1038,8 +1049,9 @@ mod tests {
         // SSA chain: f0=x; f1=x*x; f2=f1+f1; acc += f2.
         // f0 dies at op 1, f1 at op 2 → f2 can land on a recycled slot.
         let mut bp = BatchProgram {
-            src: 0,
+            src: crate::batch::BatchSrc::Source(0),
             src_lane: Lane::F,
+            snd_lane: None,
             window: 0..usize::MAX,
             f_params: vec![],
             i_params: vec![],
@@ -1072,6 +1084,7 @@ mod tests {
             crate::batch::run_batch(
                 bp,
                 crate::batch::BatchData::F(&data),
+                None,
                 &mut f_accs,
                 &mut [],
                 &[],
@@ -1093,8 +1106,9 @@ mod tests {
         // i1 = const 2 (prologue) is read by every chunk's RemI and must
         // keep its column even though its "last read" is mid-tape.
         let mut bp = BatchProgram {
-            src: 0,
+            src: crate::batch::BatchSrc::Source(0),
             src_lane: Lane::I,
+            snd_lane: None,
             window: 0..usize::MAX,
             f_params: vec![],
             i_params: vec![],
@@ -1122,6 +1136,7 @@ mod tests {
             crate::batch::run_batch(
                 bp,
                 crate::batch::BatchData::I(&data),
+                None,
                 &mut [],
                 &mut i_accs,
                 &[],

@@ -472,3 +472,81 @@ fn lane_mismatched_call_caught() {
     assert!(retyped, "expected a Call in the batch tape");
     assert_rejected(&p, &[ObligationKind::Call], "lane-mismatched call");
 }
+
+// ---------------------------------------------------------------------
+// 12. Unsound typed sinks: a top-k bound narrowed below its reader's
+//     window end (the reader would read elements the sink dropped), a
+//     top-k sink given a second reader, a direct-indexed group table
+//     narrower than the key interval its proof re-derives, and a sort
+//     append moved above a `take_while` cut (it would append lanes past
+//     the exit).
+// ---------------------------------------------------------------------
+fn text_program(text: &str, ctx: &DataContext) -> Program {
+    let (q, _) = steno_syntax::parse_query(text).expect("corpus text parses");
+    compile(&q, ctx, StenoOptions::default())
+}
+
+#[test]
+fn narrowed_top_k_bound_caught() {
+    let mut p = text_program("xs.order_by_descending(|x| x).skip(3).take(10)", &fctx());
+    let mut narrowed = false;
+    for ins in &mut p.instrs {
+        if let Instr::SinkNewSorted(_, spec) = ins {
+            assert_eq!(spec.limit, Some(13));
+            spec.limit = Some(12);
+            narrowed = true;
+        }
+    }
+    assert!(narrowed, "expected a top-k sort sink");
+    assert_rejected(&p, &[ObligationKind::Sink], "narrowed top-k bound");
+}
+
+#[test]
+fn second_reader_of_a_top_k_sink_caught() {
+    let mut p = text_program("xs.order_by(|x| x).take(10).sum()", &fctx());
+    let reader = p
+        .instrs
+        .iter()
+        .rposition(|ins| matches!(ins, Instr::BatchLoop(_)))
+        .expect("a batch reader");
+    let again = p.instrs[reader].clone();
+    p.instrs.insert(reader, again);
+    assert_rejected(&p, &[ObligationKind::Sink], "second reader of a top-k sink");
+}
+
+#[test]
+fn narrowed_direct_key_range_caught() {
+    let mut p = text_program(
+        "ns.groupBy(|x| x % 16).select(|kv| (kv.0, kv.1.sum()))",
+        &ictx(),
+    );
+    let mut narrowed = false;
+    for ins in &mut p.instrs {
+        if let Instr::SinkNewGroupAggSI(_, _, _, Some(range)) = ins {
+            let mut r = (**range).clone();
+            assert_eq!((r.lo, r.hi), (-15, 15));
+            r.lo = 0;
+            *range = Arc::new(r);
+            narrowed = true;
+        }
+    }
+    assert!(narrowed, "expected a direct-indexed group table");
+    assert_rejected(&p, &[ObligationKind::Sink], "narrowed direct key range");
+}
+
+#[test]
+fn sort_append_moved_above_a_cut_caught() {
+    let mut p = text_program("xs.take_while(|x| x < 2.0).order_by(|x| x)", &fctx());
+    let mut moved = false;
+    mutate_batch(&mut p, |bp| {
+        let cut = bp.tape.iter().position(|op| matches!(op, BOp::Cut(_)));
+        let push = bp.tape.iter().position(|op| matches!(op, BOp::SortPush { .. }));
+        if let (Some(cut), Some(push)) = (cut, push) {
+            let op = bp.tape.remove(push);
+            bp.tape.insert(cut, op);
+            moved = true;
+        }
+    });
+    assert!(moved, "expected a Cut and a SortPush in the batch tape");
+    assert_rejected(&p, &[ObligationKind::Sink], "sort append moved above a cut");
+}

@@ -325,6 +325,16 @@ fn seeded_pure_udfs_agree_bit_for_bit() {
                 .select(call("sgn", vec![x().gt(Expr::liti(0)), x()]), "x")
                 .min()
                 .build(),
+            // f64 min/max over a column with a NaN: every tier orders by
+            // `total_cmp`, as the interpreter's aggregates do.
+            Query::source("xs")
+                .select(call("lin", vec![x()]), "x")
+                .min()
+                .build(),
+            Query::source("xs")
+                .select(call("mix", vec![x(), x()]), "x")
+                .max()
+                .build(),
             // After a filter: only the live lanes are called.
             Query::source("xs")
                 .where_(x().gt(Expr::litf(0.0)), "x")
@@ -388,7 +398,7 @@ fn seeded_pure_udfs_agree_bit_for_bit() {
     }
     assert_eq!(
         vectorized,
-        13 * lens.len(),
+        15 * lens.len(),
         "every batched shape must vectorize"
     );
 }

@@ -107,6 +107,50 @@ fn edge_sizes_agree_bit_for_bit() {
         check3_vectorized(&Query::source("xs").min().build(), &c, &u);
         check3_vectorized(&Query::source("xs").max().build(), &c, &u);
         check3_vectorized(&Query::source("xs").count().build(), &c, &u);
+        // min/max rows again with NaNs of both signs, signed zeros and
+        // infinities spread through the column (one at the very end).
+        let specials = [f64::NAN, -f64::NAN, 0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY];
+        let mut odd: Vec<f64> = (0..n).map(|i| (i as f64) * 0.25 - 3.0).collect();
+        for (k, at) in (0..n).step_by(97).enumerate() {
+            odd[at] = specials[k % specials.len()];
+        }
+        if let Some(last) = odd.last_mut() {
+            *last = specials[n % specials.len()];
+        }
+        let c = DataContext::new().with_source("xs", odd);
+        for q in [
+            Query::source("xs").min().build(),
+            Query::source("xs").max().build(),
+            Query::source("xs").where_(x().ge(Expr::litf(-1.0)), "x").min().build(),
+            Query::source("xs").where_(x().le(Expr::litf(1.0)), "x").max().build(),
+            Query::source("xs").select(x().min(Expr::litf(-0.0)), "x").max().build(),
+            Query::source("xs").select(x().max(Expr::litf(0.0)), "x").min().build(),
+        ] {
+            check3_vectorized(&q, &c, &u);
+        }
+    }
+}
+
+/// `min`/`max` follow `total_cmp` on every tier: `-NaN < -inf < … <
+/// -0.0 < 0.0 < … < inf < NaN`, so a positive NaN wins a max but loses
+/// a min, and `-0.0` beats `0.0` in a min whatever their order.
+#[test]
+fn min_max_order_nan_and_signed_zero_totally() {
+    let u = UdfRegistry::new();
+    let cases: [(&[f64], f64, f64); 4] = [
+        (&[1.0, f64::NAN, 3.0], 1.0, f64::NAN),
+        (&[1.0, -f64::NAN, 3.0], -f64::NAN, 3.0),
+        (&[0.0, -0.0], -0.0, 0.0),
+        (&[-0.0, 0.0], -0.0, 0.0),
+    ];
+    for (data, min, max) in cases {
+        let c = DataContext::new().with_source("xs", data.to_vec());
+        check3_vectorized(&Query::source("xs").min().build(), &c, &u);
+        check3_vectorized(&Query::source("xs").max().build(), &c, &u);
+        let (_, v) = compile_pair(&Query::source("xs").min().build(), &c, &u);
+        assert_eq!(v.run(&c, &u).unwrap().key(), Value::F64(min).key(), "min of {data:?}");
+        let (_, v) = compile_pair(&Query::source("xs").max().build(), &c, &u);
+        assert_eq!(v.run(&c, &u).unwrap().key(), Value::F64(max).key(), "max of {data:?}");
     }
 }
 

@@ -606,6 +606,7 @@ impl Steno {
                         slots_reused: compiled.slots_reused(),
                         hoisted: compiled.hoisted(),
                         superinstrs: compiled.superinstrs(),
+                        sinks: steno_vm::instr::sink_plans(compiled.program()),
                         lints,
                         rewrites: compiled.rewrite_log().to_vec(),
                         reopt: self.cache.reopt_events(q, options),

@@ -62,6 +62,10 @@ pub enum ExplainPlan {
         hoisted: u32,
         /// Adjacent scalar pairs threaded into superinstructions.
         superinstrs: u32,
+        /// One line per sink naming its representation (typed columns
+        /// with a top-k bound or a direct-indexed table, or boxed), in
+        /// sink order; see [`steno_vm::instr::sink_plans`].
+        sinks: Vec<String>,
         /// Lint diagnostics over the QUIL chain, rendered
         /// (`severity[lint]: message (span)`), in chain order.
         lints: Vec<String>,
@@ -112,6 +116,7 @@ impl Explain {
                 slots_reused,
                 hoisted,
                 superinstrs,
+                sinks,
                 lints,
                 rewrites,
                 reopt,
@@ -152,6 +157,9 @@ impl Explain {
                 }
                 for kernel in fused_kernels {
                     out.push_str(&format!("  fused-kernel: {kernel}\n"));
+                }
+                for sink in sinks {
+                    out.push_str(&format!("  {sink}\n"));
                 }
                 if *slots_reused > 0 {
                     out.push_str(&format!(
@@ -196,6 +204,7 @@ impl Explain {
                 slots_reused,
                 hoisted,
                 superinstrs,
+                sinks,
                 lints,
                 rewrites,
                 reopt,
@@ -232,6 +241,10 @@ impl Explain {
                     .iter()
                     .map(|k| format!("\"{}\"", json::escape(k)))
                     .collect();
+                let sinks_json: Vec<String> = sinks
+                    .iter()
+                    .map(|k| format!("\"{}\"", json::escape(k)))
+                    .collect();
                 let rewrites_json: Vec<String> = rewrites
                     .iter()
                     .map(|ev| {
@@ -258,13 +271,15 @@ impl Explain {
                      \"batch_size\": {batch_size}, \"result_ty\": \"{}\", \
                      \"guards_dropped\": {guards_dropped}, \"fused_kernels\": [{}], \
                      \"slots_reused\": {slots_reused}, \"hoisted\": {hoisted}, \
-                     \"superinstrs\": {superinstrs}, \"loops\": [{}], \"lints\": [{}], \
+                     \"superinstrs\": {superinstrs}, \"sinks\": [{}], \"loops\": [{}], \
+                     \"lints\": [{}], \
                      \"rewrites\": [{}], \"reopt\": [{}], \"measured\": {measured_json}, \
                      \"tape_check\": \"{}\"}}",
                     json::escape(&self.query),
                     json::escape(quil),
                     json::escape(result_ty),
                     kernels_json.join(", "),
+                    sinks_json.join(", "),
                     loops_json.join(", "),
                     lints_json.join(", "),
                     rewrites_json.join(", "),
@@ -340,6 +355,7 @@ mod tests {
                 slots_reused: 3,
                 hoisted: 1,
                 superinstrs: 2,
+                sinks: vec!["sink s0: sorted f64→f64, top 10".to_string()],
                 lints: vec!["warning[dead-filter]: filter is always false (op 1)".to_string()],
                 rewrites: vec![
                     RewriteEvent {
@@ -405,6 +421,9 @@ mod tests {
         assert!(text.contains("slots-reused: 3"), "{text}");
         assert!(text.contains("hoisted: 1"), "{text}");
         assert!(text.contains("superinstrs: 2"), "{text}");
+        assert!(text.contains("  sink s0: sorted f64→f64, top 10\n"), "{text}");
+        let sinks = v.get("sinks").and_then(|s| s.as_array()).unwrap();
+        assert_eq!(sinks[0].as_str(), Some("sink s0: sorted f64→f64, top 10"));
         assert!(text.contains("lint: warning[dead-filter]"), "{text}");
         assert!(
             text.contains("rewrite: reorder-filters: filter op#1"),
@@ -457,6 +476,7 @@ mod tests {
                 slots_reused: 0,
                 hoisted: 0,
                 superinstrs: 0,
+                sinks: vec![],
                 lints: vec![],
                 rewrites: vec![],
                 reopt: vec![],
@@ -479,6 +499,7 @@ mod tests {
             "slots_reused",
             "hoisted",
             "superinstrs",
+            "sinks",
             "loops",
             "lints",
             "rewrites",

@@ -133,6 +133,11 @@ const TEXT_CORPUS: &[&str] = &[
     "xs.take(0).sum()",
     "ns.skip(5000).count()",
     "xs.order_by(|x| 0.0 - x).skip(2).take(5)",
+    "xs.order_by_descending(|x| x).take(4).sum()",
+    "ns.order_by(|x| x).skip(3).take(8)",
+    "ns.groupBy(|x| x % 16).select(|kv| (kv.0, kv.1.sum()))",
+    "ns.groupBy(|x| x / 7).select(|kv| (kv.0, kv.1.count()))",
+    "ns.select(|x| x % 11 - 5).distinct()",
 ];
 
 #[test]
