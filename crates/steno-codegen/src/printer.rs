@@ -2,7 +2,9 @@
 //!
 //! The paper builds a C# AST with CodeDOM and hands it to `csc`; this
 //! printer is the equivalent emitter. Its output is valid, readable Rust
-//! (modulo the small `Lookup`/`GroupAggTable` runtime helpers), and it is
+//! (modulo the small `Lookup`/`GroupAggTable` runtime helpers, and the
+//! `min_total`/`max_total` functions that give `min`/`max` the engine's
+//! `total_cmp` order), and it is
 //! exactly what the `steno!` proc macro splices into the caller's crate —
 //! so the printed text is not documentation, it is the compile-time
 //! backend.
@@ -60,8 +62,8 @@ pub fn render_expr(e: &Expr) -> String {
         Expr::LitF64(x) => lit_f64(*x),
         Expr::LitI64(x) => format!("{x}"),
         Expr::LitBool(b) => format!("{b}"),
-        Expr::Bin(BinOp::Min, a, b) => format!("{}.min({})", render_expr(a), render_expr(b)),
-        Expr::Bin(BinOp::Max, a, b) => format!("{}.max({})", render_expr(a), render_expr(b)),
+        Expr::Bin(BinOp::Min, a, b) => format!("min_total({}, {})", render_expr(a), render_expr(b)),
+        Expr::Bin(BinOp::Max, a, b) => format!("max_total({}, {})", render_expr(a), render_expr(b)),
         Expr::Bin(op, a, b) => format!("({} {} {})", render_expr(a), op.symbol(), render_expr(b)),
         Expr::Un(UnOp::Neg, a) => format!("(-{})", render_expr(a)),
         Expr::Un(UnOp::Not, a) => format!("(!{})", render_expr(a)),
@@ -415,6 +417,23 @@ return __out;
     fn infinities_print_as_constants() {
         let text = render(Query::source("xs").min().build());
         assert!(text.contains("f64::INFINITY"), "{text}");
-        assert!(text.contains(".min(elem_0)"), "{text}");
+    }
+
+    #[test]
+    fn min_and_max_print_in_total_order() {
+        assert_eq!(
+            render(Query::source("xs").min().build()),
+            "\
+// -> f64
+let mut agg_0: f64 = f64::INFINITY;
+for __i in 0..xs.len() {
+    let elem_0 = xs[__i];
+    agg_0 = min_total(agg_0, elem_0);
+}
+return agg_0;
+"
+        );
+        let e = Expr::var("x").max(Expr::LitF64(0.0)).min(Expr::var("y"));
+        assert_eq!(render_expr(&e), "min_total(max_total(x, 0.0), y)");
     }
 }

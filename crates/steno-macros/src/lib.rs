@@ -119,7 +119,7 @@ fn expand(text: &str) -> TokenStream {
     // compiler does for its own generated iterators.
     let wrapped = format!(
         "{{ #[allow(unused_imports, clippy::all)] let __steno_result = (|| {{\n\
-         use ::steno::rt::{{Lookup, GroupAggTable}};\n{body}}})(); __steno_result }}"
+         use ::steno::rt::{{Lookup, GroupAggTable, min_total, max_total}};\n{body}}})(); __steno_result }}"
     );
     match wrapped.parse() {
         Ok(ts) => ts,

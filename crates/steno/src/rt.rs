@@ -5,7 +5,9 @@
 //! [`steno!`](crate::steno) macro does the same: grouping sinks become a
 //! [`Lookup`] or (after the §4.3 specialization) a [`GroupAggTable`].
 //! Keys include `f64`, which is not `Hash`, so hashing goes through the
-//! [`SinkKey`] trait (bit-pattern identity, matching the VM's behaviour).
+//! [`SinkKey`] trait (bit-pattern identity, matching the VM's behaviour),
+//! and `min`/`max` go through [`min_total`]/[`max_total`], which order
+//! `f64` by `total_cmp` as the VM does.
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -46,6 +48,44 @@ impl<A: SinkKey, B: SinkKey> SinkKey for (A, B) {
     type Hashed = (A::Hashed, B::Hashed);
     fn hashed(&self) -> Self::Hashed {
         (self.0.hashed(), self.1.hashed())
+    }
+}
+
+/// An operand of generated `min`/`max`, ordered as the Steno VM and
+/// interpreter order it: `f64` by `total_cmp`, so a NaN or a signed
+/// zero gives the engine's answer rather than `f64::min`'s.
+pub trait TotalOrder: Copy {
+    /// Whether `self` orders strictly before `other`.
+    fn total_lt(self, other: Self) -> bool;
+}
+
+impl TotalOrder for f64 {
+    fn total_lt(self, other: f64) -> bool {
+        self.total_cmp(&other).is_lt()
+    }
+}
+
+impl TotalOrder for i64 {
+    fn total_lt(self, other: i64) -> bool {
+        self < other
+    }
+}
+
+/// `a.min(b)` in [`TotalOrder`]: `b` only when it orders strictly first.
+pub fn min_total<T: TotalOrder>(a: T, b: T) -> T {
+    if b.total_lt(a) {
+        b
+    } else {
+        a
+    }
+}
+
+/// `a.max(b)` in [`TotalOrder`]: `b` only when it orders strictly last.
+pub fn max_total<T: TotalOrder>(a: T, b: T) -> T {
+    if a.total_lt(b) {
+        b
+    } else {
+        a
     }
 }
 

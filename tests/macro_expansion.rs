@@ -52,6 +52,24 @@ fn aggregates_and_positional_operators() {
 }
 
 #[test]
+fn min_and_max_order_nan_and_signed_zero_as_the_engine_does() {
+    // `total_cmp` order, as every VM tier and the interpreter: -0.0
+    // orders before 0.0, and a positive NaN after every number.
+    let zs: Vec<f64> = vec![0.0, -0.0, 3.0];
+    let lo: f64 = steno!((from x: f64 in zs select x).min());
+    assert_eq!(lo.to_bits(), (-0.0f64).to_bits());
+    let zs: Vec<f64> = vec![-0.0, 0.0, -3.0];
+    let hi: f64 = steno!((from x: f64 in zs select x).max());
+    assert_eq!(hi.to_bits(), 0.0f64.to_bits());
+    let ns: Vec<f64> = vec![1.0, f64::NAN, 2.0];
+    let hi: f64 = steno!((from x: f64 in ns select x).max());
+    assert!(hi.is_nan());
+    let clamped: Vec<f64> = steno!(from x: f64 in ns select x.min(1.5));
+    assert_eq!(clamped[0], 1.0);
+    assert_eq!(clamped[1], 1.5);
+}
+
+#[test]
 fn group_by_aggregate_uses_specialized_sink() {
     // The histogram shape of the Group microbenchmark (§7.1): counts per
     // integer bin, via the GroupBy sink.
