@@ -218,6 +218,55 @@ fn filtered_sum(records: &mut Vec<BenchRecord>) {
     report("filtered_sum", n, rows, records);
 }
 
+/// Filtered max: `xs.Where(x > 0.5).Max()` — the fused masked loop
+/// folds `total_cmp` order images, with `i64::MIN` on filtered-out lanes.
+fn filtered_max(records: &mut Vec<BenchRecord>) {
+    let n = scaled(1_000_000);
+    let data = uniform_doubles(n, 29);
+    let ctx = DataContext::new().with_source("xs", data.clone());
+    let udfs = UdfRegistry::new();
+    let q = Query::source("xs")
+        .where_(Expr::var("x").gt(Expr::litf(0.5)), "x")
+        .max()
+        .build();
+    let (scalar, vectorized) = compile_tiers(&q, &ctx, &udfs);
+
+    let hand = |data: &[f64]| {
+        let mut m = f64::NEG_INFINITY;
+        for &x in data {
+            if x > 0.5 && x.total_cmp(&m).is_gt() {
+                m = x;
+            }
+        }
+        m
+    };
+    let expect = hand(&data);
+    for c in [&scalar, &vectorized] {
+        assert_eq!(c.run(&ctx, &udfs).expect("run"), Value::F64(expect));
+    }
+
+    let xs = Enumerable::from_vec(data.clone());
+    let rows = vec![
+        Row {
+            engine: "linq",
+            median: bench_time(|| xs.where_(|x| x > 0.5).max()),
+        },
+        Row {
+            engine: "vm_scalar",
+            median: bench_time(|| scalar.run(&ctx, &udfs).expect("run")),
+        },
+        Row {
+            engine: "vm_vectorized",
+            median: bench_time(|| vectorized.run(&ctx, &udfs).expect("run")),
+        },
+        Row {
+            engine: "hand",
+            median: bench_time(|| hand(&data)),
+        },
+    ];
+    report("filtered_max", n, rows, records);
+}
+
 /// Integer pipeline: sum of squares of the multiples of 3 — the i64
 /// lanes plus a filter.
 fn int_even_squares(records: &mut Vec<BenchRecord>) {
@@ -685,11 +734,12 @@ fn profiled_acceptance_run() {
     println!("wrote metrics snapshot to {path}");
 }
 
-/// Runs all ten workloads and returns their records.
+/// Runs all eleven workloads and returns their records.
 fn measure() -> Vec<BenchRecord> {
     let mut records = Vec::new();
     sum_of_squares(&mut records);
     filtered_sum(&mut records);
+    filtered_max(&mut records);
     int_even_squares(&mut records);
     guarded_div_collatz(&mut records);
     average(&mut records);

@@ -7,14 +7,20 @@
 //! Steno is *not* applied, and the reference implementation against which
 //! the Steno VM and macro back ends are differentially tested.
 //!
-//! # Errors and panics
+//! # Errors
 //!
 //! [`execute`] type-checks the query up front and reports structural
 //! problems as errors. Data-dependent evaluation failures inside operator
-//! closures (integer division by zero, row index out of range) panic, as
-//! the equivalent .NET exceptions would unwind through the iterator chain.
+//! closures (integer division by zero, row index out of range) are
+//! errors too: the iterator closures cannot return a `Result`, so the
+//! first failure in pull order is recorded in a first-error cell shared
+//! by every closure of the execution, later closures yield an inert
+//! placeholder, and the cell is surfaced when the driver finishes — the
+//! same discipline as `steno-cluster`'s chain interpreter, and the error
+//! the VM tiers return for the same element.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
 use std::sync::Arc;
 
 use steno_expr::eval::{eval, Env};
@@ -46,71 +52,73 @@ pub type StopProbe = Arc<dyn Fn() -> Option<Stop> + Send + Sync>;
 /// per-element overhead to one shared counter increment.
 const INTERP_POLL_STRIDE: u64 = 256;
 
-/// The panic payload [`Poller::tick`] throws to unwind out of the
-/// iterator chain. The interpreter's operator closures return plain
-/// values (failures panic, per this module's documented convention), so
-/// cooperative interruption rides the same unwind path and is caught —
-/// and converted back into an error — at the [`execute_interruptible`]
-/// boundary.
-struct InterruptSignal(Stop);
-
-/// Amortized interrupt polling shared by every operator closure of one
-/// execution (the tick counter is behind an `Arc` because [`Rt`] is
-/// cloned into each closure).
-#[derive(Clone)]
-struct Poller {
-    probe: StopProbe,
-    ticks: Arc<AtomicU64>,
-}
-
-impl Poller {
-    fn new(probe: StopProbe) -> Poller {
-        Poller {
-            probe,
-            ticks: Arc::new(AtomicU64::new(0)),
-        }
-    }
-
-    /// Counts one element; every [`INTERP_POLL_STRIDE`]-th call asks the
-    /// probe and unwinds with [`InterruptSignal`] if it fired.
-    fn tick(&self) {
-        let n = self.ticks.fetch_add(1, Ordering::Relaxed);
-        if n.is_multiple_of(INTERP_POLL_STRIDE) {
-            if let Some(stop) = (self.probe)() {
-                std::panic::panic_any(InterruptSignal(stop));
-            }
-        }
-    }
-}
-
 /// Shared runtime state captured by operator closures.
 #[derive(Clone)]
 struct Rt {
     ctx: Arc<DataContext>,
     udfs: Arc<UdfRegistry>,
-    /// `Some` only under [`execute_interruptible`]: sources are then
-    /// instrumented to poll for deadlines/cancellation per element.
-    interrupt: Option<Poller>,
+    /// `Some` only under [`execute_interruptible`]: sources then poll it
+    /// every [`INTERP_POLL_STRIDE`] elements.
+    probe: Option<StopProbe>,
+    /// Elements enumerated so far, across every source of the execution.
+    ticks: Rc<Cell<u64>>,
+    /// The first failure of this execution, in pull order.
+    err: Rc<RefCell<Option<EvalError>>>,
 }
 
 impl Rt {
+    /// Records `e` unless an earlier failure already holds the cell.
+    fn fail(&self, e: EvalError) {
+        let mut slot = self.err.borrow_mut();
+        if slot.is_none() {
+            *slot = Some(e);
+        }
+    }
+
+    /// `true` once any closure has failed.
+    fn failed(&self) -> bool {
+        self.err.borrow().is_some()
+    }
+
+    /// The value of `r`, or — recording its error — the inert
+    /// placeholder a failed closure yields. The placeholder is never
+    /// observable: the driver surfaces the recorded error instead.
+    fn value(&self, r: Result<Value, EvalError>) -> Value {
+        r.unwrap_or_else(|e| {
+            self.fail(e);
+            Value::I64(0)
+        })
+    }
+
     /// Wraps a source enumerable with per-element interrupt polling
     /// when this execution is interruptible; the identity otherwise.
     /// Instrumenting at the sources covers every chain shape — all
     /// operators, including the eagerly-materializing ones (`GroupBy`,
     /// `OrderBy`) and bare aggregates like `Count`, pull their elements
-    /// up from a source.
+    /// up from a source. An instrumented source also stops yielding once
+    /// any failure (the interrupt included) is recorded, so the chain
+    /// drains at once.
     fn instrument(&self, src: Enumerable<Value>) -> Enumerable<Value> {
-        match &self.interrupt {
-            None => src,
-            Some(poller) => {
-                let poller = poller.clone();
-                src.select(move |v| {
-                    poller.tick();
-                    v
-                })
-            }
+        if self.probe.is_none() {
+            return src;
         }
+        let rt = self.clone();
+        src.take_while(move |_| {
+            let n = rt.ticks.get();
+            rt.ticks.set(n + 1);
+            if n.is_multiple_of(INTERP_POLL_STRIDE) {
+                if let Some(stop) = rt.probe.as_ref().and_then(|p| p()) {
+                    rt.fail(interrupted(stop));
+                }
+            }
+            !rt.failed()
+        })
+    }
+}
+
+fn interrupted(stop: Stop) -> EvalError {
+    EvalError::Interrupted {
+        deadline: stop == Stop::Deadline,
     }
 }
 
@@ -153,23 +161,37 @@ fn ty_env_of(env: &Env) -> steno_expr::typecheck::TyEnv {
 }
 
 /// Converts a sequence-shaped value into an enumerable.
-fn value_to_enumerable(v: Value) -> Enumerable<Value> {
+fn value_to_enumerable(v: Value) -> Result<Enumerable<Value>, EvalError> {
     match v {
-        Value::Seq(s) => Enumerable::from_vec(s.as_ref().clone()),
-        Value::Row(r) => Enumerable::from_vec(r.iter().map(|x| Value::F64(*x)).collect()),
-        other => panic!("expected a sequence-shaped value, found {other}"),
+        Value::Seq(s) => Ok(Enumerable::from_vec(s.as_ref().clone())),
+        Value::Row(r) => Ok(Enumerable::from_vec(
+            r.iter().map(|x| Value::F64(*x)).collect(),
+        )),
+        other => Err(EvalError::TypeMismatch(format!(
+            "expected a sequence-shaped value, found {other}"
+        ))),
     }
 }
 
+/// Applies `f` to `arg`; once any closure has failed, or if this one
+/// does, yields the placeholder (see [`Rt::value`]).
 fn apply_qfn(f: &QFn, arg: Value, rt: &Rt, env: &Env) -> Value {
+    if rt.failed() {
+        return Value::I64(0);
+    }
     let mut inner = env.clone();
     inner.bind(f.param.clone(), arg);
-    match &f.body {
-        QBody::Expr(e) => eval(e, &inner, &rt.udfs).expect("well-typed query body failed"),
-        QBody::Query(q) => {
-            execute_in(q, rt, &inner).expect("well-typed nested query failed")
-        }
-    }
+    rt.value(match &f.body {
+        QBody::Expr(e) => eval(e, &inner, &rt.udfs),
+        QBody::Query(q) => execute_in(q, rt, &inner),
+    })
+}
+
+/// As [`apply_qfn`] for predicate positions: after a failure every
+/// predicate reads `false`, so the stream drains without evaluating.
+fn test_qfn(p: &QFn, arg: Value, rt: &Rt, env: &Env) -> bool {
+    let b = apply_qfn(p, arg, rt, env);
+    !rt.failed() && b.as_bool().expect("predicate must yield bool")
 }
 
 fn enumerable_of(q: &QueryExpr, rt: &Rt, env: &Env) -> Result<Enumerable<Value>, EvalError> {
@@ -187,7 +209,7 @@ fn enumerable_of(q: &QueryExpr, rt: &Rt, env: &Env) -> Result<Enumerable<Value>,
                     Enumerable::range(*start, *count).select(Value::I64)
                 }
                 SourceRef::Repeat { value, count } => Enumerable::repeat(value.clone(), *count),
-                SourceRef::Expr(e) => value_to_enumerable(eval(e, env, &rt.udfs)?),
+                SourceRef::Expr(e) => value_to_enumerable(eval(e, env, &rt.udfs)?)?,
             };
             Ok(rt.instrument(base))
         }
@@ -203,11 +225,7 @@ fn enumerable_of(q: &QueryExpr, rt: &Rt, env: &Env) -> Result<Enumerable<Value>,
             let p = p.clone();
             let rt = rt.clone();
             let env = env.clone();
-            Ok(src.where_(move |v| {
-                apply_qfn(&p, v, &rt, &env)
-                    .as_bool()
-                    .expect("predicate must yield bool")
-            }))
+            Ok(src.where_(move |v| test_qfn(&p, v, &rt, &env)))
         }
         QueryExpr::SelectMany { input, f } => {
             let src = enumerable_of(input, rt, env)?;
@@ -217,15 +235,19 @@ fn enumerable_of(q: &QueryExpr, rt: &Rt, env: &Env) -> Result<Enumerable<Value>,
             Ok(src.select_many(move |v| {
                 // A nested sequence-valued query; materialized per element,
                 // then enumerated — the iterator-of-iterators of §5.
-                match &f.body {
+                let inner = match &f.body {
+                    _ if rt.failed() => return Enumerable::from_vec(Vec::new()),
                     QBody::Query(q) => {
                         let mut inner = env.clone();
                         inner.bind(f.param.clone(), v);
                         enumerable_of(q, &rt, &inner)
-                            .expect("well-typed nested query failed")
                     }
                     QBody::Expr(_) => value_to_enumerable(apply_qfn(&f, v, &rt, &env)),
-                }
+                };
+                inner.unwrap_or_else(|e| {
+                    rt.fail(e);
+                    Enumerable::from_vec(Vec::new())
+                })
             }))
         }
         QueryExpr::Take { input, count } => Ok(enumerable_of(input, rt, env)?.take(*count)),
@@ -235,22 +257,14 @@ fn enumerable_of(q: &QueryExpr, rt: &Rt, env: &Env) -> Result<Enumerable<Value>,
             let p = p.clone();
             let rt = rt.clone();
             let env = env.clone();
-            Ok(src.take_while(move |v| {
-                apply_qfn(&p, v, &rt, &env)
-                    .as_bool()
-                    .expect("predicate must yield bool")
-            }))
+            Ok(src.take_while(move |v| test_qfn(&p, v, &rt, &env)))
         }
         QueryExpr::SkipWhile { input, p } => {
             let src = enumerable_of(input, rt, env)?;
             let p = p.clone();
             let rt = rt.clone();
             let env = env.clone();
-            Ok(src.skip_while(move |v| {
-                apply_qfn(&p, v, &rt, &env)
-                    .as_bool()
-                    .expect("predicate must yield bool")
-            }))
+            Ok(src.skip_while(move |v| test_qfn(&p, v, &rt, &env)))
         }
         QueryExpr::GroupBy {
             input,
@@ -296,13 +310,11 @@ fn enumerable_of(q: &QueryExpr, rt: &Rt, env: &Env) -> Result<Enumerable<Value>,
                         .map(|(k, vs)| {
                             let mut genv = env.clone();
                             genv.bind(r.group_param.clone(), Value::seq(vs));
-                            let agg = execute_in(&r.agg_query, &rt, &genv)
-                                .expect("well-typed group aggregation failed");
+                            let agg = rt.value(execute_in(&r.agg_query, &rt, &genv));
                             let mut renv = env.clone();
                             renv.bind(r.key_param.clone(), k);
                             renv.bind(r.agg_param.clone(), agg);
-                            eval(&r.result, &renv, &rt.udfs)
-                                .expect("well-typed group result failed")
+                            rt.value(eval(&r.result, &renv, &rt.udfs))
                         })
                         .collect(),
                 };
@@ -383,7 +395,7 @@ fn execute_in(q: &QueryExpr, rt: &Rt, env: &Env) -> Result<Value, EvalError> {
             let src = enumerable_of(input, rt, env)?;
             let mut acc = eval(seed, env, &rt.udfs)?;
             let mut e = src.get_enumerator();
-            while e.move_next() {
+            while e.move_next() && !rt.failed() {
                 let mut inner = env.clone();
                 inner.bind(func.param0.clone(), acc);
                 inner.bind(func.param1.clone(), e.current());
@@ -402,10 +414,17 @@ fn execute_in(q: &QueryExpr, rt: &Rt, env: &Env) -> Result<Value, EvalError> {
                 &rt.udfs,
             )
             .map_err(|e| EvalError::TypeMismatch(e.to_string()))?;
+            // Once a closure has failed, the elements still pulled are
+            // placeholders: the folds keep their accumulator.
+            let live = || !rt.failed();
             match op {
-                AggOp::Sum => {
-                    Ok(src.aggregate(default_value(&elem_ty), |a, x| add(&a, &x)))
-                }
+                AggOp::Sum => Ok(src.aggregate(default_value(&elem_ty), |a, x| {
+                    if live() {
+                        add(&a, &x)
+                    } else {
+                        a
+                    }
+                })),
                 AggOp::Count => Ok(Value::I64(src.count() as i64)),
                 AggOp::Min => Ok(src.aggregate(min_identity(&elem_ty), |a, x| {
                     if x.cmp_total(&a).is_lt() {
@@ -429,7 +448,7 @@ fn execute_in(q: &QueryExpr, rt: &Rt, env: &Env) -> Result<Value, EvalError> {
                 }
                 AggOp::Any => Ok(Value::Bool(src.any(|_| true))),
                 AggOp::All => Ok(Value::Bool(
-                    src.all(|v| v.as_bool().expect("All over non-boolean")),
+                    src.all(|v| !live() || v.as_bool().expect("All over non-boolean")),
                 )),
                 AggOp::First => Ok(src
                     .first()
@@ -452,20 +471,14 @@ fn execute_in(q: &QueryExpr, rt: &Rt, env: &Env) -> Result<Value, EvalError> {
 /// # Errors
 ///
 /// Returns an error if the query is ill-typed or references unknown
-/// sources.
+/// sources, and the first data-dependent failure in pull order (for
+/// instance [`EvalError::DivisionByZero`]).
 pub fn execute(
     q: &QueryExpr,
     ctx: &DataContext,
     udfs: &UdfRegistry,
 ) -> Result<Value, EvalError> {
-    typing::check_with_context(q, ctx, udfs)
-        .map_err(|e| EvalError::TypeMismatch(e.to_string()))?;
-    let rt = Rt {
-        ctx: Arc::new(ctx.clone()),
-        udfs: Arc::new(udfs.clone()),
-        interrupt: None,
-    };
-    execute_in(q, &rt, &Env::new())
+    run(q, ctx, udfs, None)
 }
 
 /// As [`execute`], polling `probe` cooperatively so deadlines and
@@ -477,41 +490,41 @@ pub fn execute(
 /// # Errors
 ///
 /// As [`execute`], plus [`EvalError::Interrupted`] once the probe fires
-/// (`deadline: true` for [`Stop::Deadline`]). Panics raised by operator
-/// closures (the module's convention for data-dependent failures) still
-/// unwind through unchanged.
+/// (`deadline: true` for [`Stop::Deadline`]) before any other failure.
 pub fn execute_interruptible(
     q: &QueryExpr,
     ctx: &DataContext,
     udfs: &UdfRegistry,
     probe: StopProbe,
 ) -> Result<Value, EvalError> {
-    use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+    run(q, ctx, udfs, Some(probe))
+}
 
+/// The body of [`execute`] and [`execute_interruptible`].
+fn run(
+    q: &QueryExpr,
+    ctx: &DataContext,
+    udfs: &UdfRegistry,
+    probe: Option<StopProbe>,
+) -> Result<Value, EvalError> {
     typing::check_with_context(q, ctx, udfs)
         .map_err(|e| EvalError::TypeMismatch(e.to_string()))?;
     // Check once up front so an already-expired deadline never starts
     // the query at all.
-    if let Some(stop) = probe() {
-        return Err(EvalError::Interrupted {
-            deadline: stop == Stop::Deadline,
-        });
+    if let Some(stop) = probe.as_ref().and_then(|p| p()) {
+        return Err(interrupted(stop));
     }
     let rt = Rt {
         ctx: Arc::new(ctx.clone()),
         udfs: Arc::new(udfs.clone()),
-        interrupt: Some(Poller::new(probe)),
+        probe,
+        ticks: Rc::default(),
+        err: Rc::default(),
     };
-    match catch_unwind(AssertUnwindSafe(|| execute_in(q, &rt, &Env::new()))) {
-        Ok(result) => result,
-        Err(payload) => match payload.downcast::<InterruptSignal>() {
-            Ok(signal) => Err(EvalError::Interrupted {
-                deadline: signal.0 == Stop::Deadline,
-            }),
-            // Not ours: data-dependent failures keep their documented
-            // panic behavior.
-            Err(other) => resume_unwind(other),
-        },
+    let out = execute_in(q, &rt, &Env::new());
+    match rt.err.take() {
+        Some(e) => Err(e),
+        None => out,
     }
 }
 
@@ -852,18 +865,50 @@ mod tests {
     }
 
     #[test]
-    fn foreign_panics_still_unwind_through() {
-        // Data-dependent failures keep the module's documented panic
-        // convention: only the poller's own signal is converted.
-        let q = Query::source("ns")
-            .select(Expr::var("x") / Expr::liti(0), "x")
-            .sum()
-            .build();
-        let probe: StopProbe = Arc::new(|| None);
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            execute_interruptible(&q, &ctx(), &UdfRegistry::new(), probe)
-        }));
-        assert!(outcome.is_err(), "division by zero must still panic");
+    fn data_errors_return_the_first_failure() {
+        let udfs = UdfRegistry::new();
+        let x = || Expr::var("x");
+        let zeros = DataContext::new().with_source("ns", vec![5i64, 0, 3, 0]);
+        // A select, a predicate, a sort key and a group key that divide
+        // by zero, with and without a probe.
+        let queries = [
+            Query::source("ns").select(Expr::liti(60) / x(), "x").sum().build(),
+            Query::source("ns")
+                .where_((Expr::liti(60) / x()).gt(Expr::liti(1)), "x")
+                .count()
+                .build(),
+            Query::source("ns").order_by(Expr::liti(100) / x(), "x").take(2).sum().build(),
+            Query::source("ns").group_by(Expr::liti(7) % x(), "x").build(),
+        ];
+        for q in &queries {
+            assert_eq!(execute(q, &zeros, &udfs), Err(EvalError::DivisionByZero), "{q}");
+            let probe: StopProbe = Arc::new(|| None);
+            assert_eq!(
+                execute_interruptible(q, &zeros, &udfs, probe),
+                Err(EvalError::DivisionByZero),
+                "{q}"
+            );
+        }
+        // The first failure in pull order wins: each row indexes itself
+        // out of bounds at its own first coordinate, and the error names
+        // the first row's.
+        let pts = DataContext::new()
+            .with_source("pts", steno_expr::Column::from_rows(vec![3.0, 0.0, 7.0, 0.0], 2));
+        let p = || Expr::var("p");
+        let self_index = || p().row_index(p().row_index(Expr::liti(0)).cast(Ty::I64));
+        for q in [
+            Query::source("pts").select(self_index(), "p").sum().build(),
+            Query::source("pts").order_by(self_index(), "p").count().build(),
+        ] {
+            assert_eq!(
+                execute(&q, &pts, &udfs),
+                Err(EvalError::IndexOutOfBounds { index: 3, len: 2 }),
+                "{q}"
+            );
+        }
+        // A trap the lazy chain never pulls is never raised.
+        let q = Query::source("ns").take(1).select(Expr::liti(60) / x(), "x").sum().build();
+        assert_eq!(execute(&q, &zeros, &udfs), Ok(Value::I64(12)));
     }
 
     #[test]

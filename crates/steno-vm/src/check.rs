@@ -1586,7 +1586,7 @@ fn check_fused(
     shadow_run: &BatchRun,
     rep: &mut TapeReport,
 ) -> Result<(), CheckError> {
-    use crate::fuse_kernels::{CmpK, FoldKind, FusedTape, MapF, MapI, PredI, ScalF, ScalI};
+    use crate::fuse_kernels::{CmpK, FusedTape, MapF, MapI, PredI, RedK, ScalF, ScalI};
 
     let x = syms.intern(SymKey::SrcElem);
     let sf = |syms: &mut Syms, s: ScalF| match s {
@@ -1613,48 +1613,44 @@ fn check_fused(
             (CmpK::Ge, false) => "geib",
         }
     }
-    let acc_ok = |acc: u8, float: bool| -> Result<(), CheckError> {
-        let n = if float { bp.f_accs.len() } else { bp.i_accs.len() };
-        if (acc as usize) < n {
-            Ok(())
-        } else {
-            Err(err(
-                ObligationKind::Dataflow,
-                format!(
-                    "fused kernel accumulator {} out of bounds ({} {} accs)",
-                    acc,
-                    n,
-                    if float { "f64" } else { "i64" }
-                ),
-            ))
-        }
-    };
 
-    // Candidate map symbols (each a per-element value).
-    let map_f = |syms: &mut Syms, m: &MapF| -> Vec<Sym> {
-        match *m {
-            MapF::X => vec![x],
-            MapF::Sq => vec![syms.apply("mulf", &[x, x])],
-            MapF::MulKR(k) => {
-                let k = sf(syms, k);
-                vec![syms.apply("mulf", &[x, k])]
-            }
-            MapF::MulKL(k) => {
-                let k = sf(syms, k);
-                vec![syms.apply("mulf", &[k, x])]
-            }
-            MapF::K(k) => vec![sf(syms, k)],
+    // The lane's predicate mask (if any) and candidate map symbols (each
+    // a per-element value).
+    let (red, acc, float, mask, vals) = match fused {
+        FusedTape::F { red, pred, map, acc } => {
+            let mask = pred.map(|(k, c)| {
+                let c = sf(syms, c);
+                syms.apply(cmp_tag(k, true), &[x, c])
+            });
+            let vals = match *map {
+                MapF::X => vec![x],
+                MapF::Sq => vec![syms.apply("mulf", &[x, x])],
+                MapF::MulKR(k) => {
+                    let k = sf(syms, k);
+                    vec![syms.apply("mulf", &[x, k])]
+                }
+                MapF::MulKL(k) => {
+                    let k = sf(syms, k);
+                    vec![syms.apply("mulf", &[k, x])]
+                }
+                MapF::K(k) => vec![sf(syms, k)],
+            };
+            (*red, *acc, true, mask, vals)
         }
-    };
-    let map_i = |syms: &mut Syms, m: &MapI| -> Vec<Sym> {
-        match *m {
-            MapI::X => vec![x],
-            MapI::Sq => vec![syms.apply("muli", &[x, x])],
-            MapI::MulK(k) => {
-                let k = si(syms, k);
-                vec![syms.apply("muli", &[x, k])]
-            }
-            MapI::Lin(a, b) => {
+        FusedTape::I { red, pred, map, acc } => {
+            let mask = pred.map(|p| match p {
+                PredI::Cmp(k, c) => {
+                    let c = si(syms, c);
+                    syms.apply(cmp_tag(k, false), &[x, c])
+                }
+                PredI::RemCmp { m, r, ne } => {
+                    let (mv, rv) = (si(syms, m), si(syms, r));
+                    let rem = syms.apply("remiu", &[x, mv]);
+                    syms.apply(if ne { "neib" } else { "eqib" }, &[rem, rv])
+                }
+            });
+            // `a*x+b` with `a == 1` also matches a plain `x + b` tape.
+            let lins = |syms: &mut Syms, a: ScalI, b: ScalI| {
                 let (av, bv) = (si(syms, a), si(syms, b));
                 let ax = syms.apply("muli", &[av, x]);
                 let mut c = vec![syms.apply("addi", &[ax, bv])];
@@ -1662,122 +1658,63 @@ fn check_fused(
                     c.push(syms.apply("addi", &[x, bv]));
                 }
                 c
-            }
-            MapI::K(k) => vec![si(syms, k)],
-        }
-    };
-    let pred_f = |syms: &mut Syms, p: &(CmpK, ScalF)| -> Vec<Sym> {
-        let c = sf(syms, p.1);
-        vec![syms.apply(cmp_tag(p.0, true), &[x, c])]
-    };
-    let pred_i = |syms: &mut Syms, p: &PredI| -> Vec<Sym> {
-        match *p {
-            PredI::Cmp(k, c) => {
-                let c = si(syms, c);
-                vec![syms.apply(cmp_tag(k, false), &[x, c])]
-            }
-            PredI::RemCmp { m, r, ne } => {
-                let (mv, rv) = (si(syms, m), si(syms, r));
-                let rem = syms.apply("remiu", &[x, mv]);
-                vec![syms.apply(if ne { "neib" } else { "eqib" }, &[rem, rv])]
-            }
-        }
-    };
-
-    // Expected streams: cross product of pred candidates × map/value
-    // candidates, each `[Filter?, reduction]`.
-    let streams = |preds: Vec<Option<Sym>>, tag: &'static str, id: u64, vals: Vec<Sym>| -> Vec<Vec<Effect>> {
-        let mut out = Vec::new();
-        for p in &preds {
-            for &v in &vals {
-                let mut s = Vec::new();
-                if let Some(m) = p {
-                    s.push(Effect { tag: "filter", id: 0, args: vec![*m] });
+            };
+            let vals = match *map {
+                MapI::X => vec![x],
+                MapI::Sq => vec![syms.apply("muli", &[x, x])],
+                MapI::MulK(k) => {
+                    let k = si(syms, k);
+                    vec![syms.apply("muli", &[x, k])]
                 }
-                s.push(Effect { tag, id, args: vec![v] });
-                out.push(s);
-            }
-        }
-        out
-    };
-
-    let candidates: Vec<Vec<Effect>> = match fused {
-        FusedTape::SumF { pred, map, acc } => {
-            acc_ok(*acc, true)?;
-            let preds = match pred {
-                Some(p) => pred_f(syms, p).into_iter().map(Some).collect(),
-                None => vec![None],
-            };
-            let vals = map_f(syms, map);
-            streams(preds, "redaddf", u64::from(*acc), vals)
-        }
-        FusedTape::SumI { pred, map, acc } => {
-            acc_ok(*acc, false)?;
-            let preds = match pred {
-                Some(p) => pred_i(syms, p).into_iter().map(Some).collect(),
-                None => vec![None],
-            };
-            let vals = map_i(syms, map);
-            streams(preds, "redaddi", u64::from(*acc), vals)
-        }
-        FusedTape::FoldF { kind, pred, map, acc } => {
-            acc_ok(*acc, true)?;
-            let preds = match pred {
-                Some(p) => pred_f(syms, p).into_iter().map(Some).collect(),
-                None => vec![None],
-            };
-            let vals = map_f(syms, map);
-            let tag = match kind {
-                FoldKind::Min => "redminf",
-                FoldKind::Max => "redmaxf",
-            };
-            streams(preds, tag, u64::from(*acc), vals)
-        }
-        FusedTape::FoldI { kind, pred, map, acc } => {
-            acc_ok(*acc, false)?;
-            let preds = match pred {
-                Some(p) => pred_i(syms, p).into_iter().map(Some).collect(),
-                None => vec![None],
-            };
-            let vals = map_i(syms, map);
-            let tag = match kind {
-                FoldKind::Min => "redmini",
-                FoldKind::Max => "redmaxi",
-            };
-            streams(preds, tag, u64::from(*acc), vals)
-        }
-        FusedTape::SelRemDivLinI { m, r, d, a, b, acc } => {
-            // acc += x%m==r ? x/d : a*x+b — the tape form is an
-            // unconditional reduction of a lane-wise select; both the
-            // `==`-ordered and `!=`-branch-swapped selects are legal.
-            acc_ok(*acc, false)?;
-            let (mv, rv, dv, av, bv) =
-                (syms.ci(*m), syms.ci(*r), syms.ci(*d), syms.ci(*a), syms.ci(*b));
-            let rem = syms.apply("remiu", &[x, mv]);
-            let div = syms.apply("diviu", &[x, dv]);
-            let ax = syms.apply("muli", &[av, x]);
-            let mut lins = vec![syms.apply("addi", &[ax, bv])];
-            if *a == 1 {
-                lins.push(syms.apply("addi", &[x, bv]));
-            }
-            let ceq = syms.apply("eqib", &[rem, rv]);
-            let cne = syms.apply("neib", &[rem, rv]);
-            let mut out = Vec::new();
-            for &lin in &lins {
-                for &val in &[
-                    syms.apply("seli", &[ceq, div, lin]),
-                    syms.apply("seli", &[cne, lin, div]),
-                ] {
-                    out.push(vec![Effect {
-                        tag: "redaddi",
-                        id: u64::from(*acc),
-                        args: vec![val],
-                    }]);
+                MapI::Lin(a, b) => lins(syms, a, b),
+                MapI::K(k) => vec![si(syms, k)],
+                MapI::SelRemDivLin { m, r, d, a, b } => {
+                    // x%m==r ? x/d : a*x+b — the tape form is a lane-wise
+                    // select; both the `==`-ordered and the
+                    // `!=`-branch-swapped selects are legal.
+                    let (mv, rv, dv) = (syms.ci(m), syms.ci(r), syms.ci(d));
+                    let rem = syms.apply("remiu", &[x, mv]);
+                    let div = syms.apply("diviu", &[x, dv]);
+                    let ceq = syms.apply("eqib", &[rem, rv]);
+                    let cne = syms.apply("neib", &[rem, rv]);
+                    let mut out = Vec::new();
+                    for lin in lins(syms, ScalI::Lit(a), ScalI::Lit(b)) {
+                        out.push(syms.apply("seli", &[ceq, div, lin]));
+                        out.push(syms.apply("seli", &[cne, lin, div]));
+                    }
+                    out
                 }
-            }
-            out
+            };
+            (*red, *acc, false, mask, vals)
         }
     };
+    let n_accs = if float { bp.f_accs.len() } else { bp.i_accs.len() };
+    if acc as usize >= n_accs {
+        return Err(err(
+            ObligationKind::Dataflow,
+            format!(
+                "fused kernel accumulator {acc} out of bounds ({n_accs} {} accs)",
+                if float { "f64" } else { "i64" }
+            ),
+        ));
+    }
+    let tag = match (red, float) {
+        (RedK::Sum, true) => "redaddf",
+        (RedK::Min, true) => "redminf",
+        (RedK::Max, true) => "redmaxf",
+        (RedK::Sum, false) => "redaddi",
+        (RedK::Min, false) => "redmini",
+        (RedK::Max, false) => "redmaxi",
+    };
+    // Expected streams, one per map candidate: `[Filter?, reduction]`.
+    let candidates: Vec<Vec<Effect>> = vals
+        .into_iter()
+        .map(|v| {
+            let filter = mask.map(|m| Effect { tag: "filter", id: 0, args: vec![m] });
+            let red = Effect { tag, id: u64::from(acc), args: vec![v] };
+            filter.into_iter().chain([red]).collect()
+        })
+        .collect();
 
     if !candidates.contains(&shadow_run.effects) {
         return Err(err(

@@ -7,24 +7,55 @@
 //! traffic dominates: `int_mult3_sumsq` spends most of its time moving
 //! remainders and squares through L1 that a hand-written loop would keep
 //! in registers. This pass recovers the per-element expression a tape
-//! computes and, when it matches one of a small set of **pre-monomorphized
-//! fused shapes**, replaces the whole tape with a single-pass kernel —
-//! the loop a programmer would write by hand, down to strength-reduced
-//! division by small constants.
+//! computes and, when it fits the fused-shape catalog, replaces the whole
+//! tape with a single-pass kernel — the loop a programmer would write by
+//! hand, down to strength-reduced division by small constants.
 //!
 //! Two layers, per the classic fusion playbook:
 //!
 //! 1. [`plan`] — whole-tape fusion. A symbolic walk re-derives what each
 //!    slot holds (`x`, `x*x`, `x % m`, `a*x + b`, …) and matches the
-//!    filter/map/reduce structure against [`FusedTape`]. Only shapes with
-//!    a monomorphized kernel fuse; everything else keeps the kernel
-//!    sequence (no generic interpreter that could be *slower* than the
-//!    columns it replaces).
+//!    filter/map/reduce structure against [`FusedTape`]. Only catalog
+//!    shapes fuse; everything else keeps the kernel sequence (no generic
+//!    interpreter that could be *slower* than the columns it replaces).
 //! 2. [`peephole`] — the generic two-op fallback. Adjacent
 //!    multiply→add and multiply→reduce pairs over the same selection
 //!    vector fuse into [`BOp::MulAddF`]-family superkernels, eliminating
 //!    one intermediate column each even when the whole tape does not
 //!    match a shape.
+//!
+//! # The catalog: lane × predicate × map × reduction
+//!
+//! A fused shape is one choice from each axis, and every choice runs
+//! through the one masked loop, `fold`:
+//!
+//! * **lane** — the source column's type, f64 ([`FusedTape::F`]) or i64
+//!   ([`FusedTape::I`]); accumulator, predicate and map share it;
+//! * **predicate** — none, `x OP c`, or (i64) `x % m ==/!= r`
+//!   ([`PredI`]);
+//! * **map** — [`MapF`] / [`MapI`]: `x`, `x*x`, a constant multiple, a
+//!   constant, (i64) `a*x + b`, or (i64, as an unfiltered sum only) the
+//!   guarded-division select;
+//! * **reduction** — [`RedK`]: `sum`, `min` or `max`.
+//!
+//! Every lane is folded, live or not: a dead lane folds the reduction's
+//! **identity**, an element `e` with `combine(a, e) == a` bit for bit for
+//! every accumulator `a`. That turns the data-dependent branch of a
+//! filter into a compare and a select, which LLVM if-converts and
+//! vectorizes. The identities, and why each is exact:
+//!
+//! | lane | reduction | folds in | combine | identity | why exact |
+//! |---|---|---|---|---|---|
+//! | f64 | sum | f64 | `+` | `-0.0` | `a + -0.0 == a` under round-to-nearest for every `a`, `±0.0` and NaN included (`+0.0` would turn a `-0.0` accumulator into `+0.0`) |
+//! | i64 | sum | i64 | `wrapping_add` | `0` | wrapping addition of zero |
+//! | f64 | min / max | the `i64` order image [`crate::sink::order_f`] | `i64::min` / `i64::max` | `i64::MAX` / `i64::MIN` | the top and bottom of the order every image lives in, so they never win a comparison against `a` |
+//! | i64 | min / max | i64 | `i64::min` / `i64::max` | `i64::MAX` / `i64::MIN` | as above |
+//!
+//! f64 min/max fold the order images rather than the floats because an
+//! `i64` compare on images *is* the interpreter's `total_cmp` (see
+//! [`crate::sink::min_total`]): NaNs and signed zeros order exactly as
+//! they do there, the loop-carried step is one integer compare, and the
+//! result maps back through [`crate::sink::from_order_f`] unchanged.
 //!
 //! # Bit-for-bit and trap parity
 //!
@@ -40,7 +71,8 @@
 //!   `DivI`/`RemI` in the tape disqualifies the loop, so the lane-exact
 //!   fault semantics of [`crate::kernels::check_divisors`] always run on
 //!   the kernel-sequence path. Unchecked division (interval analysis
-//!   proved the divisor non-zero) fuses freely.
+//!   proved the divisor non-zero) fuses freely. Every map is therefore
+//!   total, which is what lets the loop evaluate it on dead lanes too.
 //!
 //! Fused kernels poll the [`Interrupt`] once per [`BATCH`] elements —
 //! the same cooperative-cancellation granularity as the unfused tape
@@ -181,6 +213,22 @@ pub enum MapI {
     Lin(ScalI, ScalI),
     /// the constant `k`
     K(ScalI),
+    /// `x % m == r ? x / d : a*x + b` — the guarded-division ("Collatz
+    /// step") select. All operands are literals so division by small
+    /// constants strength-reduces; [`plan`] fuses it only as an
+    /// unfiltered sum.
+    SelRemDivLin {
+        /// Modulus of the guard.
+        m: i64,
+        /// Compared remainder.
+        r: i64,
+        /// Divisor of the then-branch.
+        d: i64,
+        /// Multiplier of the else-branch.
+        a: i64,
+        /// Addend of the else-branch.
+        b: i64,
+    },
 }
 
 /// The predicate of a fused i64 loop.
@@ -202,84 +250,63 @@ pub enum PredI {
     },
 }
 
-/// Which extremum a fused fold computes.
+/// The reduction a fused loop folds its live lanes with (the identity
+/// each folds on a dead lane is in the module docs' table).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FoldKind {
+pub enum RedK {
+    /// `sum`
+    Sum,
     /// `min`
     Min,
     /// `max`
     Max,
 }
 
-impl FoldKind {
+impl RedK {
     fn name(self) -> &'static str {
         match self {
-            FoldKind::Min => "min",
-            FoldKind::Max => "max",
+            RedK::Sum => "sum",
+            RedK::Min => "min",
+            RedK::Max => "max",
         }
+    }
+
+    /// The reduction a fold op performs, if it is one.
+    fn of(op: &BOp) -> Option<(RedK, u8, u8)> {
+        Some(match *op {
+            BOp::RedAddF { acc, val } | BOp::RedAddI { acc, val } => (RedK::Sum, acc, val),
+            BOp::RedMinF { acc, val } | BOp::RedMinI { acc, val } => (RedK::Min, acc, val),
+            BOp::RedMaxF { acc, val } | BOp::RedMaxI { acc, val } => (RedK::Max, acc, val),
+            _ => return None,
+        })
     }
 }
 
 /// A whole-loop fused kernel: filter → map → reduce collapsed into one
-/// sequential pass; `acc` indexes the loop's accumulator snapshot.
+/// sequential pass, `for x { acc = red(acc, pred(x) ? map(x) : identity) }`
+/// (the accumulator stays the left operand); `acc` indexes the loop's
+/// accumulator snapshot of the lane.
 #[derive(Clone, Debug, PartialEq)]
 pub enum FusedTape {
-    /// f64: `for x { if pred(x) { acc += map(x) } }`.
-    SumF {
+    /// Over an f64 source column into an f64 accumulator.
+    F {
+        /// Sum, min or max.
+        red: RedK,
         /// Optional `x OP c` guard.
         pred: Option<(CmpK, ScalF)>,
-        /// The summed expression.
+        /// The reduced expression.
         map: MapF,
         /// f64 accumulator index.
         acc: u8,
     },
-    /// i64: `for x { if pred(x) { acc = acc.wrapping_add(map(x)) } }`.
-    SumI {
+    /// Over an i64 source column into an i64 accumulator (wrapping).
+    I {
+        /// Sum, min or max.
+        red: RedK,
         /// Optional guard.
         pred: Option<PredI>,
-        /// The summed expression.
+        /// The reduced expression.
         map: MapI,
-        /// i64 accumulator index.
-        acc: u8,
-    },
-    /// f64: `for x { if pred(x) { acc = min/max(acc, map(x)) } }` — the
-    /// accumulator stays the left operand, exactly like the
-    /// [`crate::kernels::fold`] it replaces.
-    FoldF {
-        /// Min or max.
-        kind: FoldKind,
-        /// Optional `x OP c` guard.
-        pred: Option<(CmpK, ScalF)>,
-        /// The folded expression.
-        map: MapF,
-        /// f64 accumulator index.
-        acc: u8,
-    },
-    /// i64: the integer twin of [`FusedTape::FoldF`].
-    FoldI {
-        /// Min or max.
-        kind: FoldKind,
-        /// Optional guard.
-        pred: Option<PredI>,
-        /// The folded expression.
-        map: MapI,
-        /// i64 accumulator index.
-        acc: u8,
-    },
-    /// i64: `acc += if x % m == r { x / d } else { a*x + b }` — the
-    /// guarded-division ("Collatz step") shape. All operands are
-    /// literals so division by small constants strength-reduces.
-    SelRemDivLinI {
-        /// Modulus of the guard.
-        m: i64,
-        /// Compared remainder.
-        r: i64,
-        /// Divisor of the then-branch.
-        d: i64,
-        /// Multiplier of the else-branch.
-        a: i64,
-        /// Addend of the else-branch.
-        b: i64,
         /// i64 accumulator index.
         acc: u8,
     },
@@ -289,60 +316,42 @@ impl FusedTape {
     /// A stable human-readable name for EXPLAIN output, e.g.
     /// `sum(x*x):f64` or `filter(x%3==0)·sum(x*x):i64`.
     pub fn label(&self) -> String {
-        fn map_f(map: &MapF) -> String {
-            match map {
-                MapF::X => "x".to_string(),
-                MapF::Sq => "x*x".to_string(),
-                MapF::MulKR(k) => format!("x*{}", k.name()),
-                MapF::MulKL(k) => format!("{}*x", k.name()),
-                MapF::K(k) => k.name(),
+        let (red, pred, map, lane) = match self {
+            FusedTape::F { red, pred, map, .. } => {
+                let pred = pred.map(|(op, c)| format!("x{}{}", op.symbol(), c.name()));
+                let map = match map {
+                    MapF::X => "x".to_string(),
+                    MapF::Sq => "x*x".to_string(),
+                    MapF::MulKR(k) => format!("x*{}", k.name()),
+                    MapF::MulKL(k) => format!("{}*x", k.name()),
+                    MapF::K(k) => k.name(),
+                };
+                (red, pred, map, "f64")
             }
-        }
-        fn map_i(map: &MapI) -> String {
-            match map {
-                MapI::X => "x".to_string(),
-                MapI::Sq => "x*x".to_string(),
-                MapI::MulK(k) => format!("x*{}", k.name()),
-                MapI::Lin(a, b) => format!("{}*x+{}", a.name(), b.name()),
-                MapI::K(k) => k.name(),
+            FusedTape::I { red, pred, map, .. } => {
+                let pred = pred.map(|p| match p {
+                    PredI::Cmp(op, c) => format!("x{}{}", op.symbol(), c.name()),
+                    PredI::RemCmp { m, r, ne } => {
+                        format!("x%{}{}{}", m.name(), if ne { "!=" } else { "==" }, r.name())
+                    }
+                });
+                let map = match map {
+                    MapI::X => "x".to_string(),
+                    MapI::Sq => "x*x".to_string(),
+                    MapI::MulK(k) => format!("x*{}", k.name()),
+                    MapI::Lin(a, b) => format!("{}*x+{}", a.name(), b.name()),
+                    MapI::K(k) => k.name(),
+                    MapI::SelRemDivLin { m, r, d, a, b } => {
+                        format!("x%{m}=={r} ? x/{d} : {a}*x+{b}")
+                    }
+                };
+                (red, pred, map, "i64")
             }
-        }
-        fn with_pred_f(pred: &Option<(CmpK, ScalF)>, body: String) -> String {
-            match pred {
-                None => body,
-                Some((op, c)) => format!("filter(x{}{})·{body}", op.symbol(), c.name()),
-            }
-        }
-        fn with_pred_i(pred: &Option<PredI>, body: String) -> String {
-            match pred {
-                None => body,
-                Some(PredI::Cmp(op, c)) => {
-                    format!("filter(x{}{})·{body}", op.symbol(), c.name())
-                }
-                Some(PredI::RemCmp { m, r, ne }) => format!(
-                    "filter(x%{}{}{})·{body}",
-                    m.name(),
-                    if *ne { "!=" } else { "==" },
-                    r.name()
-                ),
-            }
-        }
-        match self {
-            FusedTape::SumF { pred, map, .. } => {
-                with_pred_f(pred, format!("sum({}):f64", map_f(map)))
-            }
-            FusedTape::SumI { pred, map, .. } => {
-                with_pred_i(pred, format!("sum({}):i64", map_i(map)))
-            }
-            FusedTape::FoldF { kind, pred, map, .. } => {
-                with_pred_f(pred, format!("{}({}):f64", kind.name(), map_f(map)))
-            }
-            FusedTape::FoldI { kind, pred, map, .. } => {
-                with_pred_i(pred, format!("{}({}):i64", kind.name(), map_i(map)))
-            }
-            FusedTape::SelRemDivLinI { m, r, d, a, b, .. } => {
-                format!("sum(x%{m}=={r} ? x/{d} : {a}*x+{b}):i64")
-            }
+        };
+        let body = format!("{}({map}):{lane}", red.name());
+        match pred {
+            None => body,
+            Some(p) => format!("filter({p})·{body}"),
         }
     }
 }
@@ -371,14 +380,6 @@ enum EI {
     RemK(ScalI),
     /// `x / d` (unchecked).
     DivK(ScalI),
-    /// The fully-recognized guarded-division select (literals only).
-    SelRDL {
-        m: i64,
-        r: i64,
-        d: i64,
-        a: i64,
-        b: i64,
-    },
     Other,
 }
 
@@ -415,10 +416,11 @@ fn ei_as_map(e: EI) -> Option<MapI> {
 /// Tries to collapse a whole batch tape into a [`FusedTape`].
 ///
 /// Returns `None` — leaving the kernel-sequence path in charge — unless
-/// the tape is exactly a (filter?)·map·sum pipeline whose pieces all
-/// match a pre-monomorphized shape. Checked (trapping) division, more
-/// than one filter, min/max folds, grouped aggregates, output pushes,
-/// UDF calls, casts, and boolean algebra all disqualify.
+/// the tape is exactly a (filter?)·map·reduce pipeline whose pieces all
+/// fit the catalog. Checked (trapping) division, more than one filter,
+/// a filtered or min/max guarded-division select, a reduction across
+/// lanes, grouped aggregates, output pushes, UDF calls, casts, and
+/// boolean algebra all disqualify.
 pub fn plan(bp: &BatchProgram) -> Option<FusedTape> {
     if bp.src_lane == Lane::B {
         return None;
@@ -440,12 +442,12 @@ pub fn plan(bp: &BatchProgram) -> Option<FusedTape> {
     let mut pred_f: Option<(CmpK, ScalF)> = None;
     let mut pred_i: Option<PredI> = None;
     let mut filtered = false;
-    let mut red: Option<FusedTape> = None;
+    let mut fused: Option<FusedTape> = None;
 
     for op in &bp.tape {
-        // The sum must be the last effect: anything after it would
+        // The reduction must be the last effect: anything after it would
         // observe state the fused loop no longer materializes.
-        if red.is_some() {
+        if fused.is_some() {
             return None;
         }
         match *op {
@@ -510,23 +512,16 @@ pub fn plan(bp: &BatchProgram) -> Option<FusedTape> {
             // Checked division must keep the lane-exact fault semantics
             // of the kernel path: never fused.
             BOp::DivI(..) | BOp::RemI(..) => return None,
+            BOp::SelI { dst, mask, t, e } => {
+                ei[dst as usize] = sel_rdl(eb[mask as usize], ei[t as usize], ei[e as usize]);
+            }
             BOp::SubI(d, ..)
             | BOp::MinI(d, ..)
             | BOp::MaxI(d, ..)
             | BOp::NegI(d, ..)
             | BOp::AbsI(d, ..)
             | BOp::F2I(d, ..)
-            | BOp::SelI { dst: d, .. }
-            | BOp::MulAddI(d, ..) => {
-                // SelI gets a second chance below for the guarded-div
-                // shape; everything else is opaque.
-                if let BOp::SelI { dst, mask, t, e } = *op {
-                    ei[dst as usize] =
-                        sel_rdl(eb[mask as usize], ei[t as usize], ei[e as usize]);
-                } else {
-                    ei[d as usize] = EI::Other;
-                }
-            }
+            | BOp::MulAddI(d, ..) => ei[d as usize] = EI::Other,
 
             BOp::EqFB(d, a, b) => eb[d as usize] = cmp_f(CmpK::Eq, ef[a as usize], ef[b as usize]),
             BOp::NeFB(d, a, b) => eb[d as usize] = cmp_f(CmpK::Ne, ef[a as usize], ef[b as usize]),
@@ -560,72 +555,33 @@ pub fn plan(bp: &BatchProgram) -> Option<FusedTape> {
                 }
             }
 
-            BOp::RedAddF { acc, val } => {
+            // One arm per lane: the fold op names the reduction.
+            BOp::RedAddF { .. } | BOp::RedMinF { .. } | BOp::RedMaxF { .. } => {
+                let (red, acc, val) = RedK::of(op)?;
                 if pred_i.is_some() {
                     return None;
                 }
                 let map = ef_as_map(ef[val as usize])?;
-                red = Some(FusedTape::SumF {
+                fused = Some(FusedTape::F {
+                    red,
                     pred: pred_f,
                     map,
                     acc,
                 });
             }
-            BOp::RedAddI { acc, val } => {
+            BOp::RedAddI { .. } | BOp::RedMinI { .. } | BOp::RedMaxI { .. } => {
+                let (red, acc, val) = RedK::of(op)?;
                 if pred_f.is_some() {
                     return None;
                 }
-                if let EI::SelRDL { m, r, d, a, b } = ei[val as usize] {
-                    if pred_i.is_some() {
-                        return None;
-                    }
-                    red = Some(FusedTape::SelRemDivLinI {
-                        m,
-                        r,
-                        d,
-                        a,
-                        b,
-                        acc,
-                    });
-                } else {
-                    let map = ei_as_map(ei[val as usize])?;
-                    red = Some(FusedTape::SumI {
-                        pred: pred_i,
-                        map,
-                        acc,
-                    });
-                }
-            }
-
-            BOp::RedMinF { acc, val } | BOp::RedMaxF { acc, val } => {
-                if pred_i.is_some() {
-                    return None;
-                }
-                let kind = if matches!(*op, BOp::RedMinF { .. }) {
-                    FoldKind::Min
-                } else {
-                    FoldKind::Max
-                };
-                let map = ef_as_map(ef[val as usize])?;
-                red = Some(FusedTape::FoldF {
-                    kind,
-                    pred: pred_f,
-                    map,
-                    acc,
-                });
-            }
-            BOp::RedMinI { acc, val } | BOp::RedMaxI { acc, val } => {
-                if pred_f.is_some() {
-                    return None;
-                }
-                let kind = if matches!(*op, BOp::RedMinI { .. }) {
-                    FoldKind::Min
-                } else {
-                    FoldKind::Max
-                };
                 let map = ei_as_map(ei[val as usize])?;
-                red = Some(FusedTape::FoldI {
-                    kind,
+                if matches!(map, MapI::SelRemDivLin { .. })
+                    && (pred_i.is_some() || red != RedK::Sum)
+                {
+                    return None;
+                }
+                fused = Some(FusedTape::I {
+                    red,
                     pred: pred_i,
                     map,
                     acc,
@@ -651,12 +607,10 @@ pub fn plan(bp: &BatchProgram) -> Option<FusedTape> {
     // The fused loop iterates the source column in its own lane; a
     // cross-lane reduction (e.g. a count — an i64 sum over f64 rows)
     // stays on the kernel path.
-    match &red {
-        Some(FusedTape::SumF { .. } | FusedTape::FoldF { .. }) if bp.src_lane != Lane::F => None,
-        Some(
-            FusedTape::SumI { .. } | FusedTape::FoldI { .. } | FusedTape::SelRemDivLinI { .. },
-        ) if bp.src_lane != Lane::I => None,
-        _ => red,
+    match &fused {
+        Some(FusedTape::F { .. }) if bp.src_lane != Lane::F => None,
+        Some(FusedTape::I { .. }) if bp.src_lane != Lane::I => None,
+        _ => fused,
     }
 }
 
@@ -695,7 +649,7 @@ fn sel_rdl(mask: EB, t: EI, e: EI) -> EI {
     let (t, e) = if ne { (e, t) } else { (t, e) };
     match (t, e) {
         (EI::DivK(ScalI::Lit(d)), EI::Map(MapI::Lin(ScalI::Lit(a), ScalI::Lit(b)))) => {
-            EI::SelRDL { m, r, d, a, b }
+            EI::Map(MapI::SelRemDivLin { m, r, d, a, b })
         }
         _ => EI::Other,
     }
@@ -705,165 +659,214 @@ fn sel_rdl(mask: EB, t: EI, e: EI) -> EI {
 // Fused execution.
 // ---------------------------------------------------------------------
 
-/// One fused pass of `if pred(x) { *acc += map(x) }`, polling the
-/// interrupt once per [`BATCH`] elements. Each call site monomorphizes
-/// `pred` and `map` fully.
+/// The fused loop: one pass of `a = combine(a, pred(x) ? lift(x) :
+/// identity)` from `init`, polling the interrupt once per [`BATCH`]
+/// elements. Every fused shape runs through here; each call site
+/// monomorphizes `pred`, `lift` and `combine` fully.
 ///
-/// The body is written **masked**, not branchy: every lane adds either
-/// `map(x)` or `-0.0`. Under round-to-nearest, `a + (-0.0) == a`
-/// bit-for-bit for every `a` (including `±0.0`; `+0.0` would flip a
-/// `-0.0` accumulator, which is why the identity must be negative
-/// zero), so the select is exactly the branchy loop — but it turns an
+/// The body is written **masked**, not branchy: every lane folds either
+/// `lift(x)` or the reduction's identity, which leaves the accumulator
+/// unchanged bit for bit (the module docs tabulate why each identity is
+/// exact). So the select is exactly the branchy loop, but it turns an
 /// unpredictable data-dependent branch into a `cmp`+`blend` that LLVM
-/// if-converts and vectorizes, which is precisely the shape a
-/// hand-written filtered sum compiles to. Evaluating `map`
-/// unconditionally is sound because fused maps are total (no trapping
-/// op survives [`plan`]).
+/// if-converts and vectorizes — precisely the shape a hand-written
+/// filtered sum compiles to, and the reason a filtered min/max runs at
+/// the speed of a filtered sum. Lifting unconditionally is sound because
+/// fused maps are total (no trapping op survives [`plan`]).
 #[inline]
-fn loop_f(
+fn fold<X: Copy, A: Copy>(
+    xs: &[X],
+    init: A,
+    interrupt: &Interrupt,
+    pred: impl Fn(X) -> bool,
+    lift: impl Fn(X) -> A,
+    combine: impl Fn(A, A) -> A,
+    identity: A,
+) -> Result<A, VmError> {
+    let mut a = init;
+    for chunk in xs.chunks(BATCH) {
+        interrupt.check()?;
+        for &x in chunk {
+            let v = lift(x);
+            a = combine(a, if pred(x) { v } else { identity });
+        }
+    }
+    Ok(a)
+}
+
+/// Picks the f64 lane's combine and identity for `red`; min/max fold the
+/// `total_cmp` order images of [`order_f`].
+#[inline]
+fn reduce_f(
+    red: RedK,
     xs: &[f64],
     acc: &mut f64,
     interrupt: &Interrupt,
-    pred: impl Fn(f64) -> bool,
-    map: impl Fn(f64) -> f64,
+    pred: impl Fn(f64) -> bool + Copy,
+    map: impl Fn(f64) -> f64 + Copy,
 ) -> Result<(), VmError> {
-    let mut a = *acc;
-    for chunk in xs.chunks(BATCH) {
-        interrupt.check()?;
-        for &x in chunk {
-            let v = map(x);
-            a += if pred(x) { v } else { -0.0 };
-        }
-    }
-    *acc = a;
+    let (image, init) = (move |x| order_f(map(x)), order_f(*acc));
+    *acc = match red {
+        RedK::Sum => fold(xs, *acc, interrupt, pred, map, |a, v| a + v, -0.0)?,
+        RedK::Min => from_order_f(fold(xs, init, interrupt, pred, image, i64::min, i64::MAX)?),
+        RedK::Max => from_order_f(fold(xs, init, interrupt, pred, image, i64::max, i64::MIN)?),
+    };
     Ok(())
 }
 
-/// The i64 twin of [`loop_f`] (wrapping accumulation; the masked
-/// identity is plain `0`, which is exact for wrapping addition).
+/// Picks the i64 lane's combine and identity for `red`.
 #[inline]
-fn loop_i(
+fn reduce_i(
+    red: RedK,
     xs: &[i64],
     acc: &mut i64,
     interrupt: &Interrupt,
-    pred: impl Fn(i64) -> bool,
-    map: impl Fn(i64) -> i64,
+    pred: impl Fn(i64) -> bool + Copy,
+    map: impl Fn(i64) -> i64 + Copy,
 ) -> Result<(), VmError> {
-    let mut a = *acc;
-    for chunk in xs.chunks(BATCH) {
-        interrupt.check()?;
-        for &x in chunk {
-            let v = map(x);
-            a = a.wrapping_add(if pred(x) { v } else { 0 });
-        }
-    }
-    *acc = a;
+    *acc = match red {
+        RedK::Sum => fold(xs, *acc, interrupt, pred, map, i64::wrapping_add, 0)?,
+        RedK::Min => fold(xs, *acc, interrupt, pred, map, i64::min, i64::MAX)?,
+        RedK::Max => fold(xs, *acc, interrupt, pred, map, i64::max, i64::MIN)?,
+    };
     Ok(())
 }
 
-/// One fused min/max pass. Folds live lanes only, in the `total_cmp`
-/// order images of [`crate::sink::order_f`] — an `i64` min/max there is
-/// exactly the [`crate::sink::min_total`]/[`crate::sink::max_total`]
-/// fold of the [`crate::kernels::fold_order`] sequence it replaces, so
-/// results stay bit-identical (NaNs and signed zeros included) while the
-/// loop-carried step is one integer compare. Masked lanes skip the fold entirely rather than
-/// folding an identity: min/max have no universally exact identity
-/// element the way `-0.0` is for addition.
-#[inline]
-fn fold_f(
-    xs: &[f64],
-    acc: &mut f64,
-    interrupt: &Interrupt,
-    pred: impl Fn(f64) -> bool,
-    map: impl Fn(f64) -> f64,
-    fold: impl Fn(i64, i64) -> i64,
-) -> Result<(), VmError> {
-    let mut a = order_f(*acc);
-    for chunk in xs.chunks(BATCH) {
-        interrupt.check()?;
-        for &x in chunk {
-            if pred(x) {
-                a = fold(a, order_f(map(x)));
-            }
-        }
-    }
-    *acc = from_order_f(a);
-    Ok(())
+// The dispatch macros below turn a runtime descriptor into monomorphized
+// closures: each binds its identifier to one closure per arm and expands
+// the caller's body inside every arm, so nesting them instantiates
+// `fold` once per combination, with literals compiled into the closures.
+
+/// `{ let $p = $f; $body }` — one monomorphized arm.
+macro_rules! bind {
+    ($p:ident = $f:expr; $body:expr) => {{
+        let $p = $f;
+        $body
+    }};
 }
 
-/// The i64 twin of [`fold_f`].
-#[inline]
-fn fold_i(
-    xs: &[i64],
-    acc: &mut i64,
-    interrupt: &Interrupt,
-    pred: impl Fn(i64) -> bool,
-    map: impl Fn(i64) -> i64,
-    fold: impl Fn(i64, i64) -> i64,
-) -> Result<(), VmError> {
-    let mut a = *acc;
-    for chunk in xs.chunks(BATCH) {
-        interrupt.check()?;
-        for &x in chunk {
-            if pred(x) {
-                a = fold(a, map(x));
-            }
-        }
-    }
-    *acc = a;
-    Ok(())
-}
-
-macro_rules! dispatch_pred_f {
-    ($pred:expr, $xs:expr, $acc:expr, $intr:expr, $map:expr) => {{
-        let map = $map;
-        match $pred {
-            None => loop_f($xs, $acc, $intr, |_| true, map),
-            Some((CmpK::Eq, c)) => loop_f($xs, $acc, $intr, move |x| x == c, map),
-            Some((CmpK::Ne, c)) => loop_f($xs, $acc, $intr, move |x| x != c, map),
-            Some((CmpK::Lt, c)) => loop_f($xs, $acc, $intr, move |x| x < c, map),
-            Some((CmpK::Le, c)) => loop_f($xs, $acc, $intr, move |x| x <= c, map),
-            Some((CmpK::Gt, c)) => loop_f($xs, $acc, $intr, move |x| x > c, map),
-            Some((CmpK::Ge, c)) => loop_f($xs, $acc, $intr, move |x| x >= c, map),
+/// Binds `$p` to `x OP c` over lane type `$t`.
+macro_rules! with_cmp {
+    ($op:expr, $c:expr, $t:ty, $p:ident => $body:expr) => {{
+        let c = $c;
+        match $op {
+            CmpK::Eq => bind!($p = move |x: $t| x == c; $body),
+            CmpK::Ne => bind!($p = move |x: $t| x != c; $body),
+            CmpK::Lt => bind!($p = move |x: $t| x < c; $body),
+            CmpK::Le => bind!($p = move |x: $t| x <= c; $body),
+            CmpK::Gt => bind!($p = move |x: $t| x > c; $body),
+            CmpK::Ge => bind!($p = move |x: $t| x >= c; $body),
         }
     }};
 }
 
-macro_rules! dispatch_fold_f {
-    ($pred:expr, $xs:expr, $acc:expr, $intr:expr, $map:expr, $fold:expr) => {{
-        let map = $map;
-        let fold = $fold;
+/// Binds `$p` to the f64 predicate (`None` is always true).
+macro_rules! with_pred_f {
+    ($pred:expr, $params:expr, $p:ident => $body:expr) => {
         match $pred {
-            None => fold_f($xs, $acc, $intr, |_| true, map, fold),
-            Some((CmpK::Eq, c)) => fold_f($xs, $acc, $intr, move |x| x == c, map, fold),
-            Some((CmpK::Ne, c)) => fold_f($xs, $acc, $intr, move |x| x != c, map, fold),
-            Some((CmpK::Lt, c)) => fold_f($xs, $acc, $intr, move |x| x < c, map, fold),
-            Some((CmpK::Le, c)) => fold_f($xs, $acc, $intr, move |x| x <= c, map, fold),
-            Some((CmpK::Gt, c)) => fold_f($xs, $acc, $intr, move |x| x > c, map, fold),
-            Some((CmpK::Ge, c)) => fold_f($xs, $acc, $intr, move |x| x >= c, map, fold),
+            None => bind!($p = |_: f64| true; $body),
+            Some((op, c)) => with_cmp!(op, c.get($params), f64, $p => $body),
         }
-    }};
+    };
 }
 
-/// Dispatches a recognized i64 remainder guard, value-specializing
-/// small literal moduli so LLVM strength-reduces the division (the
-/// difference between a magic-multiply and a 20+-cycle hardware divide
-/// per lane).
+/// The remainder-guard arms of `with_pred_i!`: small literal moduli
+/// are value-specialized so LLVM strength-reduces the division (the
+/// difference between a magic multiply and a 20+-cycle hardware divide
+/// per lane); any other modulus divides at run time.
 macro_rules! rem_pred_i {
-    ($m:expr, $r:expr, $ne:expr, $xs:expr, $acc:expr, $intr:expr, $map:expr) => {{
-        let map = $map;
+    ($m:expr, $r:expr, $ne:expr, $p:ident => $body:expr) => {{
         let r = $r;
         match ($m, $ne) {
-            (2, false) => loop_i($xs, $acc, $intr, move |x| x.wrapping_rem(2) == r, map),
-            (2, true) => loop_i($xs, $acc, $intr, move |x| x.wrapping_rem(2) != r, map),
-            (3, false) => loop_i($xs, $acc, $intr, move |x| x.wrapping_rem(3) == r, map),
-            (3, true) => loop_i($xs, $acc, $intr, move |x| x.wrapping_rem(3) != r, map),
-            (4, false) => loop_i($xs, $acc, $intr, move |x| x.wrapping_rem(4) == r, map),
-            (4, true) => loop_i($xs, $acc, $intr, move |x| x.wrapping_rem(4) != r, map),
-            (5, false) => loop_i($xs, $acc, $intr, move |x| x.wrapping_rem(5) == r, map),
-            (5, true) => loop_i($xs, $acc, $intr, move |x| x.wrapping_rem(5) != r, map),
-            (m, false) => loop_i($xs, $acc, $intr, move |x| x.wrapping_rem(m) == r, map),
-            (m, true) => loop_i($xs, $acc, $intr, move |x| x.wrapping_rem(m) != r, map),
+            (2, false) => bind!($p = move |x: i64| x.wrapping_rem(2) == r; $body),
+            (2, true) => bind!($p = move |x: i64| x.wrapping_rem(2) != r; $body),
+            (3, false) => bind!($p = move |x: i64| x.wrapping_rem(3) == r; $body),
+            (3, true) => bind!($p = move |x: i64| x.wrapping_rem(3) != r; $body),
+            (4, false) => bind!($p = move |x: i64| x.wrapping_rem(4) == r; $body),
+            (4, true) => bind!($p = move |x: i64| x.wrapping_rem(4) != r; $body),
+            (5, false) => bind!($p = move |x: i64| x.wrapping_rem(5) == r; $body),
+            (5, true) => bind!($p = move |x: i64| x.wrapping_rem(5) != r; $body),
+            (m, false) => bind!($p = move |x: i64| x.wrapping_rem(m) == r; $body),
+            (m, true) => bind!($p = move |x: i64| x.wrapping_rem(m) != r; $body),
+        }
+    }};
+}
+
+/// Binds `$p` to the i64 predicate (`None` is always true).
+macro_rules! with_pred_i {
+    ($pred:expr, $params:expr, $p:ident => $body:expr) => {
+        match $pred {
+            None => bind!($p = |_: i64| true; $body),
+            Some(PredI::Cmp(op, c)) => with_cmp!(op, c.get($params), i64, $p => $body),
+            Some(PredI::RemCmp { m, r, ne }) => {
+                rem_pred_i!(m.get($params), r.get($params), ne, $p => $body)
+            }
+        }
+    };
+}
+
+/// Binds `$m` to the f64 map.
+macro_rules! with_map_f {
+    ($map:expr, $params:expr, $m:ident => $body:expr) => {
+        match $map {
+            MapF::X => bind!($m = |x: f64| x; $body),
+            MapF::Sq => bind!($m = |x: f64| x * x; $body),
+            MapF::MulKR(k) => bind!($m = { let k = k.get($params); move |x: f64| x * k }; $body),
+            MapF::MulKL(k) => bind!($m = { let k = k.get($params); move |x: f64| k * x }; $body),
+            MapF::K(k) => bind!($m = { let k = k.get($params); move |_: f64| k }; $body),
+        }
+    };
+}
+
+/// Binds `$m` to the i64 map. The guarded-division select is bound by
+/// `with_sel_i!` instead: [`plan`] fuses it only unfiltered, so its arm
+/// here is the shape error of a filtered one.
+macro_rules! with_map_i {
+    ($map:expr, $params:expr, $m:ident => $body:expr) => {
+        match $map {
+            MapI::X => bind!($m = |x: i64| x; $body),
+            MapI::Sq => bind!($m = |x: i64| x.wrapping_mul(x); $body),
+            MapI::MulK(k) => {
+                bind!($m = { let k = k.get($params); move |x: i64| x.wrapping_mul(k) }; $body)
+            }
+            MapI::Lin(a, b) => {
+                let (a, b) = (a.get($params), b.get($params));
+                bind!($m = move |x: i64| a.wrapping_mul(x).wrapping_add(b); $body)
+            }
+            MapI::K(k) => bind!($m = { let k = k.get($params); move |_: i64| k }; $body),
+            MapI::SelRemDivLin { .. } => Err(VmError::Shape(
+                "filtered guarded-division select has no fused kernel".into(),
+            )),
+        }
+    };
+}
+
+/// `x % m == r ? x / d : lin(x)`, with `m` and `d` compiled in.
+macro_rules! sel {
+    ($m:expr, $r:ident, $d:expr, $lin:ident) => {
+        move |x: i64| {
+            if x.wrapping_rem($m) == $r {
+                x.wrapping_div($d)
+            } else {
+                $lin(x)
+            }
+        }
+    };
+}
+
+/// Binds `$f` to the guarded-division select `x % m == r ? x / d :
+/// a*x + b`, value-specializing the common small-constant guard/divisor
+/// pairs; the fallback keeps the fusion win (no column traffic) with
+/// runtime divides.
+macro_rules! with_sel_i {
+    ($m:expr, $r:expr, $d:expr, $a:expr, $b:expr, $f:ident => $body:expr) => {{
+        let (r, a, b) = ($r, $a, $b);
+        let lin = move |x: i64| a.wrapping_mul(x).wrapping_add(b);
+        match ($m, $d) {
+            (2, 2) => bind!($f = sel!(2, r, 2, lin); $body),
+            (2, 4) => bind!($f = sel!(2, r, 4, lin); $body),
+            (3, 3) => bind!($f = sel!(3, r, 3, lin); $body),
+            (m, d) => bind!($f = sel!(m, r, d, lin); $body),
         }
     }};
 }
@@ -887,266 +890,27 @@ pub fn run_fused(
     interrupt: &Interrupt,
 ) -> Result<(), VmError> {
     match (ft, data) {
-        (FusedTape::SumF { pred, map, acc }, BatchData::F(xs)) => {
+        (FusedTape::F { red, pred, map, acc }, BatchData::F(xs)) => {
             let acc = &mut f_accs[*acc as usize];
-            let pred = pred.map(|(op, c)| (op, c.get(f_params)));
-            match *map {
-                MapF::X => dispatch_pred_f!(pred, xs, acc, interrupt, |x| x),
-                MapF::Sq => dispatch_pred_f!(pred, xs, acc, interrupt, |x| x * x),
-                MapF::MulKR(k) => {
-                    let k = k.get(f_params);
-                    dispatch_pred_f!(pred, xs, acc, interrupt, move |x| x * k)
-                }
-                MapF::MulKL(k) => {
-                    let k = k.get(f_params);
-                    dispatch_pred_f!(pred, xs, acc, interrupt, move |x| k * x)
-                }
-                MapF::K(k) => {
-                    let k = k.get(f_params);
-                    dispatch_pred_f!(pred, xs, acc, interrupt, move |_| k)
-                }
-            }
+            with_map_f!(*map, f_params, map => with_pred_f!(*pred, f_params, pred =>
+                reduce_f(*red, xs, acc, interrupt, pred, map)))
         }
-        (FusedTape::SumI { pred, map, acc }, BatchData::I(xs)) => {
+        (FusedTape::I { red, pred, map, acc }, BatchData::I(xs)) => {
             let acc = &mut i_accs[*acc as usize];
-            match *map {
-                MapI::X => sum_i(pred, i_params, xs, acc, interrupt, |x| x),
-                MapI::Sq => sum_i(pred, i_params, xs, acc, interrupt, |x| x.wrapping_mul(x)),
-                MapI::MulK(k) => {
-                    let k = k.get(i_params);
-                    sum_i(pred, i_params, xs, acc, interrupt, move |x| {
-                        x.wrapping_mul(k)
-                    })
+            match (*map, pred) {
+                (MapI::SelRemDivLin { m, r, d, a, b }, None) => {
+                    with_sel_i!(m, r, d, a, b, map =>
+                        reduce_i(*red, xs, acc, interrupt, |_| true, map))
                 }
-                MapI::Lin(a, b) => {
-                    let (a, b) = (a.get(i_params), b.get(i_params));
-                    sum_i(pred, i_params, xs, acc, interrupt, move |x| {
-                        a.wrapping_mul(x).wrapping_add(b)
-                    })
-                }
-                MapI::K(k) => {
-                    let k = k.get(i_params);
-                    sum_i(pred, i_params, xs, acc, interrupt, move |_| k)
-                }
-            }
-        }
-        (
-            FusedTape::SelRemDivLinI {
-                m,
-                r,
-                d,
-                a,
-                b,
-                acc,
-            },
-            BatchData::I(xs),
-        ) => {
-            let (r, a, b) = (*r, *a, *b);
-            let acc = &mut i_accs[*acc as usize];
-            // Value-specialize the common small-constant guard/divisor
-            // pairs; the fallback keeps the fusion win (no column
-            // traffic) with runtime divides.
-            match (*m, *d) {
-                (2, 2) => loop_i(xs, acc, interrupt, |_| true, move |x| {
-                    if x.wrapping_rem(2) == r {
-                        x.wrapping_div(2)
-                    } else {
-                        a.wrapping_mul(x).wrapping_add(b)
-                    }
-                }),
-                (2, 4) => loop_i(xs, acc, interrupt, |_| true, move |x| {
-                    if x.wrapping_rem(2) == r {
-                        x.wrapping_div(4)
-                    } else {
-                        a.wrapping_mul(x).wrapping_add(b)
-                    }
-                }),
-                (3, 3) => loop_i(xs, acc, interrupt, |_| true, move |x| {
-                    if x.wrapping_rem(3) == r {
-                        x.wrapping_div(3)
-                    } else {
-                        a.wrapping_mul(x).wrapping_add(b)
-                    }
-                }),
-                (m, d) => loop_i(xs, acc, interrupt, |_| true, move |x| {
-                    if x.wrapping_rem(m) == r {
-                        x.wrapping_div(d)
-                    } else {
-                        a.wrapping_mul(x).wrapping_add(b)
-                    }
-                }),
-            }
-        }
-        (FusedTape::FoldF { kind, pred, map, acc }, BatchData::F(xs)) => {
-            let acc = &mut f_accs[*acc as usize];
-            let pred = pred.map(|(op, c)| (op, c.get(f_params)));
-            match kind {
-                FoldKind::Min => run_fold_f(pred, *map, xs, acc, f_params, interrupt, i64::min),
-                FoldKind::Max => run_fold_f(pred, *map, xs, acc, f_params, interrupt, i64::max),
-            }
-        }
-        (FusedTape::FoldI { kind, pred, map, acc }, BatchData::I(xs)) => {
-            let acc = &mut i_accs[*acc as usize];
-            match kind {
-                FoldKind::Min => {
-                    run_fold_i(pred, *map, xs, acc, i_params, interrupt, |a: i64, x| a.min(x))
-                }
-                FoldKind::Max => {
-                    run_fold_i(pred, *map, xs, acc, i_params, interrupt, |a: i64, x| a.max(x))
-                }
+                (map, pred) => with_map_i!(map, i_params, map =>
+                    with_pred_i!(*pred, i_params, pred =>
+                        reduce_i(*red, xs, acc, interrupt, pred, map))),
             }
         }
         // A lane mismatch here would mean the compiler attached a fused
         // plan to the wrong source; fall back to doing nothing is wrong,
         // so surface it as a shape error.
         _ => Err(VmError::Shape("fused kernel lane mismatch".into())),
-    }
-}
-
-/// Monomorphizes a fused f64 fold over its map, then its predicate.
-#[inline]
-fn run_fold_f(
-    pred: Option<(CmpK, f64)>,
-    map: MapF,
-    xs: &[f64],
-    acc: &mut f64,
-    f_params: &[f64],
-    interrupt: &Interrupt,
-    fold: impl Fn(i64, i64) -> i64 + Copy,
-) -> Result<(), VmError> {
-    match map {
-        MapF::X => dispatch_fold_f!(pred, xs, acc, interrupt, |x| x, fold),
-        MapF::Sq => dispatch_fold_f!(pred, xs, acc, interrupt, |x| x * x, fold),
-        MapF::MulKR(k) => {
-            let k = k.get(f_params);
-            dispatch_fold_f!(pred, xs, acc, interrupt, move |x| x * k, fold)
-        }
-        MapF::MulKL(k) => {
-            let k = k.get(f_params);
-            dispatch_fold_f!(pred, xs, acc, interrupt, move |x| k * x, fold)
-        }
-        MapF::K(k) => {
-            let k = k.get(f_params);
-            dispatch_fold_f!(pred, xs, acc, interrupt, move |_| k, fold)
-        }
-    }
-}
-
-/// Monomorphizes a fused i64 fold over its map, then its predicate.
-#[inline]
-fn run_fold_i(
-    pred: &Option<PredI>,
-    map: MapI,
-    xs: &[i64],
-    acc: &mut i64,
-    i_params: &[i64],
-    interrupt: &Interrupt,
-    fold: impl Fn(i64, i64) -> i64 + Copy,
-) -> Result<(), VmError> {
-    match map {
-        MapI::X => fold_i_pred(pred, i_params, xs, acc, interrupt, |x| x, fold),
-        MapI::Sq => fold_i_pred(
-            pred,
-            i_params,
-            xs,
-            acc,
-            interrupt,
-            |x| x.wrapping_mul(x),
-            fold,
-        ),
-        MapI::MulK(k) => {
-            let k = k.get(i_params);
-            fold_i_pred(
-                pred,
-                i_params,
-                xs,
-                acc,
-                interrupt,
-                move |x| x.wrapping_mul(k),
-                fold,
-            )
-        }
-        MapI::Lin(a, b) => {
-            let (a, b) = (a.get(i_params), b.get(i_params));
-            fold_i_pred(
-                pred,
-                i_params,
-                xs,
-                acc,
-                interrupt,
-                move |x| a.wrapping_mul(x).wrapping_add(b),
-                fold,
-            )
-        }
-        MapI::K(k) => {
-            let k = k.get(i_params);
-            fold_i_pred(pred, i_params, xs, acc, interrupt, move |_| k, fold)
-        }
-    }
-}
-
-/// Dispatches an i64 predicate around a monomorphized fold.
-#[inline]
-fn fold_i_pred(
-    pred: &Option<PredI>,
-    i_params: &[i64],
-    xs: &[i64],
-    acc: &mut i64,
-    interrupt: &Interrupt,
-    map: impl Fn(i64) -> i64 + Copy,
-    fold: impl Fn(i64, i64) -> i64 + Copy,
-) -> Result<(), VmError> {
-    match *pred {
-        None => fold_i(xs, acc, interrupt, |_| true, map, fold),
-        Some(PredI::Cmp(op, c)) => {
-            let c = c.get(i_params);
-            match op {
-                CmpK::Eq => fold_i(xs, acc, interrupt, move |x| x == c, map, fold),
-                CmpK::Ne => fold_i(xs, acc, interrupt, move |x| x != c, map, fold),
-                CmpK::Lt => fold_i(xs, acc, interrupt, move |x| x < c, map, fold),
-                CmpK::Le => fold_i(xs, acc, interrupt, move |x| x <= c, map, fold),
-                CmpK::Gt => fold_i(xs, acc, interrupt, move |x| x > c, map, fold),
-                CmpK::Ge => fold_i(xs, acc, interrupt, move |x| x >= c, map, fold),
-            }
-        }
-        Some(PredI::RemCmp { m, r, ne }) => {
-            let (m, r) = (m.get(i_params), r.get(i_params));
-            if ne {
-                fold_i(xs, acc, interrupt, move |x| x.wrapping_rem(m) != r, map, fold)
-            } else {
-                fold_i(xs, acc, interrupt, move |x| x.wrapping_rem(m) == r, map, fold)
-            }
-        }
-    }
-}
-
-/// Dispatches an i64 predicate around a monomorphized map.
-#[inline]
-fn sum_i(
-    pred: &Option<PredI>,
-    i_params: &[i64],
-    xs: &[i64],
-    acc: &mut i64,
-    interrupt: &Interrupt,
-    map: impl Fn(i64) -> i64 + Copy,
-) -> Result<(), VmError> {
-    match *pred {
-        None => loop_i(xs, acc, interrupt, |_| true, map),
-        Some(PredI::Cmp(op, c)) => {
-            let c = c.get(i_params);
-            match op {
-                CmpK::Eq => loop_i(xs, acc, interrupt, move |x| x == c, map),
-                CmpK::Ne => loop_i(xs, acc, interrupt, move |x| x != c, map),
-                CmpK::Lt => loop_i(xs, acc, interrupt, move |x| x < c, map),
-                CmpK::Le => loop_i(xs, acc, interrupt, move |x| x <= c, map),
-                CmpK::Gt => loop_i(xs, acc, interrupt, move |x| x > c, map),
-                CmpK::Ge => loop_i(xs, acc, interrupt, move |x| x >= c, map),
-            }
-        }
-        Some(PredI::RemCmp { m, r, ne }) => {
-            let (m, r) = (m.get(i_params), r.get(i_params));
-            rem_pred_i!(m, r, ne, xs, acc, interrupt, map)
-        }
     }
 }
 

@@ -50,33 +50,12 @@ enum Outcome {
     DivisionByZero,
 }
 
-/// Runs the interpreter. Its operator closures report a data-dependent
-/// failure by panicking with the `EvalError` (the module's convention),
-/// so a division-by-zero panic maps to the same outcome as the error.
+/// Runs the interpreter.
 fn interp_outcome(q: &QueryExpr, c: &DataContext) -> Outcome {
-    static QUIET: std::sync::Once = std::sync::Once::new();
-    QUIET.call_once(|| {
-        let default = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            if !info.to_string().contains("DivisionByZero") {
-                default(info);
-            }
-        }));
-    });
-    let run = std::panic::catch_unwind(|| interp::execute(q, c, &UdfRegistry::new()));
-    match run {
-        Ok(Ok(v)) => Outcome::Value(v.key()),
-        Ok(Err(EvalError::DivisionByZero)) => Outcome::DivisionByZero,
-        Ok(Err(e)) => panic!("unexpected interpreter error: {e}"),
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-                .unwrap_or_default();
-            assert!(msg.contains("DivisionByZero"), "interpreter panicked: {msg}");
-            Outcome::DivisionByZero
-        }
+    match interp::execute(q, c, &UdfRegistry::new()) {
+        Ok(v) => Outcome::Value(v.key()),
+        Err(EvalError::DivisionByZero) => Outcome::DivisionByZero,
+        Err(e) => panic!("unexpected interpreter error: {e}"),
     }
 }
 

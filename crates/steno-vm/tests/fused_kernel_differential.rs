@@ -11,6 +11,9 @@
 //!
 //! Sizes straddle the batch boundary (1023/1024/1025) so the remainder
 //! chunk, the exact-batch case, and the chunk-crossing case all run.
+//! Sums, mins and maxes share one masked loop that folds an identity on
+//! filtered-out lanes, so each reduction runs with a predicate that is
+//! sometimes, never and always true.
 //! Trap parity pins that fusion never changes *which* error a query
 //! raises, and a deadline test proves fused loops still poll the
 //! interrupt at batch boundaries.
@@ -50,16 +53,18 @@ fn run_tape(
 /// Compiles `q` with the default options, asserts the planner attached
 /// (or refused) a whole-tape fused kernel, and checks the fused loop,
 /// the kernel sequence, and the scalar tier agree bit-for-bit with the
-/// interpreter.
+/// interpreter. Returns the fused loop's value.
 #[track_caller]
-fn check_shape(q: &QueryExpr, c: &DataContext, expect_fused: Option<&str>) {
+fn check_shape(q: &QueryExpr, c: &DataContext, expect_fused: Option<&str>) -> Value {
     let u = UdfRegistry::new();
     let compiled =
         CompiledQuery::compile(q, c.into(), &u).unwrap_or_else(|e| panic!("compile {q}: {e}"));
+    // Whole-tape labels read `red(map):lane`; the peephole's pair names
+    // (`muladd:f64`, ...) have no parenthesis.
     let whole_tape: Vec<&String> = compiled
         .fused_kernels()
         .iter()
-        .filter(|k| k.contains("sum("))
+        .filter(|k| k.contains('('))
         .collect();
     match expect_fused {
         Some(label) => assert_eq!(
@@ -82,6 +87,7 @@ fn check_shape(q: &QueryExpr, c: &DataContext, expect_fused: Option<&str>) {
     assert_eq!(expected.key(), fused_v.key(), "interp vs fused for {q}");
     assert_eq!(fused_v.key(), tape_v.key(), "fused vs kernel tape for {q}");
     assert_eq!(fused_v.key(), scalar_v.key(), "fused vs scalar for {q}");
+    fused_v
 }
 
 fn f64_ctx(n: usize) -> DataContext {
@@ -250,6 +256,179 @@ fn guarded_div_select_shapes() {
                 Some(&format!("sum(x%{m}==0 ? x/{d} : 3*x+1):i64")),
             );
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// min/max shapes.
+// ---------------------------------------------------------------------
+
+/// A tiny deterministic PRNG (SplitMix64).
+struct Rng(u64);
+
+impl Rng {
+    fn next_u64(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform in `[-1, 1)`.
+    fn unit(&mut self) -> f64 {
+        (self.next_u64() >> 11) as f64 / (1u64 << 52) as f64 - 1.0
+    }
+}
+
+/// Pseudo-random doubles in `[-1, 1)`, with a positive and a negative
+/// NaN and both zeros planted at scattered positions (`total_cmp`
+/// orders `-NaN < … < -0.0 < +0.0 < … < NaN`).
+fn noisy_f64_ctx(n: usize) -> DataContext {
+    let mut rng = Rng(n as u64);
+    let mut data: Vec<f64> = (0..n).map(|_| rng.unit()).collect();
+    for (at, v) in [(n / 7, f64::NAN), (n / 3, -f64::NAN), (n / 2, 0.0), (n - 1, -0.0)] {
+        data[at] = v;
+    }
+    DataContext::new().with_source("xs", data)
+}
+
+/// Pseudo-random integers in `±10^9`.
+fn noisy_i64_ctx(n: usize) -> DataContext {
+    let mut rng = Rng(!(n as u64));
+    let data: Vec<i64> = (0..n)
+        .map(|_| (rng.next_u64() % 2_000_000_001) as i64 - 1_000_000_000)
+        .collect();
+    DataContext::new().with_source("ns", data)
+}
+
+#[test]
+fn f64_min_max_shapes_across_batch_boundary() {
+    for &n in &SIZES {
+        let c = noisy_f64_ctx(n);
+        // Unfiltered: the NaNs of either sign are the extremes.
+        let min = check_shape(&Query::source("xs").min().build(), &c, Some("min(x):f64"));
+        assert_eq!(min.key(), Value::F64(-f64::NAN).key(), "min of {n}");
+        let max = check_shape(&Query::source("xs").max().build(), &c, Some("max(x):f64"));
+        assert_eq!(max.key(), Value::F64(f64::NAN).key(), "max of {n}");
+        check_shape(
+            &Query::source("xs").select(x() * x(), "x").max().build(),
+            &c,
+            Some("max(x*x):f64"),
+        );
+        // A predicate over the random data (NaN lanes fail it).
+        check_shape(
+            &Query::source("xs").where_(x().gt(Expr::litf(0.5)), "x").max().build(),
+            &c,
+            Some("filter(x>0.5)·max(x):f64"),
+        );
+        check_shape(
+            &Query::source("xs")
+                .where_(x().gt(Expr::litf(0.5)), "x")
+                .select(x() * Expr::litf(2.5), "x")
+                .min()
+                .build(),
+            &c,
+            Some("filter(x>0.5)·min(x*2.5):f64"),
+        );
+        // Only the zeros and the negatives pass: max must pick +0.0
+        // over -0.0, min the smallest negative.
+        let zero = check_shape(
+            &Query::source("xs").where_(x().le(Expr::litf(0.0)), "x").max().build(),
+            &c,
+            Some("filter(x<=0)·max(x):f64"),
+        );
+        assert_eq!(zero.key(), Value::F64(0.0).key(), "+0.0 orders above -0.0");
+        check_shape(
+            &Query::source("xs").where_(x().le(Expr::litf(0.0)), "x").min().build(),
+            &c,
+            Some("filter(x<=0)·min(x):f64"),
+        );
+        // Never true: every lane folds the identity, and the result
+        // keeps the seed's bits.
+        let none = check_shape(
+            &Query::source("xs").where_(x().gt(Expr::litf(2.0)), "x").max().build(),
+            &c,
+            Some("filter(x>2)·max(x):f64"),
+        );
+        assert_eq!(none.key(), Value::F64(f64::NEG_INFINITY).key());
+        let none = check_shape(
+            &Query::source("xs").where_(x().gt(Expr::litf(2.0)), "x").min().build(),
+            &c,
+            Some("filter(x>2)·min(x):f64"),
+        );
+        assert_eq!(none.key(), Value::F64(f64::INFINITY).key());
+        // A sum seeded with -0.0 keeps it: -0.0 is the sum's identity
+        // for every accumulator, where +0.0 is not.
+        let seeded = check_shape(
+            &Query::source("xs")
+                .where_(x().gt(Expr::litf(2.0)), "x")
+                .aggregate(Expr::litf(-0.0), "a", "x", Expr::var("a") + x())
+                .build(),
+            &c,
+            Some("filter(x>2)·sum(x):f64"),
+        );
+        assert_eq!(seeded.key(), Value::F64(-0.0).key());
+    }
+}
+
+#[test]
+fn i64_min_max_shapes_across_batch_boundary() {
+    for &n in &SIZES {
+        let c = noisy_i64_ctx(n);
+        check_shape(&Query::source("ns").min().build(), &c, Some("min(x):i64"));
+        check_shape(&Query::source("ns").max().build(), &c, Some("max(x):i64"));
+        check_shape(
+            &Query::source("ns")
+                .select(Expr::liti(3) * x() + Expr::liti(1), "x")
+                .min()
+                .build(),
+            &c,
+            Some("min(3*x+1):i64"),
+        );
+        // Predicates over the random data: a comparison, and the
+        // remainder guard with a literal and a runtime modulus.
+        check_shape(
+            &Query::source("ns")
+                .where_(x().gt(Expr::liti(10)), "x")
+                .select(x() * x(), "x")
+                .max()
+                .build(),
+            &c,
+            Some("filter(x>10)·max(x*x):i64"),
+        );
+        for m in [3i64, 7] {
+            check_shape(
+                &Query::source("ns")
+                    .where_((x() % Expr::liti(m)).eq(Expr::liti(0)), "x")
+                    .min()
+                    .build(),
+                &c,
+                Some(&format!("filter(x%{m}==0)·min(x):i64")),
+            );
+            check_shape(
+                &Query::source("ns")
+                    .where_((x() % Expr::liti(m)).ne(Expr::liti(0)), "x")
+                    .max()
+                    .build(),
+                &c,
+                Some(&format!("filter(x%{m}!=0)·max(x):i64")),
+            );
+        }
+        // Never true: the result keeps the seed's bits.
+        let never = |q: Query| q.where_(x().gt(Expr::liti(2_000_000_000)), "x");
+        let none = check_shape(
+            &never(Query::source("ns")).max().build(),
+            &c,
+            Some("filter(x>2000000000)·max(x):i64"),
+        );
+        assert_eq!(none, Value::I64(i64::MIN));
+        let none = check_shape(
+            &never(Query::source("ns")).min().build(),
+            &c,
+            Some("filter(x>2000000000)·min(x):i64"),
+        );
+        assert_eq!(none, Value::I64(i64::MAX));
     }
 }
 

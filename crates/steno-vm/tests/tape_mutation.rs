@@ -59,17 +59,33 @@ fn scalar_opts() -> StenoOptions {
 }
 
 /// Applies `mutate` to the first `BatchLoop` in the program and
-/// reinstalls it (fresh `Arc`), panicking if there is none.
+/// reinstalls it (fresh `Arc`), panicking if there is none. The scalar
+/// shadow names a batch loop by identity, so it is pointed at the mutant
+/// too: the mutant is then judged by the batch tape's own obligations,
+/// as a backend pass that rewrote the loop in place would be.
 fn mutate_batch(p: &mut Program, mutate: impl FnOnce(&mut steno_vm::batch::BatchProgram)) {
-    for ins in &mut p.instrs {
-        if let Instr::BatchLoop(bp) = ins {
-            let mut owned = (**bp).clone();
-            mutate(&mut owned);
-            *ins = Instr::BatchLoop(Arc::new(owned));
-            return;
+    let at = p
+        .instrs
+        .iter()
+        .position(|ins| matches!(ins, Instr::BatchLoop(_)))
+        .expect("no BatchLoop in program");
+    let Instr::BatchLoop(old) = &p.instrs[at] else {
+        unreachable!()
+    };
+    let old = Arc::clone(old);
+    let mut owned = (*old).clone();
+    mutate(&mut owned);
+    let new = Arc::new(owned);
+    p.instrs[at] = Instr::BatchLoop(Arc::clone(&new));
+    if let Some(shadow) = &mut p.shadow {
+        let mut s = (**shadow).clone();
+        for ins in &mut s.instrs {
+            if matches!(ins, Instr::BatchLoop(b) if Arc::ptr_eq(b, &old)) {
+                *ins = Instr::BatchLoop(Arc::clone(&new));
+            }
         }
+        *shadow = Arc::new(s);
     }
-    panic!("no BatchLoop in program");
 }
 
 #[track_caller]
@@ -369,26 +385,39 @@ fn hoisted_non_invariant_caught() {
 
 // ---------------------------------------------------------------------
 // 9. Mangled fused kernel: the whole-loop kernel claims a different
-//    shape than the tape it replaced.
+//    shape than the tape it replaced — a different map, or a different
+//    reduction folded by the same masked loop.
 // ---------------------------------------------------------------------
 #[test]
 fn mangled_fused_kernel_caught() {
-    use steno_vm::fuse_kernels::{FusedTape, MapF};
-    let q = Query::source("xs")
+    use steno_vm::fuse_kernels::{FusedTape, MapF, RedK};
+    let sum_sq = Query::source("xs")
         .select(x() * x(), "x")
         .sum()
         .build();
-    let mut p = compile(&q, &fctx(), StenoOptions::default());
-    let mut mangled = false;
-    mutate_batch(&mut p, |bp| {
-        if let Some(FusedTape::SumF { map, .. }) = &mut bp.fused {
-            // sum(x*x) silently becomes sum(x).
-            *map = MapF::X;
-            mangled = true;
-        }
-    });
-    assert!(mangled, "expected a fused SumF kernel");
-    assert_rejected(&p, &[ObligationKind::Equiv], "mangled fused kernel");
+    let filtered_min = Query::source("xs")
+        .where_(x().gt(Expr::litf(0.5)), "x")
+        .min()
+        .build();
+    // sum(x*x) silently becomes sum(x); sum(x*x) becomes max(x*x);
+    // filter(x>0.5)·min(x) becomes filter(x>0.5)·max(x).
+    type Mangle = fn(&mut RedK, &mut MapF) -> bool;
+    let mutants: [(&QueryExpr, Mangle, &str); 3] = [
+        (&sum_sq, |_, map| std::mem::replace(map, MapF::X) == MapF::Sq, "map"),
+        (&sum_sq, |red, _| std::mem::replace(red, RedK::Max) == RedK::Sum, "sum → max"),
+        (&filtered_min, |red, _| std::mem::replace(red, RedK::Max) == RedK::Min, "min → max"),
+    ];
+    for (q, mangle, what) in mutants {
+        let mut p = compile(q, &fctx(), StenoOptions::default());
+        let mut mangled = false;
+        mutate_batch(&mut p, |bp| {
+            if let Some(FusedTape::F { red, map, .. }) = &mut bp.fused {
+                mangled = mangle(red, map);
+            }
+        });
+        assert!(mangled, "expected a fused f64 kernel to mangle ({what})");
+        assert_rejected(&p, &[ObligationKind::Equiv], &format!("mangled fused kernel ({what})"));
+    }
 }
 
 // ---------------------------------------------------------------------
