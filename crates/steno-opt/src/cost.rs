@@ -1,10 +1,11 @@
 //! The §7.1 break-even model for tier choice.
 //!
-//! The VM has three execution tiers — batch-vectorized, fused
-//! whole-tape kernels, and scalar bytecode — and historically picked
-//! between them with a *static* preference order. That order is right
-//! for large inputs (batch setup amortizes over many elements) and
-//! wrong for small ones (a few hundred elements never pay back the
+//! The VM has two execution tiers per loop — the batch tier (column
+//! batches, some of whose tapes run as one fused kernel) and scalar
+//! bytecode — and by default picks between them with a *static*
+//! preference order: vectorize when the loop is eligible. That order is
+//! right for large inputs (batch setup amortizes over many elements)
+//! and wrong for small ones (a few hundred elements never pay back the
 //! per-loop batch machinery). This module turns measured run facts into
 //! an explicit, explainable tier recommendation.
 

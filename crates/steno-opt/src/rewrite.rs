@@ -1,6 +1,6 @@
 //! Verified algebraic rewrites over QUIL chains.
 //!
-//! Five rules, applied in a fixed order, each justified by the
+//! Four rules, applied in a fixed order, each justified by the
 //! `steno-analysis` effect/totality facts and re-checked by the
 //! independent plan verifier after *every* application:
 //!
@@ -12,11 +12,7 @@
 //!    counts, and hoisting the limit means `f` runs on `n` elements
 //!    instead of all of them. Requires totality because the hoisted form
 //!    no longer evaluates `f` on dropped elements.
-//! 3. **fuse-maps** — `Trans(f)·Trans(g) → Trans(g∘f)`, guarded against
-//!    work duplication exactly like the generic element-wise fuser (the
-//!    second body uses its parameter at most once, or the first is
-//!    trivial), but logged per pair.
-//! 4. **reorder-filters** — adjacent pure, total `Pred(p)·Pred(q)` swap
+//! 3. **reorder-filters** — adjacent pure, total `Pred(p)·Pred(q)` swap
 //!    when cost × *observed* selectivity says `q` should run first: each
 //!    predicate is ranked by `cost / (1 − selectivity)` (static
 //!    expression cost over measured rejection rate — the classic rule
@@ -25,7 +21,7 @@
 //!    margin so noise cannot flap the order. The win is on the scalar
 //!    tier, where conjoined predicates short-circuit; the batch tier
 //!    evaluates predicate columns densely and is order-insensitive.
-//! 5. **pushdown-filter** — `Trans(f)·Pred(p) → Pred(p∘f)·Trans(f)` when
+//! 4. **pushdown-filter** — `Trans(f)·Pred(p) → Pred(p∘f)·Trans(f)` when
 //!    `f` and `p` are pure and total and observed selectivity says the
 //!    filter keeps at most half the elements. Purity is what justifies
 //!    reordering around UDF calls: an *impure* UDF in either body blocks
@@ -34,16 +30,19 @@
 //!    duplicating non-trivial work into a predicate that uses its
 //!    parameter more than once.
 //!
-//! Adjacent-filter *fusion* is deliberately left to the existing
-//! element-wise fuser that runs right after this pass (sequential guards
-//! and a short-circuit `&&` are equivalent); this pass's job is to put
-//! the filters in the cheapest order first, which the fuser then
-//! preserves inside the conjunction.
+//! Fusion is deliberately left to the element-wise fuser
+//! (`steno_quil::passes::fuse_elementwise`) that runs right after this
+//! pass: it composes adjacent maps (`Trans(f)·Trans(g) → Trans(g∘f)`,
+//! under the same no-duplicated-work guard pushdown uses) and folds
+//! adjacent filters into one conjunction (sequential guards and a
+//! short-circuit `&&` are equivalent). This pass's job is to put the
+//! filters in the cheapest order first, which the fuser then preserves
+//! inside the conjunction.
 //!
-//! Rules 4 and 5 only fire with measured selectivities (from
+//! Rules 3 and 4 only fire with measured selectivities (from
 //! [`observe_selectivities`] or the profile-driven re-optimization
 //! path); a fresh compile with no feedback applies only the statically
-//! profitable rules 1–3.
+//! profitable rules 1–2.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -61,7 +60,7 @@ use steno_quil::ir::{PredKind, QuilChain, QuilOp, SrcDesc, TransKind};
 #[derive(Clone, Debug, PartialEq)]
 pub struct RewriteEvent {
     /// Stable rule name (`"merge-limits"`, `"hoist-limit"`,
-    /// `"fuse-maps"`, `"reorder-filters"`, `"pushdown-filter"`).
+    /// `"reorder-filters"`, `"pushdown-filter"`).
     pub rule: &'static str,
     /// Human-readable description of the specific application.
     pub detail: String,
@@ -123,7 +122,6 @@ pub fn rewrite(
 
     merge_limits(&mut cur, udfs, &mut log);
     hoist_limits(&mut cur, udfs, &mut log);
-    fuse_maps(&mut cur, udfs, &mut log);
     if let Some(sel) = selectivity {
         reorder_filters(&mut cur, udfs, sel, &mut log);
         pushdown_filters(&mut cur, udfs, sel, &mut log);
@@ -366,54 +364,7 @@ fn hoist_limits(cur: &mut QuilChain, udfs: &UdfRegistry, log: &mut Vec<RewriteEv
 }
 
 // ---------------------------------------------------------------------
-// Rule 3: map·map fusion.
-// ---------------------------------------------------------------------
-
-fn fuse_maps(cur: &mut QuilChain, udfs: &UdfRegistry, log: &mut Vec<RewriteEvent>) {
-    let mut i = 0;
-    while i + 1 < cur.ops.len() {
-        let fused = match (&cur.ops[i], &cur.ops[i + 1]) {
-            (
-                QuilOp::Trans {
-                    param: p1,
-                    kind: TransKind::Expr(e1),
-                    in_ty,
-                    span,
-                    ..
-                },
-                QuilOp::Trans {
-                    param: p2,
-                    kind: TransKind::Expr(e2),
-                    out_ty,
-                    ..
-                },
-            ) if occurrences(e2, p2) <= 1 || is_trivial(e1) => Some((
-                QuilOp::Trans {
-                    param: p1.clone(),
-                    kind: TransKind::Expr(subst(e2, p2, e1)),
-                    in_ty: in_ty.clone(),
-                    out_ty: out_ty.clone(),
-                    span: *span,
-                },
-                format!("map {}·map {} → one map", at(&cur.ops[i]), at(&cur.ops[i + 1])),
-            )),
-            _ => None,
-        };
-        match fused {
-            Some((op, detail)) => {
-                let mut candidate = cur.clone();
-                candidate.ops.splice(i..=i + 1, [op]);
-                if !apply_verified(cur, candidate, udfs, "fuse-maps", detail, log) {
-                    i += 1;
-                }
-            }
-            None => i += 1,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Rule 4: cost × selectivity filter reordering.
+// Rule 3: cost × selectivity filter reordering.
 // ---------------------------------------------------------------------
 
 fn reorder_filters(
@@ -487,7 +438,7 @@ fn reorder_filters(
 }
 
 // ---------------------------------------------------------------------
-// Rule 5: predicate pushdown past pure maps.
+// Rule 4: predicate pushdown past pure maps.
 // ---------------------------------------------------------------------
 
 fn pushdown_filters(

@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use steno_expr::{DataContext, Expr, UdfRegistry};
 use steno_query::{Query, QueryExpr};
-use steno_vm::batch::BOp;
+use steno_vm::batch::{BOp, FOp};
 use steno_vm::query::{CompileFeedback, StenoOptions};
 use steno_vm::{CompiledQuery, Instr, Program, VectorizationPolicy};
 
@@ -67,7 +67,7 @@ fn queries() -> Vec<(&'static str, QueryExpr)> {
     ]
 }
 
-/// Swaps the operands of the first non-commutative `SubF` in the first
+/// Swaps the operands of the first f64 subtraction in the first
 /// batch loop — the register-allocation bug class from the mutation
 /// harness. Returns false if the program has no such instruction.
 fn inject_mutant(p: &mut Program) -> bool {
@@ -75,7 +75,7 @@ fn inject_mutant(p: &mut Program) -> bool {
         if let Instr::BatchLoop(bp) = ins {
             let mut owned = (**bp).clone();
             for op in &mut owned.tape {
-                if let BOp::SubF(_, a, b) = op {
+                if let BOp::BinF(FOp::Sub, _, a, b) = op {
                     if a != b {
                         std::mem::swap(a, b);
                         *ins = Instr::BatchLoop(Arc::new(owned));

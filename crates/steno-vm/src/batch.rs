@@ -36,7 +36,7 @@ use steno_expr::udf::UdfFn;
 use steno_expr::Value;
 
 use crate::exec::{unbox_b, unbox_f, unbox_i, VmError};
-use crate::instr::{FReg, IReg, SinkId, SrcId, UdfId};
+use crate::instr::{with_cmp, CmpOp, FReg, IReg, SinkId, SrcId, UdfId};
 use crate::interrupt::POLL_STRIDE;
 use crate::kernels;
 use crate::sink::{
@@ -96,15 +96,84 @@ pub enum BInit {
     ParamB(u8, u8),
 }
 
-/// A group key operand: which bank and slot the key batch lives in.
+/// A binary f64 operator of [`BOp::BinF`] (dense; float ops never trap).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum KeyRef {
-    /// f64 key slot.
-    F(u8),
-    /// i64 key slot.
-    I(u8),
-    /// bool key slot.
-    B(u8),
+pub enum FOp {
+    /// `a + b`.
+    Add,
+    /// `a - b`.
+    Sub,
+    /// `a * b`.
+    Mul,
+    /// `a / b` (IEEE, no trap).
+    Div,
+    /// `a % b` (IEEE, no trap).
+    Rem,
+    /// `a.min(b)` in `total_cmp` order ([`crate::sink::min_total`]).
+    Min,
+    /// `a.max(b)` in `total_cmp` order.
+    Max,
+}
+
+/// A binary i64 operator of [`BOp::BinI`] (dense, wrapping — matches
+/// the scalar VM). Division is not one: it traps, see [`BOp::DivI`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum IOp {
+    /// `a.wrapping_add(b)`.
+    Add,
+    /// `a.wrapping_sub(b)`.
+    Sub,
+    /// `a.wrapping_mul(b)`.
+    Mul,
+    /// `a.min(b)`.
+    Min,
+    /// `a.max(b)`.
+    Max,
+}
+
+/// A unary f64 operator of [`BOp::UnF`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FUnOp {
+    /// `-a`.
+    Neg,
+    /// `a.abs()`.
+    Abs,
+    /// `a.sqrt()`.
+    Sqrt,
+    /// `a.floor()`.
+    Floor,
+}
+
+/// A unary i64 operator of [`BOp::UnI`] (wrapping).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum IUnOp {
+    /// `a.wrapping_neg()`.
+    Neg,
+    /// `a.wrapping_abs()`.
+    Abs,
+}
+
+/// The reduction a fold folds its live lanes with: [`BOp::Red`] and the
+/// fused whole-loop kernels ([`crate::fuse_kernels::FusedTape`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RedK {
+    /// `sum` (wrapping on i64).
+    Sum,
+    /// `min`, in `total_cmp` order on f64.
+    Min,
+    /// `max`, in `total_cmp` order on f64.
+    Max,
+}
+
+impl RedK {
+    /// The reduction's name in fused-kernel labels.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            RedK::Sum => "sum",
+            RedK::Min => "min",
+            RedK::Max => "max",
+        }
+    }
 }
 
 /// What a vectorized loop iterates.
@@ -155,68 +224,44 @@ impl CallArgs {
     }
 }
 
-/// One vectorized tape operation.
+/// One vectorized tape operation: one variant per operation shape, with
+/// the lane and the operator as operands (each kernel is still
+/// monomorphized per operator and lane; the executor dispatches on them
+/// once per op per batch).
 ///
-/// The compiler emits slots in SSA order *per bank* (every destination a
-/// fresh slot), but [`crate::lifetimes::pack_batch_slots`] then reuses
-/// dead slots, so a destination may alias any source — including itself.
-/// The executor therefore uses the aliasing-safe `_any` kernels (see
+/// Slots are `u8` indices into the bank of the lane the op names: `d` is
+/// the destination, `a`, `b`, `c` the sources. The compiler emits slots
+/// in SSA order *per bank* (every destination a fresh slot), but
+/// [`crate::lifetimes::pack_batch_slots`] then reuses dead slots, so a
+/// destination may alias any source — including itself. The executor
+/// therefore uses the aliasing-safe `_any` kernels (see
 /// [`crate::kernels`]), which read each lane before writing it. Compute
-/// ops run dense; `Div`/`Rem` on i64, folds, and effects consult the
-/// selection vector.
+/// ops run dense; `DivI`/`RemI`, folds, and effects consult the
+/// selection vector. Folds, group upserts, appends and yields consume
+/// live lanes in ascending element order.
+///
+/// An op the vectorizer never emits on a lane — a reduction, group
+/// upsert or multiply-add on the bool lane — is a shape error at run
+/// time and a rejection by the tape verifier.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum BOp {
     // -- loads ---------------------------------------------------------
-    /// `f[d] = current batch of f64 source elements`.
-    LoadF(u8),
-    /// `i[d] = current batch of i64 source elements`.
-    LoadI(u8),
-    /// `b[d] = current batch of bool source elements`.
-    LoadB(u8),
-    /// The current batch of the second component of pair elements (a
-    /// grouped-aggregate sink's accumulators) into bank `.0`, slot `.1`.
+    /// `d = current batch of source elements` (of the first component,
+    /// for pair elements), in the source's lane.
+    Load(Lane, u8),
+    /// `d = current batch of the second component of pair elements` (a
+    /// grouped-aggregate sink's accumulators), in that column's lane.
     LoadSnd(Lane, u8),
 
-    // -- f64 arithmetic (dense; float ops never trap) ------------------
-    /// `f[d] = f[a] + f[b]`.
-    AddF(u8, u8, u8),
-    /// `f[d] = f[a] - f[b]`.
-    SubF(u8, u8, u8),
-    /// `f[d] = f[a] * f[b]`.
-    MulF(u8, u8, u8),
-    /// `f[d] = f[a] / f[b]` (IEEE, no trap).
-    DivF(u8, u8, u8),
-    /// `f[d] = f[a] % f[b]` (IEEE, no trap).
-    RemF(u8, u8, u8),
-    /// `f[d] = f[a].min(f[b])` in `total_cmp` order
-    /// ([`crate::sink::min_total`]).
-    MinF(u8, u8, u8),
-    /// `f[d] = f[a].max(f[b])` in `total_cmp` order.
-    MaxF(u8, u8, u8),
-    /// `f[d] = -f[a]`.
-    NegF(u8, u8),
-    /// `f[d] = f[a].abs()`.
-    AbsF(u8, u8),
-    /// `f[d] = f[a].sqrt()`.
-    SqrtF(u8, u8),
-    /// `f[d] = f[a].floor()`.
-    FloorF(u8, u8),
-
-    // -- i64 arithmetic (dense, wrapping — matches the scalar VM) ------
-    /// `i[d] = i[a].wrapping_add(i[b])`.
-    AddI(u8, u8, u8),
-    /// `i[d] = i[a].wrapping_sub(i[b])`.
-    SubI(u8, u8, u8),
-    /// `i[d] = i[a].wrapping_mul(i[b])`.
-    MulI(u8, u8, u8),
-    /// `i[d] = i[a].min(i[b])`.
-    MinI(u8, u8, u8),
-    /// `i[d] = i[a].max(i[b])`.
-    MaxI(u8, u8, u8),
-    /// `i[d] = i[a].wrapping_neg()`.
-    NegI(u8, u8),
-    /// `i[d] = i[a].wrapping_abs()`.
-    AbsI(u8, u8),
+    // -- arithmetic (dense) --------------------------------------------
+    /// `f[d] = f[a] op f[b]`.
+    BinF(FOp, u8, u8, u8),
+    /// `i[d] = i[a] op i[b]`, wrapping.
+    BinI(IOp, u8, u8, u8),
+    /// `f[d] = op f[a]`.
+    UnF(FUnOp, u8, u8),
+    /// `i[d] = op i[a]`, wrapping.
+    UnI(IUnOp, u8, u8),
 
     // -- trapping i64 division (selected lanes only) -------------------
     /// `i[d] = i[a].wrapping_div(i[b])` on live lanes; faults iff a live
@@ -236,34 +281,9 @@ pub enum BOp {
     RemIUnchecked(u8, u8, u8),
 
     // -- comparisons into the bool bank --------------------------------
-    /// `b[d] = f[a] == f[b]`.
-    EqFB(u8, u8, u8),
-    /// `b[d] = f[a] != f[b]`.
-    NeFB(u8, u8, u8),
-    /// `b[d] = f[a] < f[b]`.
-    LtFB(u8, u8, u8),
-    /// `b[d] = f[a] <= f[b]`.
-    LeFB(u8, u8, u8),
-    /// `b[d] = f[a] > f[b]`.
-    GtFB(u8, u8, u8),
-    /// `b[d] = f[a] >= f[b]`.
-    GeFB(u8, u8, u8),
-    /// `b[d] = i[a] == i[b]`.
-    EqIB(u8, u8, u8),
-    /// `b[d] = i[a] != i[b]`.
-    NeIB(u8, u8, u8),
-    /// `b[d] = i[a] < i[b]`.
-    LtIB(u8, u8, u8),
-    /// `b[d] = i[a] <= i[b]`.
-    LeIB(u8, u8, u8),
-    /// `b[d] = i[a] > i[b]`.
-    GtIB(u8, u8, u8),
-    /// `b[d] = i[a] >= i[b]`.
-    GeIB(u8, u8, u8),
-    /// `b[d] = b[a] == b[b]`.
-    EqBB(u8, u8, u8),
-    /// `b[d] = b[a] != b[b]`.
-    NeBB(u8, u8, u8),
+    /// `b[d] = x[a] op x[b]` over lane `x` (IEEE on f64: NaN is unequal
+    /// and unordered).
+    Cmp(Lane, CmpOp, u8, u8, u8),
 
     // -- boolean algebra (eager; compiler rejects trapping RHS) --------
     /// `b[d] = b[a] & b[b]`.
@@ -280,32 +300,12 @@ pub enum BOp {
     /// `f[d] = i[a] as f64`.
     I2F(u8, u8),
 
-    // -- lane-wise selects ---------------------------------------------
-    /// `f[dst] = b[mask] ? f[t] : f[e]`.
-    SelF {
-        /// Destination f64 slot.
-        dst: u8,
-        /// Mask bool slot.
-        mask: u8,
-        /// Value when set.
-        t: u8,
-        /// Value when clear.
-        e: u8,
-    },
-    /// `i[dst] = b[mask] ? i[t] : i[e]`.
-    SelI {
-        /// Destination i64 slot.
-        dst: u8,
-        /// Mask bool slot.
-        mask: u8,
-        /// Value when set.
-        t: u8,
-        /// Value when clear.
-        e: u8,
-    },
-    /// `b[dst] = b[mask] ? b[t] : b[e]`.
-    SelB {
-        /// Destination bool slot.
+    // -- lane-wise select ----------------------------------------------
+    /// `x[dst] = b[mask] ? x[t] : x[e]` over lane `x`.
+    Sel {
+        /// The lane of the destination and both branches.
+        lane: Lane,
+        /// Destination slot.
         dst: u8,
         /// Mask bool slot.
         mask: u8,
@@ -325,74 +325,37 @@ pub enum BOp {
     /// effect before it on the tape, since those ran on every lane.
     Cut(u8),
 
-    // -- folds (strict, ascending element order over live lanes) -------
-    /// `f_acc[acc] += f[val]` per live lane.
-    RedAddF {
-        /// Accumulator index.
-        acc: u8,
-        /// Value slot.
-        val: u8,
-    },
-    /// `f_acc[acc] = f_acc[acc].min(f[val])` per live lane, in
-    /// `total_cmp` order.
-    RedMinF {
-        /// Accumulator index.
-        acc: u8,
-        /// Value slot.
-        val: u8,
-    },
-    /// `f_acc[acc] = f_acc[acc].max(f[val])` per live lane, in
-    /// `total_cmp` order.
-    RedMaxF {
-        /// Accumulator index.
-        acc: u8,
-        /// Value slot.
-        val: u8,
-    },
-    /// `i_acc[acc] = i_acc[acc].wrapping_add(i[val])` per live lane.
-    RedAddI {
-        /// Accumulator index.
-        acc: u8,
-        /// Value slot.
-        val: u8,
-    },
-    /// `i_acc[acc] = i_acc[acc].min(i[val])` per live lane.
-    RedMinI {
-        /// Accumulator index.
-        acc: u8,
-        /// Value slot.
-        val: u8,
-    },
-    /// `i_acc[acc] = i_acc[acc].max(i[val])` per live lane.
-    RedMaxI {
+    // -- folds ---------------------------------------------------------
+    /// `acc = red(acc, x[val])` per live lane into accumulator `acc` of
+    /// lane `x` (f64 or i64): wrapping on i64, `total_cmp` order for an
+    /// f64 min/max.
+    Red {
+        /// Sum, min or max.
+        red: RedK,
+        /// The lane of the value and the accumulator.
+        lane: Lane,
         /// Accumulator index.
         acc: u8,
         /// Value slot.
         val: u8,
     },
 
-    // -- grouped aggregates (§4.3 sinks, live lanes in order) ----------
-    /// `table[key] += f[val]` per live lane into a `GroupAggSF` sink.
-    GroupAddF {
-        /// The scalar-key f64 sink.
+    // -- grouped aggregates (§4.3 sinks) -------------------------------
+    /// `table[key] += x[val]` per live lane into a scalar-key grouped
+    /// aggregate whose accumulators are lane `x`: a `GroupAggSF` sink
+    /// for f64, `GroupAggSI` for i64 (a count is a sum of a broadcast 1).
+    GroupAdd {
+        /// The lane of the value and the accumulators.
+        lane: Lane,
+        /// The scalar-key sink.
         sink: SinkId,
-        /// Key operand.
-        key: KeyRef,
-        /// f64 value slot.
-        val: u8,
-    },
-    /// `table[key] += i[val]` per live lane into a `GroupAggSI` sink
-    /// (a count is a sum of a broadcast 1).
-    GroupAddI {
-        /// The scalar-key i64 sink.
-        sink: SinkId,
-        /// Key operand.
-        key: KeyRef,
-        /// i64 value slot.
+        /// Key bank and slot.
+        key: (Lane, u8),
+        /// Value slot.
         val: u8,
     },
 
-    // -- typed sink appends (live lanes in order) -----------------------
+    // -- typed sink appends --------------------------------------------
     /// Append `(key, val)` per live lane to a typed sort sink, in lane
     /// order, which is the scalar push order (so the sort stays stable).
     /// For a sink whose element is its own key, `val` is ignored.
@@ -412,17 +375,13 @@ pub enum BOp {
         val: (Lane, u8),
     },
 
-    // -- output (live lanes in order) ----------------------------------
-    /// Push `f[s]` per live lane to the output buffer.
-    OutF(u8),
-    /// Push `i[s]` per live lane.
-    OutI(u8),
-    /// Push `b[s]` per live lane.
-    OutB(u8),
+    // -- output --------------------------------------------------------
+    /// Push `x[s]` per live lane to the output buffer.
+    Out(Lane, u8),
     /// Push the pair `(a, b)` per live lane.
     OutPair((Lane, u8), (Lane, u8)),
 
-    // -- UDF calls (live lanes in order) -------------------------------
+    // -- UDF calls -----------------------------------------------------
     /// `dst = udfs[udf](args)` per live lane, in ascending lane order,
     /// with the result unboxed exactly as the scalar tier's
     /// `VToF`/`VToI`/`VToB` unbox it. Only a UDF registered pure with an
@@ -439,24 +398,15 @@ pub enum BOp {
     },
 
     // -- two-op fused kernels (see crate::fuse_kernels::peephole) ------
-    /// `f[d] = f[a] * f[b] + f[c]` in one pass (two roundings, exactly
-    /// as the unfused pair — not an FMA).
-    MulAddF(u8, u8, u8, u8),
-    /// `i[d] = i[a].wrapping_mul(i[b]).wrapping_add(i[c])` in one pass.
-    MulAddI(u8, u8, u8, u8),
-    /// `f_acc[acc] += f[a] * f[b]` per live lane, without materializing
-    /// the product column.
-    MulRedAddF {
-        /// Accumulator index.
-        acc: u8,
-        /// Left factor slot.
-        a: u8,
-        /// Right factor slot.
-        b: u8,
-    },
-    /// `i_acc[acc] = i_acc[acc].wrapping_add(i[a].wrapping_mul(i[b]))`
-    /// per live lane.
-    MulRedAddI {
+    /// `x[d] = x[a] * x[b] + x[c]` in one pass over lane `x`: two
+    /// roundings on f64, exactly as the unfused pair (not an FMA);
+    /// wrapping on i64.
+    MulAdd(Lane, u8, u8, u8, u8),
+    /// `acc += x[a] * x[b]` per live lane, without materializing the
+    /// product column (wrapping on i64).
+    MulRedAdd {
+        /// The lane of the factors and the accumulator.
+        lane: Lane,
         /// Accumulator index.
         acc: u8,
         /// Left factor slot.
@@ -720,33 +670,6 @@ pub fn run_batch(
                 kernels::map1_any(&mut i_bank, $d, $a, len, $f)
             };
         }
-        macro_rules! cmpf {
-            ($d:expr, $a:expr, $b:expr, $f:expr) => {
-                kernels::cmp2(
-                    &mut b_bank[$d as usize],
-                    &f_bank[$a as usize],
-                    &f_bank[$b as usize],
-                    len,
-                    $f,
-                )
-            };
-        }
-        macro_rules! cmpi {
-            ($d:expr, $a:expr, $b:expr, $f:expr) => {
-                kernels::cmp2(
-                    &mut b_bank[$d as usize],
-                    &i_bank[$a as usize],
-                    &i_bank[$b as usize],
-                    len,
-                    $f,
-                )
-            };
-        }
-        macro_rules! binb {
-            ($d:expr, $a:expr, $b:expr, $f:expr) => {
-                kernels::map2_any(&mut b_bank, $d, $a, $b, len, $f)
-            };
-        }
         macro_rules! sel_opt {
             () => {
                 if dense { None } else { Some(sel.as_slice()) }
@@ -755,62 +678,43 @@ pub fn run_batch(
 
         for op in &bp.tape {
             match *op {
-                BOp::LoadF(d) => {
-                    if let BatchData::F(xs) = data {
-                        f_bank[d as usize][..len].copy_from_slice(&xs[start..start + len]);
-                    } else {
-                        unreachable!("LoadF over a non-f64 source");
-                    }
-                }
-                BOp::LoadI(d) => {
-                    if let BatchData::I(xs) = data {
-                        i_bank[d as usize][..len].copy_from_slice(&xs[start..start + len]);
-                    } else {
-                        unreachable!("LoadI over a non-i64 source");
-                    }
-                }
-                BOp::LoadB(d) => {
-                    if let BatchData::B(xs) = data {
-                        b_bank[d as usize][..len].copy_from_slice(&xs[start..start + len]);
-                    } else {
-                        unreachable!("LoadB over a non-bool source");
-                    }
-                }
-                BOp::LoadSnd(lane, d) => {
-                    let d = d as usize;
-                    match (lane, snd) {
-                        (Lane::F, Some(BatchData::F(xs))) => {
-                            f_bank[d][..len].copy_from_slice(&xs[start..start + len]);
-                        }
-                        (Lane::I, Some(BatchData::I(xs))) => {
-                            i_bank[d][..len].copy_from_slice(&xs[start..start + len]);
-                        }
-                        (Lane::B, Some(BatchData::B(xs))) => {
-                            b_bank[d][..len].copy_from_slice(&xs[start..start + len]);
-                        }
-                        _ => return Err(VmError::Shape("batch pair column lane mismatch".into())),
+                BOp::Load(lane, d) | BOp::LoadSnd(lane, d) => {
+                    let col = if matches!(op, BOp::Load(..)) { Some(data) } else { snd };
+                    let (d, r) = (d as usize, start..start + len);
+                    match (lane, col) {
+                        (Lane::F, Some(BatchData::F(xs))) => f_bank[d][..len].copy_from_slice(&xs[r]),
+                        (Lane::I, Some(BatchData::I(xs))) => i_bank[d][..len].copy_from_slice(&xs[r]),
+                        (Lane::B, Some(BatchData::B(xs))) => b_bank[d][..len].copy_from_slice(&xs[r]),
+                        _ => return Err(VmError::Shape("batch column lane mismatch".into())),
                     }
                 }
 
-                BOp::AddF(d, a, b) => binf!(d, a, b, |x: f64, y: f64| x + y),
-                BOp::SubF(d, a, b) => binf!(d, a, b, |x: f64, y: f64| x - y),
-                BOp::MulF(d, a, b) => binf!(d, a, b, |x: f64, y: f64| x * y),
-                BOp::DivF(d, a, b) => binf!(d, a, b, |x: f64, y: f64| x / y),
-                BOp::RemF(d, a, b) => binf!(d, a, b, |x: f64, y: f64| x % y),
-                BOp::MinF(d, a, b) => binf!(d, a, b, min_total),
-                BOp::MaxF(d, a, b) => binf!(d, a, b, max_total),
-                BOp::NegF(d, a) => unf!(d, a, |x: f64| -x),
-                BOp::AbsF(d, a) => unf!(d, a, |x: f64| x.abs()),
-                BOp::SqrtF(d, a) => unf!(d, a, |x: f64| x.sqrt()),
-                BOp::FloorF(d, a) => unf!(d, a, |x: f64| x.floor()),
-
-                BOp::AddI(d, a, b) => bini!(d, a, b, |x: i64, y: i64| x.wrapping_add(y)),
-                BOp::SubI(d, a, b) => bini!(d, a, b, |x: i64, y: i64| x.wrapping_sub(y)),
-                BOp::MulI(d, a, b) => bini!(d, a, b, |x: i64, y: i64| x.wrapping_mul(y)),
-                BOp::MinI(d, a, b) => bini!(d, a, b, |x: i64, y: i64| x.min(y)),
-                BOp::MaxI(d, a, b) => bini!(d, a, b, |x: i64, y: i64| x.max(y)),
-                BOp::NegI(d, a) => uni!(d, a, |x: i64| x.wrapping_neg()),
-                BOp::AbsI(d, a) => uni!(d, a, |x: i64| x.wrapping_abs()),
+                BOp::BinF(o, d, a, b) => match o {
+                    FOp::Add => binf!(d, a, b, |x: f64, y: f64| x + y),
+                    FOp::Sub => binf!(d, a, b, |x: f64, y: f64| x - y),
+                    FOp::Mul => binf!(d, a, b, |x: f64, y: f64| x * y),
+                    FOp::Div => binf!(d, a, b, |x: f64, y: f64| x / y),
+                    FOp::Rem => binf!(d, a, b, |x: f64, y: f64| x % y),
+                    FOp::Min => binf!(d, a, b, min_total),
+                    FOp::Max => binf!(d, a, b, max_total),
+                },
+                BOp::BinI(o, d, a, b) => match o {
+                    IOp::Add => bini!(d, a, b, |x: i64, y: i64| x.wrapping_add(y)),
+                    IOp::Sub => bini!(d, a, b, |x: i64, y: i64| x.wrapping_sub(y)),
+                    IOp::Mul => bini!(d, a, b, |x: i64, y: i64| x.wrapping_mul(y)),
+                    IOp::Min => bini!(d, a, b, |x: i64, y: i64| x.min(y)),
+                    IOp::Max => bini!(d, a, b, |x: i64, y: i64| x.max(y)),
+                },
+                BOp::UnF(o, d, a) => match o {
+                    FUnOp::Neg => unf!(d, a, |x: f64| -x),
+                    FUnOp::Abs => unf!(d, a, |x: f64| x.abs()),
+                    FUnOp::Sqrt => unf!(d, a, |x: f64| x.sqrt()),
+                    FUnOp::Floor => unf!(d, a, |x: f64| x.floor()),
+                },
+                BOp::UnI(o, d, a) => match o {
+                    IUnOp::Neg => uni!(d, a, |x: i64| x.wrapping_neg()),
+                    IUnOp::Abs => uni!(d, a, |x: i64| x.wrapping_abs()),
+                },
 
                 BOp::DivI(d, a, b) => {
                     kernels::check_divisors(&i_bank[b as usize], sel_opt!(), len)?;
@@ -846,23 +750,20 @@ pub fn run_batch(
                     None => bini!(d, a, b, |x: i64, y: i64| x.wrapping_rem(y)),
                 },
 
-                BOp::EqFB(d, a, b) => cmpf!(d, a, b, |x: f64, y: f64| x == y),
-                BOp::NeFB(d, a, b) => cmpf!(d, a, b, |x: f64, y: f64| x != y),
-                BOp::LtFB(d, a, b) => cmpf!(d, a, b, |x: f64, y: f64| x < y),
-                BOp::LeFB(d, a, b) => cmpf!(d, a, b, |x: f64, y: f64| x <= y),
-                BOp::GtFB(d, a, b) => cmpf!(d, a, b, |x: f64, y: f64| x > y),
-                BOp::GeFB(d, a, b) => cmpf!(d, a, b, |x: f64, y: f64| x >= y),
-                BOp::EqIB(d, a, b) => cmpi!(d, a, b, |x: i64, y: i64| x == y),
-                BOp::NeIB(d, a, b) => cmpi!(d, a, b, |x: i64, y: i64| x != y),
-                BOp::LtIB(d, a, b) => cmpi!(d, a, b, |x: i64, y: i64| x < y),
-                BOp::LeIB(d, a, b) => cmpi!(d, a, b, |x: i64, y: i64| x <= y),
-                BOp::GtIB(d, a, b) => cmpi!(d, a, b, |x: i64, y: i64| x > y),
-                BOp::GeIB(d, a, b) => cmpi!(d, a, b, |x: i64, y: i64| x >= y),
-                BOp::EqBB(d, a, b) => binb!(d, a, b, |x: bool, y: bool| x == y),
-                BOp::NeBB(d, a, b) => binb!(d, a, b, |x: bool, y: bool| x != y),
+                BOp::Cmp(lane, o, d, a, b) => {
+                    let dst = &mut b_bank[d as usize];
+                    let (a, b) = (a as usize, b as usize);
+                    match lane {
+                        Lane::F => with_cmp!(o, f64, f => kernels::cmp2(dst, &f_bank[a], &f_bank[b], len, f)),
+                        Lane::I => with_cmp!(o, i64, f => kernels::cmp2(dst, &i_bank[a], &i_bank[b], len, f)),
+                        Lane::B => with_cmp!(o, bool, f => {
+                            kernels::map2_any(&mut b_bank, d, a as u8, b as u8, len, f)
+                        }),
+                    }
+                }
 
-                BOp::AndB(d, a, b) => binb!(d, a, b, |x: bool, y: bool| x & y),
-                BOp::OrB(d, a, b) => binb!(d, a, b, |x: bool, y: bool| x | y),
+                BOp::AndB(d, a, b) => kernels::map2_any(&mut b_bank, d, a, b, len, |x: bool, y: bool| x & y),
+                BOp::OrB(d, a, b) => kernels::map2_any(&mut b_bank, d, a, b, len, |x: bool, y: bool| x | y),
                 BOp::NotB(d, a) => kernels::map1_any(&mut b_bank, d, a, len, |x: bool| !x),
 
                 BOp::F2I(d, a) => {
@@ -876,15 +777,11 @@ pub fn run_batch(
                     });
                 }
 
-                BOp::SelF { dst, mask, t, e } => {
-                    kernels::select_any(&mut f_bank, dst, &b_bank[mask as usize], t, e, len);
-                }
-                BOp::SelI { dst, mask, t, e } => {
-                    kernels::select_any(&mut i_bank, dst, &b_bank[mask as usize], t, e, len);
-                }
-                BOp::SelB { dst, mask, t, e } => {
-                    kernels::select_same_any(&mut b_bank, dst, mask, t, e, len);
-                }
+                BOp::Sel { lane, dst, mask, t, e } => match lane {
+                    Lane::F => kernels::select_any(&mut f_bank, dst, &b_bank[mask as usize], t, e, len),
+                    Lane::I => kernels::select_any(&mut i_bank, dst, &b_bank[mask as usize], t, e, len),
+                    Lane::B => kernels::select_same_any(&mut b_bank, dst, mask, t, e, len),
+                },
 
                 BOp::Filter(m) => {
                     let mask = &b_bank[m as usize];
@@ -909,64 +806,60 @@ pub fn run_batch(
                     }
                 }
 
-                BOp::RedAddF { acc, val } => kernels::fold(
-                    &mut f_accs[acc as usize],
-                    &f_bank[val as usize],
-                    sel_opt!(),
-                    len,
-                    |a, x| a + x,
-                ),
-                BOp::RedMinF { acc, val } => kernels::fold_order(
-                    &mut f_accs[acc as usize],
-                    &f_bank[val as usize],
-                    sel_opt!(),
-                    len,
-                    i64::min,
-                ),
-                BOp::RedMaxF { acc, val } => kernels::fold_order(
-                    &mut f_accs[acc as usize],
-                    &f_bank[val as usize],
-                    sel_opt!(),
-                    len,
-                    i64::max,
-                ),
-                BOp::RedAddI { acc, val } => kernels::fold(
-                    &mut i_accs[acc as usize],
-                    &i_bank[val as usize],
-                    sel_opt!(),
-                    len,
-                    |a: i64, x: i64| a.wrapping_add(x),
-                ),
-                BOp::RedMinI { acc, val } => kernels::fold(
-                    &mut i_accs[acc as usize],
-                    &i_bank[val as usize],
-                    sel_opt!(),
-                    len,
-                    |a: i64, x: i64| a.min(x),
-                ),
-                BOp::RedMaxI { acc, val } => kernels::fold(
-                    &mut i_accs[acc as usize],
-                    &i_bank[val as usize],
-                    sel_opt!(),
-                    len,
-                    |a: i64, x: i64| a.max(x),
-                ),
-
-                BOp::GroupAddF { sink, key, val } => {
-                    let SinkRt::GroupAggSF(t) = &mut sinks[sink as usize] else {
-                        return Err(VmError::Shape("sink is not a scalar f64 grouped aggregate".into()));
-                    };
-                    let vals = &f_bank[val as usize];
-                    let banks = (f_bank.as_slice(), i_bank.as_slice(), b_bank.as_slice());
-                    group_add(t, key, banks, |k| vals[k], |a, x| a + x, sel_opt!(), len)?;
+                BOp::Red { red, lane, acc, val } => {
+                    let (acc, val, live) = (acc as usize, val as usize, sel_opt!());
+                    match (lane, red) {
+                        (Lane::F, RedK::Sum) => {
+                            kernels::fold(&mut f_accs[acc], &f_bank[val], live, len, |a, x| a + x);
+                        }
+                        (Lane::F, RedK::Min) => {
+                            kernels::fold_order(&mut f_accs[acc], &f_bank[val], live, len, i64::min);
+                        }
+                        (Lane::F, RedK::Max) => {
+                            kernels::fold_order(&mut f_accs[acc], &f_bank[val], live, len, i64::max);
+                        }
+                        (Lane::I, RedK::Sum) => kernels::fold(
+                            &mut i_accs[acc],
+                            &i_bank[val],
+                            live,
+                            len,
+                            |a: i64, x: i64| a.wrapping_add(x),
+                        ),
+                        (Lane::I, RedK::Min) => kernels::fold(
+                            &mut i_accs[acc],
+                            &i_bank[val],
+                            live,
+                            len,
+                            |a: i64, x: i64| a.min(x),
+                        ),
+                        (Lane::I, RedK::Max) => kernels::fold(
+                            &mut i_accs[acc],
+                            &i_bank[val],
+                            live,
+                            len,
+                            |a: i64, x: i64| a.max(x),
+                        ),
+                        (Lane::B, _) => return Err(no_bool_kernel("reduction")),
+                    }
                 }
-                BOp::GroupAddI { sink, key, val } => {
-                    let SinkRt::GroupAggSI(t) = &mut sinks[sink as usize] else {
-                        return Err(VmError::Shape("sink is not a scalar i64 grouped aggregate".into()));
-                    };
-                    let vals = &i_bank[val as usize];
+
+                BOp::GroupAdd { lane, sink, key, val } => {
                     let banks = (f_bank.as_slice(), i_bank.as_slice(), b_bank.as_slice());
-                    group_add(t, key, banks, |k| vals[k], i64::wrapping_add, sel_opt!(), len)?;
+                    match (lane, &mut sinks[sink as usize]) {
+                        (Lane::F, SinkRt::GroupAggSF(t)) => {
+                            let vals = &f_bank[val as usize];
+                            group_add(t, key, banks, |k| vals[k], |a, x| a + x, sel_opt!(), len)?;
+                        }
+                        (Lane::I, SinkRt::GroupAggSI(t)) => {
+                            let vals = &i_bank[val as usize];
+                            group_add(t, key, banks, |k| vals[k], i64::wrapping_add, sel_opt!(), len)?;
+                        }
+                        _ => {
+                            return Err(VmError::Shape(
+                                "sink is not a scalar grouped aggregate of the value's lane".into(),
+                            ))
+                        }
+                    }
                 }
 
                 BOp::SortPush { sink, key, val } => {
@@ -1007,17 +900,22 @@ pub fn run_batch(
                     for_each_live(sel_opt!(), len, |k| ds.push(lane_bits(banks, val, k)));
                 }
 
-                BOp::OutF(s) => {
-                    let v = &f_bank[s as usize];
-                    for_each_live(sel_opt!(), len, |k| out.push(Value::F64(v[k])));
-                }
-                BOp::OutI(s) => {
-                    let v = &i_bank[s as usize];
-                    for_each_live(sel_opt!(), len, |k| out.push(Value::I64(v[k])));
-                }
-                BOp::OutB(s) => {
-                    let v = &b_bank[s as usize];
-                    for_each_live(sel_opt!(), len, |k| out.push(Value::Bool(v[k])));
+                BOp::Out(lane, s) => {
+                    let (s, live) = (s as usize, sel_opt!());
+                    match lane {
+                        Lane::F => {
+                            let v = &f_bank[s];
+                            for_each_live(live, len, |k| out.push(Value::F64(v[k])));
+                        }
+                        Lane::I => {
+                            let v = &i_bank[s];
+                            for_each_live(live, len, |k| out.push(Value::I64(v[k])));
+                        }
+                        Lane::B => {
+                            let v = &b_bank[s];
+                            for_each_live(live, len, |k| out.push(Value::Bool(v[k])));
+                        }
+                    }
                 }
                 BOp::OutPair(a, b) => {
                     let banks = (f_bank.as_slice(), i_bank.as_slice(), b_bank.as_slice());
@@ -1063,32 +961,41 @@ pub fn run_batch(
                     }
                 }
 
-                BOp::MulAddF(d, a, b, c) => {
-                    kernels::map3_any(&mut f_bank, d, a, b, c, len, |x: f64, y: f64, z: f64| {
-                        x * y + z
-                    });
+                BOp::MulAdd(lane, d, a, b, c) => match lane {
+                    Lane::F => {
+                        kernels::map3_any(&mut f_bank, d, a, b, c, len, |x: f64, y: f64, z: f64| {
+                            x * y + z
+                        });
+                    }
+                    Lane::I => {
+                        kernels::map3_any(&mut i_bank, d, a, b, c, len, |x: i64, y: i64, z: i64| {
+                            x.wrapping_mul(y).wrapping_add(z)
+                        });
+                    }
+                    Lane::B => return Err(no_bool_kernel("multiply-add")),
+                },
+                BOp::MulRedAdd { lane, acc, a, b } => {
+                    let (acc, a, b, live) = (acc as usize, a as usize, b as usize, sel_opt!());
+                    match lane {
+                        Lane::F => kernels::fold2(
+                            &mut f_accs[acc],
+                            &f_bank[a],
+                            &f_bank[b],
+                            live,
+                            len,
+                            |s, x, y| s + x * y,
+                        ),
+                        Lane::I => kernels::fold2(
+                            &mut i_accs[acc],
+                            &i_bank[a],
+                            &i_bank[b],
+                            live,
+                            len,
+                            |s: i64, x: i64, y: i64| s.wrapping_add(x.wrapping_mul(y)),
+                        ),
+                        Lane::B => return Err(no_bool_kernel("multiply-reduce")),
+                    }
                 }
-                BOp::MulAddI(d, a, b, c) => {
-                    kernels::map3_any(&mut i_bank, d, a, b, c, len, |x: i64, y: i64, z: i64| {
-                        x.wrapping_mul(y).wrapping_add(z)
-                    });
-                }
-                BOp::MulRedAddF { acc, a, b } => kernels::fold2(
-                    &mut f_accs[acc as usize],
-                    &f_bank[a as usize],
-                    &f_bank[b as usize],
-                    sel_opt!(),
-                    len,
-                    |s, x, y| s + x * y,
-                ),
-                BOp::MulRedAddI { acc, a, b } => kernels::fold2(
-                    &mut i_accs[acc as usize],
-                    &i_bank[a as usize],
-                    &i_bank[b as usize],
-                    sel_opt!(),
-                    len,
-                    |s: i64, x: i64, y: i64| s.wrapping_add(x.wrapping_mul(y)),
-                ),
             }
         }
         if let Some(p) = prof.as_deref_mut() {
@@ -1109,7 +1016,7 @@ pub fn run_batch(
 #[inline(never)]
 fn group_add<A: Copy>(
     t: &mut GroupTable<A>,
-    key: KeyRef,
+    (key_lane, key): (Lane, u8),
     banks: Banks<'_>,
     val: impl Fn(usize) -> A,
     add: impl Fn(A, A) -> A,
@@ -1124,17 +1031,18 @@ fn group_add<A: Copy>(
             }
         };
     }
-    match key {
-        KeyRef::F(s) => {
-            let c = &banks.0[s as usize];
+    let s = key as usize;
+    match key_lane {
+        Lane::F => {
+            let c = &banks.0[s];
             lanes!(|k: usize| ScalarKey::F(c[k]))
         }
-        KeyRef::I(s) => {
-            let c = &banks.1[s as usize];
+        Lane::I => {
+            let c = &banks.1[s];
             lanes!(|k: usize| ScalarKey::I(c[k]))
         }
-        KeyRef::B(s) => {
-            let c = &banks.2[s as usize];
+        Lane::B => {
+            let c = &banks.2[s];
             lanes!(|k: usize| ScalarKey::B(c[k]))
         }
     }
@@ -1154,7 +1062,7 @@ fn invariant_divisors(bp: &BatchProgram, i_bank: &[[i64; BATCH]]) -> Vec<(u8, ke
     let written = |slot: u8| {
         bp.tape
             .iter()
-            .any(|op| crate::lifetimes::bop_def(op) == Some((crate::lifetimes::BankK::I, slot)))
+            .any(|op| crate::lifetimes::bop_def(op) == Some((Lane::I, slot)))
     };
     let mut out: Vec<(u8, kernels::Divisor)> = Vec::new();
     for op in &bp.tape {
@@ -1165,6 +1073,13 @@ fn invariant_divisors(bp: &BatchProgram, i_bank: &[[i64; BATCH]]) -> Vec<(u8, ke
         }
     }
     out
+}
+
+/// The run-time error of an op on the bool lane, where the vectorizer
+/// emits none (`what` names the op).
+#[cold]
+fn no_bool_kernel(what: &str) -> VmError {
+    VmError::Shape(format!("batch {what} has no kernel on the bool lane"))
 }
 
 /// The strength-reduced divisor held in `slot`, if it is invariant.
@@ -1357,9 +1272,9 @@ mod tests {
             n_b: 0,
             prologue: vec![],
             tape: vec![
-                BOp::LoadF(0),
-                BOp::MulF(1, 0, 0),
-                BOp::RedAddF { acc: 0, val: 1 },
+                BOp::Load(Lane::F, 0),
+                BOp::BinF(FOp::Mul, 1, 0, 0),
+                BOp::Red { red: RedK::Sum, lane: Lane::F, acc: 0, val: 1 },
             ],
             fused: None,
             shadow: None,
@@ -1408,12 +1323,12 @@ mod tests {
             n_b: 1,
             prologue: vec![BInit::ConstI(1, 2), BInit::ConstI(2, 0), BInit::ConstI(4, 1)],
             tape: vec![
-                BOp::LoadI(0),
+                BOp::Load(Lane::I, 0),
                 BOp::RemI(3, 0, 1),
-                BOp::EqIB(0, 3, 2),
+                BOp::Cmp(Lane::I, CmpOp::Eq, 0, 3, 2),
                 BOp::Filter(0),
-                BOp::RedAddI { acc: 0, val: 4 },
-                BOp::OutI(3),
+                BOp::Red { red: RedK::Sum, lane: Lane::I, acc: 0, val: 4 },
+                BOp::Out(Lane::I, 3),
             ],
             fused: None,
             shadow: None,
@@ -1459,11 +1374,11 @@ mod tests {
             n_b: 1,
             prologue: vec![BInit::ConstI(1, 0), BInit::ConstI(2, 10)],
             tape: vec![
-                BOp::LoadI(0),
-                BOp::NeIB(0, 0, 1),
+                BOp::Load(Lane::I, 0),
+                BOp::Cmp(Lane::I, CmpOp::Ne, 0, 0, 1),
                 BOp::Filter(0),
                 BOp::DivI(3, 2, 0),
-                BOp::RedAddI { acc: 0, val: 3 },
+                BOp::Red { red: RedK::Sum, lane: Lane::I, acc: 0, val: 3 },
             ],
             fused: None,
             shadow: None,
@@ -1493,9 +1408,9 @@ mod tests {
         let unguarded = BatchProgram {
             n_b: 0,
             tape: vec![
-                BOp::LoadI(0),
+                BOp::Load(Lane::I, 0),
                 BOp::DivI(3, 2, 0),
-                BOp::RedAddI { acc: 0, val: 3 },
+                BOp::Red { red: RedK::Sum, lane: Lane::I, acc: 0, val: 3 },
             ],
             ..bp
         };
@@ -1534,11 +1449,12 @@ mod tests {
             n_b: 0,
             prologue: vec![BInit::ConstF(1, 3.0)],
             tape: vec![
-                BOp::LoadF(0),
-                BOp::RemF(2, 0, 1),
-                BOp::GroupAddF {
+                BOp::Load(Lane::F, 0),
+                BOp::BinF(FOp::Rem, 2, 0, 1),
+                BOp::GroupAdd {
+                    lane: Lane::F,
                     sink: 0,
-                    key: KeyRef::F(2),
+                    key: (Lane::F, 2),
                     val: 0,
                 },
             ],
@@ -1589,14 +1505,15 @@ mod tests {
             n_b: 1,
             prologue: vec![BInit::ParamF(0, 0), BInit::ParamF(1, 1)],
             tape: vec![
-                BOp::LoadB(0),
-                BOp::SelF {
+                BOp::Load(Lane::B, 0),
+                BOp::Sel {
+                    lane: Lane::F,
                     dst: 2,
                     mask: 0,
                     t: 0,
                     e: 1,
                 },
-                BOp::OutF(2),
+                BOp::Out(Lane::F, 2),
             ],
             fused: None,
             shadow: None,
@@ -1641,10 +1558,10 @@ mod tests {
             n_b: 1,
             prologue: vec![BInit::ConstF(1, 0.0)],
             tape: vec![
-                BOp::LoadF(0),
-                BOp::GtFB(0, 0, 1),
+                BOp::Load(Lane::F, 0),
+                BOp::Cmp(Lane::F, CmpOp::Gt, 0, 0, 1),
                 BOp::Filter(0),
-                BOp::RedAddF { acc: 0, val: 0 },
+                BOp::Red { red: RedK::Sum, lane: Lane::F, acc: 0, val: 0 },
             ],
             fused: None,
             shadow: None,

@@ -58,8 +58,10 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
-use crate::batch::{recorded_interval, BInit, BOp, BatchProgram, BatchSrc, KeyRef, Lane};
-use crate::instr::{Instr, Program, ScalarShadow, SKey, UdfSig};
+use crate::batch::{
+    recorded_interval, BInit, BOp, BatchProgram, BatchSrc, FOp, FUnOp, IOp, IUnOp, Lane, RedK,
+};
+use crate::instr::{CmpOp, Instr, Program, ScalarShadow, SKey, UdfSig};
 use crate::lifetimes::{instr_io, RegBank};
 use crate::sink::{KeyRange, SortCols, SortSpec};
 
@@ -653,6 +655,14 @@ impl Syms {
                 args.swap(0, 1);
                 "leib"
             }
+            "gtbb" => {
+                args.swap(0, 1);
+                "ltbb"
+            }
+            "gebb" => {
+                args.swap(0, 1);
+                "lebb"
+            }
             t => t,
         };
         if COMMUTATIVE.contains(&tag) {
@@ -770,6 +780,20 @@ fn run_batch_tape(
             }
         }};
     }
+    macro_rules! lane_wr {
+        ($ld:expr, $v:expr) => {{
+            let (lane, d) = $ld;
+            match lane {
+                Lane::F => wr!(f, n_f, "f64", d, $v),
+                Lane::I => wr!(i, n_i, "i64", d, $v),
+                Lane::B => wr!(b, n_b, "bool", d, $v),
+            }
+        }};
+    }
+    // An op on a lane it has no kernel for: the executor would fault.
+    let no_kernel = |what: &str| {
+        err(ObligationKind::Dataflow, format!("batch {who}: {what} has no kernel on the bool lane"))
+    };
 
     for init in prologue {
         match *init {
@@ -807,16 +831,9 @@ fn run_batch_tape(
         if eager.is_none() {
             eager = match op {
                 BOp::DivI(..) | BOp::RemI(..) => Some("trapping division"),
-                BOp::RedAddF { .. }
-                | BOp::RedMinF { .. }
-                | BOp::RedMaxF { .. }
-                | BOp::RedAddI { .. }
-                | BOp::RedMinI { .. }
-                | BOp::RedMaxI { .. }
-                | BOp::MulRedAddF { .. }
-                | BOp::MulRedAddI { .. } => Some("fold"),
-                BOp::GroupAddF { .. } | BOp::GroupAddI { .. } => Some("group upsert"),
-                BOp::OutF(_) | BOp::OutI(_) | BOp::OutB(_) | BOp::OutPair(..) => Some("yield"),
+                BOp::Red { .. } | BOp::MulRedAdd { .. } => Some("fold"),
+                BOp::GroupAdd { .. } => Some("group upsert"),
+                BOp::Out(..) | BOp::OutPair(..) => Some("yield"),
                 BOp::Call { .. } => Some("udf call"),
                 BOp::SortPush { .. } | BOp::DistinctPush { .. } => {
                     append_before_cut = true;
@@ -826,107 +843,30 @@ fn run_batch_tape(
             };
         }
         match *op {
-            BOp::LoadF(d) => wr!(f, n_f, "f64", d, src),
-            BOp::LoadI(d) => wr!(i, n_i, "i64", d, src),
-            BOp::LoadB(d) => wr!(b, n_b, "bool", d, src),
+            BOp::Load(lane, d) => lane_wr!((lane, d), src),
             BOp::LoadSnd(lane, d) => {
                 let snd = syms.intern(SymKey::SrcSnd);
-                match lane {
-                    Lane::F => wr!(f, n_f, "f64", d, snd),
-                    Lane::I => wr!(i, n_i, "i64", d, snd),
-                    Lane::B => wr!(b, n_b, "bool", d, snd),
-                }
+                lane_wr!((lane, d), snd);
             }
 
-            BOp::AddF(d, a, b) => {
+            BOp::BinF(o, d, a, b) => {
                 let (x, y) = (rd!(f, n_f, "f64", a), rd!(f, n_f, "f64", b));
-                let s = syms.apply("addf", &[x, y]);
+                let s = syms.apply(bin_f_tag(o), &[x, y]);
                 wr!(f, n_f, "f64", d, s);
             }
-            BOp::SubF(d, a, b) => {
-                let (x, y) = (rd!(f, n_f, "f64", a), rd!(f, n_f, "f64", b));
-                let s = syms.apply("subf", &[x, y]);
-                wr!(f, n_f, "f64", d, s);
-            }
-            BOp::MulF(d, a, b) => {
-                let (x, y) = (rd!(f, n_f, "f64", a), rd!(f, n_f, "f64", b));
-                let s = syms.apply("mulf", &[x, y]);
-                wr!(f, n_f, "f64", d, s);
-            }
-            BOp::DivF(d, a, b) => {
-                let (x, y) = (rd!(f, n_f, "f64", a), rd!(f, n_f, "f64", b));
-                let s = syms.apply("divf", &[x, y]);
-                wr!(f, n_f, "f64", d, s);
-            }
-            BOp::RemF(d, a, b) => {
-                let (x, y) = (rd!(f, n_f, "f64", a), rd!(f, n_f, "f64", b));
-                let s = syms.apply("remf", &[x, y]);
-                wr!(f, n_f, "f64", d, s);
-            }
-            BOp::MinF(d, a, b) => {
-                let (x, y) = (rd!(f, n_f, "f64", a), rd!(f, n_f, "f64", b));
-                let s = syms.apply("minf", &[x, y]);
-                wr!(f, n_f, "f64", d, s);
-            }
-            BOp::MaxF(d, a, b) => {
-                let (x, y) = (rd!(f, n_f, "f64", a), rd!(f, n_f, "f64", b));
-                let s = syms.apply("maxf", &[x, y]);
-                wr!(f, n_f, "f64", d, s);
-            }
-            BOp::NegF(d, a) => {
+            BOp::UnF(o, d, a) => {
                 let x = rd!(f, n_f, "f64", a);
-                let s = syms.apply("negf", &[x]);
+                let s = syms.apply(un_f_tag(o), &[x]);
                 wr!(f, n_f, "f64", d, s);
             }
-            BOp::AbsF(d, a) => {
-                let x = rd!(f, n_f, "f64", a);
-                let s = syms.apply("absf", &[x]);
-                wr!(f, n_f, "f64", d, s);
-            }
-            BOp::SqrtF(d, a) => {
-                let x = rd!(f, n_f, "f64", a);
-                let s = syms.apply("sqrtf", &[x]);
-                wr!(f, n_f, "f64", d, s);
-            }
-            BOp::FloorF(d, a) => {
-                let x = rd!(f, n_f, "f64", a);
-                let s = syms.apply("floorf", &[x]);
-                wr!(f, n_f, "f64", d, s);
-            }
-
-            BOp::AddI(d, a, b) => {
+            BOp::BinI(o, d, a, b) => {
                 let (x, y) = (rd!(i, n_i, "i64", a), rd!(i, n_i, "i64", b));
-                let s = syms.apply("addi", &[x, y]);
+                let s = syms.apply(bin_i_tag(o), &[x, y]);
                 wr!(i, n_i, "i64", d, s);
             }
-            BOp::SubI(d, a, b) => {
-                let (x, y) = (rd!(i, n_i, "i64", a), rd!(i, n_i, "i64", b));
-                let s = syms.apply("subi", &[x, y]);
-                wr!(i, n_i, "i64", d, s);
-            }
-            BOp::MulI(d, a, b) => {
-                let (x, y) = (rd!(i, n_i, "i64", a), rd!(i, n_i, "i64", b));
-                let s = syms.apply("muli", &[x, y]);
-                wr!(i, n_i, "i64", d, s);
-            }
-            BOp::MinI(d, a, b) => {
-                let (x, y) = (rd!(i, n_i, "i64", a), rd!(i, n_i, "i64", b));
-                let s = syms.apply("mini", &[x, y]);
-                wr!(i, n_i, "i64", d, s);
-            }
-            BOp::MaxI(d, a, b) => {
-                let (x, y) = (rd!(i, n_i, "i64", a), rd!(i, n_i, "i64", b));
-                let s = syms.apply("maxi", &[x, y]);
-                wr!(i, n_i, "i64", d, s);
-            }
-            BOp::NegI(d, a) => {
+            BOp::UnI(o, d, a) => {
                 let x = rd!(i, n_i, "i64", a);
-                let s = syms.apply("negi", &[x]);
-                wr!(i, n_i, "i64", d, s);
-            }
-            BOp::AbsI(d, a) => {
-                let x = rd!(i, n_i, "i64", a);
-                let s = syms.apply("absi", &[x]);
+                let s = syms.apply(un_i_tag(o), &[x]);
                 wr!(i, n_i, "i64", d, s);
             }
 
@@ -957,42 +897,9 @@ fn run_batch_tape(
                 wr!(i, n_i, "i64", d, s);
             }
 
-            BOp::EqFB(d, a, b) | BOp::NeFB(d, a, b) | BOp::LtFB(d, a, b)
-            | BOp::LeFB(d, a, b) | BOp::GtFB(d, a, b) | BOp::GeFB(d, a, b) => {
-                let tag = match op {
-                    BOp::EqFB(..) => "eqfb",
-                    BOp::NeFB(..) => "nefb",
-                    BOp::LtFB(..) => "ltfb",
-                    BOp::LeFB(..) => "lefb",
-                    BOp::GtFB(..) => "gtfb",
-                    _ => "gefb",
-                };
-                let (x, y) = (rd!(f, n_f, "f64", a), rd!(f, n_f, "f64", b));
-                let s = syms.apply(tag, &[x, y]);
-                wr!(b, n_b, "bool", d, s);
-            }
-            BOp::EqIB(d, a, b) | BOp::NeIB(d, a, b) | BOp::LtIB(d, a, b)
-            | BOp::LeIB(d, a, b) | BOp::GtIB(d, a, b) | BOp::GeIB(d, a, b) => {
-                let tag = match op {
-                    BOp::EqIB(..) => "eqib",
-                    BOp::NeIB(..) => "neib",
-                    BOp::LtIB(..) => "ltib",
-                    BOp::LeIB(..) => "leib",
-                    BOp::GtIB(..) => "gtib",
-                    _ => "geib",
-                };
-                let (x, y) = (rd!(i, n_i, "i64", a), rd!(i, n_i, "i64", b));
-                let s = syms.apply(tag, &[x, y]);
-                wr!(b, n_b, "bool", d, s);
-            }
-            BOp::EqBB(d, a, b) => {
-                let (x, y) = (rd!(b, n_b, "bool", a), rd!(b, n_b, "bool", b));
-                let s = syms.apply("eqbb", &[x, y]);
-                wr!(b, n_b, "bool", d, s);
-            }
-            BOp::NeBB(d, a, b) => {
-                let (x, y) = (rd!(b, n_b, "bool", a), rd!(b, n_b, "bool", b));
-                let s = syms.apply("nebb", &[x, y]);
+            BOp::Cmp(lane, o, d, a, b) => {
+                let (x, y) = (lane_rd!((lane, a)), lane_rd!((lane, b)));
+                let s = syms.apply(cmp_tag(lane, o), &[x, y]);
                 wr!(b, n_b, "bool", d, s);
             }
             BOp::AndB(d, a, b) => {
@@ -1022,23 +929,11 @@ fn run_batch_tape(
                 wr!(f, n_f, "f64", d, s);
             }
 
-            BOp::SelF { dst, mask, t, e } => {
+            BOp::Sel { lane, dst, mask, t, e } => {
                 let m = rd!(b, n_b, "bool", mask);
-                let (x, y) = (rd!(f, n_f, "f64", t), rd!(f, n_f, "f64", e));
-                let s = syms.apply("self", &[m, x, y]);
-                wr!(f, n_f, "f64", dst, s);
-            }
-            BOp::SelI { dst, mask, t, e } => {
-                let m = rd!(b, n_b, "bool", mask);
-                let (x, y) = (rd!(i, n_i, "i64", t), rd!(i, n_i, "i64", e));
-                let s = syms.apply("seli", &[m, x, y]);
-                wr!(i, n_i, "i64", dst, s);
-            }
-            BOp::SelB { dst, mask, t, e } => {
-                let m = rd!(b, n_b, "bool", mask);
-                let (x, y) = (rd!(b, n_b, "bool", t), rd!(b, n_b, "bool", e));
-                let s = syms.apply("selb", &[m, x, y]);
-                wr!(b, n_b, "bool", dst, s);
+                let (x, y) = (lane_rd!((lane, t)), lane_rd!((lane, e)));
+                let s = syms.apply(sel_tag(lane), &[m, x, y]);
+                lane_wr!((lane, dst), s);
             }
 
             BOp::Filter(m) => {
@@ -1066,61 +961,26 @@ fn run_batch_tape(
                 run.cuts += 1;
             }
 
-            BOp::RedAddF { acc, val } => {
-                let x = rd!(f, n_f, "f64", val);
-                run.effects.push(Effect { tag: "redaddf", id: u64::from(acc), args: vec![x] });
-            }
-            BOp::RedMinF { acc, val } => {
-                let x = rd!(f, n_f, "f64", val);
-                run.effects.push(Effect { tag: "redminf", id: u64::from(acc), args: vec![x] });
-            }
-            BOp::RedMaxF { acc, val } => {
-                let x = rd!(f, n_f, "f64", val);
-                run.effects.push(Effect { tag: "redmaxf", id: u64::from(acc), args: vec![x] });
-            }
-            BOp::RedAddI { acc, val } => {
-                let x = rd!(i, n_i, "i64", val);
-                run.effects.push(Effect { tag: "redaddi", id: u64::from(acc), args: vec![x] });
-            }
-            BOp::RedMinI { acc, val } => {
-                let x = rd!(i, n_i, "i64", val);
-                run.effects.push(Effect { tag: "redmini", id: u64::from(acc), args: vec![x] });
-            }
-            BOp::RedMaxI { acc, val } => {
-                let x = rd!(i, n_i, "i64", val);
-                run.effects.push(Effect { tag: "redmaxi", id: u64::from(acc), args: vec![x] });
+            BOp::Red { red, lane, acc, val } => {
+                let tag = red_tag(red, lane).ok_or_else(|| no_kernel("reduction"))?;
+                let x = lane_rd!((lane, val));
+                run.effects.push(Effect { tag, id: u64::from(acc), args: vec![x] });
             }
 
-            BOp::GroupAddF { sink, key, val } => {
-                let k = match key {
-                    KeyRef::F(s) => rd!(f, n_f, "f64", s),
-                    KeyRef::I(s) => rd!(i, n_i, "i64", s),
-                    KeyRef::B(s) => rd!(b, n_b, "bool", s),
+            BOp::GroupAdd { lane, sink, key, val } => {
+                let tag = match lane {
+                    Lane::F => "groupaddf",
+                    Lane::I => "groupaddi",
+                    Lane::B => return Err(no_kernel("group upsert")),
                 };
-                let v = rd!(f, n_f, "f64", val);
-                run.effects.push(Effect { tag: "groupaddf", id: u64::from(sink), args: vec![k, v] });
-            }
-            BOp::GroupAddI { sink, key, val } => {
-                let k = match key {
-                    KeyRef::F(s) => rd!(f, n_f, "f64", s),
-                    KeyRef::I(s) => rd!(i, n_i, "i64", s),
-                    KeyRef::B(s) => rd!(b, n_b, "bool", s),
-                };
-                let v = rd!(i, n_i, "i64", val);
-                run.effects.push(Effect { tag: "groupaddi", id: u64::from(sink), args: vec![k, v] });
+                let k = lane_rd!(key);
+                let v = lane_rd!((lane, val));
+                run.effects.push(Effect { tag, id: u64::from(sink), args: vec![k, v] });
             }
 
-            BOp::OutF(s) => {
-                let x = rd!(f, n_f, "f64", s);
-                run.effects.push(Effect { tag: "outf", id: 0, args: vec![x] });
-            }
-            BOp::OutI(s) => {
-                let x = rd!(i, n_i, "i64", s);
-                run.effects.push(Effect { tag: "outi", id: 0, args: vec![x] });
-            }
-            BOp::OutB(s) => {
-                let x = rd!(b, n_b, "bool", s);
-                run.effects.push(Effect { tag: "outb", id: 0, args: vec![x] });
+            BOp::Out(lane, s) => {
+                let x = lane_rd!((lane, s));
+                run.effects.push(Effect { tag: out_tag(lane), id: 0, args: vec![x] });
             }
             BOp::OutPair(a, b) => {
                 let x = lane_rd!(a);
@@ -1165,31 +1025,28 @@ fn run_batch_tape(
                 }
             }
 
-            BOp::MulAddF(d, a, b, c) => {
+            BOp::MulAdd(lane, d, a, b, c) => {
                 // Two roundings, product first: model exactly as the
                 // unfused pair so the shadow comparison is honest.
-                let (x, y, z) =
-                    (rd!(f, n_f, "f64", a), rd!(f, n_f, "f64", b), rd!(f, n_f, "f64", c));
-                let m = syms.apply("mulf", &[x, y]);
-                let s = syms.apply("addf", &[m, z]);
-                wr!(f, n_f, "f64", d, s);
+                let (mul, add) = match lane {
+                    Lane::F => ("mulf", "addf"),
+                    Lane::I => ("muli", "addi"),
+                    Lane::B => return Err(no_kernel("multiply-add")),
+                };
+                let (x, y, z) = (lane_rd!((lane, a)), lane_rd!((lane, b)), lane_rd!((lane, c)));
+                let m = syms.apply(mul, &[x, y]);
+                let s = syms.apply(add, &[m, z]);
+                lane_wr!((lane, d), s);
             }
-            BOp::MulAddI(d, a, b, c) => {
-                let (x, y, z) =
-                    (rd!(i, n_i, "i64", a), rd!(i, n_i, "i64", b), rd!(i, n_i, "i64", c));
-                let m = syms.apply("muli", &[x, y]);
-                let s = syms.apply("addi", &[m, z]);
-                wr!(i, n_i, "i64", d, s);
-            }
-            BOp::MulRedAddF { acc, a, b } => {
-                let (x, y) = (rd!(f, n_f, "f64", a), rd!(f, n_f, "f64", b));
-                let m = syms.apply("mulf", &[x, y]);
-                run.effects.push(Effect { tag: "redaddf", id: u64::from(acc), args: vec![m] });
-            }
-            BOp::MulRedAddI { acc, a, b } => {
-                let (x, y) = (rd!(i, n_i, "i64", a), rd!(i, n_i, "i64", b));
-                let m = syms.apply("muli", &[x, y]);
-                run.effects.push(Effect { tag: "redaddi", id: u64::from(acc), args: vec![m] });
+            BOp::MulRedAdd { lane, acc, a, b } => {
+                let (mul, tag) = match lane {
+                    Lane::F => ("mulf", "redaddf"),
+                    Lane::I => ("muli", "redaddi"),
+                    Lane::B => return Err(no_kernel("multiply-reduce")),
+                };
+                let (x, y) = (lane_rd!((lane, a)), lane_rd!((lane, b)));
+                let m = syms.apply(mul, &[x, y]);
+                run.effects.push(Effect { tag, id: u64::from(acc), args: vec![m] });
             }
         }
     }
@@ -1203,6 +1060,102 @@ fn lane_code(lane: Lane) -> u64 {
         Lane::I => 1,
         Lane::B => 2,
     }
+}
+
+// The checker's own operator → tag tables. They are written out here,
+// not derived from a name the producer also uses, so an operator slip in
+// the vectorizer or a backend pass shows up as a tag mismatch against the
+// shadow tape.
+
+fn bin_f_tag(op: FOp) -> &'static str {
+    match op {
+        FOp::Add => "addf",
+        FOp::Sub => "subf",
+        FOp::Mul => "mulf",
+        FOp::Div => "divf",
+        FOp::Rem => "remf",
+        FOp::Min => "minf",
+        FOp::Max => "maxf",
+    }
+}
+
+fn bin_i_tag(op: IOp) -> &'static str {
+    match op {
+        IOp::Add => "addi",
+        IOp::Sub => "subi",
+        IOp::Mul => "muli",
+        IOp::Min => "mini",
+        IOp::Max => "maxi",
+    }
+}
+
+fn un_f_tag(op: FUnOp) -> &'static str {
+    match op {
+        FUnOp::Neg => "negf",
+        FUnOp::Abs => "absf",
+        FUnOp::Sqrt => "sqrtf",
+        FUnOp::Floor => "floorf",
+    }
+}
+
+fn un_i_tag(op: IUnOp) -> &'static str {
+    match op {
+        IUnOp::Neg => "negi",
+        IUnOp::Abs => "absi",
+    }
+}
+
+/// A batch comparison into the bool bank.
+fn cmp_tag(lane: Lane, op: CmpOp) -> &'static str {
+    match (lane, op) {
+        (Lane::F, CmpOp::Eq) => "eqfb",
+        (Lane::F, CmpOp::Ne) => "nefb",
+        (Lane::F, CmpOp::Lt) => "ltfb",
+        (Lane::F, CmpOp::Le) => "lefb",
+        (Lane::F, CmpOp::Gt) => "gtfb",
+        (Lane::F, CmpOp::Ge) => "gefb",
+        (Lane::I, CmpOp::Eq) => "eqib",
+        (Lane::I, CmpOp::Ne) => "neib",
+        (Lane::I, CmpOp::Lt) => "ltib",
+        (Lane::I, CmpOp::Le) => "leib",
+        (Lane::I, CmpOp::Gt) => "gtib",
+        (Lane::I, CmpOp::Ge) => "geib",
+        (Lane::B, CmpOp::Eq) => "eqbb",
+        (Lane::B, CmpOp::Ne) => "nebb",
+        (Lane::B, CmpOp::Lt) => "ltbb",
+        (Lane::B, CmpOp::Le) => "lebb",
+        (Lane::B, CmpOp::Gt) => "gtbb",
+        (Lane::B, CmpOp::Ge) => "gebb",
+    }
+}
+
+fn sel_tag(lane: Lane) -> &'static str {
+    match lane {
+        Lane::F => "self",
+        Lane::I => "seli",
+        Lane::B => "selb",
+    }
+}
+
+fn out_tag(lane: Lane) -> &'static str {
+    match lane {
+        Lane::F => "outf",
+        Lane::I => "outi",
+        Lane::B => "outb",
+    }
+}
+
+/// A fold's effect tag; `None` on the bool lane, which has no fold.
+fn red_tag(red: RedK, lane: Lane) -> Option<&'static str> {
+    Some(match (red, lane) {
+        (RedK::Sum, Lane::F) => "redaddf",
+        (RedK::Min, Lane::F) => "redminf",
+        (RedK::Max, Lane::F) => "redmaxf",
+        (RedK::Sum, Lane::I) => "redaddi",
+        (RedK::Min, Lane::I) => "redmini",
+        (RedK::Max, Lane::I) => "redmaxi",
+        (_, Lane::B) => return None,
+    })
 }
 
 /// A sort spec as two symbolic immediates: the columns and direction,
@@ -1258,7 +1211,7 @@ fn check_sinks(p: &Program, rep: &mut TapeReport) -> Result<(), CheckError> {
             Instr::BatchLoop(bp) => {
                 loops.push(bp);
                 for op in &bp.tape {
-                    if let BOp::GroupAddF { sink, .. } | BOp::GroupAddI { sink, .. } = op {
+                    if let BOp::GroupAdd { sink, .. } = op {
                         *sites.entry(*sink).or_default() += 1;
                     }
                 }
@@ -1586,7 +1539,7 @@ fn check_fused(
     shadow_run: &BatchRun,
     rep: &mut TapeReport,
 ) -> Result<(), CheckError> {
-    use crate::fuse_kernels::{CmpK, FusedTape, MapF, MapI, PredI, RedK, ScalF, ScalI};
+    use crate::fuse_kernels::{FusedTape, MapF, MapI, PredI, ScalF, ScalI};
 
     let x = syms.intern(SymKey::SrcElem);
     let sf = |syms: &mut Syms, s: ScalF| match s {
@@ -1597,30 +1550,13 @@ fn check_fused(
         ScalI::Lit(v) => syms.ci(v),
         ScalI::Param(p) => syms.intern(SymKey::ParamI(p)),
     };
-    fn cmp_tag(k: CmpK, float: bool) -> &'static str {
-        match (k, float) {
-            (CmpK::Eq, true) => "eqfb",
-            (CmpK::Ne, true) => "nefb",
-            (CmpK::Lt, true) => "ltfb",
-            (CmpK::Le, true) => "lefb",
-            (CmpK::Gt, true) => "gtfb",
-            (CmpK::Ge, true) => "gefb",
-            (CmpK::Eq, false) => "eqib",
-            (CmpK::Ne, false) => "neib",
-            (CmpK::Lt, false) => "ltib",
-            (CmpK::Le, false) => "leib",
-            (CmpK::Gt, false) => "gtib",
-            (CmpK::Ge, false) => "geib",
-        }
-    }
-
     // The lane's predicate mask (if any) and candidate map symbols (each
     // a per-element value).
-    let (red, acc, float, mask, vals) = match fused {
+    let (red, acc, lane, mask, vals) = match fused {
         FusedTape::F { red, pred, map, acc } => {
             let mask = pred.map(|(k, c)| {
                 let c = sf(syms, c);
-                syms.apply(cmp_tag(k, true), &[x, c])
+                syms.apply(cmp_tag(Lane::F, k), &[x, c])
             });
             let vals = match *map {
                 MapF::X => vec![x],
@@ -1635,13 +1571,13 @@ fn check_fused(
                 }
                 MapF::K(k) => vec![sf(syms, k)],
             };
-            (*red, *acc, true, mask, vals)
+            (*red, *acc, Lane::F, mask, vals)
         }
         FusedTape::I { red, pred, map, acc } => {
             let mask = pred.map(|p| match p {
                 PredI::Cmp(k, c) => {
                     let c = si(syms, c);
-                    syms.apply(cmp_tag(k, false), &[x, c])
+                    syms.apply(cmp_tag(Lane::I, k), &[x, c])
                 }
                 PredI::RemCmp { m, r, ne } => {
                     let (mv, rv) = (si(syms, m), si(syms, r));
@@ -1685,26 +1621,21 @@ fn check_fused(
                     out
                 }
             };
-            (*red, *acc, false, mask, vals)
+            (*red, *acc, Lane::I, mask, vals)
         }
     };
-    let n_accs = if float { bp.f_accs.len() } else { bp.i_accs.len() };
+    let n_accs = if lane == Lane::F { bp.f_accs.len() } else { bp.i_accs.len() };
     if acc as usize >= n_accs {
         return Err(err(
             ObligationKind::Dataflow,
             format!(
                 "fused kernel accumulator {acc} out of bounds ({n_accs} {} accs)",
-                if float { "f64" } else { "i64" }
+                if lane == Lane::F { "f64" } else { "i64" }
             ),
         ));
     }
-    let tag = match (red, float) {
-        (RedK::Sum, true) => "redaddf",
-        (RedK::Min, true) => "redminf",
-        (RedK::Max, true) => "redmaxf",
-        (RedK::Sum, false) => "redaddi",
-        (RedK::Min, false) => "redmini",
-        (RedK::Max, false) => "redmaxi",
+    let Some(tag) = red_tag(red, lane) else {
+        unreachable!("a fused kernel folds the f64 or the i64 lane")
     };
     // Expected streams, one per map candidate: `[Filter?, reduction]`.
     let candidates: Vec<Vec<Effect>> = vals
@@ -1814,8 +1745,7 @@ enum Ending {
     Cond { cond: Sym, t: usize, f: usize },
 }
 
-fn scalar_cmp_tag(op: crate::instr::CmpOp, float: bool) -> &'static str {
-    use crate::instr::CmpOp;
+fn scalar_cmp_tag(op: CmpOp, float: bool) -> &'static str {
     match (op, float) {
         (CmpOp::Eq, true) => "eqf",
         (CmpOp::Ne, true) => "nef",
@@ -1981,31 +1911,13 @@ fn run_scalar_seg(
                 let x = st.i[*r as usize];
                 st.i[*r as usize] = syms.apply("addi", &[x, one]);
             }
-            Instr::EqF(d, a, b) | Instr::NeF(d, a, b) | Instr::LtF(d, a, b)
-            | Instr::LeF(d, a, b) | Instr::GtF(d, a, b) | Instr::GeF(d, a, b) => {
-                let tag = match ins {
-                    Instr::EqF(..) => "eqf",
-                    Instr::NeF(..) => "nef",
-                    Instr::LtF(..) => "ltf",
-                    Instr::LeF(..) => "lef",
-                    Instr::GtF(..) => "gtf",
-                    _ => "gef",
-                };
+            Instr::CmpF(op, d, a, b) => {
                 let (x, y) = (st.f[*a as usize], st.f[*b as usize]);
-                st.i[*d as usize] = syms.apply(tag, &[x, y]);
+                st.i[*d as usize] = syms.apply(scalar_cmp_tag(*op, true), &[x, y]);
             }
-            Instr::EqI(d, a, b) | Instr::NeI(d, a, b) | Instr::LtI(d, a, b)
-            | Instr::LeI(d, a, b) | Instr::GtI(d, a, b) | Instr::GeI(d, a, b) => {
-                let tag = match ins {
-                    Instr::EqI(..) => "eqi",
-                    Instr::NeI(..) => "nei",
-                    Instr::LtI(..) => "lti",
-                    Instr::LeI(..) => "lei",
-                    Instr::GtI(..) => "gti",
-                    _ => "gei",
-                };
+            Instr::CmpI(op, d, a, b) => {
                 let (x, y) = (st.i[*a as usize], st.i[*b as usize]);
-                st.i[*d as usize] = syms.apply(tag, &[x, y]);
+                st.i[*d as usize] = syms.apply(scalar_cmp_tag(*op, false), &[x, y]);
             }
             Instr::EqV(d, a, b) => {
                 let (x, y) = (st.v[*a as usize], st.v[*b as usize]);
@@ -2573,4 +2485,48 @@ fn check_scalar_equiv(
     }
     rep.equiv += 1; // the entry pair itself
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every (operator, lane) pair the batch ISA can carry gets a tag of
+    /// its own, so a changed operator or lane always changes the
+    /// symbolic value or effect it produces.
+    #[test]
+    fn tag_tables_give_each_operator_and_lane_its_own_tag() {
+        use Lane::{B, F, I};
+        let lanes = [F, I, B];
+        let cmps = [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge];
+        let mut tags: Vec<&'static str> = Vec::new();
+        let fops = [FOp::Add, FOp::Sub, FOp::Mul, FOp::Div, FOp::Rem, FOp::Min, FOp::Max];
+        tags.extend(fops.map(bin_f_tag));
+        tags.extend([IOp::Add, IOp::Sub, IOp::Mul, IOp::Min, IOp::Max].map(bin_i_tag));
+        tags.extend([FUnOp::Neg, FUnOp::Abs, FUnOp::Sqrt, FUnOp::Floor].map(un_f_tag));
+        tags.extend([IUnOp::Neg, IUnOp::Abs].map(un_i_tag));
+        for lane in lanes {
+            tags.extend(cmps.map(|op| cmp_tag(lane, op)));
+            tags.push(sel_tag(lane));
+            tags.push(out_tag(lane));
+        }
+        for red in [RedK::Sum, RedK::Min, RedK::Max] {
+            tags.extend([F, I].map(|lane| red_tag(red, lane).unwrap_or("")));
+            assert_eq!(red_tag(red, B), None, "the bool lane has no {red:?} fold");
+        }
+        let pairs = 7 + 5 + 4 + 2 + 3 * (6 + 2) + 3 * 2;
+        assert_eq!(tags.len(), pairs);
+        let mut distinct = tags.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), pairs, "a tag is shared: {tags:?}");
+        assert!(!tags.contains(&""));
+
+        // The scalar compares are the verifier's other comparison table.
+        let mut scalar: Vec<&str> = cmps.map(|op| scalar_cmp_tag(op, true)).to_vec();
+        scalar.extend(cmps.map(|op| scalar_cmp_tag(op, false)));
+        scalar.sort_unstable();
+        scalar.dedup();
+        assert_eq!(scalar.len(), 12);
+    }
 }

@@ -12,7 +12,7 @@ use steno_codegen::imp::{ImpProgram, LoopHeader, SinkDecl, Stmt, Terminal, Windo
 use steno_expr::expr::{BinOp, UnOp};
 use steno_expr::{Expr, Ty, UdfRegistry, Value};
 
-use crate::instr::{FallbackReason, Instr, LoopPlan, LoopTier, Pc, Program, UdfSig};
+use crate::instr::{CmpOp, FallbackReason, Instr, LoopPlan, LoopTier, Pc, Program, UdfSig};
 use crate::sink::{SortCols, SortSpec};
 
 /// An error during bytecode assembly. Programs generated from lowered
@@ -328,38 +328,20 @@ impl<'a> Compiler<'a> {
             Expr::Bin(op, a, b) => {
                 let (la, ta) = self.expr(a)?;
                 let (lb, tb) = self.expr(b)?;
-                if op.is_comparison() {
+                if let Some(cmp) = CmpOp::of(*op) {
                     let dst = self.i();
                     match (la, lb) {
                         (Loc::F(x), Loc::F(y)) => {
-                            let instr = match op {
-                                BinOp::Eq => Instr::EqF(dst, x, y),
-                                BinOp::Ne => Instr::NeF(dst, x, y),
-                                BinOp::Lt => Instr::LtF(dst, x, y),
-                                BinOp::Le => Instr::LeF(dst, x, y),
-                                BinOp::Gt => Instr::GtF(dst, x, y),
-                                BinOp::Ge => Instr::GeF(dst, x, y),
-                                _ => unreachable!(),
-                            };
-                            self.emit(instr);
+                            self.emit(Instr::CmpF(cmp, dst, x, y));
                         }
                         (Loc::I(x), Loc::I(y)) => {
-                            let instr = match op {
-                                BinOp::Eq => Instr::EqI(dst, x, y),
-                                BinOp::Ne => Instr::NeI(dst, x, y),
-                                BinOp::Lt => Instr::LtI(dst, x, y),
-                                BinOp::Le => Instr::LeI(dst, x, y),
-                                BinOp::Gt => Instr::GtI(dst, x, y),
-                                BinOp::Ge => Instr::GeI(dst, x, y),
-                                _ => unreachable!(),
-                            };
-                            self.emit(instr);
+                            self.emit(Instr::CmpI(cmp, dst, x, y));
                         }
-                        (Loc::V(x), Loc::V(y)) => match op {
-                            BinOp::Eq => {
+                        (Loc::V(x), Loc::V(y)) => match cmp {
+                            CmpOp::Eq => {
                                 self.emit(Instr::EqV(dst, x, y));
                             }
-                            BinOp::Ne => {
+                            CmpOp::Ne => {
                                 self.emit(Instr::EqV(dst, x, y));
                                 self.emit(Instr::NotB(dst, dst));
                             }
@@ -1153,7 +1135,7 @@ impl<'a> Compiler<'a> {
 
         let top = self.here();
         let cmp = self.i();
-        self.emit(Instr::LtI(cmp, idx, len));
+        self.emit(Instr::CmpI(CmpOp::Lt, cmp, idx, len));
         let exit_jump = self.emit(Instr::JumpIfFalse(cmp, PATCH));
 
         // Per-iteration element load.
@@ -1724,7 +1706,7 @@ impl<'a> Compiler<'a> {
         body: steno_codegen::imp::BlockId,
         window: Window,
     ) -> Result<(), FallbackReason> {
-        use crate::batch::{BOp, BatchProgram, BatchSrc, KeyRef, Lane};
+        use crate::batch::{BOp, BatchProgram, BatchSrc, Lane, RedK};
 
         // The loop iterates a source column, or a typed sink's columns.
         let (read_sink, src_lane, snd_lane) = match header {
@@ -1848,11 +1830,7 @@ impl<'a> Compiler<'a> {
 
         // The loop element.
         let s = at.slot(src_lane)?;
-        at.tape.push(match src_lane {
-            Lane::F => BOp::LoadF(s),
-            Lane::I => BOp::LoadI(s),
-            Lane::B => BOp::LoadB(s),
-        });
+        at.tape.push(BOp::Load(src_lane, s));
         match snd_lane {
             None => {
                 at.locals.insert(elem_var.to_string(), (src_lane, s));
@@ -1899,46 +1877,36 @@ impl<'a> Compiler<'a> {
                 }
                 Stmt::Assign { name, expr } => {
                     // Recognize acc = acc + e / acc.min(e) / acc.max(e).
-                    let (kind, e) = match expr {
+                    let (red, e) = match expr {
                         Expr::Bin(BinOp::Add, a, b) => {
                             if **a == Expr::Var(name.clone()) {
-                                ('+', b.as_ref())
+                                (RedK::Sum, b.as_ref())
                             } else if **b == Expr::Var(name.clone()) {
-                                ('+', a.as_ref())
+                                (RedK::Sum, a.as_ref())
                             } else {
                                 return Err(FallbackReason::Shape("assignment is not an accumulator fold"));
                             }
                         }
                         Expr::Bin(BinOp::Min, a, b) if **a == Expr::Var(name.clone()) => {
-                            ('<', b.as_ref())
+                            (RedK::Min, b.as_ref())
                         }
                         Expr::Bin(BinOp::Max, a, b) if **a == Expr::Var(name.clone()) => {
-                            ('>', b.as_ref())
+                            (RedK::Max, b.as_ref())
                         }
                         _ => return Err(FallbackReason::Shape("assignment is not an accumulator fold")),
                     };
-                    let (lane, val) = self.vec_expr(&mut at, e)?;
-                    if let Some(acc) = at.f_acc_ids.get(name.as_str()).copied() {
-                        if lane != Lane::F {
-                            return Err(FallbackReason::LaneMismatch("fold"));
-                        }
-                        at.tape.push(match kind {
-                            '+' => BOp::RedAddF { acc, val },
-                            '<' => BOp::RedMinF { acc, val },
-                            _ => BOp::RedMaxF { acc, val },
-                        });
-                    } else if let Some(acc) = at.i_acc_ids.get(name.as_str()).copied() {
-                        if lane != Lane::I {
-                            return Err(FallbackReason::LaneMismatch("fold"));
-                        }
-                        at.tape.push(match kind {
-                            '+' => BOp::RedAddI { acc, val },
-                            '<' => BOp::RedMinI { acc, val },
-                            _ => BOp::RedMaxI { acc, val },
-                        });
+                    let (vlane, val) = self.vec_expr(&mut at, e)?;
+                    let (lane, acc) = if let Some(acc) = at.f_acc_ids.get(name.as_str()) {
+                        (Lane::F, *acc)
+                    } else if let Some(acc) = at.i_acc_ids.get(name.as_str()) {
+                        (Lane::I, *acc)
                     } else {
                         return Err(FallbackReason::Shape("assignment target is not an accumulator"));
+                    };
+                    if vlane != lane {
+                        return Err(FallbackReason::LaneMismatch("fold"));
                     }
+                    at.tape.push(BOp::Red { red, lane, acc, val });
                     at.effects = true;
                 }
                 Stmt::GroupAggUpdate {
@@ -1960,12 +1928,7 @@ impl<'a> Compiler<'a> {
                     };
                     let bound = self.key_bound(Some(&at), key);
                     at.key_sites.push((sink.clone(), bound));
-                    let (klane, kslot) = self.vec_expr(&mut at, key)?;
-                    let keyref = match klane {
-                        Lane::F => KeyRef::F(kslot),
-                        Lane::I => KeyRef::I(kslot),
-                        Lane::B => KeyRef::B(kslot),
-                    };
+                    let key = self.vec_expr(&mut at, key)?;
                     // The scalar semantics evaluates `value` per element
                     // even when the fold ignores it; dropping it is only
                     // sound when it cannot trap.
@@ -1989,19 +1952,12 @@ impl<'a> Compiler<'a> {
                         return Err(FallbackReason::Shape("grouped fold reads the accumulator non-linearly"));
                     }
                     let (vlane, val) = self.vec_expr(&mut at, e)?;
-                    match (repr, vlane) {
-                        (AccRepr::SF, Lane::F) => at.tape.push(BOp::GroupAddF {
-                            sink: id,
-                            key: keyref,
-                            val,
-                        }),
-                        (AccRepr::SI, Lane::I) => at.tape.push(BOp::GroupAddI {
-                            sink: id,
-                            key: keyref,
-                            val,
-                        }),
+                    let lane = match (repr, vlane) {
+                        (AccRepr::SF, Lane::F) => Lane::F,
+                        (AccRepr::SI, Lane::I) => Lane::I,
                         _ => return Err(FallbackReason::LaneMismatch("grouped fold")),
-                    }
+                    };
+                    at.tape.push(BOp::GroupAdd { lane, sink: id, key, val });
                     at.effects = true;
                 }
                 Stmt::Yield { value } => {
@@ -2019,11 +1975,7 @@ impl<'a> Compiler<'a> {
                         at.tape.push(BOp::OutPair(a, b));
                     } else {
                         let (lane, slot) = self.vec_expr(&mut at, value)?;
-                        at.tape.push(match lane {
-                            Lane::F => BOp::OutF(slot),
-                            Lane::I => BOp::OutI(slot),
-                            Lane::B => BOp::OutB(slot),
-                        });
+                        at.tape.push(BOp::Out(lane, slot));
                     }
                     at.n_outs += 1;
                     at.effects = true;
@@ -2157,7 +2109,7 @@ impl<'a> Compiler<'a> {
         at: &mut VecAttempt,
         e: &Expr,
     ) -> Result<(crate::batch::Lane, u8), FallbackReason> {
-        use crate::batch::{BOp, Lane};
+        use crate::batch::{BOp, FOp, FUnOp, IOp, IUnOp, Lane};
         match e {
             Expr::Var(name) => {
                 if let Some(ls) = at.locals.get(name) {
@@ -2211,25 +2163,13 @@ impl<'a> Compiler<'a> {
                     return Err(FallbackReason::LaneMismatch("comparison"));
                 }
                 let d = at.slot_b()?;
-                let bop = match (la, op) {
-                    (Lane::F, BinOp::Eq) => BOp::EqFB(d, ra, rb),
-                    (Lane::F, BinOp::Ne) => BOp::NeFB(d, ra, rb),
-                    (Lane::F, BinOp::Lt) => BOp::LtFB(d, ra, rb),
-                    (Lane::F, BinOp::Le) => BOp::LeFB(d, ra, rb),
-                    (Lane::F, BinOp::Gt) => BOp::GtFB(d, ra, rb),
-                    (Lane::F, BinOp::Ge) => BOp::GeFB(d, ra, rb),
-                    (Lane::I, BinOp::Eq) => BOp::EqIB(d, ra, rb),
-                    (Lane::I, BinOp::Ne) => BOp::NeIB(d, ra, rb),
-                    (Lane::I, BinOp::Lt) => BOp::LtIB(d, ra, rb),
-                    (Lane::I, BinOp::Le) => BOp::LeIB(d, ra, rb),
-                    (Lane::I, BinOp::Gt) => BOp::GtIB(d, ra, rb),
-                    (Lane::I, BinOp::Ge) => BOp::GeIB(d, ra, rb),
-                    (Lane::B, BinOp::Eq) => BOp::EqBB(d, ra, rb),
-                    (Lane::B, BinOp::Ne) => BOp::NeBB(d, ra, rb),
-                    (Lane::B, _) => return Err(FallbackReason::Shape("ordering comparison on booleans")),
-                    _ => unreachable!("non-comparison op in comparison arm"),
+                let Some(cmp) = CmpOp::of(*op) else {
+                    unreachable!("non-comparison op in comparison arm")
                 };
-                at.tape.push(bop);
+                if la == Lane::B && !matches!(cmp, CmpOp::Eq | CmpOp::Ne) {
+                    return Err(FallbackReason::Shape("ordering comparison on booleans"));
+                }
+                at.tape.push(BOp::Cmp(la, cmp, d, ra, rb));
                 Ok((Lane::B, d))
             }
             Expr::Bin(op, a, b) => {
@@ -2241,14 +2181,14 @@ impl<'a> Compiler<'a> {
                 match la {
                     Lane::F => {
                         let d = at.slot_f()?;
-                        let bop = match op {
-                            BinOp::Add => BOp::AddF(d, ra, rb),
-                            BinOp::Sub => BOp::SubF(d, ra, rb),
-                            BinOp::Mul => BOp::MulF(d, ra, rb),
-                            BinOp::Div => BOp::DivF(d, ra, rb),
-                            BinOp::Rem => BOp::RemF(d, ra, rb),
-                            BinOp::Min => BOp::MinF(d, ra, rb),
-                            BinOp::Max => BOp::MaxF(d, ra, rb),
+                        let fop = match op {
+                            BinOp::Add => FOp::Add,
+                            BinOp::Sub => FOp::Sub,
+                            BinOp::Mul => FOp::Mul,
+                            BinOp::Div => FOp::Div,
+                            BinOp::Rem => FOp::Rem,
+                            BinOp::Min => FOp::Min,
+                            BinOp::Max => FOp::Max,
                             _ => {
                                 return Err(FallbackReason::Operator {
                                     op: op.symbol(),
@@ -2256,17 +2196,18 @@ impl<'a> Compiler<'a> {
                                 })
                             }
                         };
-                        at.tape.push(bop);
+                        at.tape.push(BOp::BinF(fop, d, ra, rb));
                         Ok((Lane::F, d))
                     }
                     Lane::I => {
                         let d = at.slot_i()?;
+                        let bin = |o| BOp::BinI(o, d, ra, rb);
                         let bop = match op {
-                            BinOp::Add => BOp::AddI(d, ra, rb),
-                            BinOp::Sub => BOp::SubI(d, ra, rb),
-                            BinOp::Mul => BOp::MulI(d, ra, rb),
-                            BinOp::Min => BOp::MinI(d, ra, rb),
-                            BinOp::Max => BOp::MaxI(d, ra, rb),
+                            BinOp::Add => bin(IOp::Add),
+                            BinOp::Sub => bin(IOp::Sub),
+                            BinOp::Mul => bin(IOp::Mul),
+                            BinOp::Min => bin(IOp::Min),
+                            BinOp::Max => bin(IOp::Max),
                             BinOp::Div => {
                                 if let Some(proof) = self.divisor_proof(at, b) {
                                     at.guards_dropped += 1;
@@ -2302,44 +2243,40 @@ impl<'a> Compiler<'a> {
             }
             Expr::Un(op, a) => {
                 let (la, ra) = self.vec_expr(at, a)?;
-                match (op, la) {
-                    (UnOp::Neg, Lane::F) => {
+                let wrong = FallbackReason::UnaryWrongLane(op.symbol());
+                let d = match la {
+                    Lane::F => {
+                        let o = match op {
+                            UnOp::Neg => FUnOp::Neg,
+                            UnOp::Abs => FUnOp::Abs,
+                            UnOp::Sqrt => FUnOp::Sqrt,
+                            UnOp::Floor => FUnOp::Floor,
+                            UnOp::Not => return Err(wrong),
+                        };
                         let d = at.slot_f()?;
-                        at.tape.push(BOp::NegF(d, ra));
-                        Ok((Lane::F, d))
+                        at.tape.push(BOp::UnF(o, d, ra));
+                        d
                     }
-                    (UnOp::Abs, Lane::F) => {
-                        let d = at.slot_f()?;
-                        at.tape.push(BOp::AbsF(d, ra));
-                        Ok((Lane::F, d))
-                    }
-                    (UnOp::Sqrt, Lane::F) => {
-                        let d = at.slot_f()?;
-                        at.tape.push(BOp::SqrtF(d, ra));
-                        Ok((Lane::F, d))
-                    }
-                    (UnOp::Floor, Lane::F) => {
-                        let d = at.slot_f()?;
-                        at.tape.push(BOp::FloorF(d, ra));
-                        Ok((Lane::F, d))
-                    }
-                    (UnOp::Neg, Lane::I) => {
+                    Lane::I => {
+                        let o = match op {
+                            UnOp::Neg => IUnOp::Neg,
+                            UnOp::Abs => IUnOp::Abs,
+                            _ => return Err(wrong),
+                        };
                         let d = at.slot_i()?;
-                        at.tape.push(BOp::NegI(d, ra));
-                        Ok((Lane::I, d))
+                        at.tape.push(BOp::UnI(o, d, ra));
+                        d
                     }
-                    (UnOp::Abs, Lane::I) => {
-                        let d = at.slot_i()?;
-                        at.tape.push(BOp::AbsI(d, ra));
-                        Ok((Lane::I, d))
-                    }
-                    (UnOp::Not, Lane::B) => {
+                    Lane::B => {
+                        if *op != UnOp::Not {
+                            return Err(wrong);
+                        }
                         let d = at.slot_b()?;
                         at.tape.push(BOp::NotB(d, ra));
-                        Ok((Lane::B, d))
+                        d
                     }
-                    _ => Err(FallbackReason::UnaryWrongLane(op.symbol())),
-                }
+                };
+                Ok((la, d))
             }
             Expr::If(c, t, els) => {
                 let (lc, rc) = self.vec_expr(at, c)?;
@@ -2357,38 +2294,15 @@ impl<'a> Compiler<'a> {
                 if lt != le {
                     return Err(FallbackReason::LaneMismatch("conditional branch"));
                 }
-                match lt {
-                    Lane::F => {
-                        let d = at.slot_f()?;
-                        at.tape.push(BOp::SelF {
-                            dst: d,
-                            mask: rc,
-                            t: rt,
-                            e: re,
-                        });
-                        Ok((Lane::F, d))
-                    }
-                    Lane::I => {
-                        let d = at.slot_i()?;
-                        at.tape.push(BOp::SelI {
-                            dst: d,
-                            mask: rc,
-                            t: rt,
-                            e: re,
-                        });
-                        Ok((Lane::I, d))
-                    }
-                    Lane::B => {
-                        let d = at.slot_b()?;
-                        at.tape.push(BOp::SelB {
-                            dst: d,
-                            mask: rc,
-                            t: rt,
-                            e: re,
-                        });
-                        Ok((Lane::B, d))
-                    }
-                }
+                let d = at.slot(lt)?;
+                at.tape.push(BOp::Sel {
+                    lane: lt,
+                    dst: d,
+                    mask: rc,
+                    t: rt,
+                    e: re,
+                });
+                Ok((lt, d))
             }
             Expr::Cast(ty, a) => {
                 let (la, ra) = self.vec_expr(at, a)?;

@@ -12,7 +12,7 @@ use std::fmt;
 use steno_expr::Value;
 use steno_obs::{SpanGuard, SpanId, Tracer};
 
-use crate::instr::{CmpOp, Instr, Program};
+use crate::instr::{Instr, Program};
 use crate::interrupt::{Interrupt, POLL_STRIDE};
 use crate::prepared::{Bindings, PreparedSource};
 use crate::instr::SKey;
@@ -228,16 +228,7 @@ fn run_impl<const PROFILE: bool>(
                 on_true,
                 target,
             } => {
-                let (x, y) = (fregs[*a as usize], fregs[*b as usize]);
-                let taken = match op {
-                    CmpOp::Eq => x == y,
-                    CmpOp::Ne => x != y,
-                    CmpOp::Lt => x < y,
-                    CmpOp::Le => x <= y,
-                    CmpOp::Gt => x > y,
-                    CmpOp::Ge => x >= y,
-                };
-                if taken == *on_true {
+                if op.eval(fregs[*a as usize], fregs[*b as usize]) == *on_true {
                     let target = *target as usize;
                     if target < pc {
                         interrupt.poll(&mut intr_budget)?;
@@ -252,16 +243,7 @@ fn run_impl<const PROFILE: bool>(
                 on_true,
                 target,
             } => {
-                let (x, y) = (iregs[*a as usize], iregs[*b as usize]);
-                let taken = match op {
-                    CmpOp::Eq => x == y,
-                    CmpOp::Ne => x != y,
-                    CmpOp::Lt => x < y,
-                    CmpOp::Le => x <= y,
-                    CmpOp::Gt => x > y,
-                    CmpOp::Ge => x >= y,
-                };
-                if taken == *on_true {
+                if op.eval(iregs[*a as usize], iregs[*b as usize]) == *on_true {
                     let target = *target as usize;
                     if target < pc {
                         interrupt.poll(&mut intr_budget)?;
@@ -342,41 +324,11 @@ fn run_impl<const PROFILE: bool>(
             }
             Instr::NotB(d, a) => iregs[*d as usize] = i64::from(iregs[*a as usize] == 0),
 
-            Instr::EqF(d, a, b) => {
-                iregs[*d as usize] = i64::from(fregs[*a as usize] == fregs[*b as usize])
+            Instr::CmpF(op, d, a, b) => {
+                iregs[*d as usize] = i64::from(op.eval(fregs[*a as usize], fregs[*b as usize]))
             }
-            Instr::NeF(d, a, b) => {
-                iregs[*d as usize] = i64::from(fregs[*a as usize] != fregs[*b as usize])
-            }
-            Instr::LtF(d, a, b) => {
-                iregs[*d as usize] = i64::from(fregs[*a as usize] < fregs[*b as usize])
-            }
-            Instr::LeF(d, a, b) => {
-                iregs[*d as usize] = i64::from(fregs[*a as usize] <= fregs[*b as usize])
-            }
-            Instr::GtF(d, a, b) => {
-                iregs[*d as usize] = i64::from(fregs[*a as usize] > fregs[*b as usize])
-            }
-            Instr::GeF(d, a, b) => {
-                iregs[*d as usize] = i64::from(fregs[*a as usize] >= fregs[*b as usize])
-            }
-            Instr::EqI(d, a, b) => {
-                iregs[*d as usize] = i64::from(iregs[*a as usize] == iregs[*b as usize])
-            }
-            Instr::NeI(d, a, b) => {
-                iregs[*d as usize] = i64::from(iregs[*a as usize] != iregs[*b as usize])
-            }
-            Instr::LtI(d, a, b) => {
-                iregs[*d as usize] = i64::from(iregs[*a as usize] < iregs[*b as usize])
-            }
-            Instr::LeI(d, a, b) => {
-                iregs[*d as usize] = i64::from(iregs[*a as usize] <= iregs[*b as usize])
-            }
-            Instr::GtI(d, a, b) => {
-                iregs[*d as usize] = i64::from(iregs[*a as usize] > iregs[*b as usize])
-            }
-            Instr::GeI(d, a, b) => {
-                iregs[*d as usize] = i64::from(iregs[*a as usize] >= iregs[*b as usize])
+            Instr::CmpI(op, d, a, b) => {
+                iregs[*d as usize] = i64::from(op.eval(iregs[*a as usize], iregs[*b as usize]))
             }
             Instr::EqV(d, a, b) => {
                 iregs[*d as usize] = i64::from(vregs[*a as usize] == vregs[*b as usize])

@@ -20,7 +20,7 @@
 //!    interpreter that could be *slower* than the columns it replaces).
 //! 2. [`peephole`] — the generic two-op fallback. Adjacent
 //!    multiply→add and multiply→reduce pairs over the same selection
-//!    vector fuse into [`BOp::MulAddF`]-family superkernels, eliminating
+//!    vector fuse into the [`BOp::MulAdd`] superkernels, eliminating
 //!    one intermediate column each even when the whole tape does not
 //!    match a shape.
 //!
@@ -78,8 +78,9 @@
 //! the same cooperative-cancellation granularity as the unfused tape
 //! (the POLL_STRIDE contract from the service layer).
 
-use crate::batch::{BInit, BOp, BatchData, BatchProgram, Lane, BATCH};
+use crate::batch::{BInit, BOp, BatchData, BatchProgram, FOp, IOp, Lane, RedK, BATCH};
 use crate::exec::VmError;
+use crate::instr::{with_cmp, CmpOp};
 use crate::interrupt::Interrupt;
 use crate::sink::{from_order_f, order_f};
 
@@ -139,50 +140,6 @@ impl ScalI {
     }
 }
 
-/// A comparison operator in a fused predicate.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CmpK {
-    /// `==`
-    Eq,
-    /// `!=`
-    Ne,
-    /// `<`
-    Lt,
-    /// `<=`
-    Le,
-    /// `>`
-    Gt,
-    /// `>=`
-    Ge,
-}
-
-impl CmpK {
-    /// The operator with its operands swapped (`a < b` ⇔ `b > a`) —
-    /// exact for both lanes, used to normalize `const OP x` to
-    /// `x OP' const`.
-    fn flipped(self) -> CmpK {
-        match self {
-            CmpK::Eq => CmpK::Eq,
-            CmpK::Ne => CmpK::Ne,
-            CmpK::Lt => CmpK::Gt,
-            CmpK::Le => CmpK::Ge,
-            CmpK::Gt => CmpK::Lt,
-            CmpK::Ge => CmpK::Le,
-        }
-    }
-
-    fn symbol(self) -> &'static str {
-        match self {
-            CmpK::Eq => "==",
-            CmpK::Ne => "!=",
-            CmpK::Lt => "<",
-            CmpK::Le => "<=",
-            CmpK::Gt => ">",
-            CmpK::Ge => ">=",
-        }
-    }
-}
-
 /// The per-element map of a fused f64 loop. Operand order is part of
 /// the shape: `x * k` and `k * x` are distinct (no f64 commutation).
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -235,7 +192,7 @@ pub enum MapI {
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum PredI {
     /// `x OP c`
-    Cmp(CmpK, ScalI),
+    Cmp(CmpOp, ScalI),
     /// `(x % m) == r`, or `!=` when `ne` — the guard of every
     /// divisibility filter. `%` here is the *unchecked* remainder: the
     /// compiler only emits it under an interval proof that `m` is
@@ -250,38 +207,6 @@ pub enum PredI {
     },
 }
 
-/// The reduction a fused loop folds its live lanes with (the identity
-/// each folds on a dead lane is in the module docs' table).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RedK {
-    /// `sum`
-    Sum,
-    /// `min`
-    Min,
-    /// `max`
-    Max,
-}
-
-impl RedK {
-    fn name(self) -> &'static str {
-        match self {
-            RedK::Sum => "sum",
-            RedK::Min => "min",
-            RedK::Max => "max",
-        }
-    }
-
-    /// The reduction a fold op performs, if it is one.
-    fn of(op: &BOp) -> Option<(RedK, u8, u8)> {
-        Some(match *op {
-            BOp::RedAddF { acc, val } | BOp::RedAddI { acc, val } => (RedK::Sum, acc, val),
-            BOp::RedMinF { acc, val } | BOp::RedMinI { acc, val } => (RedK::Min, acc, val),
-            BOp::RedMaxF { acc, val } | BOp::RedMaxI { acc, val } => (RedK::Max, acc, val),
-            _ => return None,
-        })
-    }
-}
-
 /// A whole-loop fused kernel: filter → map → reduce collapsed into one
 /// sequential pass, `for x { acc = red(acc, pred(x) ? map(x) : identity) }`
 /// (the accumulator stays the left operand); `acc` indexes the loop's
@@ -293,7 +218,7 @@ pub enum FusedTape {
         /// Sum, min or max.
         red: RedK,
         /// Optional `x OP c` guard.
-        pred: Option<(CmpK, ScalF)>,
+        pred: Option<(CmpOp, ScalF)>,
         /// The reduced expression.
         map: MapF,
         /// f64 accumulator index.
@@ -386,9 +311,9 @@ enum EI {
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum EB {
     /// `x OP c` over the f64 lane (normalized: x on the left).
-    CmpF(CmpK, ScalF),
+    CmpF(CmpOp, ScalF),
     /// `x OP c` over the i64 lane.
-    CmpI(CmpK, ScalI),
+    CmpI(CmpOp, ScalI),
     /// `(x % m) ==/!= r`.
     RemCmp { m: ScalI, r: ScalI, ne: bool },
     Other,
@@ -439,7 +364,7 @@ pub fn plan(bp: &BatchProgram) -> Option<FusedTape> {
         }
     }
 
-    let mut pred_f: Option<(CmpK, ScalF)> = None;
+    let mut pred_f: Option<(CmpOp, ScalF)> = None;
     let mut pred_i: Option<PredI> = None;
     let mut filtered = false;
     let mut fused: Option<FusedTape> = None;
@@ -451,13 +376,13 @@ pub fn plan(bp: &BatchProgram) -> Option<FusedTape> {
             return None;
         }
         match *op {
-            BOp::LoadF(d) => ef[d as usize] = EF::X,
-            BOp::LoadI(d) => ei[d as usize] = EI::X,
-            BOp::LoadB(_) => return None,
+            BOp::Load(Lane::F, d) => ef[d as usize] = EF::X,
+            BOp::Load(Lane::I, d) => ei[d as usize] = EI::X,
+            BOp::Load(Lane::B, _) => return None,
             // The fused loops run the whole column: no early exit.
             BOp::Cut(_) => return None,
 
-            BOp::MulF(d, a, b) => {
+            BOp::BinF(FOp::Mul, d, a, b) => {
                 ef[d as usize] = match (ef[a as usize], ef[b as usize]) {
                     (EF::X, EF::X) => EF::Map(MapF::Sq),
                     (EF::X, EF::S(k)) => EF::Map(MapF::MulKR(k)),
@@ -466,28 +391,20 @@ pub fn plan(bp: &BatchProgram) -> Option<FusedTape> {
                 }
             }
             // Any other f64 compute just makes its destination opaque.
-            BOp::AddF(d, ..)
-            | BOp::SubF(d, ..)
-            | BOp::DivF(d, ..)
-            | BOp::RemF(d, ..)
-            | BOp::MinF(d, ..)
-            | BOp::MaxF(d, ..)
-            | BOp::NegF(d, ..)
-            | BOp::AbsF(d, ..)
-            | BOp::SqrtF(d, ..)
-            | BOp::FloorF(d, ..)
+            BOp::BinF(_, d, ..)
+            | BOp::UnF(_, d, ..)
             | BOp::I2F(d, ..)
-            | BOp::SelF { dst: d, .. }
-            | BOp::MulAddF(d, ..) => ef[d as usize] = EF::Other,
+            | BOp::Sel { lane: Lane::F, dst: d, .. }
+            | BOp::MulAdd(Lane::F, d, ..) => ef[d as usize] = EF::Other,
 
-            BOp::MulI(d, a, b) => {
+            BOp::BinI(IOp::Mul, d, a, b) => {
                 ei[d as usize] = match (ei[a as usize], ei[b as usize]) {
                     (EI::X, EI::X) => EI::Map(MapI::Sq),
                     (EI::X, EI::S(k)) | (EI::S(k), EI::X) => EI::Map(MapI::MulK(k)),
                     _ => EI::Other,
                 }
             }
-            BOp::AddI(d, a, b) => {
+            BOp::BinI(IOp::Add, d, a, b) => {
                 ei[d as usize] = match (ei[a as usize], ei[b as usize]) {
                     (EI::Map(MapI::MulK(ka)), EI::S(kb))
                     | (EI::S(kb), EI::Map(MapI::MulK(ka))) => EI::Map(MapI::Lin(ka, kb)),
@@ -512,35 +429,25 @@ pub fn plan(bp: &BatchProgram) -> Option<FusedTape> {
             // Checked division must keep the lane-exact fault semantics
             // of the kernel path: never fused.
             BOp::DivI(..) | BOp::RemI(..) => return None,
-            BOp::SelI { dst, mask, t, e } => {
+            BOp::Sel { lane: Lane::I, dst, mask, t, e } => {
                 ei[dst as usize] = sel_rdl(eb[mask as usize], ei[t as usize], ei[e as usize]);
             }
-            BOp::SubI(d, ..)
-            | BOp::MinI(d, ..)
-            | BOp::MaxI(d, ..)
-            | BOp::NegI(d, ..)
-            | BOp::AbsI(d, ..)
+            BOp::BinI(_, d, ..)
+            | BOp::UnI(_, d, ..)
             | BOp::F2I(d, ..)
-            | BOp::MulAddI(d, ..) => ei[d as usize] = EI::Other,
+            | BOp::MulAdd(Lane::I, d, ..) => ei[d as usize] = EI::Other,
 
-            BOp::EqFB(d, a, b) => eb[d as usize] = cmp_f(CmpK::Eq, ef[a as usize], ef[b as usize]),
-            BOp::NeFB(d, a, b) => eb[d as usize] = cmp_f(CmpK::Ne, ef[a as usize], ef[b as usize]),
-            BOp::LtFB(d, a, b) => eb[d as usize] = cmp_f(CmpK::Lt, ef[a as usize], ef[b as usize]),
-            BOp::LeFB(d, a, b) => eb[d as usize] = cmp_f(CmpK::Le, ef[a as usize], ef[b as usize]),
-            BOp::GtFB(d, a, b) => eb[d as usize] = cmp_f(CmpK::Gt, ef[a as usize], ef[b as usize]),
-            BOp::GeFB(d, a, b) => eb[d as usize] = cmp_f(CmpK::Ge, ef[a as usize], ef[b as usize]),
-            BOp::EqIB(d, a, b) => eb[d as usize] = cmp_i(CmpK::Eq, ei[a as usize], ei[b as usize]),
-            BOp::NeIB(d, a, b) => eb[d as usize] = cmp_i(CmpK::Ne, ei[a as usize], ei[b as usize]),
-            BOp::LtIB(d, a, b) => eb[d as usize] = cmp_i(CmpK::Lt, ei[a as usize], ei[b as usize]),
-            BOp::LeIB(d, a, b) => eb[d as usize] = cmp_i(CmpK::Le, ei[a as usize], ei[b as usize]),
-            BOp::GtIB(d, a, b) => eb[d as usize] = cmp_i(CmpK::Gt, ei[a as usize], ei[b as usize]),
-            BOp::GeIB(d, a, b) => eb[d as usize] = cmp_i(CmpK::Ge, ei[a as usize], ei[b as usize]),
-            BOp::EqBB(d, ..)
-            | BOp::NeBB(d, ..)
+            BOp::Cmp(Lane::F, op, d, a, b) => {
+                eb[d as usize] = cmp_f(op, ef[a as usize], ef[b as usize]);
+            }
+            BOp::Cmp(Lane::I, op, d, a, b) => {
+                eb[d as usize] = cmp_i(op, ei[a as usize], ei[b as usize]);
+            }
+            BOp::Cmp(Lane::B, _, d, ..)
             | BOp::AndB(d, ..)
             | BOp::OrB(d, ..)
             | BOp::NotB(d, ..)
-            | BOp::SelB { dst: d, .. } => eb[d as usize] = EB::Other,
+            | BOp::Sel { lane: Lane::B, dst: d, .. } => eb[d as usize] = EB::Other,
 
             BOp::Filter(m) => {
                 if filtered {
@@ -556,8 +463,7 @@ pub fn plan(bp: &BatchProgram) -> Option<FusedTape> {
             }
 
             // One arm per lane: the fold op names the reduction.
-            BOp::RedAddF { .. } | BOp::RedMinF { .. } | BOp::RedMaxF { .. } => {
-                let (red, acc, val) = RedK::of(op)?;
+            BOp::Red { red, lane: Lane::F, acc, val } => {
                 if pred_i.is_some() {
                     return None;
                 }
@@ -569,8 +475,7 @@ pub fn plan(bp: &BatchProgram) -> Option<FusedTape> {
                     acc,
                 });
             }
-            BOp::RedAddI { .. } | BOp::RedMinI { .. } | BOp::RedMaxI { .. } => {
-                let (red, acc, val) = RedK::of(op)?;
+            BOp::Red { red, lane: Lane::I, acc, val } => {
                 if pred_f.is_some() {
                     return None;
                 }
@@ -588,20 +493,18 @@ pub fn plan(bp: &BatchProgram) -> Option<FusedTape> {
                 });
             }
 
-            // Grouped aggregates and output pushes stay on the kernel
-            // path.
-            BOp::GroupAddF { .. }
-            | BOp::GroupAddI { .. }
+            // Grouped aggregates, appends, output pushes, calls and the
+            // two-op kernels stay on the kernel path.
+            BOp::Red { lane: Lane::B, .. }
+            | BOp::MulAdd(Lane::B, ..)
+            | BOp::GroupAdd { .. }
             | BOp::SortPush { .. }
             | BOp::DistinctPush { .. }
             | BOp::LoadSnd(..)
             | BOp::OutPair(..)
             | BOp::Call { .. }
-            | BOp::OutF(..)
-            | BOp::OutI(..)
-            | BOp::OutB(..)
-            | BOp::MulRedAddF { .. }
-            | BOp::MulRedAddI { .. } => return None,
+            | BOp::Out(..)
+            | BOp::MulRedAdd { .. } => return None,
         }
     }
     // The fused loop iterates the source column in its own lane; a
@@ -614,7 +517,7 @@ pub fn plan(bp: &BatchProgram) -> Option<FusedTape> {
     }
 }
 
-fn cmp_f(op: CmpK, a: EF, b: EF) -> EB {
+fn cmp_f(op: CmpOp, a: EF, b: EF) -> EB {
     match (a, b) {
         (EF::X, EF::S(c)) => EB::CmpF(op, c),
         (EF::S(c), EF::X) => EB::CmpF(op.flipped(), c),
@@ -622,13 +525,13 @@ fn cmp_f(op: CmpK, a: EF, b: EF) -> EB {
     }
 }
 
-fn cmp_i(op: CmpK, a: EI, b: EI) -> EB {
+fn cmp_i(op: CmpOp, a: EI, b: EI) -> EB {
     match (a, b) {
         (EI::X, EI::S(c)) => EB::CmpI(op, c),
         (EI::S(c), EI::X) => EB::CmpI(op.flipped(), c),
         (EI::RemK(m), EI::S(r)) | (EI::S(r), EI::RemK(m)) => match op {
-            CmpK::Eq => EB::RemCmp { m, r, ne: false },
-            CmpK::Ne => EB::RemCmp { m, r, ne: true },
+            CmpOp::Eq => EB::RemCmp { m, r, ne: false },
+            CmpOp::Ne => EB::RemCmp { m, r, ne: true },
             _ => EB::Other,
         },
         _ => EB::Other,
@@ -746,17 +649,10 @@ macro_rules! bind {
 }
 
 /// Binds `$p` to `x OP c` over lane type `$t`.
-macro_rules! with_cmp {
+macro_rules! with_cmp_k {
     ($op:expr, $c:expr, $t:ty, $p:ident => $body:expr) => {{
         let c = $c;
-        match $op {
-            CmpK::Eq => bind!($p = move |x: $t| x == c; $body),
-            CmpK::Ne => bind!($p = move |x: $t| x != c; $body),
-            CmpK::Lt => bind!($p = move |x: $t| x < c; $body),
-            CmpK::Le => bind!($p = move |x: $t| x <= c; $body),
-            CmpK::Gt => bind!($p = move |x: $t| x > c; $body),
-            CmpK::Ge => bind!($p = move |x: $t| x >= c; $body),
-        }
+        with_cmp!($op, $t, f => bind!($p = move |x: $t| f(x, c); $body))
     }};
 }
 
@@ -765,7 +661,7 @@ macro_rules! with_pred_f {
     ($pred:expr, $params:expr, $p:ident => $body:expr) => {
         match $pred {
             None => bind!($p = |_: f64| true; $body),
-            Some((op, c)) => with_cmp!(op, c.get($params), f64, $p => $body),
+            Some((op, c)) => with_cmp_k!(op, c.get($params), f64, $p => $body),
         }
     };
 }
@@ -797,7 +693,7 @@ macro_rules! with_pred_i {
     ($pred:expr, $params:expr, $p:ident => $body:expr) => {
         match $pred {
             None => bind!($p = |_: i64| true; $body),
-            Some(PredI::Cmp(op, c)) => with_cmp!(op, c.get($params), i64, $p => $body),
+            Some(PredI::Cmp(op, c)) => with_cmp_k!(op, c.get($params), i64, $p => $body),
             Some(PredI::RemCmp { m, r, ne }) => {
                 rem_pred_i!(m.get($params), r.get($params), ne, $p => $body)
             }
@@ -919,7 +815,7 @@ pub fn run_fused(
 // ---------------------------------------------------------------------
 
 /// Fuses adjacent multiply→add and multiply→reduce kernel pairs into
-/// the [`BOp::MulAddF`] / [`BOp::MulRedAddF`] families, eliminating one
+/// [`BOp::MulAdd`] / [`BOp::MulRedAdd`], eliminating one
 /// intermediate column per fusion. Returns the display names of the
 /// fused pairs (for EXPLAIN).
 ///
@@ -946,26 +842,26 @@ pub fn peephole(bp: &mut BatchProgram) -> Vec<&'static str> {
     while i < bp.tape.len() {
         let pair = (bp.tape.get(i).copied(), bp.tape.get(i + 1).copied());
         let replacement = match pair {
-            (Some(BOp::MulF(t, a, b)), Some(BOp::AddF(d, l, r)))
-                if l == t && r != t && !f_slot_used_after(&bp.tape, i + 2, t) =>
+            (Some(BOp::BinF(FOp::Mul, t, a, b)), Some(BOp::BinF(FOp::Add, d, l, r)))
+                if l == t && r != t && !slot_used_after(&bp.tape, i + 2, Lane::F, t) =>
             {
-                Some((BOp::MulAddF(d, a, b, r), "muladd:f64"))
+                Some((BOp::MulAdd(Lane::F, d, a, b, r), "muladd:f64"))
             }
-            (Some(BOp::MulI(t, a, b)), Some(BOp::AddI(d, l, r)))
-                if (l == t) != (r == t) && !i_slot_used_after(&bp.tape, i + 2, t) =>
+            (Some(BOp::BinI(IOp::Mul, t, a, b)), Some(BOp::BinI(IOp::Add, d, l, r)))
+                if (l == t) != (r == t) && !slot_used_after(&bp.tape, i + 2, Lane::I, t) =>
             {
                 let c = if l == t { r } else { l };
-                Some((BOp::MulAddI(d, a, b, c), "muladd:i64"))
+                Some((BOp::MulAdd(Lane::I, d, a, b, c), "muladd:i64"))
             }
-            (Some(BOp::MulF(t, a, b)), Some(BOp::RedAddF { acc, val }))
-                if val == t && !f_slot_used_after(&bp.tape, i + 2, t) =>
+            (Some(BOp::BinF(FOp::Mul, t, a, b)), Some(BOp::Red { red: RedK::Sum, lane: Lane::F, acc, val }))
+                if val == t && !slot_used_after(&bp.tape, i + 2, Lane::F, t) =>
             {
-                Some((BOp::MulRedAddF { acc, a, b }, "mulred:f64"))
+                Some((BOp::MulRedAdd { lane: Lane::F, acc, a, b }, "mulred:f64"))
             }
-            (Some(BOp::MulI(t, a, b)), Some(BOp::RedAddI { acc, val }))
-                if val == t && !i_slot_used_after(&bp.tape, i + 2, t) =>
+            (Some(BOp::BinI(IOp::Mul, t, a, b)), Some(BOp::Red { red: RedK::Sum, lane: Lane::I, acc, val }))
+                if val == t && !slot_used_after(&bp.tape, i + 2, Lane::I, t) =>
             {
-                Some((BOp::MulRedAddI { acc, a, b }, "mulred:i64"))
+                Some((BOp::MulRedAdd { lane: Lane::I, acc, a, b }, "mulred:i64"))
             }
             _ => None,
         };
@@ -985,24 +881,11 @@ pub fn peephole(bp: &mut BatchProgram) -> Vec<&'static str> {
     fused
 }
 
-/// Whether any op at `tape[from..]` reads f64 slot `s`.
-fn f_slot_used_after(tape: &[BOp], from: usize, s: u8) -> bool {
+/// Whether any op at `tape[from..]` reads slot `s` of `lane`.
+fn slot_used_after(tape: &[BOp], from: usize, lane: Lane, s: u8) -> bool {
     tape[from..].iter().any(|op| {
         let mut used = false;
-        crate::lifetimes::bop_uses(op, |bank, slot| {
-            used |= bank == crate::lifetimes::BankK::F && slot == s;
-        });
-        used
-    })
-}
-
-/// Whether any op at `tape[from..]` reads i64 slot `s`.
-fn i_slot_used_after(tape: &[BOp], from: usize, s: u8) -> bool {
-    tape[from..].iter().any(|op| {
-        let mut used = false;
-        crate::lifetimes::bop_uses(op, |bank, slot| {
-            used |= bank == crate::lifetimes::BankK::I && slot == s;
-        });
+        crate::lifetimes::bop_uses(op, |l, slot| used |= l == lane && slot == s);
         used
     })
 }

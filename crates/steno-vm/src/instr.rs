@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use steno_expr::{Ty, Value};
+use steno_expr::{BinOp, Ty, Value};
 
 use crate::batch::Lane;
 use crate::sink::{KeyRange, SortCols, SortSpec};
@@ -28,8 +28,10 @@ pub type SinkId = u32;
 /// A UDF index.
 pub type UdfId = u32;
 
-/// A comparison operator carried by the fused compare-and-branch
-/// superinstructions (see [`crate::lifetimes::fuse_scalar_pairs`]).
+/// A comparison operator: the operand of the scalar `CmpF`/`CmpI`, of
+/// their fused compare-and-branch forms (see
+/// [`crate::lifetimes::fuse_scalar_pairs`]), of the batch
+/// [`crate::batch::BOp::Cmp`] and of fused-kernel predicates.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CmpOp {
     /// `==`
@@ -45,6 +47,93 @@ pub enum CmpOp {
     /// `>=`
     Ge,
 }
+
+impl CmpOp {
+    /// The comparison `op` is, if it is one.
+    pub fn of(op: BinOp) -> Option<CmpOp> {
+        Some(match op {
+            BinOp::Eq => CmpOp::Eq,
+            BinOp::Ne => CmpOp::Ne,
+            BinOp::Lt => CmpOp::Lt,
+            BinOp::Le => CmpOp::Le,
+            BinOp::Gt => CmpOp::Gt,
+            BinOp::Ge => CmpOp::Ge,
+            _ => return None,
+        })
+    }
+
+    /// `x op y` (IEEE on floats: NaN is unequal and unordered).
+    #[inline(always)]
+    pub fn eval<T: PartialOrd>(self, x: T, y: T) -> bool {
+        match self {
+            CmpOp::Eq => x == y,
+            CmpOp::Ne => x != y,
+            CmpOp::Lt => x < y,
+            CmpOp::Le => x <= y,
+            CmpOp::Gt => x > y,
+            CmpOp::Ge => x >= y,
+        }
+    }
+
+    /// The operator with its operands swapped (`a < b` ⇔ `b > a`),
+    /// exact on every lane.
+    pub fn flipped(self) -> CmpOp {
+        match self {
+            CmpOp::Lt => CmpOp::Gt,
+            CmpOp::Le => CmpOp::Ge,
+            CmpOp::Gt => CmpOp::Lt,
+            CmpOp::Ge => CmpOp::Le,
+            op => op,
+        }
+    }
+
+    /// The operator's source symbol.
+    pub fn symbol(self) -> &'static str {
+        match self {
+            CmpOp::Eq => "==",
+            CmpOp::Ne => "!=",
+            CmpOp::Lt => "<",
+            CmpOp::Le => "<=",
+            CmpOp::Gt => ">",
+            CmpOp::Ge => ">=",
+        }
+    }
+}
+
+/// Expands `$body` once per comparison operator, with `$f` bound to the
+/// closure `|x: $t, y: $t| x OP y`, so a kernel called in `$body` is
+/// monomorphized per operator.
+macro_rules! with_cmp {
+    ($op:expr, $t:ty, $f:ident => $body:expr) => {
+        match $op {
+            $crate::instr::CmpOp::Eq => {
+                let $f = |x: $t, y: $t| x == y;
+                $body
+            }
+            $crate::instr::CmpOp::Ne => {
+                let $f = |x: $t, y: $t| x != y;
+                $body
+            }
+            $crate::instr::CmpOp::Lt => {
+                let $f = |x: $t, y: $t| x < y;
+                $body
+            }
+            $crate::instr::CmpOp::Le => {
+                let $f = |x: $t, y: $t| x <= y;
+                $body
+            }
+            $crate::instr::CmpOp::Gt => {
+                let $f = |x: $t, y: $t| x > y;
+                $body
+            }
+            $crate::instr::CmpOp::Ge => {
+                let $f = |x: $t, y: $t| x >= y;
+                $body
+            }
+        }
+    };
+}
+pub(crate) use with_cmp;
 
 /// A scalar grouping-key operand: which register bank holds the key.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -131,30 +220,10 @@ pub enum Instr {
     NotB(IReg, IReg),
 
     // ---- comparisons (result in the I bank as 0/1) ----
-    /// `dst = (a == b)` over f64 (IEEE: NaN is unequal).
-    EqF(IReg, FReg, FReg),
-    /// `dst = (a != b)` over f64.
-    NeF(IReg, FReg, FReg),
-    /// `dst = (a < b)` over f64.
-    LtF(IReg, FReg, FReg),
-    /// `dst = (a <= b)` over f64.
-    LeF(IReg, FReg, FReg),
-    /// `dst = (a > b)` over f64.
-    GtF(IReg, FReg, FReg),
-    /// `dst = (a >= b)` over f64.
-    GeF(IReg, FReg, FReg),
-    /// `dst = (a == b)` over i64/bool.
-    EqI(IReg, IReg, IReg),
-    /// `dst = (a != b)` over i64/bool.
-    NeI(IReg, IReg, IReg),
-    /// `dst = (a < b)` over i64.
-    LtI(IReg, IReg, IReg),
-    /// `dst = (a <= b)` over i64.
-    LeI(IReg, IReg, IReg),
-    /// `dst = (a > b)` over i64.
-    GtI(IReg, IReg, IReg),
-    /// `dst = (a >= b)` over i64.
-    GeI(IReg, IReg, IReg),
+    /// `dst = (a op b)` over f64 (IEEE: NaN is unequal and unordered).
+    CmpF(CmpOp, IReg, FReg, FReg),
+    /// `dst = (a op b)` over i64/bool.
+    CmpI(CmpOp, IReg, IReg, IReg),
     /// `dst = (a == b)` over boxed values (structural).
     EqV(IReg, VReg, VReg),
     /// Three-way total comparison of boxed values: -1/0/1.

@@ -394,7 +394,7 @@ pub fn select_any<T: Copy>(
 }
 
 /// Lane-wise select where mask, branches, and destination all share the
-/// boolean bank (`SelB`): per-lane read-then-write, exact under any
+/// boolean bank (a bool-lane `Sel`): per-lane read-then-write, exact under any
 /// aliasing pattern.
 #[inline]
 pub fn select_same_any(

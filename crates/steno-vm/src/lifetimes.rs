@@ -26,99 +26,47 @@
 //! [`shrink_frames`] then recomputes register-bank sizes, so frames
 //! freed by the passes above are not allocated at run time.
 
-use crate::batch::{BInit, BOp, BatchProgram, KeyRef, Lane};
-use crate::instr::{CmpOp, Instr, Program, SKey};
+use crate::batch::{BInit, BOp, BatchProgram, Lane};
+use crate::instr::{Instr, Program, SKey};
 
 // ---------------------------------------------------------------------
 // Batch-slot lifetimes.
 // ---------------------------------------------------------------------
 
-/// A batch bank: which of the three typed column arenas a slot lives in.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BankK {
-    /// The f64 bank.
-    F,
-    /// The i64 bank.
-    I,
-    /// The bool bank.
-    B,
-}
-
-/// Visits every slot operand of a batch op. `is_def` marks the (single)
-/// destination; everything else is a read. Exhaustive over [`BOp`] so a
-/// new op cannot silently escape the analysis.
-fn bop_slots_mut(op: &mut BOp, mut f: impl FnMut(BankK, &mut u8, bool)) {
-    use BankK::{B, F, I};
+/// Visits every slot operand of a batch op, tagged with its bank.
+/// `is_def` marks the (single) destination; everything else is a read.
+/// Exhaustive over [`BOp`] so a new op cannot silently escape the
+/// analysis.
+fn bop_slots_mut(op: &mut BOp, mut f: impl FnMut(Lane, &mut u8, bool)) {
+    use Lane::{B, F, I};
+    // `d = a op b`, operands in lane `x`, result in lane `r`.
+    let mut bin = |x: Lane, r: Lane, d: &mut u8, a: &mut u8, b: &mut u8| {
+        f(x, a, false);
+        f(x, b, false);
+        f(r, d, true);
+    };
     match op {
-        BOp::LoadF(d) => f(F, d, true),
-        BOp::LoadI(d) => f(I, d, true),
-        BOp::LoadB(d) => f(B, d, true),
-        BOp::LoadSnd(lane, d) => f(lane_bank(*lane), d, true),
-
-        BOp::AddF(d, a, b)
-        | BOp::SubF(d, a, b)
-        | BOp::MulF(d, a, b)
-        | BOp::DivF(d, a, b)
-        | BOp::RemF(d, a, b)
-        | BOp::MinF(d, a, b)
-        | BOp::MaxF(d, a, b) => {
-            f(F, a, false);
-            f(F, b, false);
-            f(F, d, true);
-        }
-        BOp::NegF(d, a) | BOp::AbsF(d, a) | BOp::SqrtF(d, a) | BOp::FloorF(d, a) => {
-            f(F, a, false);
-            f(F, d, true);
-        }
-
-        BOp::AddI(d, a, b)
-        | BOp::SubI(d, a, b)
-        | BOp::MulI(d, a, b)
-        | BOp::MinI(d, a, b)
-        | BOp::MaxI(d, a, b)
+        BOp::BinF(_, d, a, b) => bin(F, F, d, a, b),
+        BOp::BinI(_, d, a, b)
         | BOp::DivI(d, a, b)
         | BOp::RemI(d, a, b)
         | BOp::DivIUnchecked(d, a, b)
-        | BOp::RemIUnchecked(d, a, b) => {
-            f(I, a, false);
-            f(I, b, false);
-            f(I, d, true);
-        }
-        BOp::NegI(d, a) | BOp::AbsI(d, a) => {
-            f(I, a, false);
-            f(I, d, true);
-        }
-
-        BOp::EqFB(d, a, b)
-        | BOp::NeFB(d, a, b)
-        | BOp::LtFB(d, a, b)
-        | BOp::LeFB(d, a, b)
-        | BOp::GtFB(d, a, b)
-        | BOp::GeFB(d, a, b) => {
+        | BOp::RemIUnchecked(d, a, b) => bin(I, I, d, a, b),
+        BOp::AndB(d, a, b) | BOp::OrB(d, a, b) => bin(B, B, d, a, b),
+        BOp::Cmp(lane, _, d, a, b) => bin(*lane, B, d, a, b),
+        BOp::Load(lane, d) | BOp::LoadSnd(lane, d) => f(*lane, d, true),
+        BOp::UnF(_, d, a) => {
             f(F, a, false);
-            f(F, b, false);
-            f(B, d, true);
+            f(F, d, true);
         }
-        BOp::EqIB(d, a, b)
-        | BOp::NeIB(d, a, b)
-        | BOp::LtIB(d, a, b)
-        | BOp::LeIB(d, a, b)
-        | BOp::GtIB(d, a, b)
-        | BOp::GeIB(d, a, b) => {
+        BOp::UnI(_, d, a) => {
             f(I, a, false);
-            f(I, b, false);
-            f(B, d, true);
-        }
-        BOp::EqBB(d, a, b) | BOp::NeBB(d, a, b) | BOp::AndB(d, a, b) | BOp::OrB(d, a, b) => {
-            f(B, a, false);
-            f(B, b, false);
-            f(B, d, true);
+            f(I, d, true);
         }
         BOp::NotB(d, a) => {
             f(B, a, false);
             f(B, d, true);
         }
-
         BOp::F2I(d, a) => {
             f(F, a, false);
             f(I, d, true);
@@ -127,105 +75,45 @@ fn bop_slots_mut(op: &mut BOp, mut f: impl FnMut(BankK, &mut u8, bool)) {
             f(I, a, false);
             f(F, d, true);
         }
-
-        BOp::SelF { dst, mask, t, e } => {
+        BOp::Sel { lane, dst, mask, t, e } => {
             f(B, mask, false);
-            f(F, t, false);
-            f(F, e, false);
-            f(F, dst, true);
+            f(*lane, t, false);
+            f(*lane, e, false);
+            f(*lane, dst, true);
         }
-        BOp::SelI { dst, mask, t, e } => {
-            f(B, mask, false);
-            f(I, t, false);
-            f(I, e, false);
-            f(I, dst, true);
-        }
-        BOp::SelB { dst, mask, t, e } => {
-            f(B, mask, false);
-            f(B, t, false);
-            f(B, e, false);
-            f(B, dst, true);
-        }
-
         BOp::Filter(m) | BOp::Cut(m) => f(B, m, false),
-
-        BOp::RedAddF { val, .. } | BOp::RedMinF { val, .. } | BOp::RedMaxF { val, .. } => {
-            f(F, val, false);
+        BOp::Red { lane, val, .. } => f(*lane, val, false),
+        BOp::GroupAdd { lane, key, val, .. } => {
+            f(key.0, &mut key.1, false);
+            f(*lane, val, false);
         }
-        BOp::RedAddI { val, .. } | BOp::RedMinI { val, .. } | BOp::RedMaxI { val, .. } => {
-            f(I, val, false);
+        BOp::Out(lane, s) => f(*lane, s, false),
+        BOp::OutPair(a, b) | BOp::SortPush { key: a, val: b, .. } => {
+            f(a.0, &mut a.1, false);
+            f(b.0, &mut b.1, false);
         }
-
-        BOp::GroupAddF { key, val, .. } => {
-            key_slot(key, &mut f);
-            f(F, val, false);
-        }
-        BOp::GroupAddI { key, val, .. } => {
-            key_slot(key, &mut f);
-            f(I, val, false);
-        }
-
-        BOp::OutF(s) => f(F, s, false),
-        BOp::OutI(s) => f(I, s, false),
-        BOp::OutB(s) => f(B, s, false),
-        BOp::OutPair(a, b) => {
-            f(lane_bank(a.0), &mut a.1, false);
-            f(lane_bank(b.0), &mut b.1, false);
-        }
-        BOp::SortPush { key, val, .. } => {
-            f(lane_bank(key.0), &mut key.1, false);
-            f(lane_bank(val.0), &mut val.1, false);
-        }
-        BOp::DistinctPush { val, .. } => f(lane_bank(val.0), &mut val.1, false),
-
+        BOp::DistinctPush { val, .. } => f(val.0, &mut val.1, false),
         BOp::Call { args, dst, .. } => {
             for (lane, s) in args.as_mut_slice() {
-                f(lane_bank(*lane), s, false);
+                f(*lane, s, false);
             }
-            f(lane_bank(dst.0), &mut dst.1, true);
+            f(dst.0, &mut dst.1, true);
         }
-
-        BOp::MulAddF(d, a, b, c) => {
-            f(F, a, false);
-            f(F, b, false);
-            f(F, c, false);
-            f(F, d, true);
+        BOp::MulAdd(lane, d, a, b, c) => {
+            f(*lane, a, false);
+            f(*lane, b, false);
+            f(*lane, c, false);
+            f(*lane, d, true);
         }
-        BOp::MulAddI(d, a, b, c) => {
-            f(I, a, false);
-            f(I, b, false);
-            f(I, c, false);
-            f(I, d, true);
+        BOp::MulRedAdd { lane, a, b, .. } => {
+            f(*lane, a, false);
+            f(*lane, b, false);
         }
-        BOp::MulRedAddF { a, b, .. } => {
-            f(F, a, false);
-            f(F, b, false);
-        }
-        BOp::MulRedAddI { a, b, .. } => {
-            f(I, a, false);
-            f(I, b, false);
-        }
-    }
-}
-
-fn lane_bank(lane: Lane) -> BankK {
-    match lane {
-        Lane::F => BankK::F,
-        Lane::I => BankK::I,
-        Lane::B => BankK::B,
-    }
-}
-
-fn key_slot(key: &mut KeyRef, f: &mut impl FnMut(BankK, &mut u8, bool)) {
-    match key {
-        KeyRef::F(s) => f(BankK::F, s, false),
-        KeyRef::I(s) => f(BankK::I, s, false),
-        KeyRef::B(s) => f(BankK::B, s, false),
     }
 }
 
 /// Visits every slot a batch op *reads*.
-pub fn bop_uses(op: &BOp, mut f: impl FnMut(BankK, u8)) {
+pub fn bop_uses(op: &BOp, mut f: impl FnMut(Lane, u8)) {
     let mut tmp = *op;
     bop_slots_mut(&mut tmp, |bank, slot, is_def| {
         if !is_def {
@@ -235,7 +123,7 @@ pub fn bop_uses(op: &BOp, mut f: impl FnMut(BankK, u8)) {
 }
 
 /// The slot a batch op writes, if any.
-pub(crate) fn bop_def(op: &BOp) -> Option<(BankK, u8)> {
+pub(crate) fn bop_def(op: &BOp) -> Option<(Lane, u8)> {
     let mut tmp = *op;
     let mut def = None;
     bop_slots_mut(&mut tmp, |bank, slot, is_def| {
@@ -324,11 +212,7 @@ pub fn pack_batch_slots(bp: &mut BatchProgram) -> u32 {
         vec![0usize; n[1]],
         vec![0usize; n[2]],
     ];
-    let idx = |bank: BankK| match bank {
-        BankK::F => 0,
-        BankK::I => 1,
-        BankK::B => 2,
-    };
+    let idx = |lane: Lane| lane as usize;
     for (k, op) in bp.tape.iter().enumerate() {
         let mut ok = true;
         bop_uses(op, |bank, slot| {
@@ -359,9 +243,9 @@ pub fn pack_batch_slots(bp: &mut BatchProgram) -> u32 {
     let mut prologue = bp.prologue.clone();
     for init in &mut prologue {
         let (bank, slot) = match init {
-            BInit::ConstF(d, _) | BInit::ParamF(d, _) => (BankK::F, d),
-            BInit::ConstI(d, _) | BInit::ParamI(d, _) => (BankK::I, d),
-            BInit::ConstB(d, _) | BInit::ParamB(d, _) => (BankK::B, d),
+            BInit::ConstF(d, _) | BInit::ParamF(d, _) => (Lane::F, d),
+            BInit::ConstI(d, _) | BInit::ParamI(d, _) => (Lane::I, d),
+            BInit::ConstB(d, _) | BInit::ParamB(d, _) => (Lane::B, d),
         };
         let a = &mut allocs[idx(bank)];
         let Some(packed) = a.alloc(*slot, &mut 0) else {
@@ -377,7 +261,7 @@ pub fn pack_batch_slots(bp: &mut BatchProgram) -> u32 {
         // Remap reads, then release the ones dying here, then allocate
         // the definition — which may legally land on a slot freed by its
         // own source (the `_any` kernels are aliasing-exact).
-        let mut dying: Vec<(BankK, u8)> = Vec::new();
+        let mut dying: Vec<(Lane, u8)> = Vec::new();
         let mut ok = true;
         bop_slots_mut(op, |bank, slot, is_def| {
             if is_def || !ok {
@@ -526,22 +410,12 @@ pub(crate) fn instr_io(instr: &Instr, mut f: impl FnMut(RegBank, u32, bool)) {
             f(I, *d, true);
         }
 
-        Instr::EqF(d, a, b)
-        | Instr::NeF(d, a, b)
-        | Instr::LtF(d, a, b)
-        | Instr::LeF(d, a, b)
-        | Instr::GtF(d, a, b)
-        | Instr::GeF(d, a, b) => {
+        Instr::CmpF(_, d, a, b) => {
             f(F, *a, false);
             f(F, *b, false);
             f(I, *d, true);
         }
-        Instr::EqI(d, a, b)
-        | Instr::NeI(d, a, b)
-        | Instr::LtI(d, a, b)
-        | Instr::LeI(d, a, b)
-        | Instr::GtI(d, a, b)
-        | Instr::GeI(d, a, b) => {
+        Instr::CmpI(_, d, a, b) => {
             f(I, *a, false);
             f(I, *b, false);
             f(I, *d, true);
@@ -858,30 +732,6 @@ pub fn hoist_loop_invariant_consts(p: &mut Program) -> u32 {
 // Scalar superinstruction fusion.
 // ---------------------------------------------------------------------
 
-fn cmp_op_f(instr: &Instr) -> Option<(CmpOp, u32, u32, u32)> {
-    match *instr {
-        Instr::EqF(d, a, b) => Some((CmpOp::Eq, d, a, b)),
-        Instr::NeF(d, a, b) => Some((CmpOp::Ne, d, a, b)),
-        Instr::LtF(d, a, b) => Some((CmpOp::Lt, d, a, b)),
-        Instr::LeF(d, a, b) => Some((CmpOp::Le, d, a, b)),
-        Instr::GtF(d, a, b) => Some((CmpOp::Gt, d, a, b)),
-        Instr::GeF(d, a, b) => Some((CmpOp::Ge, d, a, b)),
-        _ => None,
-    }
-}
-
-fn cmp_op_i(instr: &Instr) -> Option<(CmpOp, u32, u32, u32)> {
-    match *instr {
-        Instr::EqI(d, a, b) => Some((CmpOp::Eq, d, a, b)),
-        Instr::NeI(d, a, b) => Some((CmpOp::Ne, d, a, b)),
-        Instr::LtI(d, a, b) => Some((CmpOp::Lt, d, a, b)),
-        Instr::LeI(d, a, b) => Some((CmpOp::Le, d, a, b)),
-        Instr::GtI(d, a, b) => Some((CmpOp::Gt, d, a, b)),
-        Instr::GeI(d, a, b) => Some((CmpOp::Ge, d, a, b)),
-        _ => None,
-    }
-}
-
 /// Fuses the hottest adjacent scalar pairs into superinstructions:
 /// compare→branch, increment→jump, and multiply→add. Returns the number
 /// of pairs fused.
@@ -914,62 +764,26 @@ pub fn fuse_scalar_pairs(p: &mut Program) -> u32 {
             None
         } else {
             match (&instrs[i], next) {
-                (a, Some(Instr::JumpIfFalse(c, t))) if cmp_op_f(a).is_some() => {
-                    let (op, d, x, y) = match cmp_op_f(a) {
-                        Some(v) => v,
-                        None => unreachable!(),
-                    };
-                    (d == *c && one_use(RegBank::I, d)).then_some(Instr::BrCmpF {
-                        op,
-                        a: x,
-                        b: y,
-                        on_true: false,
-                        target: *t,
-                    })
-                }
-                (a, Some(Instr::JumpIfTrue(c, t))) if cmp_op_f(a).is_some() => {
-                    let (op, d, x, y) = match cmp_op_f(a) {
-                        Some(v) => v,
-                        None => unreachable!(),
-                    };
-                    (d == *c && one_use(RegBank::I, d)).then_some(Instr::BrCmpF {
-                        op,
-                        a: x,
-                        b: y,
-                        on_true: true,
-                        target: *t,
-                    })
-                }
-                (a, Some(Instr::JumpIfFalse(c, t))) if cmp_op_i(a).is_some() => {
-                    let (op, d, x, y) = match cmp_op_i(a) {
-                        Some(v) => v,
-                        None => unreachable!(),
-                    };
-                    (d == *c && d != x && d != y && one_use(RegBank::I, d)).then_some(
-                        Instr::BrCmpI {
-                            op,
-                            a: x,
-                            b: y,
-                            on_true: false,
-                            target: *t,
-                        },
-                    )
-                }
-                (a, Some(Instr::JumpIfTrue(c, t))) if cmp_op_i(a).is_some() => {
-                    let (op, d, x, y) = match cmp_op_i(a) {
-                        Some(v) => v,
-                        None => unreachable!(),
-                    };
-                    (d == *c && d != x && d != y && one_use(RegBank::I, d)).then_some(
-                        Instr::BrCmpI {
-                            op,
-                            a: x,
-                            b: y,
-                            on_true: true,
-                            target: *t,
-                        },
-                    )
-                }
+                (
+                    Instr::CmpF(op, d, x, y),
+                    Some(Instr::JumpIfFalse(c, t) | Instr::JumpIfTrue(c, t)),
+                ) if d == c && one_use(RegBank::I, *d) => Some(Instr::BrCmpF {
+                    op: *op,
+                    a: *x,
+                    b: *y,
+                    on_true: matches!(next, Some(Instr::JumpIfTrue(..))),
+                    target: *t,
+                }),
+                (
+                    Instr::CmpI(op, d, x, y),
+                    Some(Instr::JumpIfFalse(c, t) | Instr::JumpIfTrue(c, t)),
+                ) if d == c && d != x && d != y && one_use(RegBank::I, *d) => Some(Instr::BrCmpI {
+                    op: *op,
+                    a: *x,
+                    b: *y,
+                    on_true: matches!(next, Some(Instr::JumpIfTrue(..))),
+                    target: *t,
+                }),
                 (Instr::IncI(r), Some(Instr::Jump(t))) => Some(Instr::IncJump {
                     r: *r,
                     target: *t,
@@ -1042,7 +856,7 @@ pub fn shrink_frames(p: &mut Program) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::Lane;
+    use crate::batch::{FOp, RedK};
 
     #[test]
     fn packing_reuses_dead_columns_and_stays_exact() {
@@ -1062,10 +876,10 @@ mod tests {
             n_b: 0,
             prologue: vec![],
             tape: vec![
-                BOp::LoadF(0),
-                BOp::MulF(1, 0, 0),
-                BOp::AddF(2, 1, 1),
-                BOp::RedAddF { acc: 0, val: 2 },
+                BOp::Load(Lane::F, 0),
+                BOp::BinF(FOp::Mul, 1, 0, 0),
+                BOp::BinF(FOp::Add, 2, 1, 1),
+                BOp::Red { red: RedK::Sum, lane: Lane::F, acc: 0, val: 2 },
             ],
             fused: None,
             shadow: None,
@@ -1119,9 +933,9 @@ mod tests {
             n_b: 0,
             prologue: vec![BInit::ConstI(1, 2)],
             tape: vec![
-                BOp::LoadI(0),
+                BOp::Load(Lane::I, 0),
                 BOp::RemIUnchecked(2, 0, 1),
-                BOp::RedAddI { acc: 0, val: 2 },
+                BOp::Red { red: RedK::Sum, lane: Lane::I, acc: 0, val: 2 },
             ],
             fused: None,
             shadow: None,
@@ -1162,7 +976,7 @@ mod tests {
             instrs: vec![
                 Instr::ConstI(0, 0),
                 Instr::ConstI(1, 5),
-                Instr::LtI(2, 0, 1),
+                Instr::CmpI(crate::instr::CmpOp::Lt, 2, 0, 1),
                 Instr::JumpIfFalse(2, 6),
                 Instr::IncI(0),
                 Instr::Jump(1),
@@ -1208,7 +1022,7 @@ mod tests {
             instrs: vec![
                 Instr::ConstI(0, 0),
                 Instr::ConstI(1, 5),
-                Instr::LtI(2, 0, 1),
+                Instr::CmpI(crate::instr::CmpOp::Lt, 2, 0, 1),
                 Instr::JumpIfFalse(2, 6),
                 Instr::IncI(0),
                 Instr::Jump(2),

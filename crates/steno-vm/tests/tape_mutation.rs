@@ -12,9 +12,10 @@ use std::sync::Arc;
 
 use steno_expr::{DataContext, Expr, Ty, UdfRegistry, Value};
 use steno_query::{Query, QueryExpr};
-use steno_vm::batch::{BOp, Lane};
+use steno_vm::batch::{BOp, FOp, IOp, Lane, RedK};
 use steno_vm::check::{check_program, ObligationKind};
 use steno_vm::query::{CompileFeedback, StenoOptions};
+use steno_vm::instr::CmpOp;
 use steno_vm::{CompiledQuery, Instr, Program, VectorizationPolicy};
 
 fn x() -> Expr {
@@ -117,7 +118,7 @@ fn swapped_registers_caught() {
     let mut swapped = false;
     mutate_batch(&mut p, |bp| {
         for op in &mut bp.tape {
-            if let BOp::SubF(_, a, b) = op {
+            if let BOp::BinF(FOp::Sub, _, a, b) = op {
                 if a != b {
                     std::mem::swap(a, b);
                     swapped = true;
@@ -126,7 +127,7 @@ fn swapped_registers_caught() {
             }
         }
     });
-    assert!(swapped, "expected a SubF in the batch tape");
+    assert!(swapped, "expected an f64 subtraction in the batch tape");
     assert_rejected(&p, &[ObligationKind::Equiv], "swapped batch registers");
 }
 
@@ -283,14 +284,14 @@ fn premature_slot_reuse_caught() {
         // slot, which now holds the stale source column.
         assert!(bp.n_f >= 2, "expected at least two f64 slots");
         for op in &mut bp.tape {
-            if let BOp::AddF(d, _, _) = op {
+            if let BOp::BinF(FOp::Add, d, _, _) = op {
                 *d = if *d == 0 { 1 } else { 0 };
                 remapped = true;
                 break;
             }
         }
     });
-    assert!(remapped, "expected an AddF in the batch tape");
+    assert!(remapped, "expected an f64 addition in the batch tape");
     assert_rejected(
         &p,
         &[ObligationKind::Equiv, ObligationKind::Dataflow],
@@ -299,8 +300,9 @@ fn premature_slot_reuse_caught() {
 }
 
 // ---------------------------------------------------------------------
-// 6. Type-confused column: a comparison reads slot N of the wrong
-//    bank — the index is "valid", the type is not.
+// 6. Confused operands: a comparison reads slot N of the wrong bank —
+//    the index is "valid", the type is not — or an op carries the wrong
+//    operator.
 // ---------------------------------------------------------------------
 #[test]
 fn type_confused_column_caught() {
@@ -313,8 +315,8 @@ fn type_confused_column_caught() {
     let mut confused = false;
     mutate_batch(&mut p, |bp| {
         for op in &mut bp.tape {
-            if let BOp::LtIB(d, a, b) = *op {
-                *op = BOp::LtFB(d, a, b);
+            if let BOp::Cmp(lane @ Lane::I, CmpOp::Lt, ..) = op {
+                *lane = Lane::F;
                 confused = true;
                 break;
             }
@@ -326,6 +328,71 @@ fn type_confused_column_caught() {
         &[ObligationKind::Dataflow, ObligationKind::Equiv],
         "type-confused column",
     );
+}
+
+/// Each op keeps its lane and slots but carries a neighbouring operator:
+/// a batch `<` becomes `<=`, a generic-tape (unfused) `min` fold becomes
+/// `max`, and an i64 `+` becomes `-`.
+#[test]
+fn confused_operator_caught() {
+    let lt = Query::source("ns")
+        .where_(x().lt(Expr::liti(100)), "x")
+        .select(x() + Expr::liti(1), "x")
+        .sum()
+        .build();
+    let min_abs = Query::source("ns").select(x().abs(), "x").min().build();
+    let add = Query::source("ns")
+        .select(x() + Expr::liti(7), "x")
+        .sum()
+        .build();
+    type Confuse = fn(&mut BOp) -> bool;
+    let mutants: [(&QueryExpr, Confuse, &str); 3] = [
+        (
+            &lt,
+            |op| match op {
+                BOp::Cmp(_, cmp @ CmpOp::Lt, ..) => {
+                    *cmp = CmpOp::Le;
+                    true
+                }
+                _ => false,
+            },
+            "cmp < → <=",
+        ),
+        (
+            &min_abs,
+            |op| match op {
+                BOp::Red { red: red @ RedK::Min, .. } => {
+                    *red = RedK::Max;
+                    true
+                }
+                _ => false,
+            },
+            "fold min → max",
+        ),
+        (
+            &add,
+            |op| match op {
+                BOp::BinI(o @ IOp::Add, ..) => {
+                    *o = IOp::Sub;
+                    true
+                }
+                _ => false,
+            },
+            "i64 + → -",
+        ),
+    ];
+    for (q, confuse, what) in mutants {
+        let mut p = compile(q, &ictx(), StenoOptions::default());
+        let mut confused = false;
+        mutate_batch(&mut p, |bp| {
+            if what.starts_with("fold") {
+                assert!(bp.fused.is_none(), "expected a generic tape for {q}");
+            }
+            confused = bp.tape.iter_mut().any(confuse);
+        });
+        assert!(confused, "expected an op to confuse ({what})");
+        assert_rejected(&p, &[ObligationKind::Equiv], &format!("confused operator ({what})"));
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -390,7 +457,7 @@ fn hoisted_non_invariant_caught() {
 // ---------------------------------------------------------------------
 #[test]
 fn mangled_fused_kernel_caught() {
-    use steno_vm::fuse_kernels::{FusedTape, MapF, RedK};
+    use steno_vm::fuse_kernels::{FusedTape, MapF};
     let sum_sq = Query::source("xs")
         .select(x() * x(), "x")
         .sum()
@@ -436,14 +503,14 @@ fn fold_moved_above_a_cut_caught() {
     let mut moved = false;
     mutate_batch(&mut p, |bp| {
         let cut = bp.tape.iter().position(|op| matches!(op, BOp::Cut(_)));
-        let fold = bp.tape.iter().position(|op| matches!(op, BOp::RedAddF { .. }));
+        let fold = bp.tape.iter().position(|op| matches!(op, BOp::Red { .. }));
         if let (Some(cut), Some(fold)) = (cut, fold) {
             let op = bp.tape.remove(fold);
             bp.tape.insert(cut, op);
             moved = true;
         }
     });
-    assert!(moved, "expected a Cut and a RedAddF in the batch tape");
+    assert!(moved, "expected a Cut and a fold in the batch tape");
     assert_rejected(&p, &[ObligationKind::Cut], "fold moved above a cut");
 }
 

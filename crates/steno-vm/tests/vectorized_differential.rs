@@ -598,3 +598,148 @@ fn casts_cross_lanes_bit_for_bit() {
         &u,
     );
 }
+
+// ---------------------------------------------------------------------
+// Operator × lane coverage: every batch operator on every lane it runs
+// on, over the values that compare, order and wrap most delicately, at
+// and around the batch boundary.
+// ---------------------------------------------------------------------
+
+/// Column lengths that end one lane short of, at, and one lane past a
+/// batch boundary.
+const BOUNDARY_SIZES: [usize; 3] = [BATCH - 1, BATCH, BATCH + 1];
+
+/// `n` doubles with ±NaN, ±0.0 and ±inf spread through them, including
+/// the last lane of the first batch and the first lane of the second.
+fn f64_specials(n: usize) -> Vec<f64> {
+    let special = [f64::NAN, -f64::NAN, 0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY];
+    let mut xs: Vec<f64> = (0..n)
+        .map(|i| match i % 5 {
+            0 => special[(i / 5) % special.len()],
+            _ => (i as f64) * 0.75 - (n as f64) / 2.0,
+        })
+        .collect();
+    for (k, at) in [BATCH - 1, BATCH].into_iter().enumerate() {
+        if let Some(x) = xs.get_mut(at) {
+            *x = special[k];
+        }
+    }
+    xs
+}
+
+/// `n` integers with `i64::MIN`, `i64::MAX`, `-1` and `0` spread through
+/// them, placed as in [`f64_specials`].
+fn i64_specials(n: usize) -> Vec<i64> {
+    let special = [i64::MIN, i64::MAX, -1, 0];
+    let mut ns: Vec<i64> = (0..n as i64)
+        .map(|i| match i % 3 {
+            0 => special[(i as usize / 3) % special.len()],
+            _ => i * 7 - (n as i64) * 3,
+        })
+        .collect();
+    for (k, at) in [BATCH - 1, BATCH].into_iter().enumerate() {
+        if let Some(x) = ns.get_mut(at) {
+            *x = special[k];
+        }
+    }
+    ns
+}
+
+/// Checks `body` (an expression over `x`) twice over `src`: in a fold,
+/// which the fused-kernel planner sees, and as a materialized `select`,
+/// which always runs the generic tape. A numeric `body` is the map of a
+/// filtered sum; a boolean one is the filter of a sum.
+#[track_caller]
+fn check_both_forms(src: &str, body: Expr, boolean: bool, c: &DataContext) {
+    let u = UdfRegistry::new();
+    let fold = if boolean {
+        Query::source(src).where_(body.clone(), "x").sum()
+    } else {
+        let keep = match src {
+            "xs" => x().ge(Expr::litf(-100.0)),
+            _ => x().ne(Expr::liti(7)),
+        };
+        Query::source(src).where_(keep, "x").select(body.clone(), "x").sum()
+    };
+    check3_vectorized(&fold.build(), c, &u);
+    check3_vectorized(&Query::source(src).select(body, "x").build(), c, &u);
+}
+
+#[test]
+fn every_operator_and_lane_agrees_bit_for_bit() {
+    use steno_expr::BinOp;
+    let f_ops = [BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Div, BinOp::Rem, BinOp::Min, BinOp::Max];
+    let i_ops = [BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Min, BinOp::Max];
+    let cmps = [BinOp::Eq, BinOp::Ne, BinOp::Lt, BinOp::Le, BinOp::Gt, BinOp::Ge];
+    let f_rhs = [f64::NAN, -0.0, f64::INFINITY, 1.5].map(Expr::litf);
+    let i_rhs = [i64::MIN, i64::MAX, -1, 0].map(Expr::liti);
+    let u = UdfRegistry::new();
+    for n in BOUNDARY_SIZES {
+        let c = DataContext::new()
+            .with_source("xs", f64_specials(n))
+            .with_source("ns", i64_specials(n));
+
+        // Binary arithmetic and comparisons, per lane, against literals
+        // and against the negated element (NaN against -NaN, 0.0 against
+        // -0.0, MIN against its own wrapping negation).
+        for rhs in f_rhs.iter().cloned().chain([-x()]) {
+            for op in f_ops {
+                check_both_forms("xs", Expr::bin(op, x(), rhs.clone()), false, &c);
+            }
+            for op in cmps {
+                check_both_forms("xs", Expr::bin(op, x(), rhs.clone()), true, &c);
+            }
+        }
+        for rhs in i_rhs.iter().cloned().chain([-x()]) {
+            for op in i_ops {
+                check_both_forms("ns", Expr::bin(op, x(), rhs.clone()), false, &c);
+            }
+            for op in cmps {
+                check_both_forms("ns", Expr::bin(op, x(), rhs.clone()), true, &c);
+            }
+        }
+        // `==` and `!=` on the bool lane.
+        for op in [BinOp::Eq, BinOp::Ne] {
+            let f = Expr::bin(op, x().gt(Expr::litf(0.0)), x().lt(Expr::litf(1.0)));
+            check_both_forms("xs", f, true, &c);
+            let i = Expr::bin(op, x().lt(Expr::liti(0)), x().ne(Expr::liti(-1)));
+            check_both_forms("ns", i, true, &c);
+        }
+
+        // Unary operators, per lane.
+        for body in [-x(), x().abs(), x().sqrt(), x().floor()] {
+            check_both_forms("xs", body, false, &c);
+        }
+        for body in [-x(), x().abs()] {
+            check_both_forms("ns", body, false, &c);
+        }
+        check_both_forms("xs", x().lt(Expr::litf(0.0)).not(), true, &c);
+
+        // Lane-wise selects, per lane.
+        let sel_f = Expr::if_(x().gt(Expr::litf(0.0)), x() * Expr::litf(2.0), -x());
+        check_both_forms("xs", sel_f, false, &c);
+        let sel_i = Expr::if_(x().lt(Expr::liti(0)), x() - Expr::liti(1), x() * Expr::liti(3));
+        check_both_forms("ns", sel_i, false, &c);
+        let sel_b = Expr::if_(
+            x().gt(Expr::litf(0.0)),
+            x().lt(Expr::litf(5.0)),
+            x().eq(Expr::litf(-0.0)),
+        );
+        check_both_forms("xs", sel_b, true, &c);
+
+        // Every (reduction, lane): filtered by a literal compare (the
+        // fused-kernel shapes) and over a computed column (a generic
+        // tape).
+        for (src, keep, computed) in [
+            ("xs", x().ge(Expr::litf(-100.0)), x().abs() - Expr::litf(3.0)),
+            ("ns", x().ne(Expr::liti(7)), x().abs() - Expr::liti(3)),
+        ] {
+            for red in [Query::sum as fn(Query) -> Query, Query::min, Query::max] {
+                let filtered = red(Query::source(src).where_(keep.clone(), "x"));
+                check3_vectorized(&filtered.build(), &c, &u);
+                let generic = red(Query::source(src).select(computed.clone(), "x"));
+                check3_vectorized(&generic.build(), &c, &u);
+            }
+        }
+    }
+}
