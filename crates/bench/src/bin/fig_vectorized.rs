@@ -698,6 +698,111 @@ fn group_agg(records: &mut Vec<BenchRecord>) {
     report("group_agg", n, rows, records);
 }
 
+/// Filtered count: `xs.Where(x < 0.3).Count()` over uniform `[0, 1)`
+/// doubles — the generic tape's filter and its count, which adds the
+/// live-lane count per batch instead of folding a broadcast `1`.
+fn filtered_count(records: &mut Vec<BenchRecord>) {
+    let n = scaled(1_000_000);
+    let data = uniform_doubles(n, 17);
+    let ctx = DataContext::new().with_source("xs", data.clone());
+    let udfs = UdfRegistry::new();
+    let q = Query::source("xs")
+        .where_(Expr::var("x").lt(Expr::litf(0.3)), "x")
+        .count()
+        .build();
+    let (scalar, vectorized) = compile_tiers(&q, &ctx, &udfs);
+
+    let hand = |data: &[f64]| {
+        let mut c = 0i64;
+        for &x in data {
+            if x < 0.3 {
+                c += 1;
+            }
+        }
+        c
+    };
+    let expect = hand(&data);
+    for c in [&scalar, &vectorized] {
+        assert_eq!(c.run(&ctx, &udfs).expect("run"), Value::I64(expect));
+    }
+
+    let xs = Enumerable::from_vec(data.clone());
+    let rows = vec![
+        Row {
+            engine: "linq",
+            median: bench_time(|| xs.where_(|x| x < 0.3).count()),
+        },
+        Row {
+            engine: "vm_scalar",
+            median: bench_time(|| scalar.run(&ctx, &udfs).expect("run")),
+        },
+        Row {
+            engine: "vm_vectorized",
+            median: bench_time(|| vectorized.run(&ctx, &udfs).expect("run")),
+        },
+        Row {
+            engine: "hand",
+            median: bench_time(|| hand(&data)),
+        },
+    ];
+    report("filtered_count", n, rows, records);
+}
+
+/// `ns.Where(x % 7 == 3).Select(x * x - x).Sum()` over uniform
+/// `0..10^6` integers: a strength-reduced remainder, a selection vector,
+/// and a map whose result the slot packer writes over the loaded column.
+fn int_mod_filter(records: &mut Vec<BenchRecord>) {
+    let n = scaled(1_000_000);
+    let data: Vec<i64> = uniform_doubles(n, 19)
+        .into_iter()
+        .map(|u| (u * 1_000_000.0) as i64)
+        .collect();
+    let ctx = DataContext::new().with_source("ns", data.clone());
+    let udfs = UdfRegistry::new();
+    let x = || Expr::var("x");
+    let q = Query::source("ns")
+        .where_((x() % Expr::liti(7)).eq(Expr::liti(3)), "x")
+        .select(x() * x() - x(), "x")
+        .sum()
+        .build();
+    let (scalar, vectorized) = compile_tiers(&q, &ctx, &udfs);
+
+    let hand = |data: &[i64]| {
+        let mut s = 0i64;
+        for &x in data {
+            if x % 7 == 3 {
+                s = s.wrapping_add(x.wrapping_mul(x).wrapping_sub(x));
+            }
+        }
+        s
+    };
+    let expect = hand(&data);
+    for c in [&scalar, &vectorized] {
+        assert_eq!(c.run(&ctx, &udfs).expect("run"), Value::I64(expect));
+    }
+
+    let ns = Enumerable::from_vec(data.clone());
+    let rows = vec![
+        Row {
+            engine: "linq",
+            median: bench_time(|| ns.where_(|x| x % 7 == 3).select(|x| x * x - x).sum()),
+        },
+        Row {
+            engine: "vm_scalar",
+            median: bench_time(|| scalar.run(&ctx, &udfs).expect("run")),
+        },
+        Row {
+            engine: "vm_vectorized",
+            median: bench_time(|| vectorized.run(&ctx, &udfs).expect("run")),
+        },
+        Row {
+            engine: "hand",
+            median: bench_time(|| hand(&data)),
+        },
+    ];
+    report("int_mod_filter", n, rows, records);
+}
+
 /// One observed run of the acceptance workload through the facade with
 /// a live collector: prints the per-query profile and the metrics
 /// snapshot, and proves the snapshot JSON parses back.
@@ -734,7 +839,7 @@ fn profiled_acceptance_run() {
     println!("wrote metrics snapshot to {path}");
 }
 
-/// Runs all eleven workloads and returns their records.
+/// Runs all thirteen workloads and returns their records.
 fn measure() -> Vec<BenchRecord> {
     let mut records = Vec::new();
     sum_of_squares(&mut records);
@@ -748,6 +853,8 @@ fn measure() -> Vec<BenchRecord> {
     pure_udf(&mut records);
     order_take(&mut records);
     group_agg(&mut records);
+    filtered_count(&mut records);
+    int_mod_filter(&mut records);
     records
 }
 

@@ -9,10 +9,17 @@
 //!   of 1024-lane batches, so integer and boolean pipelines vectorize
 //!   too and comparisons produce real `bool` masks instead of float
 //!   encodings;
-//! * a **selection vector** (`Vec<u32>` of surviving lane indices) built
-//!   by `Filter` ops, with a dense fast path when no filter has fired —
-//!   compute stays branch-free and dense, while trapping ops, folds, and
-//!   effects consult only the live lanes (see [`crate::kernels`]);
+//! * **source columns read in place**: a full batch of the source is
+//!   not copied into its slot, the slot views it until a tape op writes
+//!   the slot (see [`crate::kernels::Bank`]);
+//! * a **selection vector** (the surviving lane indices) built
+//!   branch-free by `Filter` ops, with a dense fast path when no filter
+//!   has fired — compute stays branch-free and dense, while trapping ops,
+//!   folds, and effects consult only the live lanes (see
+//!   [`crate::kernels`]); a sum of a loop-invariant broadcast (a count)
+//!   adds the broadcast times the live-lane count, and a filter that
+//!   only such counts follow counts its mask instead of building the
+//!   vector;
 //! * a **unified tape** interleaving compute, filters, reductions,
 //!   grouped-aggregate upserts, and output pushes in statement order, so
 //!   one loop body with mixed effects still becomes one batch program.
@@ -38,7 +45,7 @@ use steno_expr::Value;
 use crate::exec::{unbox_b, unbox_f, unbox_i, VmError};
 use crate::instr::{with_cmp, CmpOp, FReg, IReg, SinkId, SrcId, UdfId};
 use crate::interrupt::POLL_STRIDE;
-use crate::kernels;
+use crate::kernels::{self, Bank, Cols};
 use crate::sink::{
     max_total, min_total, order_f, order_of_bits, GroupTable, ScalarKey, SinkRt,
 };
@@ -234,8 +241,8 @@ impl CallArgs {
 /// in SSA order *per bank* (every destination a fresh slot), but
 /// [`crate::lifetimes::pack_batch_slots`] then reuses dead slots, so a
 /// destination may alias any source — including itself. The executor
-/// therefore uses the aliasing-safe `_any` kernels (see
-/// [`crate::kernels`]), which read each lane before writing it. Compute
+/// therefore writes every destination into a spare row that the slot
+/// then takes (see [`crate::kernels::Bank::write`]). Compute
 /// ops run dense; `DivI`/`RemI`, folds, and effects consult the
 /// selection vector. Folds, group upserts, appends and yields consume
 /// live lanes in ascending element order.
@@ -597,41 +604,64 @@ pub fn run_batch(
             );
         }
     }
-    let mut f_bank: Vec<[f64; BATCH]> = vec![[0.0; BATCH]; bp.n_f as usize];
-    let mut i_bank: Vec<[i64; BATCH]> = vec![[0; BATCH]; bp.n_i as usize];
-    let mut b_bank: Vec<[bool; BATCH]> = vec![[false; BATCH]; bp.n_b as usize];
+    // Loads read the source in place, so only a bank another op writes
+    // needs a spare row.
+    let written = |lane: Lane| {
+        bp.tape.iter().any(|op| {
+            !matches!(op, BOp::Load(..) | BOp::LoadSnd(..))
+                && crate::lifetimes::bop_def(op).is_some_and(|(l, _)| l == lane)
+        })
+    };
+    let mut f_bank = Bank::new(bp.n_f, 0.0, written(Lane::F));
+    let mut i_bank = Bank::new(bp.n_i, 0, written(Lane::I));
+    let mut b_bank = Bank::new(bp.n_b, false, written(Lane::B));
 
     // Loop-invariant broadcasts.
     for init in &bp.prologue {
         match *init {
-            BInit::ConstF(d, x) => kernels::splat(&mut f_bank[d as usize], x),
-            BInit::ConstI(d, x) => kernels::splat(&mut i_bank[d as usize], x),
-            BInit::ConstB(d, x) => kernels::splat(&mut b_bank[d as usize], x),
-            BInit::ParamF(d, p) => kernels::splat(&mut f_bank[d as usize], f_params[p as usize]),
-            BInit::ParamI(d, p) => kernels::splat(&mut i_bank[d as usize], i_params[p as usize]),
-            BInit::ParamB(d, p) => {
-                kernels::splat(&mut b_bank[d as usize], i_params[p as usize] != 0);
-            }
+            BInit::ConstF(d, x) => f_bank.fill(d, x),
+            BInit::ConstI(d, x) => i_bank.fill(d, x),
+            BInit::ConstB(d, x) => b_bank.fill(d, x),
+            BInit::ParamF(d, p) => f_bank.fill(d, f_params[p as usize]),
+            BInit::ParamI(d, p) => i_bank.fill(d, i_params[p as usize]),
+            BInit::ParamB(d, p) => b_bank.fill(d, i_params[p as usize] != 0),
         }
     }
 
-    // Loop-invariant divisors, strength-reduced once per loop; only a
-    // loop with unchecked divisions (each carries a proof) looks.
-    let inv_divs = if bp.div_proofs.is_empty() {
-        Vec::new()
-    } else {
-        invariant_divisors(bp, &i_bank)
+    // Loop-invariant divisors, strength-reduced once per loop, and
+    // loop-invariant summands: a sum of a broadcast (a count) adds it
+    // times the live-lane count.
+    let inv_divs: Vec<(u8, kernels::Divisor)> = invariant_slots(bp, &i_bank, |op| match *op {
+        BOp::DivIUnchecked(_, _, b) | BOp::RemIUnchecked(_, _, b) => Some(b),
+        _ => None,
+    })
+    .into_iter()
+    .map(|(s, m)| (s, kernels::Divisor::new(m)))
+    .collect();
+    let counts = invariant_slots(bp, &i_bank, |op| match *op {
+        BOp::Red { red: RedK::Sum, lane: Lane::I, val, .. } => Some(val),
+        _ => None,
+    });
+    // A `Filter` followed by nothing but such counts needs only its
+    // live-lane count, not the lanes.
+    let counted = |op: &BOp| match *op {
+        BOp::Red { red: RedK::Sum, lane: Lane::I, val, .. } => invariant(&counts, val).is_some(),
+        _ => false,
     };
+    let counted_filter = bp
+        .tape
+        .iter()
+        .rposition(|op| !counted(op))
+        .filter(|&pc| matches!(bp.tape[pc], BOp::Filter(_)));
 
     // One argument buffer for every call, and the scalar tier's poll
     // budget, spent one unit per call: a slow UDF cannot hold a deadline
     // for a whole batch.
     let mut call_args: Vec<Value> = Vec::new();
-    let mut call_out: Option<Box<CallOut>> = None;
     let mut intr_budget = POLL_STRIDE;
 
     let total = data.len();
-    let mut sel: Vec<u32> = Vec::with_capacity(BATCH);
+    let mut sel = [0u32; BATCH];
     let mut start = 0;
     while start < total {
         // Batch boundaries are the vectorized tier's cooperative poll
@@ -641,218 +671,186 @@ pub fn run_batch(
         let n_in = (total - start).min(BATCH);
         // A dense cut shortens the batch in place.
         let mut len = n_in;
-        // Selection state resets per chunk: dense until a Filter fires.
+        // Selection state resets per chunk: dense until a Filter fires,
+        // then the live lanes are `sel[..n_sel]`.
         let mut dense = true;
-        sel.clear();
+        let mut n_sel = 0;
         let mut cut = false;
 
-        // Kernel helpers. Slot packing reuses dead slots, so a
-        // destination may alias its sources; the `_any` kernels pick a
-        // borrow strategy per aliasing pattern. Cross-bank ops (cmp,
-        // convert) can never alias and use the tight kernels directly.
-        macro_rules! binf {
-            ($d:expr, $a:expr, $b:expr, $f:expr) => {
-                kernels::map2_any(&mut f_bank, $d, $a, $b, len, $f)
-            };
-        }
-        macro_rules! unf {
-            ($d:expr, $a:expr, $f:expr) => {
-                kernels::map1_any(&mut f_bank, $d, $a, len, $f)
-            };
-        }
-        macro_rules! bini {
-            ($d:expr, $a:expr, $b:expr, $f:expr) => {
-                kernels::map2_any(&mut i_bank, $d, $a, $b, len, $f)
-            };
-        }
-        macro_rules! uni {
-            ($d:expr, $a:expr, $f:expr) => {
-                kernels::map1_any(&mut i_bank, $d, $a, len, $f)
-            };
-        }
         macro_rules! sel_opt {
             () => {
-                if dense { None } else { Some(sel.as_slice()) }
+                if dense { None } else { Some(&sel[..n_sel]) }
+            };
+        }
+        macro_rules! banks {
+            () => {
+                (f_bank.cols(), i_bank.cols(), b_bank.cols())
             };
         }
 
-        for op in &bp.tape {
+        for (pc, op) in bp.tape.iter().enumerate() {
             match *op {
                 BOp::Load(lane, d) | BOp::LoadSnd(lane, d) => {
                     let col = if matches!(op, BOp::Load(..)) { Some(data) } else { snd };
-                    let (d, r) = (d as usize, start..start + len);
+                    let r = start..start + n_in;
                     match (lane, col) {
-                        (Lane::F, Some(BatchData::F(xs))) => f_bank[d][..len].copy_from_slice(&xs[r]),
-                        (Lane::I, Some(BatchData::I(xs))) => i_bank[d][..len].copy_from_slice(&xs[r]),
-                        (Lane::B, Some(BatchData::B(xs))) => b_bank[d][..len].copy_from_slice(&xs[r]),
+                        (Lane::F, Some(BatchData::F(xs))) => f_bank.load(d, &xs[r]),
+                        (Lane::I, Some(BatchData::I(xs))) => i_bank.load(d, &xs[r]),
+                        (Lane::B, Some(BatchData::B(xs))) => b_bank.load(d, &xs[r]),
                         _ => return Err(VmError::Shape("batch column lane mismatch".into())),
                     }
                 }
 
                 BOp::BinF(o, d, a, b) => match o {
-                    FOp::Add => binf!(d, a, b, |x: f64, y: f64| x + y),
-                    FOp::Sub => binf!(d, a, b, |x: f64, y: f64| x - y),
-                    FOp::Mul => binf!(d, a, b, |x: f64, y: f64| x * y),
-                    FOp::Div => binf!(d, a, b, |x: f64, y: f64| x / y),
-                    FOp::Rem => binf!(d, a, b, |x: f64, y: f64| x % y),
-                    FOp::Min => binf!(d, a, b, min_total),
-                    FOp::Max => binf!(d, a, b, max_total),
+                    FOp::Add => f_bank.map2(d, a, b, len, |x: f64, y: f64| x + y),
+                    FOp::Sub => f_bank.map2(d, a, b, len, |x: f64, y: f64| x - y),
+                    FOp::Mul => f_bank.map2(d, a, b, len, |x: f64, y: f64| x * y),
+                    FOp::Div => f_bank.map2(d, a, b, len, |x: f64, y: f64| x / y),
+                    FOp::Rem => f_bank.map2(d, a, b, len, |x: f64, y: f64| x % y),
+                    FOp::Min => f_bank.map2(d, a, b, len, min_total),
+                    FOp::Max => f_bank.map2(d, a, b, len, max_total),
                 },
                 BOp::BinI(o, d, a, b) => match o {
-                    IOp::Add => bini!(d, a, b, |x: i64, y: i64| x.wrapping_add(y)),
-                    IOp::Sub => bini!(d, a, b, |x: i64, y: i64| x.wrapping_sub(y)),
-                    IOp::Mul => bini!(d, a, b, |x: i64, y: i64| x.wrapping_mul(y)),
-                    IOp::Min => bini!(d, a, b, |x: i64, y: i64| x.min(y)),
-                    IOp::Max => bini!(d, a, b, |x: i64, y: i64| x.max(y)),
+                    IOp::Add => i_bank.map2(d, a, b, len, i64::wrapping_add),
+                    IOp::Sub => i_bank.map2(d, a, b, len, i64::wrapping_sub),
+                    IOp::Mul => i_bank.map2(d, a, b, len, i64::wrapping_mul),
+                    IOp::Min => i_bank.map2(d, a, b, len, i64::min),
+                    IOp::Max => i_bank.map2(d, a, b, len, i64::max),
                 },
                 BOp::UnF(o, d, a) => match o {
-                    FUnOp::Neg => unf!(d, a, |x: f64| -x),
-                    FUnOp::Abs => unf!(d, a, |x: f64| x.abs()),
-                    FUnOp::Sqrt => unf!(d, a, |x: f64| x.sqrt()),
-                    FUnOp::Floor => unf!(d, a, |x: f64| x.floor()),
+                    FUnOp::Neg => f_bank.map1(d, a, len, |x: f64| -x),
+                    FUnOp::Abs => f_bank.map1(d, a, len, f64::abs),
+                    FUnOp::Sqrt => f_bank.map1(d, a, len, f64::sqrt),
+                    FUnOp::Floor => f_bank.map1(d, a, len, f64::floor),
                 },
                 BOp::UnI(o, d, a) => match o {
-                    IUnOp::Neg => uni!(d, a, |x: i64| x.wrapping_neg()),
-                    IUnOp::Abs => uni!(d, a, |x: i64| x.wrapping_abs()),
+                    IUnOp::Neg => i_bank.map1(d, a, len, i64::wrapping_neg),
+                    IUnOp::Abs => i_bank.map1(d, a, len, i64::wrapping_abs),
                 },
 
-                BOp::DivI(d, a, b) => {
-                    kernels::check_divisors(&i_bank[b as usize], sel_opt!(), len)?;
-                    kernels::map2_sel_any(
-                        &mut i_bank,
-                        d,
-                        a,
-                        b,
-                        sel_opt!(),
-                        len,
-                        |x: i64, y: i64| x.wrapping_div(y),
-                    );
-                }
-                BOp::RemI(d, a, b) => {
-                    kernels::check_divisors(&i_bank[b as usize], sel_opt!(), len)?;
-                    kernels::map2_sel_any(
-                        &mut i_bank,
-                        d,
-                        a,
-                        b,
-                        sel_opt!(),
-                        len,
-                        |x: i64, y: i64| x.wrapping_rem(y),
-                    );
-                }
+                BOp::DivI(d, a, b) => i_bank.write(d, |o, c| {
+                    kernels::div_checked(o, c.col(a), c.col(b), sel_opt!(), len, i64::wrapping_div)
+                })?,
+                BOp::RemI(d, a, b) => i_bank.write(d, |o, c| {
+                    kernels::div_checked(o, c.col(a), c.col(b), sel_opt!(), len, i64::wrapping_rem)
+                })?,
 
-                BOp::DivIUnchecked(d, a, b) => match divisor_of(&inv_divs, b) {
-                    Some(m) => kernels::div_invariant(&mut i_bank, d, a, m, len),
-                    None => bini!(d, a, b, |x: i64, y: i64| x.wrapping_div(y)),
+                BOp::DivIUnchecked(d, a, b) => match invariant(&inv_divs, b) {
+                    Some(m) => i_bank.write(d, |o, c| kernels::div_invariant(o, c.col(a), m, len)),
+                    None => i_bank.map2(d, a, b, len, i64::wrapping_div),
                 },
-                BOp::RemIUnchecked(d, a, b) => match divisor_of(&inv_divs, b) {
-                    Some(m) => kernels::rem_invariant(&mut i_bank, d, a, m, len),
-                    None => bini!(d, a, b, |x: i64, y: i64| x.wrapping_rem(y)),
+                BOp::RemIUnchecked(d, a, b) => match invariant(&inv_divs, b) {
+                    Some(m) => i_bank.write(d, |o, c| kernels::rem_invariant(o, c.col(a), m, len)),
+                    None => i_bank.map2(d, a, b, len, i64::wrapping_rem),
                 },
 
-                BOp::Cmp(lane, o, d, a, b) => {
-                    let dst = &mut b_bank[d as usize];
-                    let (a, b) = (a as usize, b as usize);
-                    match lane {
-                        Lane::F => with_cmp!(o, f64, f => kernels::cmp2(dst, &f_bank[a], &f_bank[b], len, f)),
-                        Lane::I => with_cmp!(o, i64, f => kernels::cmp2(dst, &i_bank[a], &i_bank[b], len, f)),
-                        Lane::B => with_cmp!(o, bool, f => {
-                            kernels::map2_any(&mut b_bank, d, a as u8, b as u8, len, f)
-                        }),
+                BOp::Cmp(lane, o, d, a, b) => match lane {
+                    Lane::F => {
+                        let (x, y) = (f_bank.col(a), f_bank.col(b));
+                        with_cmp!(o, f64, f => b_bank.write(d, |m, _| kernels::map2(m, x, y, len, f)));
                     }
-                }
+                    Lane::I => {
+                        let (x, y) = (i_bank.col(a), i_bank.col(b));
+                        with_cmp!(o, i64, f => b_bank.write(d, |m, _| kernels::map2(m, x, y, len, f)));
+                    }
+                    Lane::B => with_cmp!(o, bool, f => {
+                        b_bank.write(d, |m, c| kernels::map2(m, c.col(a), c.col(b), len, f))
+                    }),
+                },
 
-                BOp::AndB(d, a, b) => kernels::map2_any(&mut b_bank, d, a, b, len, |x: bool, y: bool| x & y),
-                BOp::OrB(d, a, b) => kernels::map2_any(&mut b_bank, d, a, b, len, |x: bool, y: bool| x | y),
-                BOp::NotB(d, a) => kernels::map1_any(&mut b_bank, d, a, len, |x: bool| !x),
+                BOp::AndB(d, a, b) => b_bank.map2(d, a, b, len, |x: bool, y: bool| x & y),
+                BOp::OrB(d, a, b) => b_bank.map2(d, a, b, len, |x: bool, y: bool| x | y),
+                BOp::NotB(d, a) => b_bank.map1(d, a, len, |x: bool| !x),
 
                 BOp::F2I(d, a) => {
-                    kernels::convert(&mut i_bank[d as usize], &f_bank[a as usize], len, |x: f64| {
-                        x as i64
-                    });
+                    let x = f_bank.col(a);
+                    i_bank.write(d, |o, _| kernels::map1(o, x, len, |x: f64| x as i64));
                 }
                 BOp::I2F(d, a) => {
-                    kernels::convert(&mut f_bank[d as usize], &i_bank[a as usize], len, |x: i64| {
-                        x as f64
-                    });
+                    let x = i_bank.col(a);
+                    f_bank.write(d, |o, _| kernels::map1(o, x, len, |x: i64| x as f64));
                 }
 
                 BOp::Sel { lane, dst, mask, t, e } => match lane {
-                    Lane::F => kernels::select_any(&mut f_bank, dst, &b_bank[mask as usize], t, e, len),
-                    Lane::I => kernels::select_any(&mut i_bank, dst, &b_bank[mask as usize], t, e, len),
-                    Lane::B => kernels::select_same_any(&mut b_bank, dst, mask, t, e, len),
+                    Lane::F => {
+                        let m = b_bank.col(mask);
+                        f_bank.write(dst, |o, c| kernels::select(o, m, c.col(t), c.col(e), len));
+                    }
+                    Lane::I => {
+                        let m = b_bank.col(mask);
+                        i_bank.write(dst, |o, c| kernels::select(o, m, c.col(t), c.col(e), len));
+                    }
+                    Lane::B => b_bank.write(dst, |o, c| {
+                        kernels::select(o, c.col(mask), c.col(t), c.col(e), len);
+                    }),
                 },
 
                 BOp::Filter(m) => {
-                    let mask = &b_bank[m as usize];
-                    if dense {
-                        kernels::filter_dense(&mut sel, mask, len);
-                        dense = false;
-                    } else {
-                        kernels::filter_sel(&mut sel, mask);
-                    }
+                    let mask = b_bank.col(m);
+                    n_sel = match (dense, counted_filter == Some(pc)) {
+                        (true, false) => kernels::filter_dense(&mut sel, mask, len),
+                        (false, false) => kernels::filter_sel(&mut sel, n_sel, mask),
+                        // Only the count is read: `sel` keeps stale lanes.
+                        (true, true) => mask[..len].iter().map(|&b| usize::from(b)).sum(),
+                        (false, true) => sel[..n_sel].iter().filter(|&&k| mask[k as usize]).count(),
+                    };
+                    dense = false;
                 }
 
                 BOp::Cut(c) => {
-                    let stop = &b_bank[c as usize];
+                    let stop = b_bank.col(c);
                     if dense {
                         if let Some(k) = kernels::first_set(stop, len) {
                             len = k;
                             cut = true;
                         }
-                    } else if let Some(j) = sel.iter().position(|&k| stop[k as usize]) {
-                        sel.truncate(j);
+                    } else if let Some(j) = sel[..n_sel].iter().position(|&k| stop[k as usize]) {
+                        n_sel = j;
                         cut = true;
                     }
                 }
 
                 BOp::Red { red, lane, acc, val } => {
-                    let (acc, val, live) = (acc as usize, val as usize, sel_opt!());
+                    let (acc, live) = (acc as usize, sel_opt!());
                     match (lane, red) {
                         (Lane::F, RedK::Sum) => {
-                            kernels::fold(&mut f_accs[acc], &f_bank[val], live, len, |a, x| a + x);
+                            kernels::fold(&mut f_accs[acc], f_bank.col(val), live, len, |a, x| a + x);
                         }
                         (Lane::F, RedK::Min) => {
-                            kernels::fold_order(&mut f_accs[acc], &f_bank[val], live, len, i64::min);
+                            kernels::fold_order(&mut f_accs[acc], f_bank.col(val), live, len, i64::min);
                         }
                         (Lane::F, RedK::Max) => {
-                            kernels::fold_order(&mut f_accs[acc], &f_bank[val], live, len, i64::max);
+                            kernels::fold_order(&mut f_accs[acc], f_bank.col(val), live, len, i64::max);
                         }
-                        (Lane::I, RedK::Sum) => kernels::fold(
-                            &mut i_accs[acc],
-                            &i_bank[val],
-                            live,
-                            len,
-                            |a: i64, x: i64| a.wrapping_add(x),
-                        ),
-                        (Lane::I, RedK::Min) => kernels::fold(
-                            &mut i_accs[acc],
-                            &i_bank[val],
-                            live,
-                            len,
-                            |a: i64, x: i64| a.min(x),
-                        ),
-                        (Lane::I, RedK::Max) => kernels::fold(
-                            &mut i_accs[acc],
-                            &i_bank[val],
-                            live,
-                            len,
-                            |a: i64, x: i64| a.max(x),
-                        ),
+                        (Lane::I, RedK::Sum) => match invariant(&counts, val) {
+                            Some(c) => {
+                                let n = live.map_or(len, <[u32]>::len) as i64;
+                                i_accs[acc] = i_accs[acc].wrapping_add(c.wrapping_mul(n));
+                            }
+                            None => {
+                                kernels::fold(&mut i_accs[acc], i_bank.col(val), live, len, i64::wrapping_add);
+                            }
+                        },
+                        (Lane::I, RedK::Min) => {
+                            kernels::fold(&mut i_accs[acc], i_bank.col(val), live, len, i64::min);
+                        }
+                        (Lane::I, RedK::Max) => {
+                            kernels::fold(&mut i_accs[acc], i_bank.col(val), live, len, i64::max);
+                        }
                         (Lane::B, _) => return Err(no_bool_kernel("reduction")),
                     }
                 }
 
                 BOp::GroupAdd { lane, sink, key, val } => {
-                    let banks = (f_bank.as_slice(), i_bank.as_slice(), b_bank.as_slice());
+                    let key = lane_col(banks!(), key);
                     match (lane, &mut sinks[sink as usize]) {
                         (Lane::F, SinkRt::GroupAggSF(t)) => {
-                            let vals = &f_bank[val as usize];
-                            group_add(t, key, banks, |k| vals[k], |a, x| a + x, sel_opt!(), len)?;
+                            let vals = f_bank.col(val);
+                            group_add(t, key, |k| vals[k], |a, x| a + x, sel_opt!(), len)?;
                         }
                         (Lane::I, SinkRt::GroupAggSI(t)) => {
-                            let vals = &i_bank[val as usize];
-                            group_add(t, key, banks, |k| vals[k], i64::wrapping_add, sel_opt!(), len)?;
+                            let vals = i_bank.col(val);
+                            group_add(t, key, |k| vals[k], i64::wrapping_add, sel_opt!(), len)?;
                         }
                         _ => {
                             return Err(VmError::Shape(
@@ -866,29 +864,20 @@ pub fn run_batch(
                     let SinkRt::SortedCols(ss) = &mut sinks[sink as usize] else {
                         return Err(VmError::Shape("sink is not a typed sort".into()));
                     };
-                    let sel = sel_opt!();
-                    let (kl, ks) = (key.0, key.1 as usize);
+                    let (live, kc) = (sel_opt!(), lane_col(banks!(), key));
                     // The element's own key, or a separate element image.
                     if !ss.keyed() {
-                        match kl {
-                            Lane::F => {
-                                let c = &f_bank[ks];
-                                for_each_live(sel, len, |k| ss.push_key(order_f(c[k])));
-                            }
-                            Lane::I => {
-                                let c = &i_bank[ks];
-                                for_each_live(sel, len, |k| ss.push_key(c[k]));
-                            }
-                            Lane::B => {
-                                let c = &b_bank[ks];
-                                for_each_live(sel, len, |k| ss.push_key(i64::from(c[k])));
+                        match kc {
+                            LaneCol::F(c) => for_each_live(live, len, |k| ss.push_key(order_f(c[k]))),
+                            LaneCol::I(c) => for_each_live(live, len, |k| ss.push_key(c[k])),
+                            LaneCol::B(c) => {
+                                for_each_live(live, len, |k| ss.push_key(i64::from(c[k])));
                             }
                         }
                     } else {
-                        let banks = (f_bank.as_slice(), i_bank.as_slice(), b_bank.as_slice());
-                        for_each_live(sel, len, |k| {
-                            let o = order_of_bits(kl, lane_bits(banks, key, k));
-                            ss.push_item(o, lane_bits(banks, val, k));
+                        let vc = lane_col(banks!(), val);
+                        for_each_live(live, len, |k| {
+                            ss.push_item(order_of_bits(key.0, kc.bits(k)), vc.bits(k));
                         });
                     }
                 }
@@ -896,99 +885,84 @@ pub fn run_batch(
                     let SinkRt::DistinctCols(ds) = &mut sinks[sink as usize] else {
                         return Err(VmError::Shape("sink is not a typed distinct".into()));
                     };
-                    let banks = (f_bank.as_slice(), i_bank.as_slice(), b_bank.as_slice());
-                    for_each_live(sel_opt!(), len, |k| ds.push(lane_bits(banks, val, k)));
+                    let vc = lane_col(banks!(), val);
+                    for_each_live(sel_opt!(), len, |k| ds.push(vc.bits(k)));
                 }
 
                 BOp::Out(lane, s) => {
-                    let (s, live) = (s as usize, sel_opt!());
-                    match lane {
-                        Lane::F => {
-                            let v = &f_bank[s];
-                            for_each_live(live, len, |k| out.push(Value::F64(v[k])));
-                        }
-                        Lane::I => {
-                            let v = &i_bank[s];
-                            for_each_live(live, len, |k| out.push(Value::I64(v[k])));
-                        }
-                        Lane::B => {
-                            let v = &b_bank[s];
-                            for_each_live(live, len, |k| out.push(Value::Bool(v[k])));
-                        }
+                    let live = sel_opt!();
+                    match lane_col(banks!(), (lane, s)) {
+                        LaneCol::F(v) => for_each_live(live, len, |k| out.push(Value::F64(v[k]))),
+                        LaneCol::I(v) => for_each_live(live, len, |k| out.push(Value::I64(v[k]))),
+                        LaneCol::B(v) => for_each_live(live, len, |k| out.push(Value::Bool(v[k]))),
                     }
                 }
                 BOp::OutPair(a, b) => {
-                    let banks = (f_bank.as_slice(), i_bank.as_slice(), b_bank.as_slice());
-                    for_each_live(sel_opt!(), len, |k| {
-                        out.push(Value::pair(lane_value(banks, a, k), lane_value(banks, b, k)));
-                    });
+                    let (ac, bc) = (lane_col(banks!(), a), lane_col(banks!(), b));
+                    for_each_live(sel_opt!(), len, |k| out.push(Value::pair(ac.value(k), bc.value(k))));
                 }
 
                 BOp::Call { udf, args, dst } => {
-                    // Results land in a scratch column first: packing may
-                    // give the destination an argument's slot.
-                    let mut cols = [ArgCol::B(&[false; BATCH]); MAX_CALL_ARGS];
-                    for (col, &(lane, s)) in cols.iter_mut().zip(args.as_slice()) {
-                        *col = match lane {
-                            Lane::F => ArgCol::F(&f_bank[s as usize]),
-                            Lane::I => ArgCol::I(&i_bank[s as usize]),
-                            Lane::B => ArgCol::B(&b_bank[s as usize]),
-                        };
-                    }
+                    let n = args.as_slice().len();
                     call_args.clear();
-                    call_args.resize(args.as_slice().len(), Value::Bool(false));
+                    call_args.resize(n, Value::Bool(false));
                     let mut call = LaneCall {
                         f: udfs[udf as usize].as_ref(),
-                        cols: &cols[..args.as_slice().len()],
                         args: &mut call_args,
                         interrupt,
                         budget: &mut intr_budget,
                     };
-                    let out = call_out.get_or_insert_with(CallOut::new);
+                    let live = sel_opt!();
+                    // The argument columns, with the destination's bank
+                    // read through `write` (an argument may share its slot).
                     let (lane, d) = dst;
                     let calls = match lane {
-                        Lane::F => call.run(sel_opt!(), len, &mut out.f, unbox_f)?,
-                        Lane::I => call.run(sel_opt!(), len, &mut out.i, unbox_i)?,
-                        Lane::B => call.run(sel_opt!(), len, &mut out.b, unbox_b)?,
+                        Lane::F => {
+                            let (ic, bc) = (i_bank.cols(), b_bank.cols());
+                            f_bank.write(d, |o, fc| {
+                                call.run(&arg_cols((fc, ic, bc), args)[..n], live, len, o, unbox_f)
+                            })?
+                        }
+                        Lane::I => {
+                            let (fc, bc) = (f_bank.cols(), b_bank.cols());
+                            i_bank.write(d, |o, ic| {
+                                call.run(&arg_cols((fc, ic, bc), args)[..n], live, len, o, unbox_i)
+                            })?
+                        }
+                        Lane::B => {
+                            let (fc, ic) = (f_bank.cols(), i_bank.cols());
+                            b_bank.write(d, |o, bc| {
+                                call.run(&arg_cols((fc, ic, bc), args)[..n], live, len, o, unbox_b)
+                            })?
+                        }
                     };
-                    match lane {
-                        Lane::F => f_bank[d as usize][..len].copy_from_slice(&out.f[..len]),
-                        Lane::I => i_bank[d as usize][..len].copy_from_slice(&out.i[..len]),
-                        Lane::B => b_bank[d as usize][..len].copy_from_slice(&out.b[..len]),
-                    }
                     if let Some(p) = prof.as_deref_mut() {
                         p.udf_calls += calls;
                     }
                 }
 
                 BOp::MulAdd(lane, d, a, b, c) => match lane {
-                    Lane::F => {
-                        kernels::map3_any(&mut f_bank, d, a, b, c, len, |x: f64, y: f64, z: f64| {
-                            x * y + z
-                        });
-                    }
-                    Lane::I => {
-                        kernels::map3_any(&mut i_bank, d, a, b, c, len, |x: i64, y: i64, z: i64| {
-                            x.wrapping_mul(y).wrapping_add(z)
-                        });
-                    }
+                    Lane::F => f_bank.map3(d, a, b, c, len, |x: f64, y: f64, z: f64| x * y + z),
+                    Lane::I => i_bank.map3(d, a, b, c, len, |x: i64, y: i64, z: i64| {
+                        x.wrapping_mul(y).wrapping_add(z)
+                    }),
                     Lane::B => return Err(no_bool_kernel("multiply-add")),
                 },
                 BOp::MulRedAdd { lane, acc, a, b } => {
-                    let (acc, a, b, live) = (acc as usize, a as usize, b as usize, sel_opt!());
+                    let (acc, live) = (acc as usize, sel_opt!());
                     match lane {
                         Lane::F => kernels::fold2(
                             &mut f_accs[acc],
-                            &f_bank[a],
-                            &f_bank[b],
+                            f_bank.col(a),
+                            f_bank.col(b),
                             live,
                             len,
                             |s, x, y| s + x * y,
                         ),
                         Lane::I => kernels::fold2(
                             &mut i_accs[acc],
-                            &i_bank[a],
-                            &i_bank[b],
+                            i_bank.col(a),
+                            i_bank.col(b),
                             live,
                             len,
                             |s: i64, x: i64, y: i64| s.wrapping_add(x.wrapping_mul(y)),
@@ -1001,7 +975,7 @@ pub fn run_batch(
         if let Some(p) = prof.as_deref_mut() {
             p.batches += 1;
             p.batch_elements_in += n_in as u64;
-            p.batch_elements_selected += if dense { len } else { sel.len() } as u64;
+            p.batch_elements_selected += if dense { len } else { n_sel } as u64;
         }
         if cut {
             break;
@@ -1011,13 +985,12 @@ pub fn run_batch(
     Ok(())
 }
 
-/// `table[key] = add(table[key], val)` per live lane, with the key read
-/// from its bank slot and the loop monomorphized per key lane.
+/// `table[key] = add(table[key], val)` per live lane, with the loop
+/// monomorphized per key lane.
 #[inline(never)]
 fn group_add<A: Copy>(
     t: &mut GroupTable<A>,
-    (key_lane, key): (Lane, u8),
-    banks: Banks<'_>,
+    key: LaneCol<'_>,
     val: impl Fn(usize) -> A,
     add: impl Fn(A, A) -> A,
     sel: Option<&[u32]>,
@@ -1031,29 +1004,21 @@ fn group_add<A: Copy>(
             }
         };
     }
-    let s = key as usize;
-    match key_lane {
-        Lane::F => {
-            let c = &banks.0[s];
-            lanes!(|k: usize| ScalarKey::F(c[k]))
-        }
-        Lane::I => {
-            let c = &banks.1[s];
-            lanes!(|k: usize| ScalarKey::I(c[k]))
-        }
-        Lane::B => {
-            let c = &banks.2[s];
-            lanes!(|k: usize| ScalarKey::B(c[k]))
-        }
+    match key {
+        LaneCol::F(c) => lanes!(|k: usize| ScalarKey::F(c[k])),
+        LaneCol::I(c) => lanes!(|k: usize| ScalarKey::I(c[k])),
+        LaneCol::B(c) => lanes!(|k: usize| ScalarKey::B(c[k])),
     }
 }
 
-/// The divisor slots of `DivIUnchecked`/`RemIUnchecked` ops that hold a
+/// The i64 slots that ops picked by `reads` read and that hold a
 /// prologue broadcast (a literal or a loop parameter) no op overwrites,
-/// with their strength reduction: the kernel then divides by a multiply
-/// or a shift instead of in hardware per lane. `i_bank` holds the
-/// broadcasts.
-fn invariant_divisors(bp: &BatchProgram, i_bank: &[[i64; BATCH]]) -> Vec<(u8, kernels::Divisor)> {
+/// with the broadcast value. Found once per run.
+fn invariant_slots(
+    bp: &BatchProgram,
+    i_bank: &Bank<'_, i64>,
+    reads: impl Fn(&BOp) -> Option<u8>,
+) -> Vec<(u8, i64)> {
     let broadcast = |slot: u8| {
         bp.prologue
             .iter()
@@ -1064,15 +1029,19 @@ fn invariant_divisors(bp: &BatchProgram, i_bank: &[[i64; BATCH]]) -> Vec<(u8, ke
             .iter()
             .any(|op| crate::lifetimes::bop_def(op) == Some((Lane::I, slot)))
     };
-    let mut out: Vec<(u8, kernels::Divisor)> = Vec::new();
-    for op in &bp.tape {
-        if let BOp::DivIUnchecked(_, _, b) | BOp::RemIUnchecked(_, _, b) = *op {
-            if divisor_of(&out, b).is_none() && broadcast(b) && !written(b) {
-                out.push((b, kernels::Divisor::new(i_bank[b as usize][0])));
-            }
+    let mut out: Vec<(u8, i64)> = Vec::new();
+    for s in bp.tape.iter().filter_map(reads) {
+        if invariant(&out, s).is_none() && broadcast(s) && !written(s) {
+            out.push((s, i_bank.col(s)[0]));
         }
     }
     out
+}
+
+/// What an [`invariant_slots`] list holds for `slot`, if it is listed.
+#[inline]
+fn invariant<T: Copy>(slots: &[(u8, T)], slot: u8) -> Option<T> {
+    slots.iter().find(|e| e.0 == slot).map(|e| e.1)
 }
 
 /// The run-time error of an op on the bool lane, where the vectorizer
@@ -1082,31 +1051,56 @@ fn no_bool_kernel(what: &str) -> VmError {
     VmError::Shape(format!("batch {what} has no kernel on the bool lane"))
 }
 
-/// The strength-reduced divisor held in `slot`, if it is invariant.
-#[inline]
-fn divisor_of(divs: &[(u8, kernels::Divisor)], slot: u8) -> Option<kernels::Divisor> {
-    divs.iter().find(|e| e.0 == slot).map(|e| e.1)
+/// The read sides of the three banks.
+type Banks<'b> = (Cols<'b, f64>, Cols<'b, i64>, Cols<'b, bool>);
+
+/// The batch a bank slot holds, tagged with its lane.
+#[derive(Clone, Copy)]
+enum LaneCol<'b> {
+    F(&'b [f64; BATCH]),
+    I(&'b [i64; BATCH]),
+    B(&'b [bool; BATCH]),
 }
 
-type Banks<'a> = (&'a [[f64; BATCH]], &'a [[i64; BATCH]], &'a [[bool; BATCH]]);
-
-/// The 64-bit image of lane `k` of a bank slot.
+/// The batch slot `s` of lane `lane` holds.
 #[inline]
-fn lane_bits(banks: Banks<'_>, (lane, s): (Lane, u8), k: usize) -> u64 {
+fn lane_col<'b>(banks: Banks<'b>, (lane, s): (Lane, u8)) -> LaneCol<'b> {
     match lane {
-        Lane::F => banks.0[s as usize][k].to_bits(),
-        Lane::I => banks.1[s as usize][k] as u64,
-        Lane::B => u64::from(banks.2[s as usize][k]),
+        Lane::F => LaneCol::F(banks.0.col(s)),
+        Lane::I => LaneCol::I(banks.1.col(s)),
+        Lane::B => LaneCol::B(banks.2.col(s)),
     }
 }
 
-/// Lane `k` of a bank slot, boxed.
+/// The argument columns of a `Call`, in parameter order, then filler.
 #[inline]
-fn lane_value(banks: Banks<'_>, (lane, s): (Lane, u8), k: usize) -> Value {
-    match lane {
-        Lane::F => Value::F64(banks.0[s as usize][k]),
-        Lane::I => Value::I64(banks.1[s as usize][k]),
-        Lane::B => Value::Bool(banks.2[s as usize][k]),
+fn arg_cols<'b>(banks: Banks<'b>, args: CallArgs) -> [LaneCol<'b>; MAX_CALL_ARGS] {
+    let mut cols = [LaneCol::B(&[false; BATCH]); MAX_CALL_ARGS];
+    for (col, &a) in cols.iter_mut().zip(args.as_slice()) {
+        *col = lane_col(banks, a);
+    }
+    cols
+}
+
+impl LaneCol<'_> {
+    /// Lane `k`, boxed.
+    #[inline]
+    fn value(self, k: usize) -> Value {
+        match self {
+            LaneCol::F(c) => Value::F64(c[k]),
+            LaneCol::I(c) => Value::I64(c[k]),
+            LaneCol::B(c) => Value::Bool(c[k]),
+        }
+    }
+
+    /// The 64-bit image of lane `k`.
+    #[inline]
+    fn bits(self, k: usize) -> u64 {
+        match self {
+            LaneCol::F(c) => c[k].to_bits(),
+            LaneCol::I(c) => c[k] as u64,
+            LaneCol::B(c) => u64::from(c[k]),
+        }
     }
 }
 
@@ -1127,68 +1121,33 @@ fn for_each_live(sel: Option<&[u32]>, len: usize, mut f: impl FnMut(usize)) {
     }
 }
 
-/// A batch column a call argument is read from.
-#[derive(Clone, Copy)]
-enum ArgCol<'a> {
-    F(&'a [f64; BATCH]),
-    I(&'a [i64; BATCH]),
-    B(&'a [bool; BATCH]),
-}
-
-impl ArgCol<'_> {
-    #[inline]
-    fn value(self, k: usize) -> Value {
-        match self {
-            ArgCol::F(c) => Value::F64(c[k]),
-            ArgCol::I(c) => Value::I64(c[k]),
-            ArgCol::B(c) => Value::Bool(c[k]),
-        }
-    }
-}
-
-/// Per-lane results of a `Call`, one column per result lane.
-struct CallOut {
-    f: [f64; BATCH],
-    i: [i64; BATCH],
-    b: [bool; BATCH],
-}
-
-impl CallOut {
-    fn new() -> Box<CallOut> {
-        Box::new(CallOut {
-            f: [0.0; BATCH],
-            i: [0; BATCH],
-            b: [false; BATCH],
-        })
-    }
-}
-
-/// One `Call` op over one batch.
-struct LaneCall<'a, 'b> {
+/// One `Call` op's UDF and per-call state.
+struct LaneCall<'a> {
     f: &'a (dyn Fn(&[Value]) -> Value + Send + Sync),
-    cols: &'a [ArgCol<'b>],
-    /// The reused argument buffer, one value per column.
+    /// The reused argument buffer, one value per argument column.
     args: &'a mut [Value],
     interrupt: &'a crate::interrupt::Interrupt,
     budget: &'a mut u32,
 }
 
-impl LaneCall<'_, '_> {
-    /// Calls the UDF once per live lane, in ascending lane order, polling
-    /// the interrupt before each call and unboxing each result into
-    /// `out`. Returns the number of calls. Kept out of `run_batch` so
-    /// the lane loop gets registers of its own.
+impl LaneCall<'_> {
+    /// Calls the UDF once per live lane, in ascending lane order, on the
+    /// argument columns `cols`, polling the interrupt before each call
+    /// and unboxing each result into `out`. Returns the number of calls.
+    /// Kept out of `run_batch` so the lane loop gets registers of its
+    /// own.
     #[inline(never)]
     fn run<T>(
         &mut self,
+        cols: &[LaneCol<'_>],
         sel: Option<&[u32]>,
         len: usize,
         out: &mut [T; BATCH],
         unbox: impl Fn(&Value) -> Result<T, VmError>,
     ) -> Result<u64, VmError> {
         match sel {
-            None => self.lanes(0..len, out, unbox),
-            Some(sel) => self.lanes(sel.iter().map(|&k| k as usize), out, unbox),
+            None => self.lanes(cols, 0..len, out, unbox),
+            Some(sel) => self.lanes(cols, sel.iter().map(|&k| k as usize), out, unbox),
         }
     }
 
@@ -1197,18 +1156,19 @@ impl LaneCall<'_, '_> {
     #[inline(always)]
     fn lanes<T>(
         &mut self,
+        cols: &[LaneCol<'_>],
         lanes: impl Iterator<Item = usize>,
         out: &mut [T; BATCH],
         unbox: impl Fn(&Value) -> Result<T, VmError>,
     ) -> Result<u64, VmError> {
-        match *self.cols {
-            [ArgCol::F(c)] => self.unary(lanes, out, unbox, |k| Value::F64(c[k])),
-            [ArgCol::I(c)] => self.unary(lanes, out, unbox, |k| Value::I64(c[k])),
-            [ArgCol::B(c)] => self.unary(lanes, out, unbox, |k| Value::Bool(c[k])),
+        match *cols {
+            [LaneCol::F(c)] => self.unary(lanes, out, unbox, |k| Value::F64(c[k])),
+            [LaneCol::I(c)] => self.unary(lanes, out, unbox, |k| Value::I64(c[k])),
+            [LaneCol::B(c)] => self.unary(lanes, out, unbox, |k| Value::Bool(c[k])),
             _ => {
                 let polls = !self.interrupt.is_inert();
                 let mut calls = 0;
-                let (cols, args) = (self.cols, &mut *self.args);
+                let args = &mut *self.args;
                 for k in lanes {
                     if polls {
                         self.interrupt.poll(self.budget)?;

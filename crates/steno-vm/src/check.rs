@@ -332,16 +332,6 @@ impl Bits {
     fn empty(n: usize) -> Bits {
         Bits(vec![0; n.div_ceil(64)])
     }
-    fn full(n: usize) -> Bits {
-        let mut b = Bits(vec![!0u64; n.div_ceil(64)]);
-        let tail = n % 64;
-        if tail != 0 {
-            if let Some(last) = b.0.last_mut() {
-                *last = (1u64 << tail) - 1;
-            }
-        }
-        b
-    }
     fn get(&self, i: u32) -> bool {
         self.0
             .get(i as usize / 64)
@@ -438,11 +428,6 @@ fn check_scalar_dataflow(
         Bits::empty(n_iregs as usize),
         Bits::empty(n_vregs as usize),
     ];
-    let full = [
-        Bits::full(n_fregs as usize),
-        Bits::full(n_iregs as usize),
-        Bits::full(n_vregs as usize),
-    ];
     // `None` = unreachable (join identity).
     let mut inb: Vec<Option<[Bits; 3]>> = vec![None; n];
     inb[0] = Some(empty.clone());
@@ -481,7 +466,6 @@ fn check_scalar_dataflow(
             }
         }
     }
-    let _ = full;
 
     // Pass 3: verify every read against the fixpoint.
     for (pc, ins) in instrs.iter().enumerate() {

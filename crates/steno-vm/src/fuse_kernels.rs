@@ -69,7 +69,7 @@
 //! * integer ops stay wrapping, matching the scalar VM;
 //! * trapping (checked) integer division never fuses: a checked
 //!   `DivI`/`RemI` in the tape disqualifies the loop, so the lane-exact
-//!   fault semantics of [`crate::kernels::check_divisors`] always run on
+//!   fault semantics of [`crate::kernels::div_checked`] always run on
 //!   the kernel-sequence path. Unchecked division (interval analysis
 //!   proved the divisor non-zero) fuses freely. Every map is therefore
 //!   total, which is what lets the loop evaluate it on dead lanes too.

@@ -1,78 +1,211 @@
-//! Typed batch kernels: the data-parallel primitives of the vectorized
-//! tier ([`crate::batch`]).
+//! Typed batch kernels and the slot banks they run over: the
+//! data-parallel primitives of the vectorized tier ([`crate::batch`]).
 //!
 //! Each kernel processes one 1024-lane batch of a single unboxed type
-//! (`f64`, `i64`, or `bool`). Compute kernels run **dense** — every lane,
-//! selected or not — because pure arithmetic on a dead lane is
-//! unobservable and branch-free loops are what the auto-vectorizer eats.
-//! Only three kinds of operation consult the selection vector:
+//! (`f64`, `i64`, or `bool`). A kernel reads its inputs as whole batches
+//! (`&[T; BATCH]`) and writes a distinct output batch, so every loop is
+//! alias-free and branch-free where its operation allows.
 //!
-//! * **trapping ops** (integer division/remainder), which must fault on
-//!   exactly the lanes the scalar reference semantics would evaluate;
+//! A [`Bank`] maps a slot to the batch it holds. A source column is not
+//! copied into its slot: for a full batch, `Load` makes the slot *view*
+//! the column in place until a tape op writes the slot (only a partial
+//! final batch is copied). Every op resolves its inputs through one
+//! helper, [`Cols::col`], so views and slots read the same way. A write
+//! fills the bank's spare row and the slot then takes that row, so a
+//! destination may share a slot with its own inputs (slot packing reuses
+//! dead slots) without any kernel seeing aliased memory.
+//!
+//! Compute kernels run **dense** — every lane, selected or not — because
+//! pure arithmetic on a dead lane is unobservable. Only three kinds of
+//! operation consult the selection vector:
+//!
+//! * **trapping ops** (integer division/remainder), which divide and
+//!   check each live lane in ascending element order in one pass, and
+//!   fault on exactly the lanes the scalar reference semantics would
+//!   evaluate;
 //! * **folds** into accumulators, which must consume surviving lanes in
 //!   ascending element order so floating-point results stay bit-identical
 //!   to sequential execution; and
 //! * **effects** (grouped-aggregate upserts, output pushes), for the same
 //!   ordering reason.
+//!
+//! Selection vectors are built branch-free ([`filter_dense`],
+//! [`filter_sel`]): each candidate lane is written unconditionally and
+//! the output advances by the mask bit.
 
 use crate::batch::BATCH;
 use crate::exec::VmError;
 use crate::sink::{from_order_f, order_f};
 
-/// Fills every lane of a batch with one value (constant broadcast).
-#[inline]
-pub fn splat<T: Copy>(dst: &mut [T; BATCH], x: T) {
-    for d in dst.iter_mut() {
-        *d = x;
+// ---------------------------------------------------------------------
+// Slot banks.
+// ---------------------------------------------------------------------
+
+/// One unboxed slot bank of a batch run.
+pub struct Bank<'a, T> {
+    /// One batch per slot, then the spare (for a bank that is written),
+    /// in one allocation.
+    rows: Vec<[T; BATCH]>,
+    /// Per slot, its row and the source batch it views in place.
+    slots: Vec<Slot<'a, T>>,
+    /// The row no slot holds: the next write fills it.
+    spare: usize,
+}
+
+/// Where a slot's batch is.
+struct Slot<'a, T> {
+    row: usize,
+    view: Option<&'a [T; BATCH]>,
+}
+
+impl<T> Clone for Slot<'_, T> {
+    fn clone(&self) -> Self {
+        *self
     }
 }
+
+impl<T> Copy for Slot<'_, T> {}
+
+/// The read side of a [`Bank`]: slot → batch, views resolved.
+pub struct Cols<'b, T> {
+    /// During a write, the rows below the spare row and the rows above
+    /// it; otherwise every row, and none.
+    lo: &'b [[T; BATCH]],
+    hi: &'b [[T; BATCH]],
+    slots: &'b [Slot<'b, T>],
+}
+
+impl<T> Clone for Cols<'_, T> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<T> Copy for Cols<'_, T> {}
+
+impl<'b, T> Cols<'b, T> {
+    /// The batch slot `s` holds: the source batch it views, or its own.
+    #[inline]
+    pub fn col(self, s: u8) -> &'b [T; BATCH] {
+        let slot = self.slots[s as usize];
+        match (slot.view, slot.row.checked_sub(self.lo.len())) {
+            (Some(v), _) => v,
+            (None, None) => &self.lo[slot.row],
+            (None, Some(above)) => &self.hi[above - 1],
+        }
+    }
+}
+
+impl<'a, T: Copy> Bank<'a, T> {
+    /// `n` slots, every lane `zero`, and a spare row when `written`:
+    /// only a bank some op [`Bank::write`]s needs one.
+    pub fn new(n: u8, zero: T, written: bool) -> Self {
+        let n = n as usize;
+        Bank {
+            rows: vec![[zero; BATCH]; n + usize::from(written)],
+            slots: (0..n).map(|row| Slot { row, view: None }).collect(),
+            spare: n,
+        }
+    }
+
+    /// The read side.
+    #[inline]
+    pub fn cols(&self) -> Cols<'_, T> {
+        Cols {
+            lo: &self.rows,
+            hi: &[],
+            slots: &self.slots,
+        }
+    }
+
+    /// The batch slot `s` holds.
+    #[inline]
+    pub fn col(&self, s: u8) -> &[T; BATCH] {
+        self.cols().col(s)
+    }
+
+    /// Fills every lane of slot `d` with `x` (a prologue broadcast).
+    pub fn fill(&mut self, d: u8, x: T) {
+        let slot = &mut self.slots[d as usize];
+        slot.view = None;
+        self.rows[slot.row].fill(x);
+    }
+
+    /// Loads `xs` (at most one batch) into slot `d`: a full batch is
+    /// viewed in place, a partial one copied.
+    #[inline]
+    pub fn load(&mut self, d: u8, xs: &'a [T]) {
+        let slot = &mut self.slots[d as usize];
+        slot.view = <&[T; BATCH]>::try_from(xs).ok();
+        if slot.view.is_none() {
+            self.rows[slot.row][..xs.len()].copy_from_slice(xs);
+        }
+    }
+
+    /// Writes slot `d`: `f` fills the spare row from the bank's current
+    /// columns, then the slot takes that row and its old row becomes the
+    /// spare, so `f` may read `d` itself. Lanes `f` leaves unwritten
+    /// hold stale values (only dead lanes do).
+    #[inline]
+    pub fn write<R>(&mut self, d: u8, f: impl FnOnce(&mut [T; BATCH], Cols<'_, T>) -> R) -> R {
+        let (lo, rest) = self.rows.split_at_mut(self.spare);
+        let (out, hi) = rest.split_at_mut(1);
+        let r = f(&mut out[0], Cols { lo, hi, slots: &self.slots });
+        let slot = &mut self.slots[d as usize];
+        std::mem::swap(&mut slot.row, &mut self.spare);
+        slot.view = None;
+        r
+    }
+
+    /// `d[k] = f(a[k])` for the first `len` lanes.
+    #[inline]
+    pub fn map1(&mut self, d: u8, a: u8, len: usize, f: impl Fn(T) -> T) {
+        self.write(d, |o, c| map1(o, c.col(a), len, f));
+    }
+
+    /// `d[k] = f(a[k], b[k])` for the first `len` lanes.
+    #[inline]
+    pub fn map2(&mut self, d: u8, a: u8, b: u8, len: usize, f: impl Fn(T, T) -> T) {
+        self.write(d, |o, c| map2(o, c.col(a), c.col(b), len, f));
+    }
+
+    /// `d[k] = f(a[k], b[k], c[k])` for the first `len` lanes (the fused
+    /// multiply-add kernels).
+    #[inline]
+    pub fn map3(&mut self, d: u8, a: u8, b: u8, c: u8, len: usize, f: impl Fn(T, T, T) -> T) {
+        self.write(d, |o, s| {
+            let (a, b, c) = (&s.col(a)[..len], &s.col(b)[..len], &s.col(c)[..len]);
+            for (k, o) in o[..len].iter_mut().enumerate() {
+                *o = f(a[k], b[k], c[k]);
+            }
+        });
+    }
+}
+
+// ---------------------------------------------------------------------
+// Dense compute.
+// ---------------------------------------------------------------------
 
 /// `dst[k] = f(a[k])` for the first `len` lanes.
 #[inline]
-pub fn map1<T: Copy>(dst: &mut [T; BATCH], a: &[T; BATCH], len: usize, f: impl Fn(T) -> T) {
-    for k in 0..len {
-        dst[k] = f(a[k]);
+pub fn map1<T: Copy, U: Copy>(dst: &mut [U; BATCH], a: &[T; BATCH], len: usize, f: impl Fn(T) -> U) {
+    for (o, &x) in dst[..len].iter_mut().zip(&a[..len]) {
+        *o = f(x);
     }
 }
 
-/// `dst[k] = f(a[k], b[k])` for the first `len` lanes.
+/// `dst[k] = f(a[k], b[k])` for the first `len` lanes: arithmetic, and
+/// comparisons into the boolean bank.
 #[inline]
-pub fn map2<T: Copy>(
-    dst: &mut [T; BATCH],
+pub fn map2<T: Copy, U: Copy>(
+    dst: &mut [U; BATCH],
     a: &[T; BATCH],
     b: &[T; BATCH],
     len: usize,
-    f: impl Fn(T, T) -> T,
+    f: impl Fn(T, T) -> U,
 ) {
-    for k in 0..len {
-        dst[k] = f(a[k], b[k]);
-    }
-}
-
-/// Comparison into the boolean bank: `dst[k] = f(a[k], b[k])`.
-#[inline]
-pub fn cmp2<T: Copy>(
-    dst: &mut [bool; BATCH],
-    a: &[T; BATCH],
-    b: &[T; BATCH],
-    len: usize,
-    f: impl Fn(T, T) -> bool,
-) {
-    for k in 0..len {
-        dst[k] = f(a[k], b[k]);
-    }
-}
-
-/// Type conversion between banks: `dst[k] = f(a[k])`.
-#[inline]
-pub fn convert<A: Copy, B: Copy>(
-    dst: &mut [B; BATCH],
-    a: &[A; BATCH],
-    len: usize,
-    f: impl Fn(A) -> B,
-) {
-    for k in 0..len {
-        dst[k] = f(a[k]);
+    for ((o, &x), &y) in dst[..len].iter_mut().zip(&a[..len]).zip(&b[..len]) {
+        *o = f(x, y);
     }
 }
 
@@ -85,8 +218,9 @@ pub fn select<T: Copy>(
     e: &[T; BATCH],
     len: usize,
 ) {
-    for k in 0..len {
-        dst[k] = if mask[k] { t[k] } else { e[k] };
+    let (mask, t, e) = (&mask[..len], &t[..len], &e[..len]);
+    for (k, o) in dst[..len].iter_mut().enumerate() {
+        *o = if mask[k] { t[k] } else { e[k] };
     }
 }
 
@@ -94,15 +228,31 @@ pub fn select<T: Copy>(
 // Selection vectors.
 // ---------------------------------------------------------------------
 
-/// Builds a selection vector from a mask over a dense (identity) batch.
+/// Builds a selection vector from a mask over a dense (identity) batch
+/// into `sel`, returning its length. Branch-free: every lane is written,
+/// and the output advances by the lane's mask bit.
 #[inline]
-pub fn filter_dense(sel: &mut Vec<u32>, mask: &[bool; BATCH], len: usize) {
-    sel.clear();
-    for (k, keep) in mask[..len].iter().enumerate() {
-        if *keep {
-            sel.push(k as u32);
-        }
+pub fn filter_dense(sel: &mut [u32; BATCH], mask: &[bool; BATCH], len: usize) -> usize {
+    let mut n = 0;
+    for (k, &keep) in mask[..len].iter().enumerate() {
+        sel[n] = k as u32;
+        n += usize::from(keep);
     }
+    n
+}
+
+/// Intersects the selection vector `sel[..n]` with a mask in place
+/// (order preserved), returning the new length. Branch-free, as
+/// [`filter_dense`].
+#[inline]
+pub fn filter_sel(sel: &mut [u32; BATCH], n: usize, mask: &[bool; BATCH]) -> usize {
+    let mut m = 0;
+    for i in 0..n {
+        let k = sel[i];
+        sel[m] = k;
+        m += usize::from(mask[k as usize]);
+    }
+    m
 }
 
 /// The first lane of `mask[..len]` that is set. Scans 64-lane chunks
@@ -120,48 +270,41 @@ pub fn first_set(mask: &[bool; BATCH], len: usize) -> Option<usize> {
     None
 }
 
-/// Intersects an existing selection vector with a mask (order preserved).
-#[inline]
-pub fn filter_sel(sel: &mut Vec<u32>, mask: &[bool; BATCH]) {
-    sel.retain(|&k| mask[k as usize]);
-}
-
 // ---------------------------------------------------------------------
 // Trapping integer division.
 // ---------------------------------------------------------------------
 
-/// Checks every live divisor lane, in ascending element order, before the
-/// division runs — the batch-tier analogue of the scalar interpreter's
-/// per-element zero check.
+/// `dst[k] = f(a[k], b[k])` per live lane, in ascending element order,
+/// checking each divisor just before its lane divides — the batch-tier
+/// analogue of the scalar interpreter's per-element zero check. Dead
+/// lanes are neither checked nor written.
 ///
 /// # Errors
 ///
-/// [`VmError::DivisionByZero`] when any live lane divides by zero, the
-/// same error (and the same observable outcome — all partial state is
-/// discarded by the caller) the scalar loop would produce.
+/// [`VmError::DivisionByZero`] at the first live lane that divides by
+/// zero, the same error (and the same observable outcome — all partial
+/// state is discarded by the caller) the scalar loop would produce.
 #[inline]
-pub fn check_divisors(
+pub fn div_checked(
+    dst: &mut [i64; BATCH],
+    a: &[i64; BATCH],
     b: &[i64; BATCH],
     sel: Option<&[u32]>,
     len: usize,
+    f: impl Fn(i64, i64) -> i64,
 ) -> Result<(), VmError> {
+    let mut lane = |k: usize| {
+        let y = b[k];
+        if y == 0 {
+            return Err(VmError::DivisionByZero);
+        }
+        dst[k] = f(a[k], y);
+        Ok(())
+    };
     match sel {
-        None => {
-            for &d in &b[..len] {
-                if d == 0 {
-                    return Err(VmError::DivisionByZero);
-                }
-            }
-        }
-        Some(sel) => {
-            for &k in sel {
-                if b[k as usize] == 0 {
-                    return Err(VmError::DivisionByZero);
-                }
-            }
-        }
+        None => (0..len).try_for_each(lane),
+        Some(sel) => sel.iter().try_for_each(|&k| lane(k as usize)),
     }
-    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -220,199 +363,6 @@ pub fn fold_order(
     *acc = from_order_f(a);
 }
 
-// ---------------------------------------------------------------------
-// Aliasing-safe bank kernels.
-//
-// Slot packing (crate::lifetimes::pack_batch_slots) reuses dead slots,
-// so a destination may coincide with any of its sources. These `_any`
-// variants take the whole bank plus slot indices and pick a borrow
-// strategy per aliasing pattern: disjoint slots split into the tight
-// kernels above; aliased slots read every lane before writing it, which
-// is exact for lane-wise ops.
-// ---------------------------------------------------------------------
-
-/// Two disjoint mutable batches of one bank (`i != j`).
-#[inline]
-fn pair_mut<T>(bank: &mut [[T; BATCH]], i: usize, j: usize) -> (&mut [T; BATCH], &mut [T; BATCH]) {
-    debug_assert_ne!(i, j);
-    if i < j {
-        let (l, r) = bank.split_at_mut(j);
-        (&mut l[i], &mut r[0])
-    } else {
-        let (l, r) = bank.split_at_mut(i);
-        (&mut r[0], &mut l[j])
-    }
-}
-
-/// `bank[d][k] = f(bank[a][k])`, destination free to alias the source.
-#[inline]
-pub fn map1_any<T: Copy>(
-    bank: &mut [[T; BATCH]],
-    d: u8,
-    a: u8,
-    len: usize,
-    f: impl Fn(T) -> T,
-) {
-    let (d, a) = (d as usize, a as usize);
-    if d == a {
-        let arr = &mut bank[d];
-        for x in arr[..len].iter_mut() {
-            *x = f(*x);
-        }
-    } else {
-        let (dst, src) = pair_mut(bank, d, a);
-        map1(dst, src, len, f);
-    }
-}
-
-/// `bank[d][k] = f(bank[a][k], bank[b][k])` under any aliasing pattern.
-#[inline]
-pub fn map2_any<T: Copy>(
-    bank: &mut [[T; BATCH]],
-    d: u8,
-    a: u8,
-    b: u8,
-    len: usize,
-    f: impl Fn(T, T) -> T,
-) {
-    let (d, a, b) = (d as usize, a as usize, b as usize);
-    if d != a && d != b {
-        if a == b {
-            let (dst, src) = pair_mut(bank, d, a);
-            for k in 0..len {
-                dst[k] = f(src[k], src[k]);
-            }
-        } else {
-            let (left, right) = bank.split_at_mut(d);
-            let Some((dst, tail)) = right.split_first_mut() else {
-                return;
-            };
-            let src = |i: usize| if i < d { &left[i] } else { &tail[i - d - 1] };
-            map2(dst, src(a), src(b), len, f);
-        }
-    } else if d == a && d == b {
-        let arr = &mut bank[d];
-        for x in arr[..len].iter_mut() {
-            *x = f(*x, *x);
-        }
-    } else if d == a {
-        let (dst, other) = pair_mut(bank, d, b);
-        for k in 0..len {
-            dst[k] = f(dst[k], other[k]);
-        }
-    } else {
-        let (dst, other) = pair_mut(bank, d, a);
-        for k in 0..len {
-            dst[k] = f(other[k], dst[k]);
-        }
-    }
-}
-
-/// `bank[d][k] = f(bank[a][k], bank[b][k], bank[c][k])` under any
-/// aliasing pattern (the fused multiply-add kernels).
-#[inline]
-pub fn map3_any<T: Copy>(
-    bank: &mut [[T; BATCH]],
-    d: u8,
-    a: u8,
-    b: u8,
-    c: u8,
-    len: usize,
-    f: impl Fn(T, T, T) -> T,
-) {
-    let (d, a, b, c) = (d as usize, a as usize, b as usize, c as usize);
-    if d != a && d != b && d != c {
-        let (left, right) = bank.split_at_mut(d);
-        let Some((dst, tail)) = right.split_first_mut() else {
-            return;
-        };
-        let src = |i: usize| if i < d { &left[i] } else { &tail[i - d - 1] };
-        let (sa, sb, sc) = (src(a), src(b), src(c));
-        for k in 0..len {
-            dst[k] = f(sa[k], sb[k], sc[k]);
-        }
-    } else {
-        // Aliased destination: per-lane read-then-write.
-        #[allow(clippy::needless_range_loop)] // rows may alias; no iterator split
-        for k in 0..len {
-            let v = f(bank[a][k], bank[b][k], bank[c][k]);
-            bank[d][k] = v;
-        }
-    }
-}
-
-/// Selected-lane [`map2_any`] (trapping division after packing): dead
-/// lanes are untouched, aliasing handled per lane.
-#[inline]
-pub fn map2_sel_any<T: Copy>(
-    bank: &mut [[T; BATCH]],
-    d: u8,
-    a: u8,
-    b: u8,
-    sel: Option<&[u32]>,
-    len: usize,
-    f: impl Fn(T, T) -> T,
-) {
-    match sel {
-        None => map2_any(bank, d, a, b, len, f),
-        Some(sel) => {
-            let (d, a, b) = (d as usize, a as usize, b as usize);
-            for &k in sel {
-                let k = k as usize;
-                let v = f(bank[a][k], bank[b][k]);
-                bank[d][k] = v;
-            }
-        }
-    }
-}
-
-/// Lane-wise select with mask in a *different* bank; destination free to
-/// alias either branch slot.
-#[inline]
-pub fn select_any<T: Copy>(
-    bank: &mut [[T; BATCH]],
-    d: u8,
-    mask: &[bool; BATCH],
-    t: u8,
-    e: u8,
-    len: usize,
-) {
-    let (d, t, e) = (d as usize, t as usize, e as usize);
-    if d != t && d != e {
-        let (left, right) = bank.split_at_mut(d);
-        let Some((dst, tail)) = right.split_first_mut() else {
-            return;
-        };
-        let src = |i: usize| if i < d { &left[i] } else { &tail[i - d - 1] };
-        select(dst, mask, src(t), src(e), len);
-    } else {
-        for k in 0..len {
-            let v = if mask[k] { bank[t][k] } else { bank[e][k] };
-            bank[d][k] = v;
-        }
-    }
-}
-
-/// Lane-wise select where mask, branches, and destination all share the
-/// boolean bank (a bool-lane `Sel`): per-lane read-then-write, exact under any
-/// aliasing pattern.
-#[inline]
-pub fn select_same_any(
-    bank: &mut [[bool; BATCH]],
-    d: u8,
-    mask: u8,
-    t: u8,
-    e: u8,
-    len: usize,
-) {
-    let (d, mask, t, e) = (d as usize, mask as usize, t as usize, e as usize);
-    #[allow(clippy::needless_range_loop)] // rows may alias; no iterator split
-    for k in 0..len {
-        let v = if bank[mask][k] { bank[t][k] } else { bank[e][k] };
-        bank[d][k] = v;
-    }
-}
-
 /// Folds `f(acc, a[k], b[k])` over live lanes in ascending order — the
 /// fused multiply-reduce kernels, consuming two source columns without
 /// materializing their product.
@@ -427,8 +377,8 @@ pub fn fold2<T: Copy>(
 ) {
     match sel {
         None => {
-            for k in 0..len {
-                *acc = f(*acc, a[k], b[k]);
+            for (&x, &y) in a[..len].iter().zip(&b[..len]) {
+                *acc = f(*acc, x, y);
             }
         }
         Some(sel) => {
@@ -560,44 +510,44 @@ fn div_magic<const FIX: i8>(x: i64, mul: i64, shift: u32) -> i64 {
     q + ((q as u64) >> 63) as i64
 }
 
-/// `bank[d][k] = bank[a][k].wrapping_div(m)`.
+/// `dst[k] = a[k].wrapping_div(m)`.
 #[inline(never)]
-pub fn div_invariant(bank: &mut [[i64; BATCH]], d: u8, a: u8, m: Divisor, len: usize) {
+pub fn div_invariant(dst: &mut [i64; BATCH], a: &[i64; BATCH], m: Divisor, len: usize) {
     match m {
-        Divisor::One => map1_any(bank, d, a, len, |x| x),
-        Divisor::NegOne => map1_any(bank, d, a, len, |x: i64| x.wrapping_neg()),
-        Divisor::Pow2 { shift, neg: false } => map1_any(bank, d, a, len, |x| div_pow2(x, shift)),
+        Divisor::One => map1(dst, a, len, |x| x),
+        Divisor::NegOne => map1(dst, a, len, |x: i64| x.wrapping_neg()),
+        Divisor::Pow2 { shift, neg: false } => map1(dst, a, len, |x| div_pow2(x, shift)),
         Divisor::Pow2 { shift, neg: true } => {
-            map1_any(bank, d, a, len, |x| div_pow2(x, shift).wrapping_neg());
+            map1(dst, a, len, |x| div_pow2(x, shift).wrapping_neg());
         }
         Divisor::Magic { mul, fix, shift, .. } => match fix {
-            1 => map1_any(bank, d, a, len, |x| div_magic::<1>(x, mul, shift)),
-            -1 => map1_any(bank, d, a, len, |x| div_magic::<-1>(x, mul, shift)),
-            _ => map1_any(bank, d, a, len, |x| div_magic::<0>(x, mul, shift)),
+            1 => map1(dst, a, len, |x| div_magic::<1>(x, mul, shift)),
+            -1 => map1(dst, a, len, |x| div_magic::<-1>(x, mul, shift)),
+            _ => map1(dst, a, len, |x| div_magic::<0>(x, mul, shift)),
         },
-        Divisor::Hw(m) => map1_any(bank, d, a, len, |x: i64| x.wrapping_div(m)),
+        Divisor::Hw(m) => map1(dst, a, len, |x: i64| x.wrapping_div(m)),
     }
 }
 
-/// `bank[d][k] = bank[a][k].wrapping_rem(m)`.
+/// `dst[k] = a[k].wrapping_rem(m)`.
 #[inline(never)]
-pub fn rem_invariant(bank: &mut [[i64; BATCH]], d: u8, a: u8, m: Divisor, len: usize) {
+pub fn rem_invariant(dst: &mut [i64; BATCH], a: &[i64; BATCH], m: Divisor, len: usize) {
     match m {
-        Divisor::One | Divisor::NegOne => map1_any(bank, d, a, len, |_| 0),
+        Divisor::One | Divisor::NegOne => map1(dst, a, len, |_| 0),
         // The remainder takes the dividend's sign, whatever the
         // divisor's.
         Divisor::Pow2 { shift, .. } => {
-            map1_any(bank, d, a, len, |x| x - (div_pow2(x, shift) << shift));
+            map1(dst, a, len, |x| x - (div_pow2(x, shift) << shift));
         }
         Divisor::Magic { m, mul, fix, shift } => {
             let rem = |x: i64, q: i64| x.wrapping_sub(q.wrapping_mul(m));
             match fix {
-                1 => map1_any(bank, d, a, len, |x| rem(x, div_magic::<1>(x, mul, shift))),
-                -1 => map1_any(bank, d, a, len, |x| rem(x, div_magic::<-1>(x, mul, shift))),
-                _ => map1_any(bank, d, a, len, |x| rem(x, div_magic::<0>(x, mul, shift))),
+                1 => map1(dst, a, len, |x| rem(x, div_magic::<1>(x, mul, shift))),
+                -1 => map1(dst, a, len, |x| rem(x, div_magic::<-1>(x, mul, shift))),
+                _ => map1(dst, a, len, |x| rem(x, div_magic::<0>(x, mul, shift))),
             }
         }
-        Divisor::Hw(m) => map1_any(bank, d, a, len, |x: i64| x.wrapping_rem(m)),
+        Divisor::Hw(m) => map1(dst, a, len, |x: i64| x.wrapping_rem(m)),
     }
 }
 
@@ -632,20 +582,16 @@ mod tests {
             if let Divisor::Magic { fix, .. } = dv {
                 fixes.insert(fix);
             }
-            let mut bank = vec![[0i64; BATCH]; 2];
-            bank[0][..xs.len()].copy_from_slice(&xs);
-            rem_invariant(&mut bank, 1, 0, dv, xs.len());
+            let mut a = [0i64; BATCH];
+            a[..xs.len()].copy_from_slice(&xs);
+            let mut out = [0i64; BATCH];
+            rem_invariant(&mut out, &a, dv, xs.len());
             for (k, &x) in xs.iter().enumerate() {
-                assert_eq!(bank[1][k], x.wrapping_rem(m), "{x} % {m}");
+                assert_eq!(out[k], x.wrapping_rem(m), "{x} % {m}");
             }
-            div_invariant(&mut bank, 1, 0, dv, xs.len());
+            div_invariant(&mut out, &a, dv, xs.len());
             for (k, &x) in xs.iter().enumerate() {
-                assert_eq!(bank[1][k], x.wrapping_div(m), "{x} / {m}");
-            }
-            // In place (destination aliases the dividend).
-            rem_invariant(&mut bank, 0, 0, dv, xs.len());
-            for (k, &x) in xs.iter().enumerate() {
-                assert_eq!(bank[0][k], x.wrapping_rem(m), "{x} % {m} in place");
+                assert_eq!(out[k], x.wrapping_div(m), "{x} / {m}");
             }
         }
         assert_eq!(fixes.into_iter().collect::<Vec<_>>(), [-1, 0, 1], "every magic form ran");
@@ -679,14 +625,50 @@ mod tests {
     }
 
     #[test]
-    fn divisor_check_ignores_dead_lanes() {
+    fn checked_division_traps_on_live_lanes_only() {
+        let a = [7i64; BATCH];
         let mut b = [1i64; BATCH];
         b[1] = 0;
-        assert_eq!(
-            check_divisors(&b, None, 4),
-            Err(VmError::DivisionByZero)
-        );
-        assert_eq!(check_divisors(&b, Some(&[0, 2, 3]), 4), Ok(()));
+        let mut out = [0i64; BATCH];
+        let div = |x: i64, y: i64| x.wrapping_div(y);
+        assert_eq!(div_checked(&mut out, &a, &b, None, 4, div), Err(VmError::DivisionByZero));
+        // The lane before the trap divided; no later lane did.
+        assert_eq!(out[..3], [7, 0, 0]);
+        // A zero divisor on a dead lane neither traps nor is written.
+        out = [-1; BATCH];
+        assert_eq!(div_checked(&mut out, &a, &b, Some(&[0, 2, 3]), 4, div), Ok(()));
+        assert_eq!(out[..4], [7, -1, 7, 7]);
+        // On the first and on the last live lane it traps.
+        assert!(div_checked(&mut out, &a, &b, Some(&[1, 2]), 4, div).is_err());
+        assert!(div_checked(&mut out, &a, &b, Some(&[0, 1]), 4, div).is_err());
+        // Past `len` nothing is read.
+        assert_eq!(div_checked(&mut out, &a, &b, None, 1, div), Ok(()));
+    }
+
+    /// The reference selection: the set lanes of `mask[..len]`, in order.
+    fn set_lanes(mask: &[bool; BATCH], len: usize) -> Vec<u32> {
+        (0..len as u32).filter(|&k| mask[k as usize]).collect()
+    }
+
+    #[test]
+    fn filters_are_exact_on_uniform_and_alternating_masks() {
+        let alternating: [bool; BATCH] = std::array::from_fn(|k| k % 2 == 0);
+        let masks = [[true; BATCH], [false; BATCH], alternating];
+        for len in [0, 1, 2, 3, 63, 64, 65, 511, BATCH - 1, BATCH] {
+            for (i, mask) in masks.iter().enumerate() {
+                let mut sel = [u32::MAX; BATCH];
+                let n = filter_dense(&mut sel, mask, len);
+                assert_eq!(sel[..n], set_lanes(mask, len), "dense, mask {i}, len {len}");
+                // Intersecting with each mask, from the dense result.
+                for (j, mask2) in masks.iter().enumerate() {
+                    let mut sel2 = sel;
+                    let m = filter_sel(&mut sel2, n, mask2);
+                    let want: Vec<u32> =
+                        sel[..n].iter().copied().filter(|&k| mask2[k as usize]).collect();
+                    assert_eq!(sel2[..m], want, "sel, masks {i}·{j}, len {len}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -695,12 +677,33 @@ mod tests {
         mask[0] = true;
         mask[2] = true;
         mask[3] = true;
-        let mut sel = Vec::new();
-        filter_dense(&mut sel, &mask, 5);
-        assert_eq!(sel, vec![0, 2, 3]);
+        let mut sel = [0u32; BATCH];
+        let n = filter_dense(&mut sel, &mask, 5);
+        assert_eq!(sel[..n], [0, 2, 3]);
         let mut mask2 = [true; BATCH];
         mask2[2] = false;
-        filter_sel(&mut sel, &mask2);
-        assert_eq!(sel, vec![0, 3]);
+        let n = filter_sel(&mut sel, n, &mask2);
+        assert_eq!(sel[..n], [0, 3]);
+    }
+
+    #[test]
+    fn bank_views_full_batches_until_written() {
+        let xs: Vec<i64> = (0..BATCH as i64 + 3).collect();
+        let mut bank = Bank::new(2, 0i64, true);
+        // A full batch is read in place, at the source's own address.
+        bank.load(0, &xs[..BATCH]);
+        assert!(std::ptr::eq(bank.col(0).as_ptr(), xs.as_ptr()));
+        // A write over the loaded slot reads the view, then replaces it.
+        bank.map2(0, 0, 0, BATCH, |x, y| x * y - x);
+        assert!(!std::ptr::eq(bank.col(0).as_ptr(), xs.as_ptr()));
+        assert!(bank.col(0).iter().zip(&xs).all(|(&v, &x)| v == x * x - x));
+        // A partial batch is copied.
+        bank.load(1, &xs[BATCH..]);
+        assert_eq!(bank.col(1)[..3], xs[BATCH..]);
+        assert!(!std::ptr::eq(bank.col(1).as_ptr(), xs[BATCH..].as_ptr()));
+        // A broadcast ends a view.
+        bank.load(1, &xs[..BATCH]);
+        bank.fill(1, 9);
+        assert_eq!(bank.col(1), &[9; BATCH]);
     }
 }

@@ -13,6 +13,7 @@
 use steno_expr::{Column, DataContext, Expr, Ty, UdfRegistry, Value};
 use steno_linq::interp;
 use steno_query::{GroupResult, Query, QueryExpr};
+use steno_vm::batch::{BInit, BOp, Lane, RedK};
 use steno_vm::query::{CompileFeedback, StenoOptions};
 use steno_vm::{CompiledQuery, EngineKind, VectorizationPolicy, VmError};
 
@@ -741,5 +742,338 @@ fn every_operator_and_lane_agrees_bit_for_bit() {
                 check3_vectorized(&generic.build(), &c, &u);
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The generic batch executor: source columns read in place, selection
+// vectors, one-pass checked division and counts from the live-lane
+// count. Each text runs on the interpreter, the scalar VM, the
+// vectorized VM and the vectorized VM's profiled run, which takes the
+// generic tape even where a fused kernel exists.
+// ---------------------------------------------------------------------
+
+/// Column lengths around the batch boundary, and one spanning three
+/// batches.
+const EDGE_SIZES: [usize; 6] = [0, 1, BATCH - 1, BATCH, BATCH + 1, 2 * BATCH + 37];
+
+fn parse(text: &str) -> QueryExpr {
+    steno_syntax::parse_query(text)
+        .unwrap_or_else(|e| panic!("parse {text}: {e}"))
+        .0
+}
+
+/// Bit-exact equality: floats by `to_bits`, so NaN payloads and the sign
+/// of zero count.
+fn same_bits(a: &Value, b: &Value) -> bool {
+    match (a, b) {
+        (Value::F64(p), Value::F64(q)) => p.to_bits() == q.to_bits(),
+        (Value::Seq(p), Value::Seq(q)) => {
+            p.len() == q.len() && p.iter().zip(q.iter()).all(|(p, q)| same_bits(p, q))
+        }
+        (Value::Pair(p), Value::Pair(q)) => same_bits(&p.0, &q.0) && same_bits(&p.1, &q.1),
+        _ => a == b,
+    }
+}
+
+/// The error's variant name (`DivisionByZero`, ...), which the
+/// interpreter's and the VM's error types share for data errors.
+fn kind(e: &dyn std::fmt::Debug) -> String {
+    let s = format!("{e:?}");
+    s.split(['(', ' ', '{'])
+        .next()
+        .unwrap_or_default()
+        .to_string()
+}
+
+/// The batch programs of a compiled query, in program order.
+fn batch_programs(cq: &CompiledQuery) -> Vec<&steno_vm::batch::BatchProgram> {
+    cq.program()
+        .instrs
+        .iter()
+        .filter_map(|ins| match ins {
+            steno_vm::instr::Instr::BatchLoop(bp) => Some(&**bp),
+            _ => None,
+        })
+        .collect()
+}
+
+/// Runs `text` four ways (interpreter, `Off`, `Auto`, `Auto` profiled)
+/// and asserts they agree by `to_bits` on values and by kind on errors.
+/// Returns the vectorized compile, its outcome and its profile.
+#[track_caller]
+fn check_tape(
+    text: &str,
+    c: &DataContext,
+) -> (
+    CompiledQuery,
+    Result<Value, VmError>,
+    Option<steno_vm::QueryProfile>,
+) {
+    let q = parse(text);
+    let u = UdfRegistry::new();
+    let (scalar, auto) = compile_pair(&q, c, &u);
+    assert_eq!(
+        auto.engine(),
+        EngineKind::Vectorized,
+        "expected {text} to vectorize; fallbacks: {:?}",
+        auto.batch_fallbacks()
+    );
+    let want = interp::execute(&q, c, &u);
+    let traced = auto.run_traced(
+        c,
+        &u,
+        &steno_vm::Interrupt::none(),
+        &steno_obs::Tracer::disabled(),
+        None,
+    );
+    let (traced, profile) = match traced {
+        Ok((v, p)) => (Ok(v), Some(p)),
+        Err(e) => (Err(e), None),
+    };
+    let runs = [
+        ("scalar", scalar.run(c, &u)),
+        ("vectorized", auto.run(c, &u)),
+        ("tape", traced),
+    ];
+    for (name, got) in &runs {
+        match (&want, got) {
+            (Ok(w), Ok(g)) => assert!(
+                same_bits(w, g),
+                "{name} {g:?} vs interpreter {w:?} on {text}"
+            ),
+            (Err(w), Err(g)) => {
+                assert_eq!(kind(w), kind(g), "{name} error vs interpreter on {text}")
+            }
+            (w, g) => panic!("{name} disagrees on {text}: interpreter {w:?}, vm {g:?}"),
+        }
+    }
+    let [_, (_, out), _] = runs;
+    (auto, out, profile)
+}
+
+/// `n` doubles in `[0, 1)`, scrambled.
+fn unit_f64(n: usize) -> Vec<f64> {
+    (0..n)
+        .map(|i| ((i * 7919 + 13) % 1009) as f64 / 1009.0)
+        .collect()
+}
+
+/// `n` integers in `-300..700`, scrambled.
+fn spread_i64(n: usize) -> Vec<i64> {
+    (0..n as i64).map(|i| (i * 7919) % 1000 - 300).collect()
+}
+
+#[test]
+fn loaded_slots_agree_when_overwritten_filtered_and_cut() {
+    for n in EDGE_SIZES {
+        let c = DataContext::new()
+            .with_source("xs", unit_f64(n))
+            .with_source("ns", spread_i64(n));
+        for text in [
+            // The tape writes its result over the loaded slot.
+            "ns.where(|x| x % 7 == 3).select(|x| x * x - x).sum()",
+            "xs.select(|x| x * x - x).sum()",
+            "ns.select(|x| x * x - x)",
+            // The loaded slot is read again after a filter.
+            "xs.where(|x| x > 0.5).select(|x| x * 3.0 + x).sum()",
+            "ns.where(|x| x % 2 == 0).select(|x| x + 1)",
+            "ns.where(|x| x > 0).where(|x| x % 3 != 0).select(|x| x * x).max()",
+            // ...and after a cut.
+            "xs.take_while(|x| x < 0.99).select(|x| x * 2.0 - x).sum()",
+            "ns.take_while(|x| x < 690).select(|x| x - 1)",
+            "xs.take_while(|x| x < 0.99).where(|x| x > 0.25).select(|x| x * x).sum()",
+        ] {
+            let (_, out, _) = check_tape(text, &c);
+            assert!(out.is_ok(), "{text}: {out:?}");
+        }
+    }
+    // The overwrite really happens on the loaded slot.
+    let c = DataContext::new().with_source("ns", spread_i64(10));
+    let (auto, _, _) = check_tape("ns.where(|x| x % 7 == 3).select(|x| x * x - x).sum()", &c);
+    let bp = batch_programs(&auto)[0];
+    let Some(BOp::Load(_, loaded)) = bp.tape.first().copied() else {
+        panic!("tape does not start with a load: {:?}", bp.tape)
+    };
+    assert!(
+        bp.tape[1..]
+            .iter()
+            .any(|op| matches!(*op, BOp::BinI(_, d, _, _) if d == loaded)),
+        "no op writes the loaded slot {loaded}: {:?}",
+        bp.tape
+    );
+}
+
+#[test]
+fn sink_and_pair_loops_agree_at_batch_edges() {
+    // `x % 100000` over `0..n` makes one group, one distinct value and
+    // one sorted element per element, so each sink loop reads exactly
+    // `n` rows.
+    for n in EDGE_SIZES {
+        let c = DataContext::new()
+            .with_source(
+                "ns",
+                (0..n as i64).map(|i| i * 3 - 1000).collect::<Vec<_>>(),
+            )
+            .with_source("xs", unit_f64(n));
+        let texts = [
+            "ns.groupBy(|x| x % 100000).select(|kv| kv.1.sum()).where(|s| s % 3 == 0).select(|s| s * s - s).sum()",
+            "ns.groupBy(|x| x % 100000).select(|kv| (kv.0, kv.1.sum()))",
+            "ns.distinct().where(|x| x > 0).count()",
+            "ns.distinct().select(|x| x * x - x).sum()",
+            "xs.order_by(|x| x).select(|x| x * x - x).sum()",
+            "xs.order_by_descending(|x| x).take_while(|x| x > 0.5).count()",
+        ];
+        for text in texts {
+            let (auto, out, _) = check_tape(text, &c);
+            assert!(out.is_ok(), "{text}: {out:?}");
+            let bps = batch_programs(&auto);
+            assert!(
+                bps.iter()
+                    .any(|bp| matches!(bp.src, steno_vm::batch::BatchSrc::Sink(_))),
+                "{text}: no loop reads a sink"
+            );
+            let pairs = bps
+                .iter()
+                .any(|bp| bp.tape.iter().any(|op| matches!(op, BOp::LoadSnd(..))));
+            assert_eq!(pairs, text.contains("kv.1.sum()"), "{text}: pair loop");
+        }
+    }
+}
+
+#[test]
+fn a_cut_that_empties_a_batch_before_a_filter_agrees() {
+    // The stop lands on the first lane of the second batch, on the first
+    // and last lanes of the first batch, and on the very last element.
+    for n in [BATCH + 1, 2 * BATCH, 2 * BATCH + 37] {
+        for stop in [0, BATCH - 1, BATCH, n - 1] {
+            let mut xs = vec![0.5; n];
+            xs[stop] = 1.0;
+            let c = DataContext::new().with_source("xs", xs);
+            for text in [
+                "xs.take_while(|x| x < 0.9).where(|x| x > 0.0).count()",
+                "xs.take_while(|x| x < 0.9).where(|x| x > 0.0).sum()",
+                "xs.take_while(|x| x < 0.9).where(|x| x > 0.0).select(|x| x * x - x)",
+            ] {
+                let (_, out, _) = check_tape(text, &c);
+                assert!(out.is_ok(), "{text}: {out:?}");
+            }
+            let (_, out, _) =
+                check_tape("xs.take_while(|x| x < 0.9).where(|x| x > 0.0).count()", &c);
+            assert_eq!(out, Ok(Value::I64(stop as i64)));
+        }
+    }
+}
+
+#[test]
+fn checked_division_traps_on_live_lanes_only() {
+    let live_div = "ns.where(|x| x > 0).select(|x| 100 / (x - 5)).sum()";
+    let dead_div = "ns.where(|x| x != 5).select(|x| 100 / (x - 5)).sum()";
+    let dense_div = "ns.select(|x| 100 / (x - 5)).sum()";
+    let dense_rem = "ns.select(|x| 100 % (x - 5)).sum()";
+    for n in [BATCH, BATCH + 1, 2 * BATCH + 37] {
+        // Lanes alternate dead (`x <= 0`) and live (`x > 5`); a 5 sits
+        // on the chosen lane.
+        let base: Vec<i64> = (0..n as i64)
+            .map(|i| if i % 2 == 0 { -i } else { 6 + i })
+            .collect();
+        let c = DataContext::new().with_source("ns", base.clone());
+        let (auto, out, _) = check_tape(live_div, &c);
+        assert!(out.is_ok(), "{live_div}: {out:?}");
+        assert!(
+            batch_programs(&auto)[0]
+                .tape
+                .iter()
+                .any(|op| matches!(op, BOp::DivI(..))),
+            "{live_div} should keep its checked division"
+        );
+        // The first and the last live lane of the first batch, the first
+        // live lane of the second and the last element.
+        for at in [1, BATCH - 1, BATCH + 1, n - 1] {
+            if at >= n {
+                continue;
+            }
+            let mut ns = base.clone();
+            ns[at] = 5;
+            let c = DataContext::new().with_source("ns", ns);
+            for text in [live_div, dense_div, dense_rem] {
+                let (_, out, _) = check_tape(text, &c);
+                assert_eq!(out, Err(VmError::DivisionByZero), "{text} with a 5 at {at}");
+            }
+            let (_, out, _) = check_tape(dead_div, &c);
+            assert!(out.is_ok(), "{dead_div} trapped on a dead lane at {at}");
+        }
+        // A zero divisor on a dead lane does not trap.
+        let mut ns = base.clone();
+        ns[0] = 5;
+        ns[n - 2] = 5;
+        let c = DataContext::new().with_source("ns", ns);
+        let (_, out, _) = check_tape(dead_div, &c);
+        assert!(out.is_ok(), "{dead_div}: {out:?}");
+    }
+}
+
+#[test]
+fn counts_agree_after_filters_cuts_and_windows() {
+    for n in EDGE_SIZES {
+        let xs = unit_f64(n);
+        let c = DataContext::new()
+            .with_source("xs", xs.clone())
+            .with_source("ns", spread_i64(n));
+        for text in [
+            "xs.count()",
+            "xs.where(|x| x < 0.3).count()",
+            "ns.where(|x| x % 3 == 0).count()",
+            "ns.where(|x| x > 0).select(|x| x * 2).where(|x| x % 3 == 0).count()",
+            "xs.take_while(|x| x < 0.99).count()",
+            "xs.take_while(|x| x < 0.99).where(|x| x < 0.3).count()",
+            "xs.skip(5).count()",
+            "xs.take(1500).count()",
+            "xs.skip(1000).take(30).count()",
+            "xs.skip(3).take(2000).where(|x| x > 0.1).count()",
+            "xs.average()",
+            "ns.average()",
+        ] {
+            let (_, out, _) = check_tape(text, &c);
+            // An average of nothing is the one expected error.
+            assert!(out.is_ok() || n == 0, "{text}: {out:?}");
+        }
+        // The profiled run counts the same batches, elements and live
+        // lanes as the filter selects.
+        let (auto, out, profile) = check_tape("xs.where(|x| x < 0.3).count()", &c);
+        let want = xs.iter().filter(|&&x| x < 0.3).count();
+        assert_eq!(out, Ok(Value::I64(want as i64)));
+        let p = profile.expect("profiled run");
+        assert_eq!(p.batches, n.div_ceil(BATCH) as u64);
+        assert_eq!(p.batch_elements_in, n as u64);
+        assert_eq!(p.batch_elements_selected, want as u64);
+        // The count is a sum of a broadcast no op writes.
+        let bp = batch_programs(&auto)[0];
+        let counted = bp.tape.iter().any(|op| match *op {
+            BOp::Red {
+                red: RedK::Sum,
+                lane: Lane::I,
+                val,
+                ..
+            } => bp.prologue.contains(&BInit::ConstI(val, 1)),
+            _ => false,
+        });
+        assert!(counted, "count tape: {:?} / {:?}", bp.prologue, bp.tape);
+        // A count after a second filter counts the lanes both keep.
+        let ns = spread_i64(n);
+        let text = "ns.where(|x| x > 0).select(|x| x * 2).where(|x| x % 3 == 0).count()";
+        let (auto, out, profile) = check_tape(text, &c);
+        let filters = batch_programs(&auto)[0]
+            .tape
+            .iter()
+            .filter(|op| matches!(op, BOp::Filter(_)))
+            .count();
+        assert_eq!(filters, 2, "{text}");
+        let want = ns.iter().filter(|&&x| x > 0 && x * 2 % 3 == 0).count();
+        assert_eq!(out, Ok(Value::I64(want as i64)));
+        assert_eq!(
+            profile.expect("profiled run").batch_elements_selected,
+            want as u64
+        );
     }
 }
