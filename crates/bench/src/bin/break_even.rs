@@ -64,7 +64,7 @@ fn main() {
     let t = Instant::now();
     for _ in 0..50 {
         let (compiled, _) = cache
-            .get_or_compile(&q, (&ctx).into(), &udfs, opts, |_| {
+            .get_or_compile(&q, &ctx, &udfs, opts, |_| {
                 Ok::<_, OptimizeError>(())
             })
             .unwrap();

@@ -258,7 +258,12 @@ fn injected_panic_is_retried_and_recovers() {
     let input = DistributedCollection::from_f64("xs", f64_data(600), PARTITIONS);
     let (clean, _) = run(&q, &input, VertexEngine::Steno, &RuntimeConfig::default()).unwrap();
 
-    let runtime = RuntimeConfig::with_faults(FaultPlan::panic_once(1));
+    // Speculation off: under load a straggler backup of vertex 1 can win
+    // before its panicking attempt is retried, which counts no retry.
+    let runtime = RuntimeConfig {
+        speculation: SpeculationPolicy::disabled(),
+        ..RuntimeConfig::with_faults(FaultPlan::panic_once(1))
+    };
     let (recovered, report) = run(&q, &input, VertexEngine::Steno, &runtime).unwrap();
     assert_eq!(recovered.key(), clean.key());
     assert_eq!(report.vertex_attempts[1], 2);

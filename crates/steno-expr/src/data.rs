@@ -142,9 +142,13 @@ impl From<Vec<Value>> for Column {
 }
 
 /// Named source collections available to a query.
+///
+/// Clones share the name map and the columns; adding a source to a
+/// shared context copies the map first (copy on write), so a clone is
+/// one refcount bump however many sources there are.
 #[derive(Clone, Debug, Default)]
 pub struct DataContext {
-    sources: HashMap<String, Column>,
+    sources: Arc<HashMap<String, Column>>,
 }
 
 impl DataContext {
@@ -155,13 +159,13 @@ impl DataContext {
 
     /// Adds (or replaces) a named source, returning `self` for chaining.
     pub fn with_source(mut self, name: impl Into<String>, column: impl Into<Column>) -> Self {
-        self.sources.insert(name.into(), column.into());
+        self.insert(name, column);
         self
     }
 
     /// Adds (or replaces) a named source in place.
     pub fn insert(&mut self, name: impl Into<String>, column: impl Into<Column>) {
-        self.sources.insert(name.into(), column.into());
+        Arc::make_mut(&mut self.sources).insert(name.into(), column.into());
     }
 
     /// Looks up a source by name.
@@ -212,6 +216,18 @@ mod tests {
         assert_eq!(ctx.source("xs").unwrap().len(), 2);
         assert_eq!(ctx.source("ys").unwrap().elem_ty(), Ty::I64);
         assert!(ctx.source("zs").is_none());
+    }
+
+    #[test]
+    fn clones_share_until_one_is_extended() {
+        let base = DataContext::new().with_source("xs", vec![1.0]);
+        let shared = base.clone();
+        assert!(Arc::ptr_eq(&base.sources, &shared.sources));
+        let mut grown = base.clone();
+        grown.insert("ns", vec![2i64]);
+        assert!(!Arc::ptr_eq(&base.sources, &grown.sources));
+        assert_eq!((base.len(), shared.len(), grown.len()), (1, 1, 2));
+        assert!(base.source("ns").is_none());
     }
 
     #[test]

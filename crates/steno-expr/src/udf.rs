@@ -46,9 +46,12 @@ impl fmt::Debug for Udf {
 }
 
 /// A registry of user-defined functions, keyed by name.
+///
+/// Clones share the map (registering into a shared registry copies it
+/// first), so cloning a registry per request is one refcount bump.
 #[derive(Clone, Debug, Default)]
 pub struct UdfRegistry {
-    funcs: HashMap<String, Udf>,
+    funcs: Arc<HashMap<String, Udf>>,
 }
 
 impl UdfRegistry {
@@ -67,15 +70,7 @@ impl UdfRegistry {
         ret: Ty,
         imp: impl Fn(&[Value]) -> Value + Send + Sync + 'static,
     ) {
-        self.funcs.insert(
-            name.into(),
-            Udf {
-                params,
-                ret,
-                imp: Arc::new(imp),
-                pure: false,
-            },
-        );
+        self.insert(name.into(), params, ret, Arc::new(imp), false);
     }
 
     /// Registers `name` as a **pure** function: deterministic, total,
@@ -91,15 +86,17 @@ impl UdfRegistry {
         ret: Ty,
         imp: impl Fn(&[Value]) -> Value + Send + Sync + 'static,
     ) {
-        self.funcs.insert(
-            name.into(),
-            Udf {
-                params,
-                ret,
-                imp: Arc::new(imp),
-                pure: true,
-            },
-        );
+        self.insert(name.into(), params, ret, Arc::new(imp), true);
+    }
+
+    fn insert(&mut self, name: String, params: Vec<Ty>, ret: Ty, imp: UdfFn, pure: bool) {
+        let udf = Udf {
+            params,
+            ret,
+            imp,
+            pure,
+        };
+        Arc::make_mut(&mut self.funcs).insert(name, udf);
     }
 
     /// Looks up a function by name.
@@ -168,6 +165,18 @@ mod tests {
         assert!(reg.is_pure("plus1"));
         assert!(!reg.is_pure("missing"));
         assert_eq!((reg.get("plus1").unwrap().imp)(&[Value::I64(4)]), Value::I64(5));
+    }
+
+    #[test]
+    fn clones_share_until_one_registers() {
+        let mut base = UdfRegistry::new();
+        base.register("k", vec![], Ty::I64, |_| Value::I64(1));
+        let mut grown = base.clone();
+        assert!(Arc::ptr_eq(&base.funcs, &grown.funcs));
+        grown.register_pure("j", vec![], Ty::I64, |_| Value::I64(2));
+        assert!(!Arc::ptr_eq(&base.funcs, &grown.funcs));
+        assert_eq!((base.len(), grown.len()), (1, 2));
+        assert!(base.get("j").is_none() && grown.is_pure("j"));
     }
 
     #[test]

@@ -1,16 +1,17 @@
 //! Counters, log2 histograms, spans, and the pluggable [`Collector`].
 //!
 //! The hot-path contract: instrumented code holds no locks and allocates
-//! nothing per event. [`MemoryCollector`] takes a read lock only to find
-//! the atomic for a name (a write lock once, on first use of the name);
-//! the update itself is a single `fetch_add`. [`NoopCollector`] compiles
-//! every hook to nothing — engines keep a `&dyn Collector` and the
-//! disabled case costs one virtual call returning a constant.
+//! nothing per event. [`MemoryCollector`] takes a read lock to find the
+//! atomic for a name and updates it under that guard (a write lock once,
+//! on first use of the name); the update itself is a single `fetch_add`.
+//! [`NoopCollector`] compiles every hook to nothing — engines keep a
+//! `&dyn Collector` and the disabled case costs one virtual call
+//! returning a constant.
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, PoisonError, RwLock};
+use std::sync::{PoisonError, RwLock};
 use std::time::Instant;
 
 use crate::json;
@@ -123,8 +124,8 @@ pub struct Histogram {
     max: AtomicU64,
 }
 
-impl Histogram {
-    fn new() -> Histogram {
+impl Default for Histogram {
+    fn default() -> Histogram {
         Histogram {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
             count: AtomicU64::new(0),
@@ -133,7 +134,9 @@ impl Histogram {
             max: AtomicU64::new(0),
         }
     }
+}
 
+impl Histogram {
     fn record(&self, v: u64) {
         let idx = (63 - v.max(1).leading_zeros()) as usize;
         self.buckets[idx].fetch_add(1, Ordering::Relaxed);
@@ -182,6 +185,40 @@ fn write<T: ?Sized>(l: &RwLock<T>) -> std::sync::RwLockWriteGuard<'_, T> {
     l.write().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// Applies `apply` to the metric `name`, updating it in place under the
+/// read guard; the write guard is taken once, to create the metric on
+/// first use. Metrics are atomics, so an update needs no exclusive lock
+/// and no refcount.
+fn update<V: Default>(
+    map: &RwLock<BTreeMap<&'static str, V>>,
+    name: &'static str,
+    apply: impl FnOnce(&V),
+) {
+    if let Some(m) = read(map).get(name) {
+        return apply(m);
+    }
+    apply(write(map).entry(name).or_default());
+}
+
+/// As [`update`], for the metric `name` of `tenant`'s family.
+fn update_labeled<V: Default>(
+    map: &RwLock<BTreeMap<&'static str, BTreeMap<String, V>>>,
+    name: &'static str,
+    tenant: &str,
+    apply: impl FnOnce(&V),
+) {
+    if let Some(m) = read(map).get(name).and_then(|m| m.get(tenant)) {
+        return apply(m);
+    }
+    apply(
+        write(map)
+            .entry(name)
+            .or_default()
+            .entry(tenant.to_string())
+            .or_default(),
+    );
+}
+
 /// The in-process collector: named atomic counters and histograms.
 ///
 /// Clone-cheap via internal `Arc`s is deliberately *not* provided —
@@ -189,73 +226,19 @@ fn write<T: ?Sized>(l: &RwLock<T>) -> std::sync::RwLockWriteGuard<'_, T> {
 /// `Arc`) to each engine.
 #[derive(Debug, Default)]
 pub struct MemoryCollector {
-    counters: RwLock<BTreeMap<&'static str, Arc<AtomicU64>>>,
-    histograms: RwLock<BTreeMap<&'static str, Arc<Histogram>>>,
+    counters: RwLock<BTreeMap<&'static str, AtomicU64>>,
+    histograms: RwLock<BTreeMap<&'static str, Histogram>>,
     /// Per-tenant families: name → tenant → atomic. The nested map keeps
     /// the read path allocation-free (`BTreeMap<String, _>::get` accepts
     /// a `&str`); the tenant string is owned once, on first use.
-    labeled_counters: RwLock<BTreeMap<&'static str, BTreeMap<String, Arc<AtomicU64>>>>,
-    labeled_histograms: RwLock<BTreeMap<&'static str, BTreeMap<String, Arc<Histogram>>>>,
+    labeled_counters: RwLock<BTreeMap<&'static str, BTreeMap<String, AtomicU64>>>,
+    labeled_histograms: RwLock<BTreeMap<&'static str, BTreeMap<String, Histogram>>>,
 }
 
 impl MemoryCollector {
     /// Creates an empty collector.
     pub fn new() -> MemoryCollector {
         MemoryCollector::default()
-    }
-
-    fn counter(&self, name: &'static str) -> Arc<AtomicU64> {
-        if let Some(c) = read(&self.counters).get(name) {
-            return Arc::clone(c);
-        }
-        Arc::clone(
-            write(&self.counters)
-                .entry(name)
-                .or_insert_with(|| Arc::new(AtomicU64::new(0))),
-        )
-    }
-
-    fn histogram(&self, name: &'static str) -> Arc<Histogram> {
-        if let Some(h) = read(&self.histograms).get(name) {
-            return Arc::clone(h);
-        }
-        Arc::clone(
-            write(&self.histograms)
-                .entry(name)
-                .or_insert_with(|| Arc::new(Histogram::new())),
-        )
-    }
-
-    fn labeled_counter(&self, name: &'static str, tenant: &str) -> Arc<AtomicU64> {
-        if let Some(c) = read(&self.labeled_counters)
-            .get(name)
-            .and_then(|m| m.get(tenant))
-        {
-            return Arc::clone(c);
-        }
-        Arc::clone(
-            write(&self.labeled_counters)
-                .entry(name)
-                .or_default()
-                .entry(tenant.to_string())
-                .or_insert_with(|| Arc::new(AtomicU64::new(0))),
-        )
-    }
-
-    fn labeled_histogram(&self, name: &'static str, tenant: &str) -> Arc<Histogram> {
-        if let Some(h) = read(&self.labeled_histograms)
-            .get(name)
-            .and_then(|m| m.get(tenant))
-        {
-            return Arc::clone(h);
-        }
-        Arc::clone(
-            write(&self.labeled_histograms)
-                .entry(name)
-                .or_default()
-                .entry(tenant.to_string())
-                .or_insert_with(|| Arc::new(Histogram::new())),
-        )
     }
 
     /// The current value of the per-tenant counter `name` for `tenant`
@@ -318,20 +301,25 @@ impl Collector for MemoryCollector {
     }
 
     fn add(&self, name: &'static str, delta: u64) {
-        self.counter(name).fetch_add(delta, Ordering::Relaxed);
+        update(&self.counters, name, |c: &AtomicU64| {
+            c.fetch_add(delta, Ordering::Relaxed);
+        });
     }
 
     fn observe_ns(&self, name: &'static str, value: u64) {
-        self.histogram(name).record(value);
+        update(&self.histograms, name, |h: &Histogram| h.record(value));
     }
 
     fn add_labeled(&self, name: &'static str, tenant: &str, delta: u64) {
-        self.labeled_counter(name, tenant)
-            .fetch_add(delta, Ordering::Relaxed);
+        update_labeled(&self.labeled_counters, name, tenant, |c: &AtomicU64| {
+            c.fetch_add(delta, Ordering::Relaxed);
+        });
     }
 
     fn observe_ns_labeled(&self, name: &'static str, tenant: &str, value: u64) {
-        self.labeled_histogram(name, tenant).record(value);
+        update_labeled(&self.labeled_histograms, name, tenant, |h: &Histogram| {
+            h.record(value);
+        });
     }
 }
 

@@ -29,7 +29,7 @@ use crate::ir::{
 use crate::substitute::subst_chain;
 
 /// Options controlling lowering.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct LowerOptions {
     /// Insert the specialized `GroupByAggregate` sink for aggregating
     /// result selectors (§4.3). Disabling this yields the naive

@@ -47,6 +47,7 @@ use steno_expr::{DataContext, UdfRegistry, Value};
 use steno_obs::{Anomaly, Note, SpanId, TraceMeta, Tracer};
 use steno_query::typing::SourceTypes;
 use steno_query::QueryExpr;
+use steno_vm::plan_key::{probe, PlanKey};
 use steno_vm::{CancelProbe, CompiledQuery, Interrupt, StenoOptions, VmError};
 
 use crate::breaker::{BreakerConfig, CompileBreaker};
@@ -184,13 +185,28 @@ impl std::fmt::Display for ServeError {
 impl std::error::Error for ServeError {}
 
 /// The caller's handle to an admitted query.
-#[derive(Debug)]
+///
+/// The ticket shares the request with the worker that runs it. The
+/// worker lets go of the request before it replies, so the request is
+/// freed by [`QueryTicket::wait`] on the thread that built it — or, if
+/// the ticket is dropped unwaited, by the worker.
 pub struct QueryTicket {
     seq: u64,
     deadline: Instant,
     grace: Duration,
     cancel: CancelToken,
     rx: mpsc::Receiver<Result<Value, ServeError>>,
+    req: Arc<QueryRequest>,
+}
+
+impl std::fmt::Debug for QueryTicket {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("QueryTicket")
+            .field("seq", &self.seq)
+            .field("deadline", &self.deadline)
+            .field("tenant", &self.req.tenant)
+            .finish_non_exhaustive()
+    }
 }
 
 impl QueryTicket {
@@ -234,13 +250,13 @@ impl QueryTicket {
     }
 }
 
-/// One admitted unit of work.
+/// One admitted unit of work. `req` is shared with the caller's
+/// ticket (see [`QueryTicket`]); `tenant` is the tenant's index in
+/// [`Dispatch::tenants`].
 struct Job {
     seq: u64,
-    tenant: String,
-    query: QueryExpr,
-    ctx: DataContext,
-    udfs: UdfRegistry,
+    tenant: usize,
+    req: Arc<QueryRequest>,
     deadline: Instant,
     submitted: Instant,
     cancel: CancelToken,
@@ -253,22 +269,35 @@ struct TenantState {
     in_flight: usize,
 }
 
-/// Shared dispatch state. Invariant: a tenant name is in `rr` exactly
-/// once iff its queue is non-empty.
+/// Shared dispatch state. A tenant is interned on its first submission
+/// and keeps its index for the service's life. Invariant: a tenant
+/// index is in `rr` exactly once iff its queue is non-empty.
 #[derive(Default)]
 struct Dispatch {
-    tenants: HashMap<String, TenantState>,
-    rr: VecDeque<String>,
+    ids: HashMap<String, usize>,
+    tenants: Vec<TenantState>,
+    rr: VecDeque<usize>,
     shutdown: bool,
 }
 
 impl Dispatch {
+    /// The index of tenant `name`, interning it on first use.
+    fn tenant_id(&mut self, name: &str) -> usize {
+        if let Some(&id) = self.ids.get(name) {
+            return id;
+        }
+        let id = self.tenants.len();
+        self.tenants.push(TenantState::default());
+        self.ids.insert(name.to_string(), id);
+        id
+    }
+
     /// Pops the next runnable job round-robin across tenants, skipping
     /// tenants at their in-flight quota.
     fn take_next(&mut self, max_in_flight: usize) -> Option<Job> {
         for _ in 0..self.rr.len() {
             let tenant = self.rr.pop_front()?;
-            let state = self.tenants.get_mut(&tenant)?;
+            let state = self.tenants.get_mut(tenant)?;
             if state.in_flight >= max_in_flight {
                 self.rr.push_back(tenant);
                 continue;
@@ -289,30 +318,37 @@ const NEGATIVE_CACHE_CAPACITY: usize = 128;
 
 /// Bounded FIFO of `(tenant, query) → message` for failures that are
 /// deterministic at compile time: re-submissions fail fast instead of
-/// re-running the whole compile pipeline to the same rejection.
+/// re-running the whole compile pipeline to the same rejection. Keyed
+/// like the plan cache (a [`PlanKey`] scoped by the tenant's index), so
+/// a lookup hashes the query in place and prints nothing.
 #[derive(Default)]
 struct NegativeCache {
     cap: usize,
-    map: HashMap<String, String>,
-    order: VecDeque<String>,
+    /// Message and insertion stamp per key.
+    map: HashMap<PlanKey<usize>, (u64, String)>,
+    stamp: u64,
 }
 
 impl NegativeCache {
-    fn get(&self, key: &str) -> Option<String> {
-        self.map.get(key).cloned()
+    fn get(&self, tenant: usize, query: &QueryExpr) -> Option<String> {
+        let key = (tenant, query);
+        self.map
+            .get(probe(&key))
+            .map(|(_, message)| message.clone())
     }
 
-    fn insert(&mut self, key: String, message: String) {
-        if self.map.contains_key(&key) {
+    fn insert(&mut self, tenant: usize, query: &QueryExpr, message: String) {
+        if self.map.contains_key(probe(&(tenant, query))) {
             return;
         }
         if self.map.len() >= self.cap {
-            if let Some(oldest) = self.order.pop_front() {
-                self.map.remove(&oldest);
+            if let Some(oldest) = self.map.values().map(|(stamp, _)| *stamp).min() {
+                self.map.retain(|_, (stamp, _)| *stamp != oldest);
             }
         }
-        self.order.push_back(key.clone());
-        self.map.insert(key, message);
+        self.stamp += 1;
+        self.map
+            .insert(PlanKey::new(tenant, query), (self.stamp, message));
     }
 }
 
@@ -376,7 +412,7 @@ impl QueryService {
     /// [`ServeError::ShuttingDown`] after shutdown.
     pub fn submit(&self, req: QueryRequest) -> Result<QueryTicket, ServeError> {
         let shared = &self.shared;
-        let collector = shared.engine.collector().clone();
+        let collector = shared.engine.collector();
         collector.add("serve.submitted", 1);
         collector.add_labeled("serve.tenant.submitted", &req.tenant, 1);
         let now = Instant::now();
@@ -384,37 +420,38 @@ impl QueryService {
         let seq = shared.seq.fetch_add(1, Ordering::Relaxed);
         let cancel = CancelToken::new();
         let (tx, rx) = mpsc::sync_channel(1);
-        let job = Job {
-            seq,
-            tenant: req.tenant.clone(),
-            query: req.query,
-            ctx: req.ctx,
-            udfs: req.udfs,
-            deadline,
-            submitted: now,
-            cancel: cancel.clone(),
-            reply: tx,
-        };
+        let req = Arc::new(req);
 
         let mut d = shared.dispatch.lock();
-        if d.shutdown {
+        let shed = || {
             collector.add("serve.shed", 1);
             collector.add_labeled("serve.tenant.shed", &req.tenant, 1);
+        };
+        if d.shutdown {
+            shed();
             return Err(ServeError::ShuttingDown);
         }
-        let state = d.tenants.entry(req.tenant.clone()).or_default();
+        let tenant = d.tenant_id(&req.tenant);
+        let state = &mut d.tenants[tenant];
         if state.queue.len() >= shared.cfg.queue_depth {
-            collector.add("serve.shed", 1);
-            collector.add_labeled("serve.tenant.shed", &req.tenant, 1);
+            shed();
             return Err(ServeError::Rejected {
                 retry_after: shared.cfg.shed_retry_after,
             });
         }
         let was_empty = state.queue.is_empty();
-        state.queue.push_back(job);
+        state.queue.push_back(Job {
+            seq,
+            tenant,
+            req: Arc::clone(&req),
+            deadline,
+            submitted: now,
+            cancel: cancel.clone(),
+            reply: tx,
+        });
         collector.observe_ns("serve.queue_depth", state.queue.len() as u64);
         if was_empty {
-            d.rr.push_back(req.tenant);
+            d.rr.push_back(tenant);
         }
         drop(d);
         shared.work_ready.notify_all();
@@ -425,6 +462,7 @@ impl QueryService {
             grace: shared.cfg.wait_grace,
             cancel,
             rx,
+            req,
         })
     }
 
@@ -445,7 +483,7 @@ impl QueryService {
         d.shutdown = true;
         let drained: Vec<Job> = d
             .tenants
-            .values_mut()
+            .iter_mut()
             .flat_map(|t| t.queue.drain(..))
             .collect();
         d.rr.clear();
@@ -485,10 +523,10 @@ fn worker_loop(shared: &Shared) {
                     .wait_timeout(d, Duration::from_millis(10));
             }
         };
-        let tenant = job.tenant.clone();
+        let tenant = job.tenant;
         process(shared, job);
         let mut d = shared.dispatch.lock();
-        if let Some(state) = d.tenants.get_mut(&tenant) {
+        if let Some(state) = d.tenants.get_mut(tenant) {
             state.in_flight = state.in_flight.saturating_sub(1);
         }
         drop(d);
@@ -504,9 +542,11 @@ fn worker_loop(shared: &Shared) {
 /// wait (which happened before any worker touched the job) lands at
 /// offset zero of the trace. The `serve.request` root span is reserved
 /// up front — children link to it — and recorded retroactively once the
-/// outcome is known.
+/// outcome is known. The worker's reference to the request is dropped
+/// before the reply is sent (see [`QueryTicket`]).
 fn process(shared: &Shared, job: Job) {
-    let collector = shared.engine.collector().clone();
+    let collector = shared.engine.collector();
+    let tenant = job.req.tenant.as_str();
     let tracer = shared
         .engine
         .flight_recorder()
@@ -516,7 +556,7 @@ fn process(shared: &Shared, job: Job) {
 
     let wait_ns = u64::try_from(job.submitted.elapsed().as_nanos()).unwrap_or(u64::MAX);
     collector.observe_ns("serve.queue_wait_ns", wait_ns);
-    collector.observe_ns_labeled("serve.tenant.queue_wait_ns", &job.tenant, wait_ns);
+    collector.observe_ns_labeled("serve.tenant.queue_wait_ns", tenant, wait_ns);
     if tracer.enabled() {
         // Admission happened inside `submit`, effectively instantaneous
         // at the trace origin; everything since is queue wait.
@@ -549,34 +589,36 @@ fn process(shared: &Shared, job: Job) {
     let outcome = match &result {
         Ok(_) => {
             collector.add("serve.completed", 1);
-            collector.add_labeled("serve.tenant.completed", &job.tenant, 1);
+            collector.add_labeled("serve.tenant.completed", tenant, 1);
             "completed"
         }
         Err(ServeError::DeadlineExceeded) => {
             collector.add("serve.deadline_exceeded", 1);
-            collector.add_labeled("serve.tenant.deadline_exceeded", &job.tenant, 1);
+            collector.add_labeled("serve.tenant.deadline_exceeded", tenant, 1);
             "deadline-exceeded"
         }
         Err(ServeError::Cancelled) => {
             collector.add("serve.cancelled", 1);
-            collector.add_labeled("serve.tenant.cancelled", &job.tenant, 1);
+            collector.add_labeled("serve.tenant.cancelled", tenant, 1);
             "cancelled"
         }
         Err(_) => {
             collector.add("serve.failed", 1);
-            collector.add_labeled("serve.tenant.failed", &job.tenant, 1);
+            collector.add_labeled("serve.tenant.failed", tenant, 1);
             "failed"
         }
     };
     let latency = u64::try_from(job.submitted.elapsed().as_nanos()).unwrap_or(u64::MAX);
     collector.observe_ns("serve.latency_ns", latency);
-    collector.observe_ns_labeled("serve.tenant.latency_ns", &job.tenant, latency);
+    collector.observe_ns_labeled("serve.tenant.latency_ns", tenant, latency);
 
     if tracer.enabled() {
         finish_trace(shared, &job, &tracer, root, &result, outcome, used_options);
     }
+    let Job { req, reply, .. } = job;
+    drop(req);
     // The caller may have stopped listening; that's their prerogative.
-    let _ = job.reply.send(result);
+    let _ = reply.send(result);
 }
 
 /// Classifies the outcome as a flight-recorder anomaly, attaches the
@@ -625,7 +667,12 @@ fn finish_trace(
             let opts = options.unwrap_or_else(|| *shared.engine.options());
             shared
                 .engine
-                .explain_with_options(&job.query, SourceTypes::from(&job.ctx), &job.udfs, opts)
+                .explain_with_options(
+                    &job.req.query,
+                    SourceTypes::from(&job.req.ctx),
+                    &job.req.udfs,
+                    opts,
+                )
                 .ok()
                 .map(|e| e.to_json())
         })
@@ -638,7 +685,7 @@ fn finish_trace(
             0,
             tracer.now_ns(),
             vec![
-                ("tenant", Note::Text(job.tenant.clone())),
+                ("tenant", Note::Text(job.req.tenant.clone())),
                 ("seq", Note::U64(job.seq)),
                 ("outcome", Note::Str(outcome)),
             ],
@@ -647,8 +694,8 @@ fn finish_trace(
     recorder.finish(
         tracer,
         TraceMeta {
-            query: job.query.to_string(),
-            tenant: Some(job.tenant.clone()),
+            query: job.req.query.to_string(),
+            tenant: Some(job.req.tenant.clone()),
             anomaly,
             detail,
             explain_json,
@@ -666,7 +713,7 @@ fn run_job(
     parent: Option<SpanId>,
     used_options: &mut Option<StenoOptions>,
 ) -> Result<Value, ServeError> {
-    let collector = shared.engine.collector().clone();
+    let collector = shared.engine.collector();
     if job.cancel.is_cancelled() {
         return Err(ServeError::Cancelled);
     }
@@ -674,8 +721,9 @@ fn run_job(
         return Err(ServeError::DeadlineExceeded);
     }
 
-    let neg_key = format!("{}|{}", job.tenant, job.query);
-    if let Some(message) = shared.negcache.lock().get(&neg_key) {
+    let req = &job.req;
+    let negative = shared.negcache.lock().get(job.tenant, &req.query);
+    if let Some(message) = negative {
         collector.add("serve.negcache_hits", 1);
         return Err(ServeError::QueryFailed {
             message,
@@ -699,8 +747,9 @@ fn run_job(
         ..Exec::default()
     };
     let compile_start = Instant::now();
-    let sources = SourceTypes::from(&job.ctx);
-    let compiled = shared.engine.compile_with(&job.query, sources, &job.udfs, &exec);
+    let compiled = shared
+        .engine
+        .compile_with(&req.query, &req.ctx, &req.udfs, &exec);
     let compile_took = compile_start.elapsed();
 
     let plan = match compiled {
@@ -723,7 +772,10 @@ fn run_job(
                 shared.breaker.record_verifier_failure();
             }
             let message = e.to_string();
-            shared.negcache.lock().insert(neg_key, message.clone());
+            shared
+                .negcache
+                .lock()
+                .insert(job.tenant, &req.query, message.clone());
             return Err(ServeError::QueryFailed {
                 message,
                 class: FailureClass::Deterministic,
@@ -742,7 +794,7 @@ fn execute_with_retries(
     plan: Option<&CompiledQuery>,
     exec: &Exec<'_>,
 ) -> Result<Value, ServeError> {
-    let collector = shared.engine.collector().clone();
+    let collector = shared.engine.collector();
     let cancel = job.cancel.clone();
     let probe: CancelProbe = Arc::new(move || cancel.is_cancelled());
     let max_attempts = shared.cfg.retry.max_attempts.max(1);
@@ -855,7 +907,7 @@ fn run_attempt(
 ) -> Result<Value, ServeError> {
     shared
         .engine
-        .run_compiled(&job.query, &job.ctx, &job.udfs, plan, exec)
+        .run_compiled(&job.req.query, &job.req.ctx, &job.req.udfs, plan, exec)
         .map(|(value, _, _)| value)
         .map_err(|e| match e {
             StenoError::Vm(VmError::Cancelled) => ServeError::Cancelled,
@@ -884,7 +936,7 @@ fn payload_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use steno_expr::Expr;
+    use steno_expr::{Expr, Ty};
     use steno_obs::MemoryCollector;
     use steno_query::{QFn2, Query};
 
@@ -1226,6 +1278,117 @@ mod tests {
     }
 
     #[test]
+    fn compile_failures_are_negative_cached_per_tenant() {
+        let (svc, metrics) = service_with(ServeConfig::default());
+        let bad = Query::source("missing").sum().build();
+        let fail = |tenant: &str| {
+            let req = QueryRequest::new(tenant, bad.clone(), ctx(10), UdfRegistry::new());
+            match svc.execute_blocking(req) {
+                Err(ServeError::QueryFailed { class, .. }) => {
+                    assert_eq!(class, FailureClass::Deterministic);
+                }
+                other => panic!("want QueryFailed, got {other:?}"),
+            }
+            (
+                metrics.counter_value("serve.negcache_hits"),
+                metrics.counter_value("steno.compile.error"),
+            )
+        };
+        assert_eq!(fail("acme"), (0, 1));
+        assert_eq!(fail("acme"), (1, 1), "acme's repeat hits its entry");
+        assert_eq!(fail("globex"), (1, 2), "globex compiles for itself");
+        assert_eq!(fail("globex"), (2, 2));
+        // A different query of the same tenant is not covered.
+        let other = Query::source("missing").count().build();
+        let req = QueryRequest::new("acme", other, ctx(10), UdfRegistry::new());
+        assert!(svc.execute_blocking(req).is_err());
+        assert_eq!(metrics.counter_value("steno.compile.error"), 3);
+    }
+
+    type ThreadSlot = Arc<Mutex<Option<std::thread::ThreadId>>>;
+
+    /// Records the thread that drops it.
+    struct DropProbe(ThreadSlot);
+
+    impl Drop for DropProbe {
+        fn drop(&mut self) {
+            *self.0.lock() = Some(std::thread::current().id());
+        }
+    }
+
+    /// A registry whose UDF closure is the only owner of a
+    /// [`DropProbe`], and the slot the probe fills when the last copy
+    /// of the registry is dropped.
+    fn probed_udfs() -> (UdfRegistry, ThreadSlot) {
+        let slot = ThreadSlot::default();
+        let probe = DropProbe(Arc::clone(&slot));
+        let mut udfs = UdfRegistry::new();
+        udfs.register("probe", vec![Ty::F64], Ty::F64, move |args| {
+            let _ = &probe;
+            args[0].clone()
+        });
+        (udfs, slot)
+    }
+
+    #[test]
+    fn a_waited_request_is_freed_on_the_submitting_thread() {
+        let (svc, _) = service_with(ServeConfig::default());
+        let (udfs, dropped) = probed_udfs();
+        let ticket = svc
+            .submit(QueryRequest::new("acme", sum_query(0.0), ctx(10), udfs))
+            .unwrap();
+        assert!(dropped.lock().is_none());
+        ticket.wait().unwrap();
+        assert_eq!(*dropped.lock(), Some(std::thread::current().id()));
+    }
+
+    #[test]
+    fn an_unwaited_request_is_freed_on_the_worker() {
+        let (svc, _) = service_with(ServeConfig {
+            workers: 1,
+            default_deadline: Duration::from_secs(10),
+            ..ServeConfig::default()
+        });
+        // The first job holds the only worker until the gate opens.
+        let (open, gate) = mpsc::channel::<()>();
+        let gate = Mutex::new(gate);
+        let mut gated = UdfRegistry::new();
+        gated.register("gate", vec![Ty::F64], Ty::F64, move |args| {
+            let _ = gate.lock().recv();
+            args[0].clone()
+        });
+        let blocker = Query::source("xs")
+            .select(Expr::call("gate", vec![Expr::var("x")]), "x")
+            .sum()
+            .build();
+        let first = svc
+            .submit(QueryRequest::new("acme", blocker, ctx(4), gated))
+            .unwrap();
+        let (udfs, dropped) = probed_udfs();
+        let unwaited = svc
+            .submit(QueryRequest::new("acme", sum_query(0.0), ctx(10), udfs))
+            .unwrap();
+        drop(unwaited);
+        assert!(
+            dropped.lock().is_none(),
+            "the worker still holds the request"
+        );
+        drop(open);
+        first.wait().unwrap();
+        // One worker runs the tenant's jobs in order: once a later job
+        // answers, the unwaited one has been processed and let go.
+        svc.execute_blocking(QueryRequest::new(
+            "acme",
+            sum_query(1.0),
+            ctx(10),
+            UdfRegistry::new(),
+        ))
+        .unwrap();
+        let freed_on = dropped.lock().expect("the request was freed");
+        assert_ne!(freed_on, std::thread::current().id());
+    }
+
+    #[test]
     fn verifier_rejections_reach_every_tenant() {
         // The negative cache is per tenant, so the second tenant's
         // submission compiles again. A rejected plan never enters the
@@ -1372,33 +1535,37 @@ mod tests {
     #[test]
     fn round_robin_take_next_respects_quota_and_rotation() {
         let (tx, _rx) = mpsc::sync_channel(1);
-        let mk = |tenant: &str, seq: u64| Job {
-            seq,
-            tenant: tenant.to_string(),
-            query: sum_query(0.0),
-            ctx: DataContext::new(),
-            udfs: UdfRegistry::new(),
-            deadline: Instant::now() + Duration::from_secs(1),
-            submitted: Instant::now(),
-            cancel: CancelToken::new(),
-            reply: tx.clone(),
-        };
         let mut d = Dispatch::default();
         for (tenant, seq) in [("a", 0), ("a", 1), ("b", 2)] {
-            let state = d.tenants.entry(tenant.to_string()).or_default();
-            if state.queue.is_empty() {
-                d.rr.push_back(tenant.to_string());
+            let id = d.tenant_id(tenant);
+            let job = Job {
+                seq,
+                tenant: id,
+                req: Arc::new(QueryRequest::new(
+                    tenant,
+                    sum_query(0.0),
+                    DataContext::new(),
+                    UdfRegistry::new(),
+                )),
+                deadline: Instant::now() + Duration::from_secs(1),
+                submitted: Instant::now(),
+                cancel: CancelToken::new(),
+                reply: tx.clone(),
+            };
+            if d.tenants[id].queue.is_empty() {
+                d.rr.push_back(id);
             }
-            state.queue.push_back(mk(tenant, seq));
+            d.tenants[id].queue.push_back(job);
         }
         // Round-robin alternates tenants; quota 1 parks tenant "a"
         // after its first job until in_flight drops.
         let first = d.take_next(1).unwrap();
-        assert_eq!(first.tenant, "a");
+        assert_eq!(first.req.tenant, "a");
         let second = d.take_next(1).unwrap();
-        assert_eq!(second.tenant, "b");
+        assert_eq!(second.req.tenant, "b");
         assert!(d.take_next(1).is_none(), "a is at its in-flight quota");
-        d.tenants.get_mut("a").unwrap().in_flight = 0;
+        let a = d.tenant_id("a");
+        d.tenants[a].in_flight = 0;
         assert_eq!(d.take_next(1).unwrap().seq, 1);
         assert!(d.take_next(1).is_none(), "all queues drained");
     }
@@ -1409,12 +1576,19 @@ mod tests {
             cap: 2,
             ..NegativeCache::default()
         };
-        nc.insert("a".into(), "1".into());
-        nc.insert("b".into(), "2".into());
-        nc.insert("c".into(), "3".into());
-        assert!(nc.get("a").is_none(), "oldest entry evicted");
-        assert_eq!(nc.get("b").as_deref(), Some("2"));
-        assert_eq!(nc.get("c").as_deref(), Some("3"));
+        let (a, b, c) = (sum_query(1.0), sum_query(2.0), sum_query(3.0));
+        nc.insert(0, &a, "1".into());
+        nc.insert(0, &b, "2".into());
+        nc.insert(0, &c, "3".into());
+        assert!(nc.get(0, &a).is_none(), "oldest entry evicted");
+        assert_eq!(nc.get(0, &b).as_deref(), Some("2"));
+        assert_eq!(nc.get(0, &c).as_deref(), Some("3"));
+        assert_eq!(nc.map.len(), 2);
+        // The key is (tenant, query): another tenant's entry is its own.
+        assert!(nc.get(1, &b).is_none());
+        // Re-inserting a present key neither replaces nor evicts.
+        nc.insert(0, &b, "again".into());
+        assert_eq!(nc.get(0, &b).as_deref(), Some("2"));
         assert_eq!(nc.map.len(), 2);
     }
 }

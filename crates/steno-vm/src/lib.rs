@@ -48,6 +48,7 @@ pub mod instr;
 pub mod interrupt;
 pub mod kernels;
 pub mod lifetimes;
+pub mod plan_key;
 pub mod prepared;
 pub mod profile;
 pub mod query;

@@ -7,7 +7,9 @@
 //! paper's one-off ~69 ms cost of invoking `csc` and loading the DLL
 //! (§7.1), and it amortizes the same way: via the [`QueryCache`].
 
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::hash::BuildHasher;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -31,6 +33,7 @@ use crate::compile::assemble_hinted;
 use crate::exec::{run_program, VmError};
 use crate::instr::Program;
 use crate::interrupt::Interrupt;
+use crate::plan_key::{probe, PlanKey};
 use crate::prepared::Bindings;
 
 /// An error from the optimization pipeline.
@@ -63,7 +66,7 @@ impl std::error::Error for OptimizeError {}
 /// verifier checks in full and which polls interrupts at every
 /// back-edge. Per-loop fallback reasons are reported by
 /// [`CompiledQuery::batch_fallbacks`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum VectorizationPolicy {
     /// Vectorize when the operator chain and element types allow it.
     Auto,
@@ -90,8 +93,10 @@ impl std::fmt::Display for EngineKind {
 }
 
 /// Tuning knobs for the optimization pipeline, used by the ablation
-/// benchmarks. The defaults are the full Steno configuration.
-#[derive(Clone, Copy, Debug)]
+/// benchmarks. The defaults are the full Steno configuration. Part of
+/// every plan-cache key: plans compiled under different options never
+/// share an entry.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct StenoOptions {
     /// QUIL-level options (GroupByAggregate specialization, §4.3).
     pub lower: LowerOptions,
@@ -456,10 +461,12 @@ struct CacheEntry {
 }
 
 /// Map, LRU clock, and counters behind one lock, so a hit's
-/// `last_used` bump and counter increment are atomic together.
+/// `last_used` bump and counter increment are atomic together. The
+/// hasher is a parameter only so a test can force every key into one
+/// bucket.
 #[derive(Default)]
-struct CacheInner {
-    entries: HashMap<String, CacheEntry>,
+struct CacheInner<B = RandomState> {
+    entries: HashMap<PlanKey<StenoOptions>, CacheEntry, B>,
     tick: u64,
     capacity: Option<usize>,
     hits: u64,
@@ -467,16 +474,23 @@ struct CacheInner {
     evictions: u64,
 }
 
-impl CacheInner {
-    /// Looks `key` up, stamping the entry most-recently-used on a hit.
-    fn get(&mut self, key: &str) -> Option<Arc<CompiledQuery>> {
+impl<B: BuildHasher> CacheInner<B> {
+    /// The entry of `q` under `opts`: every lookup and every per-plan
+    /// statistic goes through this one key.
+    fn entry(&mut self, q: &QueryExpr, opts: StenoOptions) -> Option<&mut CacheEntry> {
+        self.entries.get_mut(probe(&(opts, q)))
+    }
+
+    /// Looks `q` up, stamping the entry most-recently-used on a hit.
+    fn get(&mut self, q: &QueryExpr, opts: StenoOptions) -> Option<Arc<CompiledQuery>> {
         self.tick += 1;
         let tick = self.tick;
-        match self.entries.get_mut(key) {
+        match self.entry(q, opts) {
             Some(e) => {
                 e.last_used = tick;
+                let hit = Arc::clone(&e.compiled);
                 self.hits += 1;
-                Some(Arc::clone(&e.compiled))
+                Some(hit)
             }
             None => {
                 self.misses += 1;
@@ -488,22 +502,15 @@ impl CacheInner {
     /// Inserts `key`, evicting least-recently-used entries while the
     /// cache is at capacity. The LRU scan is linear, which is fine at
     /// plan-cache sizes (hundreds of distinct query texts, not
-    /// millions of rows).
-    fn insert(&mut self, key: String, compiled: Arc<CompiledQuery>) {
+    /// millions of rows); stamps are unique, so the oldest is one entry.
+    fn insert(&mut self, key: PlanKey<StenoOptions>, compiled: Arc<CompiledQuery>) {
         if let Some(cap) = self.capacity {
             while self.entries.len() >= cap && !self.entries.contains_key(&key) {
-                let victim = self
-                    .entries
-                    .iter()
-                    .min_by_key(|(_, e)| e.last_used)
-                    .map(|(k, _)| k.clone());
-                match victim {
-                    Some(k) => {
-                        self.entries.remove(&k);
-                        self.evictions += 1;
-                    }
-                    None => break,
-                }
+                let Some(oldest) = self.entries.values().map(|e| e.last_used).min() else {
+                    break;
+                };
+                self.entries.retain(|_, e| e.last_used != oldest);
+                self.evictions += 1;
             }
         }
         self.tick += 1;
@@ -521,12 +528,14 @@ impl CacheInner {
     }
 }
 
-/// A cache of compiled queries, keyed by their printed AST — "the query
+/// A cache of compiled queries, keyed by the query's structure and the
+/// [`StenoOptions`] it compiled under (a [`PlanKey`]) — "the query
 /// object may be cached between invocations" (§3.3; the paper points at
-/// Nectar \[18\] for a full design). Optionally bounded
-/// ([`QueryCache::with_capacity`]) with least-recently-used eviction,
-/// so a multi-tenant plan cache cannot grow without limit under a churn
-/// of distinct query texts.
+/// Nectar \[18\] for a full design). A hit hashes and compares the AST
+/// in place and clones nothing; a miss clones the query into its key.
+/// Optionally bounded ([`QueryCache::with_capacity`]) with
+/// least-recently-used eviction, so a multi-tenant plan cache cannot
+/// grow without limit under a churn of distinct query texts.
 #[derive(Default)]
 pub struct QueryCache {
     inner: Mutex<CacheInner>,
@@ -537,12 +546,6 @@ pub struct QueryCache {
 /// elsewhere must not wedge the cache.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// The cache key of `q` compiled under `opts`: every lookup and every
-/// per-plan statistic goes through this one key.
-fn plan_key(q: &QueryExpr, opts: StenoOptions) -> String {
-    format!("{opts:?}|{q}")
 }
 
 impl QueryCache {
@@ -566,8 +569,10 @@ impl QueryCache {
     }
 
     /// Returns the compiled form of `q` under `opts`, compiling at most
-    /// once per distinct (options, query text) pair, and whether the
-    /// lookup hit (`true`) or compiled fresh (`false`).
+    /// once per distinct (options, query) pair, and whether the lookup
+    /// hit (`true`) or compiled fresh (`false`). `sources` (a
+    /// [`SourceTypes`], or the `&DataContext` to derive it from) is
+    /// converted only on a miss: only compilation reads it.
     ///
     /// The cache is the one place plans are admitted: a miss runs
     /// compile → `admit` → insert, so a plan `admit` rejects is never
@@ -582,20 +587,19 @@ impl QueryCache {
     pub fn get_or_compile<E: From<OptimizeError>>(
         &self,
         q: &QueryExpr,
-        sources: SourceTypes,
+        sources: impl Into<SourceTypes>,
         udfs: &UdfRegistry,
         opts: StenoOptions,
         admit: impl FnOnce(&CompiledQuery) -> Result<(), E>,
     ) -> Result<(Arc<CompiledQuery>, bool), E> {
-        let key = plan_key(q, opts);
-        if let Some(hit) = lock(&self.inner).get(&key) {
+        if let Some(hit) = lock(&self.inner).get(q, opts) {
             return Ok((hit, true));
         }
         let compiled =
-            CompiledQuery::compile_with(q, sources, udfs, opts, CompileFeedback::default())?;
+            CompiledQuery::compile_with(q, sources.into(), udfs, opts, CompileFeedback::default())?;
         admit(&compiled)?;
         let compiled = Arc::new(compiled);
-        lock(&self.inner).insert(key, Arc::clone(&compiled));
+        lock(&self.inner).insert(PlanKey::new(opts, q), Arc::clone(&compiled));
         Ok((compiled, false))
     }
 
@@ -627,9 +631,8 @@ impl QueryCache {
         run: ObservedRun,
         cfg: &DriftConfig,
     ) -> Option<String> {
-        let key = plan_key(q, opts);
         let mut inner = lock(&self.inner);
-        let entry = inner.entries.get_mut(&key)?;
+        let entry = inner.entry(q, opts)?;
         entry.stats.observe(run, cfg);
         let compile_ns = entry.compiled.compile_time().as_nanos() as f64;
         entry.stats.drift(cfg, compile_ns)
@@ -647,9 +650,7 @@ impl QueryCache {
         compiled: Arc<CompiledQuery>,
         reason: &str,
     ) {
-        let key = plan_key(q, opts);
-        let mut inner = lock(&self.inner);
-        if let Some(entry) = inner.entries.get_mut(&key) {
+        if let Some(entry) = lock(&self.inner).entry(q, opts) {
             entry.compiled = compiled;
             entry.stats.rebase();
             entry.reopt_events.push(reason.to_string());
@@ -659,10 +660,8 @@ impl QueryCache {
     /// The re-optimization events recorded for `q`, oldest first; empty
     /// when the plan never drifted (or is not cached).
     pub fn reopt_events(&self, q: &QueryExpr, opts: StenoOptions) -> Vec<String> {
-        let key = plan_key(q, opts);
         lock(&self.inner)
-            .entries
-            .get(&key)
+            .entry(q, opts)
             .map(|e| e.reopt_events.clone())
             .unwrap_or_default()
     }
@@ -670,10 +669,8 @@ impl QueryCache {
     /// How many observed runs have been folded into `q`'s cached plan
     /// statistics ([`QueryCache::note_run`] calls).
     pub fn plan_runs(&self, q: &QueryExpr, opts: StenoOptions) -> u64 {
-        let key = plan_key(q, opts);
         lock(&self.inner)
-            .entries
-            .get(&key)
+            .entry(q, opts)
             .map(|e| e.stats.runs)
             .unwrap_or(0)
     }
@@ -684,9 +681,7 @@ impl QueryCache {
     /// ticks it, profiled or not, unlike [`QueryCache::note_run`] which
     /// only the profiled runs reach.
     pub fn begin_run(&self, q: &QueryExpr, opts: StenoOptions) -> u64 {
-        let key = plan_key(q, opts);
-        let mut inner = lock(&self.inner);
-        match inner.entries.get_mut(&key) {
+        match lock(&self.inner).entry(q, opts) {
             Some(e) => {
                 let n = e.execs;
                 e.execs += 1;
@@ -700,9 +695,8 @@ impl QueryCache {
     /// shape [`CompiledQuery::compile_with`] consumes; `None`
     /// before the first observed run (or for uncached queries).
     pub fn plan_loop_stats(&self, q: &QueryExpr, opts: StenoOptions) -> Option<LoopStats> {
-        let key = plan_key(q, opts);
-        let inner = lock(&self.inner);
-        let entry = inner.entries.get(&key)?;
+        let mut inner = lock(&self.inner);
+        let entry = inner.entry(q, opts)?;
         if entry.stats.runs == 0 {
             return None;
         }
@@ -758,7 +752,7 @@ mod tests {
         let c = ctx();
         let udfs = UdfRegistry::new();
         cache
-            .get_or_compile(q, (&c).into(), &udfs, opts, |_| Ok::<_, OptimizeError>(()))
+            .get_or_compile(q, &c, &udfs, opts, |_| Ok::<_, OptimizeError>(()))
             .unwrap()
             .0
     }
@@ -824,7 +818,7 @@ mod tests {
         let udfs = UdfRegistry::new();
         let mut checked = 0;
         for round in 1..=2 {
-            let got = cache.get_or_compile(&q, (&c).into(), &udfs, StenoOptions::default(), |_| {
+            let got = cache.get_or_compile(&q, &c, &udfs, StenoOptions::default(), |_| {
                 checked += 1;
                 Err(OptimizeError::Gen("rejected".into()))
             });
@@ -837,7 +831,7 @@ mod tests {
         // without checking again.
         let admitted = lookup(&cache, &q, StenoOptions::default());
         let hit = cache
-            .get_or_compile(&q, (&c).into(), &udfs, StenoOptions::default(), |_| {
+            .get_or_compile(&q, &c, &udfs, StenoOptions::default(), |_| {
                 Err(OptimizeError::Gen("a hit is never re-checked".into()))
             })
             .unwrap();
@@ -999,6 +993,130 @@ mod tests {
         let (hits, misses) = hits_misses(&cache);
         assert_eq!((hits, misses), (2, 2));
         assert_eq!(misses as usize, cache.len());
+    }
+
+    #[test]
+    fn every_option_field_is_part_of_the_key() {
+        let cache = QueryCache::new();
+        let q = Query::source("xs").sum().build();
+        let base = StenoOptions::default();
+        let variants = [
+            base,
+            StenoOptions {
+                rewrites: false,
+                ..base
+            },
+            StenoOptions {
+                lower: LowerOptions {
+                    specialize_group_aggregate: false,
+                },
+                ..base
+            },
+        ];
+        for opts in variants {
+            lookup(&cache, &q, opts);
+        }
+        assert_eq!((cache.len(), hits_misses(&cache)), (3, (0, 3)));
+        for opts in variants {
+            lookup(&cache, &q, opts);
+        }
+        assert_eq!(hits_misses(&cache), (3, 3));
+    }
+
+    /// `xs.select(|x| x * c)` over `ctx()`.
+    fn scaled(c: f64) -> QueryExpr {
+        Query::source("xs")
+            .select(Expr::var("x") * Expr::litf(c), "x")
+            .build()
+    }
+
+    /// The first element of a sequence result.
+    fn first(v: &Value) -> f64 {
+        match v {
+            Value::Seq(s) => s[0].as_f64().unwrap(),
+            other => panic!("want a sequence, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn signed_zero_literals_get_separate_plans() {
+        let cache = QueryCache::new();
+        let (c, udfs) = (ctx(), UdfRegistry::new());
+        let pos = lookup(&cache, &scaled(0.0), StenoOptions::default());
+        let neg = lookup(&cache, &scaled(-0.0), StenoOptions::default());
+        assert!(!Arc::ptr_eq(&pos, &neg));
+        assert_eq!(hits_misses(&cache), (0, 2));
+        let (p, n) = (pos.run(&c, &udfs).unwrap(), neg.run(&c, &udfs).unwrap());
+        assert!(first(&p).is_sign_positive(), "1.0 * 0.0 is +0.0");
+        assert!(first(&n).is_sign_negative(), "1.0 * -0.0 is -0.0");
+        // Each hits its own entry afterwards.
+        let again = lookup(&cache, &scaled(-0.0), StenoOptions::default());
+        assert!(Arc::ptr_eq(&neg, &again));
+        assert_eq!(hits_misses(&cache), (1, 2));
+    }
+
+    #[test]
+    fn a_nan_literal_hits_its_own_entry() {
+        let cache = QueryCache::new();
+        let first_run = lookup(&cache, &scaled(f64::NAN), StenoOptions::default());
+        let second = lookup(&cache, &scaled(f64::NAN), StenoOptions::default());
+        assert!(Arc::ptr_eq(&first_run, &second));
+        assert_eq!((cache.len(), hits_misses(&cache)), (1, (1, 1)));
+        let v = second.run(&ctx(), &UdfRegistry::new()).unwrap();
+        assert!(first(&v).is_nan());
+    }
+
+    /// A hasher that sends every key to the same bucket.
+    #[derive(Default)]
+    struct Collide;
+
+    impl std::hash::Hasher for Collide {
+        fn finish(&self) -> u64 {
+            0
+        }
+        fn write(&mut self, _: &[u8]) {}
+    }
+
+    #[test]
+    fn colliding_queries_never_share_a_plan() {
+        let mut inner = CacheInner::<std::hash::BuildHasherDefault<Collide>>::default();
+        let (c, udfs) = (ctx(), UdfRegistry::new());
+        let opts = StenoOptions::default();
+        let queries = [scaled(2.0), scaled(3.0), scaled(-0.0), scaled(0.0)];
+        for q in &queries {
+            assert!(inner.get(q, opts).is_none());
+            let compiled = Arc::new(compile_opts(q, &c, &udfs, opts));
+            inner.insert(PlanKey::new(opts, q), compiled);
+        }
+        assert_eq!(inner.entries.len(), 4);
+        for (q, want) in queries.iter().zip([2.0f64, 3.0, -0.0, 0.0]) {
+            let plan = inner.get(q, opts).unwrap();
+            let got = first(&plan.run(&c, &udfs).unwrap());
+            assert_eq!(got.to_bits(), want.to_bits(), "{q}");
+        }
+        assert_eq!((inner.hits, inner.misses), (4, 4));
+    }
+
+    #[test]
+    fn scripted_lookups_count_hits_misses_and_evictions() {
+        // Capacity 3 under LRU: the counts a printed-AST key gave for
+        // the same script.
+        let cache = QueryCache::with_capacity(3);
+        let queries = [
+            Query::source("xs").sum().build(),
+            Query::source("xs").count().build(),
+            Query::source("ns").sum().build(),
+            scaled(2.0),
+            scaled(-2.0),
+        ];
+        for i in [0, 1, 2, 0, 3, 1, 4, 0, 2, 2, 3, 0, 1, 4, 4] {
+            lookup(&cache, &queries[i], StenoOptions::default());
+        }
+        let stats = cache.detailed_stats();
+        assert_eq!(
+            (stats.hits, stats.misses, stats.evictions, stats.len),
+            (4, 11, 8, 3)
+        );
     }
 
     #[test]

@@ -350,7 +350,7 @@ impl Steno {
         udfs: &UdfRegistry,
         exec: &Exec<'_>,
     ) -> Result<(Value, ExecutionPath, Option<QueryProfile>), StenoError> {
-        let plan = match self.compile_metered(q, SourceTypes::from(ctx), udfs, exec) {
+        let plan = match self.compile_metered(q, ctx, udfs, exec) {
             Ok(plan) => Some(plan),
             Err(e) if e.is_unsupported() => None,
             Err(e) => return Err(e),
@@ -364,7 +364,8 @@ impl Steno {
     }
 
     /// Compiles through the cache under `exec.options` (the engine's
-    /// options by default), reporting hit/miss into the engine's
+    /// options by default; source types are derived from `sources` only
+    /// on a miss), reporting hit/miss into the engine's
     /// collector (compile latency is recorded on misses) and an
     /// `engine.compile` span (annotated with cache hit and compile time)
     /// into `exec.tracer`. When [`Steno::with_verify`] is on, the cache
@@ -374,7 +375,7 @@ impl Steno {
     fn compile_metered(
         &self,
         q: &QueryExpr,
-        sources: SourceTypes,
+        sources: impl Into<SourceTypes>,
         udfs: &UdfRegistry,
         exec: &Exec<'_>,
     ) -> Result<(Arc<CompiledQuery>, bool), StenoError> {
@@ -658,7 +659,9 @@ impl Steno {
     }
 
     /// As [`Steno::compile`] under a per-call [`Exec`] context:
-    /// `exec.options` overrides the engine default, and `engine.compile`
+    /// `sources` may be the [`DataContext`] itself, whose source types
+    /// are then derived only when the cache misses; `exec.options`
+    /// overrides the engine default, and `engine.compile`
     /// (plus, on fresh compilations, `engine.verify`/`engine.tapecheck`)
     /// spans go into `exec.tracer`. The cache keys on the options, so a
     /// service layer can degrade individual compilations (e.g. pin
@@ -671,7 +674,7 @@ impl Steno {
     pub fn compile_with(
         &self,
         q: &QueryExpr,
-        sources: SourceTypes,
+        sources: impl Into<SourceTypes>,
         udfs: &UdfRegistry,
         exec: &Exec<'_>,
     ) -> Result<Arc<CompiledQuery>, StenoError> {

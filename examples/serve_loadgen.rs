@@ -47,7 +47,9 @@ fn main() {
     } else {
         LoadSpec {
             tenants: 4,
-            rounds: 16,
+            // At least 30 s of serving on a 2-core machine, so the
+            // percentiles come from a soak, not from a cold start.
+            rounds: 2000,
             burst: 16,
             pool_size: 24,
             elements: 200_000,
