@@ -10,7 +10,7 @@ use bench::{criterion_group, criterion_main};
 use steno_expr::{DataContext, Expr, UdfRegistry};
 use steno_linq::{interp, Enumerable};
 use steno_query::Query;
-use steno_vm::query::{CompileFeedback, StenoOptions, VectorizationPolicy};
+use steno_vm::query::{StenoOptions, VectorizationPolicy};
 use steno_vm::{CompiledQuery, EngineKind};
 
 fn backends(c: &mut Criterion) {
@@ -33,7 +33,6 @@ fn backends(c: &mut Criterion) {
             vectorize: VectorizationPolicy::Off,
             ..StenoOptions::default()
         },
-        CompileFeedback::default(),
     )
     .unwrap();
     assert_eq!(scalar.engine(), EngineKind::Scalar);

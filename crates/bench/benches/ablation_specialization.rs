@@ -10,7 +10,7 @@ use bench::{criterion_group, criterion_main};
 use steno_expr::{DataContext, Expr, UdfRegistry};
 use steno_query::{GroupResult, Query};
 use steno_quil::LowerOptions;
-use steno_vm::query::{CompileFeedback, StenoOptions};
+use steno_vm::query::StenoOptions;
 use steno_vm::CompiledQuery;
 
 fn specialization(c: &mut Criterion) {
@@ -37,7 +37,6 @@ fn specialization(c: &mut Criterion) {
             },
             ..StenoOptions::default()
         },
-        CompileFeedback::default(),
     )
     .unwrap();
     // The plans genuinely differ.

@@ -36,7 +36,7 @@ use bench::workloads::{scaled, uniform_doubles};
 use steno_expr::{DataContext, Expr, Ty, UdfRegistry, Value};
 use steno_linq::Enumerable;
 use steno_query::{Query, QueryExpr};
-use steno_vm::query::{CompileFeedback, StenoOptions};
+use steno_vm::query::StenoOptions;
 use steno_vm::{CompiledQuery, EngineKind, VectorizationPolicy};
 
 const SAMPLES: usize = 7;
@@ -71,7 +71,7 @@ fn compile_tiers(
     ctx: &DataContext,
     udfs: &UdfRegistry,
 ) -> (CompiledQuery, CompiledQuery) {
-    let compile = |o| CompiledQuery::compile_with(q, ctx.into(), udfs, o, CompileFeedback::default());
+    let compile = |o| CompiledQuery::compile_with(q, ctx.into(), udfs, o);
     let scalar = compile(opts(VectorizationPolicy::Off)).expect("compile scalar");
     let vectorized = compile(opts(VectorizationPolicy::Auto)).expect("compile vectorized");
     assert_eq!(scalar.engine(), EngineKind::Scalar);

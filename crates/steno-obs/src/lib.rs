@@ -27,8 +27,8 @@
 //!   [`SpanGuard`]) with parent links, monotonic timestamps, key/value
 //!   annotations, and bounded per-thread span rings; plus the
 //!   [`FlightRecorder`] — a bounded ring of recent [`QueryTrace`]s that
-//!   flags anomalies (deadline exceeded, trap, verifier reject, re-opt,
-//!   slow query) and renders annotated dumps with EXPLAIN attached.
+//!   flags anomalies (deadline exceeded, trap, verifier reject, slow
+//!   query) and renders annotated dumps with EXPLAIN attached.
 //! * [`openmetrics`] — [`MetricsSnapshot::to_openmetrics`] text
 //!   exposition (per-tenant label families included) and the scrape
 //!   linter ([`openmetrics::lint`], [`openmetrics::counters_monotone`])

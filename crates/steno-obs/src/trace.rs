@@ -10,8 +10,8 @@
 //!
 //! The [`FlightRecorder`] sits on top: it allocates trace ids, collects
 //! each query's spans at completion into a [`QueryTrace`], classifies
-//! anomalies (deadline exceeded, trap, verifier reject, re-opt, slow
-//! query), and keeps a bounded in-memory ring of recent traces so the
+//! anomalies (deadline exceeded, trap, verifier reject, slow query),
+//! and keeps a bounded in-memory ring of recent traces so the
 //! last moments before an incident can be dumped after the fact.
 
 use std::cell::RefCell;
@@ -363,8 +363,6 @@ pub enum Anomaly {
     Trap,
     /// The plan verifier rejected a compiled plan.
     VerifierReject,
-    /// The adaptive engine re-optimized the plan during this query.
-    Reopt,
     /// End-to-end latency exceeded the configured slow-query threshold.
     SlowQuery,
 }
@@ -376,7 +374,6 @@ impl Anomaly {
             Anomaly::DeadlineExceeded => "deadline-exceeded",
             Anomaly::Trap => "trap",
             Anomaly::VerifierReject => "verifier-reject",
-            Anomaly::Reopt => "reopt",
             Anomaly::SlowQuery => "slow-query",
         }
     }
@@ -419,7 +416,7 @@ pub struct TraceMeta {
     /// The submitting tenant, when the query came through the service.
     pub tenant: Option<String>,
     /// An anomaly the caller already classified (deadline, trap,
-    /// verifier reject). Re-opt and slow-query are derived here.
+    /// verifier reject). Slow-query is derived here.
     pub anomaly: Option<Anomaly>,
     /// Free-form detail (the error message, the rejected rewrite).
     pub detail: Option<String>,
@@ -567,7 +564,7 @@ impl FlightRecorder {
     }
 
     /// Completes a trace: drains its spans from the current thread's
-    /// ring, derives re-opt/slow-query anomalies, and stores the trace.
+    /// ring, derives the slow-query anomaly, and stores the trace.
     /// Returns the final anomaly classification. No-op on a disabled
     /// tracer.
     pub fn finish(&self, tracer: &Tracer, meta: TraceMeta) -> Option<Anomaly> {
@@ -578,22 +575,12 @@ impl FlightRecorder {
             dropped += (spans.len() - self.cfg.max_spans) as u64;
             spans.truncate(self.cfg.max_spans);
         }
-        let anomaly = meta
-            .anomaly
-            .or_else(|| {
-                spans
-                    .iter()
-                    .any(|s| s.name == "engine.reopt")
-                    .then_some(Anomaly::Reopt)
-            })
-            .or_else(|| {
-                self.cfg
-                    .slow_query
-                    .filter(|t| {
-                        wall_ns >= u64::try_from(t.as_nanos()).unwrap_or(u64::MAX)
-                    })
-                    .map(|_| Anomaly::SlowQuery)
-            });
+        let anomaly = meta.anomaly.or_else(|| {
+            self.cfg
+                .slow_query
+                .filter(|t| wall_ns >= u64::try_from(t.as_nanos()).unwrap_or(u64::MAX))
+                .map(|_| Anomaly::SlowQuery)
+        });
         let trace = QueryTrace {
             trace_id,
             query: meta.query,
@@ -783,7 +770,7 @@ mod tests {
     }
 
     #[test]
-    fn anomalies_classify_explicit_reopt_and_slow() {
+    fn anomalies_classify_explicit_and_slow() {
         let rec = FlightRecorder::new(TraceConfig {
             slow_query: Some(Duration::from_nanos(1)),
             ..TraceConfig::default()
@@ -799,15 +786,11 @@ mod tests {
             },
         );
         assert_eq!(got, Some(Anomaly::DeadlineExceeded));
-        // A trace containing an engine.reopt span classifies as Reopt.
-        let t = rec.begin();
-        drop(t.span("engine.reopt", None));
-        assert_eq!(rec.finish(&t, meta("q")), Some(Anomaly::Reopt));
         // Otherwise the slow-query threshold applies.
         let t = rec.begin();
         std::thread::sleep(Duration::from_millis(1));
         assert_eq!(rec.finish(&t, meta("q")), Some(Anomaly::SlowQuery));
-        assert_eq!(rec.anomaly_count(), 3);
+        assert_eq!(rec.anomaly_count(), 2);
     }
 
     #[test]

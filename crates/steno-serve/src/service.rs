@@ -26,12 +26,6 @@
 //! Unsupported query shapes take the facade's iterator fallback, which
 //! polls the same deadline/cancel interrupt per stride of elements, so
 //! even unoptimized queries stop within their latency bound.
-//!
-//! When the engine is adaptive ([`Steno::with_adaptive`]), compiled
-//! plans run through its feedback loop — profiled sampling, drift
-//! detection, bounded re-optimization — but only while the
-//! [`CompileBreaker`] is closed: a degraded service must not spend
-//! compile budget on speculative re-optimizations.
 
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -655,9 +649,6 @@ fn finish_trace(
     };
     // EXPLAIN is attached only when this trace will dump: an anomaly is
     // already known, or the wall time crossed the slow-query threshold.
-    // (A re-opt-only anomaly is derived inside the recorder; its dump
-    // goes without EXPLAIN rather than paying an explain call — albeit
-    // a cache hit — on every clean query.)
     let slow = recorder
         .config()
         .slow_query
@@ -740,10 +731,6 @@ fn run_job(
         tracer,
         parent,
         options: Some(options),
-        // Adaptive re-optimization costs a compile; a service already
-        // shedding compile load (breaker open, degraded tier) must not
-        // add speculative ones.
-        reopt: !degraded,
         ..Exec::default()
     };
     let compile_start = Instant::now();
@@ -896,9 +883,7 @@ fn execute_with_retries(
 /// One execution attempt on the chosen path. All errors here are
 /// terminal for the job: transient failures only enter via fault
 /// injection and contained panics, which the retry loop sees directly.
-/// On an adaptive engine with `exec.reopt` set, the run feeds profiled
-/// samples and bounded drift-triggered re-optimization; a live tracer
-/// forces the profiled run, so per-loop spans record.
+/// A live tracer forces the profiled run, so per-loop spans record.
 fn run_attempt(
     shared: &Shared,
     job: &Job,
@@ -1062,7 +1047,7 @@ mod tests {
     }
 
     /// `frac_above` of the `n` values are 10.0 (above the 5.0
-    /// threshold used by the adaptive tests), the rest 0.0.
+    /// threshold of `sum_query(5.0)`), the rest 0.0.
     fn density_ctx(n: usize, frac_above: f64) -> DataContext {
         let period = (1.0 / frac_above.max(1e-9)).round() as usize;
         let xs: Vec<f64> = (0..n)
@@ -1097,79 +1082,31 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_engine_reoptimizes_through_the_service() {
-        // The service feeds the engine's profile→plan loop: a workload
-        // whose filter density collapses triggers one bounded
-        // re-optimization, surfaced in the engine's metrics.
-        let metrics = Arc::new(MemoryCollector::new());
-        let engine = Steno::new()
-            .with_adaptive(true)
-            .with_collector(metrics.clone());
-        let svc = QueryService::start(engine, ServeConfig::default());
-        let q = sum_query(5.0);
-        let dense = density_ctx(200_000, 0.95);
-        let sparse = density_ctx(200_000, 0.02);
-        for _ in 0..12 {
-            let req = QueryRequest::new("acme", q.clone(), dense.clone(), UdfRegistry::new());
-            svc.execute_blocking(req).unwrap();
-        }
-        for _ in 0..96 {
-            let req = QueryRequest::new("acme", q.clone(), sparse.clone(), UdfRegistry::new());
-            svc.execute_blocking(req).unwrap();
-            if metrics.counter_value("steno.reopt") > 0 {
-                break;
-            }
-        }
-        assert_eq!(metrics.counter_value("steno.reopt"), 1);
-        // Settle: the sustained sparse regime must not flap the plan.
-        for _ in 0..48 {
-            let req = QueryRequest::new("acme", q.clone(), sparse.clone(), UdfRegistry::new());
-            svc.execute_blocking(req).unwrap();
-        }
-        assert_eq!(metrics.counter_value("steno.reopt"), 1);
-    }
-
-    #[test]
-    fn open_breaker_suppresses_adaptive_reoptimization() {
+    fn open_breaker_degrades_compiles_without_changing_answers() {
         // A zero compile budget marks every compile slow: the breaker
         // trips after the first one and every later job runs degraded.
-        // Degraded jobs must not spend compiles on re-optimization even
-        // when the workload drifts hard.
-        let metrics = Arc::new(MemoryCollector::new());
-        let engine = Steno::new()
-            .with_adaptive(true)
-            .with_collector(metrics.clone());
-        let svc = QueryService::start(
-            engine,
-            ServeConfig {
-                breaker: BreakerConfig {
-                    compile_budget: Duration::ZERO,
-                    trip_threshold: 1,
-                    ..BreakerConfig::default()
-                },
-                ..ServeConfig::default()
+        // Degraded plans must still give the healthy service's answers.
+        let (svc, metrics) = service_with(ServeConfig {
+            breaker: BreakerConfig {
+                compile_budget: Duration::ZERO,
+                trip_threshold: 1,
+                ..BreakerConfig::default()
             },
-        );
+            ..ServeConfig::default()
+        });
+        let (healthy, healthy_metrics) = service_with(ServeConfig::default());
         let q = sum_query(5.0);
-        let dense = density_ctx(50_000, 0.95);
-        let sparse = density_ctx(50_000, 0.02);
-        for _ in 0..12 {
-            let req = QueryRequest::new("acme", q.clone(), dense.clone(), UdfRegistry::new());
-            svc.execute_blocking(req).unwrap();
-        }
-        for _ in 0..40 {
-            let req = QueryRequest::new("acme", q.clone(), sparse.clone(), UdfRegistry::new());
-            svc.execute_blocking(req).unwrap();
+        let inputs = [density_ctx(50_000, 0.95), density_ctx(50_000, 0.02)];
+        for data in inputs.iter().cycle().take(24) {
+            let req = || QueryRequest::new("acme", q.clone(), data.clone(), UdfRegistry::new());
+            let got = svc.execute_blocking(req()).unwrap();
+            assert_eq!(got, healthy.execute_blocking(req()).unwrap());
         }
         assert!(
             metrics.counter_value("serve.degraded_compiles") > 0,
             "breaker must have degraded the service"
         );
-        assert_eq!(
-            metrics.counter_value("steno.reopt"),
-            0,
-            "degraded service must not re-optimize"
-        );
+        assert_eq!(healthy_metrics.counter_value("serve.degraded_compiles"), 0);
     }
 
     #[test]

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use steno_expr::{DataContext, Expr, UdfRegistry};
 use steno_query::{Query, QueryExpr};
 use steno_vm::batch::{BOp, FOp};
-use steno_vm::query::{CompileFeedback, StenoOptions};
+use steno_vm::query::StenoOptions;
 use steno_vm::{CompiledQuery, Instr, Program, VectorizationPolicy};
 
 fn x() -> Expr {
@@ -111,8 +111,7 @@ fn main() -> ExitCode {
     let mut mutated = false;
     for (name, q) in queries() {
         for (mode, opts) in &modes {
-            let fb = CompileFeedback::default();
-            let c = match CompiledQuery::compile_with(&q, (&ctx).into(), &udfs, *opts, fb) {
+            let c = match CompiledQuery::compile_with(&q, (&ctx).into(), &udfs, *opts) {
                 Ok(c) => c,
                 Err(e) => {
                     eprintln!("tapecheck-gate: {name}/{mode}: compile error: {e}");

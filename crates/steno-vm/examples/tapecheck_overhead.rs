@@ -3,7 +3,7 @@ use std::time::Instant;
 
 use steno_expr::{DataContext, Expr, UdfRegistry};
 use steno_query::Query;
-use steno_vm::query::{CompileFeedback, StenoOptions};
+use steno_vm::query::StenoOptions;
 use steno_vm::{CompiledQuery, VectorizationPolicy};
 
 fn x() -> Expr {
@@ -33,7 +33,6 @@ fn main() {
             .build()),
     ];
     let reps = 200;
-    let fb = CompileFeedback::default();
     for (mode, opts) in [
         ("auto", StenoOptions::default()),
         ("scalar", StenoOptions { vectorize: VectorizationPolicy::Off, ..StenoOptions::default() }),
@@ -43,7 +42,7 @@ fn main() {
             let mut check_ns = 0u128;
             for _ in 0..reps {
                 let t0 = Instant::now();
-                let c = CompiledQuery::compile_with(q, (&ctx).into(), &udfs, opts, fb).unwrap();
+                let c = CompiledQuery::compile_with(q, (&ctx).into(), &udfs, opts).unwrap();
                 compile_ns += t0.elapsed().as_nanos();
                 let t1 = Instant::now();
                 steno_vm::check_program(c.program()).unwrap();
@@ -52,7 +51,7 @@ fn main() {
             // Isolate the equivalence pass: same program, shadow stripped.
             let mut noshadow_ns = 0u128;
             {
-                let c = CompiledQuery::compile_with(q, (&ctx).into(), &udfs, opts, fb).unwrap();
+                let c = CompiledQuery::compile_with(q, (&ctx).into(), &udfs, opts).unwrap();
                 let mut p2 = c.program().clone();
                 p2.shadow = None;
                 for _ in 0..reps {

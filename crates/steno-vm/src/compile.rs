@@ -99,11 +99,6 @@ struct Compiler<'a> {
     n_slots_reused: u32,
     loops: Vec<LoopCtx>,
     vectorize: bool,
-    /// Cost-model tier advice from profiled runs (see `steno-opt`):
-    /// `PreferScalar` skips the batch tier for every loop, with the
-    /// rationale recorded on the loop's plan. `None` keeps the static
-    /// tier order.
-    tier_hint: Option<(steno_opt::TierAdvice, String)>,
 }
 
 const PATCH: Pc = u32::MAX;
@@ -587,22 +582,13 @@ impl<'a> Compiler<'a> {
                 // Tier order: vectorized (typed batches, selection
                 // vectors) first, then the generic scalar loop. A refused
                 // vectorization leaves no trace in the emitted program.
-                // A cost-model hint (observed element counts below the
-                // batch break-even, §7.1) overrides the static order and
-                // skips the batch tier outright.
-                let chosen_by = self.tier_hint.as_ref().map(|(_, why)| why.clone());
-                let skip_batch = matches!(
-                    self.tier_hint,
-                    Some((steno_opt::TierAdvice::PreferScalar, _))
-                );
                 let mut vectorize_fallback = None;
-                if self.vectorize && !skip_batch {
+                if self.vectorize {
                     match self.try_vectorize_loop(p, header, elem_var, *body, *window) {
                         Ok(()) => {
                             self.loop_plans.push(LoopPlan {
                                 tier: LoopTier::Vectorized,
                                 vectorize_fallback: None,
-                                chosen_by,
                             });
                             return Ok(());
                         }
@@ -619,7 +605,6 @@ impl<'a> Compiler<'a> {
                 self.loop_plans.push(LoopPlan {
                     tier: LoopTier::Scalar,
                     vectorize_fallback,
-                    chosen_by,
                 });
                 self.compile_loop(p, header, elem_var, *body, *window)
             }
@@ -1254,18 +1239,13 @@ pub fn assemble(p: &ImpProgram, udfs: &UdfRegistry) -> Result<Program, CompileEr
 }
 
 /// As [`assemble`], with the vectorized tier switchable (the back-end
-/// ablation and the engine's `VectorizationPolicy`) and an optional
-/// cost-model tier hint (observed element counts and selection
-/// density from profiled runs of a previous compilation of the same
-/// query). `PreferScalar` advice
-/// skips the batch-vectorized tier — below the break-even element count
-/// its per-loop setup costs more than it saves — and the rationale is
-/// recorded on each loop's [`LoopPlan::chosen_by`] for `EXPLAIN`.
+/// ablation and the engine's `VectorizationPolicy`). Every loop the
+/// vectorizer refuses runs on the scalar tier.
 ///
 /// `fusion` is ignored: the loop-fusion tier it switched was removed
-/// (the batch tier covers its loops), and the argument remains only
-/// for callers not yet updated. Every loop the vectorizer refuses runs
-/// on the scalar tier.
+/// (the batch tier covers its loops). The last parameter is
+/// uninhabited: only `None` can be passed, so no caller can hand in a
+/// tier hint. Both remain only for callers not yet updated.
 ///
 /// # Errors
 ///
@@ -1275,7 +1255,7 @@ pub fn assemble_hinted(
     udfs: &UdfRegistry,
     _fusion: bool,
     vectorize: bool,
-    tier_hint: Option<(steno_opt::TierAdvice, String)>,
+    _tier_hint: Option<std::convert::Infallible>,
 ) -> Result<Program, CompileError> {
     let mut sink_readers = HashMap::new();
     count_sink_readers(p, &p.flatten(p.root), &mut sink_readers);
@@ -1302,7 +1282,6 @@ pub fn assemble_hinted(
         n_slots_reused: 0,
         loops: Vec::new(),
         vectorize,
-        tier_hint,
     };
     for s in p.flatten(p.root) {
         c.stmt(p, &s)?;

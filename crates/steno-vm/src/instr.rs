@@ -616,11 +616,6 @@ pub struct LoopPlan {
     /// When the vectorizer was enabled but refused this loop, the exact
     /// reason it gave; `None` for vectorized loops or a disabled tier.
     pub vectorize_fallback: Option<FallbackReason>,
-    /// When the cost model (rather than the static tier order) picked
-    /// this loop's tier, its rationale — rendered verbatim as the
-    /// `chosen-by:` line in `EXPLAIN`. `None` means the static order
-    /// decided.
-    pub chosen_by: Option<String>,
 }
 
 /// The scalar tape exactly as assembled, captured before the backend

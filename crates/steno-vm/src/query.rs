@@ -24,10 +24,7 @@ use steno_quil::ir::QuilChain;
 use steno_quil::lower::{lower_with, LowerOptions};
 use steno_quil::passes;
 
-use steno_opt::{
-    choose_tier, observe_selectivities, rewrite as rewrite_chain, DriftConfig, LoopStats,
-    ObservedRun, PlanStats, RewriteEvent,
-};
+use steno_opt::{rewrite as rewrite_chain, RewriteEvent};
 
 use crate::compile::assemble_hinted;
 use crate::exec::{run_program, VmError};
@@ -106,11 +103,8 @@ pub struct StenoOptions {
     pub fusion: bool,
     /// Whether the VM's batch-vectorization tier runs.
     pub vectorize: VectorizationPolicy,
-    /// Whether the verified algebraic rewrite pass (`steno-opt`) runs
-    /// on the lowered chain. The statically sound rules always apply;
-    /// the feedback-directed rules (filter reordering, predicate
-    /// pushdown) additionally need observed selectivities via
-    /// [`CompileFeedback::sample_ctx`].
+    /// Whether the verified algebraic rewrite pass (`steno-opt`:
+    /// `merge-limits` and `hoist-limit`) runs on the lowered chain.
     pub rewrites: bool,
 }
 
@@ -126,24 +120,6 @@ impl Default for StenoOptions {
     }
 }
 
-/// Run-time facts fed back into a (re)compilation — the input half of
-/// the profile→plan loop. [`CompileFeedback::default`] (no facts)
-/// reproduces a blind first compile.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct CompileFeedback<'a> {
-    /// Source data to sample per-predicate selectivities from, enabling
-    /// the feedback-directed rewrite rules (filter reordering,
-    /// predicate pushdown). Sampling reads at most a few hundred
-    /// elements through the reference evaluator.
-    pub sample_ctx: Option<&'a DataContext>,
-    /// Observed per-loop element counts and selection density, driving
-    /// the §7.1 cost-based tier choice.
-    pub loop_stats: Option<LoopStats>,
-}
-
-/// Elements sampled per source when measuring predicate selectivities.
-const SELECTIVITY_SAMPLE: usize = 512;
-
 /// A Steno-optimized query, ready to run against any compatible context.
 #[derive(Clone, Debug)]
 pub struct CompiledQuery {
@@ -151,7 +127,6 @@ pub struct CompiledQuery {
     compile_time: Duration,
     chain: QuilChain,
     rewrites: Vec<RewriteEvent>,
-    measured: Option<LoopStats>,
 }
 
 impl CompiledQuery {
@@ -167,18 +142,11 @@ impl CompiledQuery {
         udfs: &UdfRegistry,
     ) -> Result<CompiledQuery, OptimizeError> {
         let opts = StenoOptions::default();
-        Self::compile_with(q, sources, udfs, opts, CompileFeedback::default())
+        Self::compile_with(q, sources, udfs, opts)
     }
 
-    /// The fully-tunable, feedback-directed entry point: as
-    /// [`CompiledQuery::compile`] under explicit [`StenoOptions`]
-    /// (ablation benchmarks, degraded serving tiers), additionally
-    /// consuming measured run facts. With a
-    /// [`CompileFeedback::sample_ctx`] the rewrite pass measures
-    /// per-predicate selectivities and may reorder or push down filters;
-    /// with [`CompileFeedback::loop_stats`] the backend applies the §7.1
-    /// break-even to pick loop tiers instead of the static order.
-    /// [`CompileFeedback::default`] is a blind first compile.
+    /// As [`CompiledQuery::compile`] under explicit [`StenoOptions`]
+    /// (ablation benchmarks, degraded serving tiers).
     ///
     /// # Errors
     ///
@@ -188,7 +156,6 @@ impl CompiledQuery {
         sources: SourceTypes,
         udfs: &UdfRegistry,
         opts: StenoOptions,
-        feedback: CompileFeedback<'_>,
     ) -> Result<CompiledQuery, OptimizeError> {
         let start = Instant::now();
         let chain = lower_with(q, &sources, &TyEnv::new(), udfs, opts.lower)
@@ -199,14 +166,10 @@ impl CompiledQuery {
             chain
         };
         // The algebraic rewrite pass runs *before* element-wise fusion:
-        // reordering has to see individual filters, not the conjunction
-        // the fuser folds them into (which then preserves the chosen
-        // order inside its short-circuit `&&`).
+        // hoisting a limit has to see the individual maps, not the one
+        // map the fuser composes them into.
         let (chain, rewrites) = if opts.rewrites {
-            let sampled = feedback
-                .sample_ctx
-                .map(|ctx| observe_selectivities(&chain, ctx, udfs, SELECTIVITY_SAMPLE));
-            let out = rewrite_chain(&chain, udfs, sampled.as_ref());
+            let out = rewrite_chain(&chain, udfs, None);
             (out.chain, out.log)
         } else {
             (chain, Vec::new())
@@ -217,7 +180,7 @@ impl CompiledQuery {
             chain
         };
         let chain = passes::fold_constants(&chain);
-        Self::finish(chain, udfs, start, opts, rewrites, feedback.loop_stats)
+        Self::finish(chain, udfs, start, opts, rewrites)
     }
 
     /// Compiles a pre-lowered QUIL chain (used by the distributed planner,
@@ -228,7 +191,7 @@ impl CompiledQuery {
     /// Returns [`OptimizeError::Gen`] for internal failures.
     pub fn from_chain(chain: &QuilChain, udfs: &UdfRegistry) -> Result<CompiledQuery, OptimizeError> {
         let opts = StenoOptions::default();
-        Self::finish(chain.clone(), udfs, Instant::now(), opts, Vec::new(), None)
+        Self::finish(chain.clone(), udfs, Instant::now(), opts, Vec::new())
     }
 
     fn finish(
@@ -237,19 +200,16 @@ impl CompiledQuery {
         start: Instant,
         opts: StenoOptions,
         rewrites: Vec<RewriteEvent>,
-        loop_stats: Option<LoopStats>,
     ) -> Result<CompiledQuery, OptimizeError> {
         let imp = generate(&chain).map_err(|e| OptimizeError::Gen(e.to_string()))?;
-        let tier_hint = loop_stats.map(|ls| choose_tier(&ls, crate::batch::BATCH));
         let vectorize = opts.vectorize == VectorizationPolicy::Auto;
-        let program = assemble_hinted(&imp, udfs, false, vectorize, tier_hint)
+        let program = assemble_hinted(&imp, udfs, false, vectorize, None)
             .map_err(|e| OptimizeError::Gen(e.to_string()))?;
         Ok(CompiledQuery {
             program,
             compile_time: start.elapsed(),
             chain,
             rewrites,
-            measured: loop_stats,
         })
     }
 
@@ -314,13 +274,6 @@ impl CompiledQuery {
     ) -> Result<(Value, crate::profile::QueryProfile), VmError> {
         let bindings = Bindings::resolve(&self.program, ctx, udfs)?;
         crate::exec::run_program_traced(&self.program, &bindings, interrupt, tracer, parent)
-    }
-
-    /// The measured per-loop observations this plan was compiled
-    /// against ([`CompileFeedback::loop_stats`]); `None` for a blind
-    /// first compile. EXPLAIN surfaces this as the `measured:` line.
-    pub fn measured_stats(&self) -> Option<LoopStats> {
-        self.measured
     }
 
     /// The algebraic rewrite log: every rewrite the optimizer attempted
@@ -448,16 +401,10 @@ pub struct CacheStats {
     pub capacity: Option<usize>,
 }
 
-/// One cached plan plus its LRU stamp and decayed run statistics (the
-/// drift-detection state behind [`QueryCache::note_run`]).
+/// One cached plan plus its LRU stamp.
 struct CacheEntry {
     compiled: Arc<CompiledQuery>,
     last_used: u64,
-    stats: PlanStats,
-    reopt_events: Vec<String>,
-    /// Total executions of this plan (every run, not just the profiled
-    /// ones folded into `stats`) — the adaptive sampling cadence.
-    execs: u64,
 }
 
 /// Map, LRU clock, and counters behind one lock, so a hit's
@@ -475,17 +422,11 @@ struct CacheInner<B = RandomState> {
 }
 
 impl<B: BuildHasher> CacheInner<B> {
-    /// The entry of `q` under `opts`: every lookup and every per-plan
-    /// statistic goes through this one key.
-    fn entry(&mut self, q: &QueryExpr, opts: StenoOptions) -> Option<&mut CacheEntry> {
-        self.entries.get_mut(probe(&(opts, q)))
-    }
-
     /// Looks `q` up, stamping the entry most-recently-used on a hit.
     fn get(&mut self, q: &QueryExpr, opts: StenoOptions) -> Option<Arc<CompiledQuery>> {
         self.tick += 1;
         let tick = self.tick;
-        match self.entry(q, opts) {
+        match self.entries.get_mut(probe(&(opts, q))) {
             Some(e) => {
                 e.last_used = tick;
                 let hit = Arc::clone(&e.compiled);
@@ -520,9 +461,6 @@ impl<B: BuildHasher> CacheInner<B> {
             CacheEntry {
                 compiled,
                 last_used: tick,
-                stats: PlanStats::new(),
-                reopt_events: Vec::new(),
-                execs: 0,
             },
         );
     }
@@ -595,8 +533,7 @@ impl QueryCache {
         if let Some(hit) = lock(&self.inner).get(q, opts) {
             return Ok((hit, true));
         }
-        let compiled =
-            CompiledQuery::compile_with(q, sources.into(), udfs, opts, CompileFeedback::default())?;
+        let compiled = CompiledQuery::compile_with(q, sources.into(), udfs, opts)?;
         admit(&compiled)?;
         let compiled = Arc::new(compiled);
         lock(&self.inner).insert(PlanKey::new(opts, q), Arc::clone(&compiled));
@@ -613,98 +550,6 @@ impl QueryCache {
             len: inner.entries.len(),
             capacity: inner.capacity,
         }
-    }
-
-    /// Folds one observed run into the cached plan's decayed statistics
-    /// and checks for drift, returning a human-readable reason when the
-    /// observed workload has departed the plan's assumptions far enough
-    /// (and for long enough — see [`DriftConfig`]'s hysteresis gates)
-    /// to justify re-optimizing. The caller recompiles with
-    /// [`CompiledQuery::compile_with`] and installs the
-    /// result via [`QueryCache::install_reoptimized`]; this method
-    /// never blocks on compilation itself. Returns `None` for uncached
-    /// queries and plans that still fit.
-    pub fn note_run(
-        &self,
-        q: &QueryExpr,
-        opts: StenoOptions,
-        run: ObservedRun,
-        cfg: &DriftConfig,
-    ) -> Option<String> {
-        let mut inner = lock(&self.inner);
-        let entry = inner.entry(q, opts)?;
-        entry.stats.observe(run, cfg);
-        let compile_ns = entry.compiled.compile_time().as_nanos() as f64;
-        entry.stats.drift(cfg, compile_ns)
-    }
-
-    /// Replaces the cached plan for `q` with a re-optimized compilation,
-    /// rebasing the drift assumptions onto current observations (the
-    /// hysteresis that stops the same drift re-triggering) and recording
-    /// `reason` for `EXPLAIN`'s `reopt:` lines. A no-op when `q` is not
-    /// cached (e.g. evicted between drift detection and recompilation).
-    pub fn install_reoptimized(
-        &self,
-        q: &QueryExpr,
-        opts: StenoOptions,
-        compiled: Arc<CompiledQuery>,
-        reason: &str,
-    ) {
-        if let Some(entry) = lock(&self.inner).entry(q, opts) {
-            entry.compiled = compiled;
-            entry.stats.rebase();
-            entry.reopt_events.push(reason.to_string());
-        }
-    }
-
-    /// The re-optimization events recorded for `q`, oldest first; empty
-    /// when the plan never drifted (or is not cached).
-    pub fn reopt_events(&self, q: &QueryExpr, opts: StenoOptions) -> Vec<String> {
-        lock(&self.inner)
-            .entry(q, opts)
-            .map(|e| e.reopt_events.clone())
-            .unwrap_or_default()
-    }
-
-    /// How many observed runs have been folded into `q`'s cached plan
-    /// statistics ([`QueryCache::note_run`] calls).
-    pub fn plan_runs(&self, q: &QueryExpr, opts: StenoOptions) -> u64 {
-        lock(&self.inner)
-            .entry(q, opts)
-            .map(|e| e.stats.runs)
-            .unwrap_or(0)
-    }
-
-    /// Counts one execution of `q`'s cached plan, returning the
-    /// 0-based index of this execution (0 for uncached queries). The
-    /// adaptive engine uses this as its sampling clock: *every* run
-    /// ticks it, profiled or not, unlike [`QueryCache::note_run`] which
-    /// only the profiled runs reach.
-    pub fn begin_run(&self, q: &QueryExpr, opts: StenoOptions) -> u64 {
-        match lock(&self.inner).entry(q, opts) {
-            Some(e) => {
-                let n = e.execs;
-                e.execs += 1;
-                n
-            }
-            None => 0,
-        }
-    }
-
-    /// The decayed per-loop observations for `q`'s cached plan, in the
-    /// shape [`CompiledQuery::compile_with`] consumes; `None`
-    /// before the first observed run (or for uncached queries).
-    pub fn plan_loop_stats(&self, q: &QueryExpr, opts: StenoOptions) -> Option<LoopStats> {
-        let mut inner = lock(&self.inner);
-        let entry = inner.entry(q, opts)?;
-        if entry.stats.runs == 0 {
-            return None;
-        }
-        Some(LoopStats {
-            elements: entry.stats.ewma_elements,
-            density: entry.stats.ewma_density,
-            ns_per_elem: entry.stats.ewma_ns_per_elem,
-        })
     }
 
     /// Number of cached queries.
@@ -744,7 +589,7 @@ mod tests {
         udfs: &UdfRegistry,
         opts: StenoOptions,
     ) -> CompiledQuery {
-        CompiledQuery::compile_with(q, c.into(), udfs, opts, CompileFeedback::default()).unwrap()
+        CompiledQuery::compile_with(q, c.into(), udfs, opts).unwrap()
     }
 
     /// A cache lookup over `ctx()` with no UDFs.
@@ -1328,193 +1173,5 @@ mod tests {
             Err(VmError::Cancelled)
         );
         assert!(calls.load(Ordering::Relaxed) >= 2);
-    }
-
-    #[test]
-    fn drift_lifecycle_is_deterministic_and_does_not_flap() {
-        // The full re-optimization state machine, driven with synthetic
-        // observations so every gate (min_runs, break-even, hysteresis,
-        // cooldown) fires deterministically: no wall clocks involved.
-        let c = ctx();
-        let udfs = UdfRegistry::new();
-        let cache = QueryCache::new();
-        let opts = StenoOptions::default();
-        let q = Query::source("xs")
-            .where_(Expr::var("x").gt(Expr::litf(0.0)), "x")
-            .sum()
-            .build();
-
-        // Uncached queries report run index 0 and no stats.
-        assert_eq!(cache.begin_run(&q, opts), 0);
-        assert_eq!(cache.plan_runs(&q, opts), 0);
-        assert!(cache.plan_loop_stats(&q, opts).is_none());
-
-        let compiled = lookup(&cache, &q, opts);
-        // The exec clock ticks on every begin_run, independent of
-        // profiled-run bookkeeping.
-        assert_eq!(cache.begin_run(&q, opts), 0);
-        assert_eq!(cache.begin_run(&q, opts), 1);
-        assert_eq!(cache.plan_runs(&q, opts), 0);
-
-        let cfg = DriftConfig::default();
-        // exec_ns is synthetic and enormous so the break-even gate
-        // (total execution must exceed compile cost) passes on run one.
-        let steady = ObservedRun {
-            elements: 1_000.0,
-            density: Some(0.9),
-            exec_ns: 1e12,
-            loop_ns: 0.0,
-        };
-        // Warmup: below min_runs nothing can trigger; at and beyond it,
-        // a steady workload must not either.
-        for i in 0..cfg.min_runs + 2 {
-            assert_eq!(cache.note_run(&q, opts, steady, &cfg), None, "run {i}");
-        }
-        assert_eq!(cache.plan_runs(&q, opts), cfg.min_runs + 2);
-        let ls = cache.plan_loop_stats(&q, opts).unwrap();
-        assert!((ls.elements - 1_000.0).abs() < 1e-6);
-        assert_eq!(ls.density, Some(0.9));
-
-        // Selectivity collapses: the decayed density must depart the
-        // plan's assumed density by more than the hysteresis band.
-        let shifted = ObservedRun {
-            density: Some(0.05),
-            ..steady
-        };
-        let mut reason = None;
-        for _ in 0..4 {
-            if let Some(r) = cache.note_run(&q, opts, shifted, &cfg) {
-                reason = Some(r);
-                break;
-            }
-        }
-        let reason = reason.expect("density collapse must trigger drift");
-        assert!(reason.contains("selectivity drift"), "got: {reason}");
-
-        // Install the re-optimized plan: entry swaps, event recorded,
-        // and rebasing resets the drift baseline.
-        let recompiled = Arc::new(compile_opts(&q, &c, &udfs, opts));
-        cache.install_reoptimized(&q, opts, Arc::clone(&recompiled), &reason);
-        let current = lookup(&cache, &q, opts);
-        assert!(Arc::ptr_eq(&current, &recompiled));
-        assert!(!Arc::ptr_eq(&current, &compiled));
-        let events = cache.reopt_events(&q, opts);
-        assert_eq!(events.len(), 1);
-        assert!(events[0].contains("selectivity drift"));
-
-        // Hysteresis: the same shifted workload, continued well past the
-        // cooldown window, must never re-trigger — the baseline now IS
-        // the shifted workload. This is the no-flapping guarantee.
-        for i in 0..cfg.cooldown_runs + cfg.min_runs + 8 {
-            assert_eq!(
-                cache.note_run(&q, opts, shifted, &cfg),
-                None,
-                "flap at post-reopt run {i}"
-            );
-        }
-        assert_eq!(cache.reopt_events(&q, opts).len(), 1);
-    }
-
-    #[test]
-    fn feedback_tier_choice_prefers_scalar_below_break_even() {
-        // With observed element counts far below the batch break-even,
-        // the cost model must veto the batch tier and stamp the loop
-        // with its rationale; results stay identical to the default.
-        let q = Query::source("xs")
-            .select(Expr::var("x") * Expr::litf(2.0), "x")
-            .sum()
-            .build();
-        let c = ctx();
-        let udfs = UdfRegistry::new();
-        let opts = StenoOptions::default();
-        let baseline = compile_opts(&q, &c, &udfs, opts);
-        assert_eq!(baseline.engine(), EngineKind::Vectorized);
-
-        let fb = CompileFeedback {
-            sample_ctx: None,
-            loop_stats: Some(steno_opt::LoopStats {
-                elements: 10.0,
-                density: None,
-                ns_per_elem: None,
-            }),
-        };
-        let tuned = CompiledQuery::compile_with(&q, (&c).into(), &udfs, opts, fb).unwrap();
-        let plans = tuned.loop_plans();
-        assert!(!plans.is_empty());
-        let why = plans[0].chosen_by.as_deref().expect("rationale recorded");
-        assert!(why.contains("break-even"), "got: {why}");
-        assert_ne!(plans[0].tier, crate::instr::LoopTier::Vectorized);
-        assert_eq!(
-            tuned.run(&c, &udfs).unwrap(),
-            baseline.run(&c, &udfs).unwrap()
-        );
-
-        // Counts comfortably above break-even keep the batch tier and
-        // still record why.
-        let fb = CompileFeedback {
-            sample_ctx: None,
-            loop_stats: Some(steno_opt::LoopStats {
-                elements: 1e6,
-                density: Some(0.5),
-                ns_per_elem: None,
-            }),
-        };
-        let tuned = CompiledQuery::compile_with(&q, (&c).into(), &udfs, opts, fb).unwrap();
-        let plans = tuned.loop_plans();
-        assert_eq!(plans[0].tier, crate::instr::LoopTier::Vectorized);
-        let why = plans[0].chosen_by.as_deref().expect("rationale recorded");
-        assert!(why.contains("break-even"), "got: {why}");
-    }
-
-    #[test]
-    fn feedback_sampling_records_rewrites_and_preserves_results() {
-        // A selective filter sitting after a cheap one: with a sample
-        // context the rewrite pass measures selectivities and reorders,
-        // logging the rewrite; the result is bit-identical either way.
-        let xs: Vec<f64> = (0..100).map(f64::from).collect();
-        let c = DataContext::new().with_source("xs", xs);
-        let udfs = UdfRegistry::new();
-        let opts = StenoOptions::default();
-        let q = Query::source("xs")
-            .where_(Expr::var("x").gt(Expr::litf(-1.0)), "x") // keeps all
-            .where_(Expr::var("x").lt(Expr::litf(5.0)), "x") // keeps 5%
-            .sum()
-            .build();
-        let baseline = compile_opts(&q, &c, &udfs, opts);
-        let fb = CompileFeedback {
-            sample_ctx: Some(&c),
-            loop_stats: None,
-        };
-        let tuned = CompiledQuery::compile_with(&q, (&c).into(), &udfs, opts, fb).unwrap();
-        let applied: Vec<_> = tuned
-            .rewrite_log()
-            .iter()
-            .filter(|ev| ev.applied && ev.rule == "reorder-filters")
-            .collect();
-        assert!(
-            !applied.is_empty(),
-            "expected a reorder-filters rewrite, log: {:?}",
-            tuned.rewrite_log()
-        );
-        assert_eq!(
-            tuned.run(&c, &udfs).unwrap(),
-            baseline.run(&c, &udfs).unwrap()
-        );
-
-        // Disabling rewrites suppresses the pass entirely.
-        let no_rw = StenoOptions {
-            rewrites: false,
-            ..opts
-        };
-        let fb = CompileFeedback {
-            sample_ctx: Some(&c),
-            loop_stats: None,
-        };
-        let plain = CompiledQuery::compile_with(&q, (&c).into(), &udfs, no_rw, fb).unwrap();
-        assert!(plain.rewrite_log().is_empty());
-        assert_eq!(
-            plain.run(&c, &udfs).unwrap(),
-            baseline.run(&c, &udfs).unwrap()
-        );
     }
 }

@@ -22,7 +22,7 @@ use steno_expr::{Column, DataContext, Expr, UdfRegistry, Value};
 use steno_linq::interp;
 use steno_obs::Tracer;
 use steno_query::{Query, QueryExpr};
-use steno_vm::query::{CompileFeedback, StenoOptions};
+use steno_vm::query::StenoOptions;
 use steno_vm::{CompiledQuery, Interrupt, QueryProfile, VectorizationPolicy, VmError};
 
 const SIZES: [usize; 3] = [1023, 1024, 1025];
@@ -37,7 +37,7 @@ fn compile_scalar(q: &QueryExpr, c: &DataContext, u: &UdfRegistry) -> CompiledQu
         vectorize: VectorizationPolicy::Off,
         ..StenoOptions::default()
     };
-    CompiledQuery::compile_with(q, c.into(), u, opts, CompileFeedback::default())
+    CompiledQuery::compile_with(q, c.into(), u, opts)
         .unwrap_or_else(|e| panic!("scalar compile {q}: {e}"))
 }
 

@@ -10,7 +10,7 @@ use steno_expr::{Column, DataContext, EvalError, Expr, UdfRegistry, Value};
 use steno_linq::interp;
 use steno_query::typing::SourceTypes;
 use steno_query::{Query, QueryExpr};
-use steno_vm::query::{CompileFeedback, StenoOptions};
+use steno_vm::query::StenoOptions;
 use steno_vm::{CompiledQuery, LoopTier, VectorizationPolicy, VmError};
 
 const BATCH: usize = 1024;
@@ -88,9 +88,8 @@ fn compile(
         vectorize,
         ..StenoOptions::default()
     };
-    let compiled =
-        CompiledQuery::compile_with(q, SourceTypes::from(c), u, opts, CompileFeedback::default())
-            .unwrap_or_else(|e| panic!("compile failed for {q}: {e}"));
+    let compiled = CompiledQuery::compile_with(q, SourceTypes::from(c), u, opts)
+        .unwrap_or_else(|e| panic!("compile failed for {q}: {e}"));
     steno_vm::check_program(compiled.program())
         .unwrap_or_else(|e| panic!("tape check rejected {q} ({vectorize:?}): {e}"));
     compiled

@@ -11,7 +11,7 @@
 use steno_expr::{DataContext, UdfRegistry, Value};
 use steno_linq::interp;
 use steno_query::QueryExpr;
-use steno_vm::query::{CompileFeedback, StenoOptions};
+use steno_vm::query::StenoOptions;
 use steno_vm::{CompiledQuery, LoopTier, VectorizationPolicy};
 
 const BATCH: usize = 1024;
@@ -28,7 +28,7 @@ fn compile(q: &QueryExpr, c: &DataContext, vectorize: VectorizationPolicy) -> Co
         ..StenoOptions::default()
     };
     let u = UdfRegistry::new();
-    let compiled = CompiledQuery::compile_with(q, c.into(), &u, opts, CompileFeedback::default())
+    let compiled = CompiledQuery::compile_with(q, c.into(), &u, opts)
         .unwrap_or_else(|e| panic!("compile failed for {q}: {e}"));
     steno_vm::check_program(compiled.program())
         .unwrap_or_else(|e| panic!("tape check rejected {q} ({vectorize:?}): {e}"));

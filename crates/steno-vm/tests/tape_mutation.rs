@@ -14,8 +14,8 @@ use steno_expr::{DataContext, Expr, Ty, UdfRegistry, Value};
 use steno_query::{Query, QueryExpr};
 use steno_vm::batch::{BOp, FOp, IOp, Lane, RedK};
 use steno_vm::check::{check_program, ObligationKind};
-use steno_vm::query::{CompileFeedback, StenoOptions};
 use steno_vm::instr::CmpOp;
+use steno_vm::query::StenoOptions;
 use steno_vm::{CompiledQuery, Instr, Program, VectorizationPolicy};
 
 fn x() -> Expr {
@@ -42,7 +42,7 @@ fn compile_with_udfs(
     udfs: &UdfRegistry,
     opts: StenoOptions,
 ) -> Program {
-    let c = CompiledQuery::compile_with(q, ctx.into(), udfs, opts, CompileFeedback::default())
+    let c = CompiledQuery::compile_with(q, ctx.into(), udfs, opts)
         .unwrap_or_else(|e| panic!("compile failed for {q}: {e}"));
     assert!(
         check_program(c.program()).is_ok(),

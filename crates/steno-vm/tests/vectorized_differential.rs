@@ -14,7 +14,7 @@ use steno_expr::{Column, DataContext, Expr, Ty, UdfRegistry, Value};
 use steno_linq::interp;
 use steno_query::{GroupResult, Query, QueryExpr};
 use steno_vm::batch::{BInit, BOp, Lane, RedK};
-use steno_vm::query::{CompileFeedback, StenoOptions};
+use steno_vm::query::StenoOptions;
 use steno_vm::{CompiledQuery, EngineKind, VectorizationPolicy, VmError};
 
 const BATCH: usize = 1024;
@@ -32,7 +32,7 @@ fn scalar_opts() -> StenoOptions {
 
 /// Compiles `q` twice: scalar-only and vectorization-enabled.
 fn compile_pair(q: &QueryExpr, c: &DataContext, u: &UdfRegistry) -> (CompiledQuery, CompiledQuery) {
-    let compile = |o| CompiledQuery::compile_with(q, c.into(), u, o, CompileFeedback::default());
+    let compile = |o| CompiledQuery::compile_with(q, c.into(), u, o);
     let scalar =
         compile(scalar_opts()).unwrap_or_else(|e| panic!("scalar compile failed for {q}: {e}"));
     let vectorized = compile(StenoOptions::default())

@@ -19,8 +19,7 @@ use steno_obs::{Collector, FlightRecorder, NoopCollector, SpanId, Tracer};
 use steno_query::typing::SourceTypes;
 use steno_query::QueryExpr;
 use steno_syntax::ParseError;
-use steno_opt::{DriftConfig, ObservedRun};
-use steno_vm::query::{CompileFeedback, OptimizeError};
+use steno_vm::query::OptimizeError;
 use steno_vm::{
     CompiledQuery, Interrupt, QueryCache, QueryProfile, StenoOptions, VectorizationPolicy, VmError,
 };
@@ -58,8 +57,7 @@ pub enum StenoError {
     /// The tape verifier rejected a compiled bytecode program — a
     /// backend (register-allocation, fusion, peephole, packing) bug was
     /// caught before the tape could run (only when verification is
-    /// enabled, see [`Steno::with_verify`]; re-optimizations are always
-    /// checked).
+    /// enabled, see [`Steno::with_verify`]).
     TapeCheck(steno_vm::CheckError),
 }
 
@@ -114,8 +112,6 @@ pub struct Steno {
     collector: Arc<dyn Collector>,
     recorder: Option<Arc<FlightRecorder>>,
     verify: bool,
-    adaptive: bool,
-    drift: DriftConfig,
 }
 
 impl Default for Steno {
@@ -130,8 +126,6 @@ impl Default for Steno {
             // cross-check every optimized plan; release builds skip the
             // re-typecheck by default.
             verify: cfg!(debug_assertions),
-            adaptive: false,
-            drift: DriftConfig::default(),
         }
     }
 }
@@ -142,13 +136,9 @@ static UNTRACED: Tracer = Tracer::disabled();
 /// The per-call context of [`Steno::execute_with`],
 /// [`Steno::run_compiled`] and [`Steno::compile_with`]. The default is
 /// the plain path of [`Steno::execute`]: no deadline, no tracing, the
-/// engine's options, no profile, re-optimization allowed.
+/// engine's options, no profile.
 ///
-/// A run is profiled iff `profile` is set, the tracer is enabled, or an
-/// adaptive sample is due (the first `ADAPTIVE_WARMUP` runs of a plan
-/// and every `ADAPTIVE_PERIOD`-th run after). A profiled run feeds the
-/// cached plan's statistics iff the engine is adaptive and `reopt` is
-/// set.
+/// A run is profiled iff `profile` is set or the tracer is enabled.
 #[derive(Clone, Copy)]
 pub struct Exec<'a> {
     /// Deadline/cancellation, polled by the VM at loop back-edges and
@@ -164,9 +154,6 @@ pub struct Exec<'a> {
     pub options: Option<StenoOptions>,
     /// Run the profiled interpreter and return its [`QueryProfile`].
     pub profile: bool,
-    /// Whether a profiled run may feed an adaptive engine's plan
-    /// statistics and trigger drift re-optimization.
-    pub reopt: bool,
 }
 
 impl Default for Exec<'_> {
@@ -177,18 +164,9 @@ impl Default for Exec<'_> {
             parent: None,
             options: None,
             profile: false,
-            reopt: true,
         }
     }
 }
-
-/// Adaptive sampling cadence: the first `ADAPTIVE_WARMUP` executions of
-/// a plan run the profiled interpreter (establishing the plan's
-/// assumptions quickly), then every `ADAPTIVE_PERIOD`-th run keeps the
-/// decayed statistics fresh without paying profiling overhead on the
-/// steady state.
-const ADAPTIVE_WARMUP: u64 = 16;
-const ADAPTIVE_PERIOD: u64 = 16;
 
 impl Steno {
     /// Creates an engine with an empty query cache and the default
@@ -290,34 +268,6 @@ impl Steno {
         self.verify
     }
 
-    /// Turns feedback-directed re-optimization on or off (default off).
-    /// When on, [`Steno::execute`] samples a profiled run periodically,
-    /// folds the observed element counts / selection density / wall
-    /// time into the cached plan's decayed statistics, and — when the
-    /// workload drifts past the plan's assumptions (see [`DriftConfig`])
-    /// — recompiles with the measured facts and swaps the cached plan in
-    /// place. Re-optimized plans go through the same verifier gate as
-    /// fresh compilations; `EXPLAIN` surfaces every event as a `reopt:`
-    /// line.
-    #[must_use = "with_adaptive returns the configured engine"]
-    pub fn with_adaptive(mut self, on: bool) -> Steno {
-        self.adaptive = on;
-        self
-    }
-
-    /// Whether this engine re-optimizes drifted plans.
-    pub fn adaptive_enabled(&self) -> bool {
-        self.adaptive
-    }
-
-    /// Overrides the drift-detection tuning (sampling decay, hysteresis
-    /// gates, re-opt budget) used when [`Steno::with_adaptive`] is on.
-    #[must_use = "with_drift_config returns the configured engine"]
-    pub fn with_drift_config(mut self, cfg: DriftConfig) -> Steno {
-        self.drift = cfg;
-        self
-    }
-
     /// Executes a query AST, optimizing when possible.
     ///
     /// # Errors
@@ -407,10 +357,9 @@ impl Steno {
         result
     }
 
-    /// The one plan-admission check, for fresh compilations and
-    /// re-optimizations alike: the plan verifier over the QUIL chain,
-    /// then the tape verifier over the bytecode, which catches a
-    /// backend miscompile of a sound plan.
+    /// The one plan-admission check for fresh compilations: the plan
+    /// verifier over the QUIL chain, then the tape verifier over the
+    /// bytecode, which catches a backend miscompile of a sound plan.
     fn admit(
         &self,
         compiled: &CompiledQuery,
@@ -442,12 +391,7 @@ impl Steno {
     /// or — with `plan: None` — the iterator fallback, the paper's
     /// behaviour for shapes Steno does not optimize. This is the entry a
     /// serving layer uses to run plans it compiled itself (e.g. under a
-    /// degraded policy) while still feeding the profile→plan loop.
-    /// `exec.options` must be the options the plan was compiled under:
-    /// the cache keys its statistics on them. When fed statistics
-    /// drift, the plan is recompiled with the measured feedback and
-    /// swapped in the cache after the value is computed; a failed or
-    /// verifier-rejected recompile only counts a metric.
+    /// degraded policy).
     ///
     /// # Errors
     ///
@@ -466,13 +410,7 @@ impl Steno {
             return run_fallback(q, ctx, udfs, exec);
         };
         self.collector.add("steno.query.executed", 1);
-        let opts = exec.options.unwrap_or(self.options);
-        let feed = self.adaptive && exec.reopt;
-        let sample = feed && {
-            let runs = self.cache.begin_run(q, opts);
-            runs < ADAPTIVE_WARMUP || runs.is_multiple_of(ADAPTIVE_PERIOD)
-        };
-        if !(exec.profile || exec.tracer.enabled() || sample) {
+        if !(exec.profile || exec.tracer.enabled()) {
             let value = compiled
                 .run_with(ctx, udfs, exec.interrupt)
                 .map_err(StenoError::Vm)?;
@@ -481,60 +419,7 @@ impl Steno {
         let (value, prof) = compiled
             .run_traced(ctx, udfs, exec.interrupt, exec.tracer, exec.parent)
             .map_err(StenoError::Vm)?;
-        if feed {
-            // Exactly one tier runs each loop, so summing the per-tier
-            // element counters yields the elements that flowed through.
-            let observed = ObservedRun {
-                elements: (prof.src_reads + prof.batch_elements_in) as f64,
-                density: prof.selection_density(),
-                exec_ns: prof.wall.as_nanos() as f64,
-                loop_ns: prof.loop_ns as f64,
-            };
-            if let Some(reason) = self.cache.note_run(q, opts, observed, &self.drift) {
-                self.reoptimize(q, ctx, udfs, &reason, exec);
-            }
-        }
         Ok((value, ExecutionPath::Optimized, Some(prof)))
-    }
-
-    /// Recompiles `q` with measured feedback (sampled selectivities from
-    /// the live data, decayed loop stats from the cache) and installs
-    /// the result — but only after [`Steno::admit`] accepts it,
-    /// regardless of [`Steno::with_verify`]: a re-optimization replaces
-    /// a known-good plan, so it is never trusted blind.
-    fn reoptimize(
-        &self,
-        q: &QueryExpr,
-        ctx: &DataContext,
-        udfs: &UdfRegistry,
-        reason: &str,
-        exec: &Exec<'_>,
-    ) {
-        let opts = exec.options.unwrap_or(self.options);
-        let mut rspan = exec.tracer.span("engine.reopt", exec.parent);
-        let feedback = CompileFeedback {
-            sample_ctx: Some(ctx),
-            loop_stats: self.cache.plan_loop_stats(q, opts),
-        };
-        let sources = SourceTypes::from(ctx);
-        let Ok(recompiled) = CompiledQuery::compile_with(q, sources, udfs, opts, feedback) else {
-            rspan.note("outcome", "error");
-            self.collector.add("steno.reopt.error", 1);
-            return;
-        };
-        if self
-            .admit(&recompiled, udfs, exec.tracer, rspan.id().or(exec.parent))
-            .is_err()
-        {
-            rspan.note("outcome", "rejected");
-            self.collector.add("steno.reopt.rejected", 1);
-            return;
-        }
-        self.cache
-            .install_reoptimized(q, opts, Arc::new(recompiled), reason);
-        rspan.note("outcome", "installed");
-        rspan.note("reason", reason.to_string());
-        self.collector.add("steno.reopt", 1);
     }
 
     /// Explains how this engine would execute `q` against sources of
@@ -610,8 +495,6 @@ impl Steno {
                         sinks: steno_vm::instr::sink_plans(compiled.program()),
                         lints,
                         rewrites: compiled.rewrite_log().to_vec(),
-                        reopt: self.cache.reopt_events(q, options),
-                        measured: compiled.measured_stats().map(render_measured),
                         tape_check,
                     },
                 })
@@ -799,19 +682,6 @@ fn run_fallback(
         ..QueryProfile::default()
     });
     Ok((value, ExecutionPath::Fallback, prof))
-}
-
-/// Renders the measured loop facts a plan was compiled against for the
-/// EXPLAIN `measured:` line.
-fn render_measured(ls: steno_opt::LoopStats) -> String {
-    let mut out = format!("~{:.0} elements", ls.elements);
-    if let Some(d) = ls.density {
-        out.push_str(&format!(", density {d:.2}"));
-    }
-    if let Some(npe) = ls.ns_per_elem {
-        out.push_str(&format!(", ~{npe:.1} ns/elem"));
-    }
-    out
 }
 
 #[cfg(test)]
@@ -1390,112 +1260,10 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_engine_recompiles_on_selectivity_drift_without_flapping() {
-        // End-to-end drift: the same query runs against a workload
-        // whose filter keeps ~95% of elements, then the workload shifts
-        // so it keeps ~2%. The adaptive engine must notice, recompile
-        // once, surface the event in EXPLAIN, and then settle — the
-        // sustained new regime must not keep re-triggering.
-        use steno_obs::MemoryCollector;
-
-        let metrics = Arc::new(MemoryCollector::new());
-        let engine = Steno::new()
-            .with_adaptive(true)
-            .with_collector(metrics.clone());
-        assert!(engine.adaptive_enabled());
-        let q = Query::source("xs")
-            .where_(Expr::var("x").lt(Expr::litf(1.0)), "x")
-            .sum()
-            .build();
-        let udfs = UdfRegistry::new();
-        let n = 200_000;
-        // Dense regime: 95% of values sit below the threshold. Large
-        // enough that accumulated execution dwarfs the one-off compile
-        // (the break-even gate uses real measured times).
-        let dense: Vec<f64> = (0..n).map(|i| if i % 20 == 0 { 2.0 } else { 0.5 }).collect();
-        let dense_ctx = DataContext::new().with_source("xs", dense);
-        // Sparse regime: only 2% below the threshold.
-        let sparse: Vec<f64> = (0..n).map(|i| if i % 50 == 0 { 0.5 } else { 2.0 }).collect();
-        let sparse_ctx = DataContext::new().with_source("xs", sparse);
-        let expect_dense = Value::F64(0.5 * f64::from(n / 20 * 19));
-        let expect_sparse = Value::F64(0.5 * f64::from(n / 50));
-
-        for _ in 0..12 {
-            assert_eq!(engine.execute(&q, &dense_ctx, &udfs).unwrap(), expect_dense);
-        }
-        let sources = SourceTypes::from(&dense_ctx);
-        let before = engine.explain(&q, sources.clone(), &udfs).unwrap();
-        let ExplainPlan::Optimized { reopt, .. } = &before.plan else {
-            panic!("expected optimized plan");
-        };
-        assert!(reopt.is_empty(), "no drift yet: {reopt:?}");
-
-        // Shift the workload and keep running until the engine reacts.
-        // Sampling happens on a cadence, so give it plenty of runs.
-        let mut events = Vec::new();
-        for _ in 0..128 {
-            assert_eq!(
-                engine.execute(&q, &sparse_ctx, &udfs).unwrap(),
-                expect_sparse
-            );
-            let explained = engine.explain(&q, sources.clone(), &udfs).unwrap();
-            let ExplainPlan::Optimized { reopt, .. } = &explained.plan else {
-                panic!("expected optimized plan");
-            };
-            if !reopt.is_empty() {
-                events = reopt.clone();
-                break;
-            }
-        }
-        assert_eq!(events.len(), 1, "exactly one re-opt: {events:?}");
-        assert!(
-            events[0].contains("selectivity drift"),
-            "got: {}",
-            events[0]
-        );
-
-        // Settle: the sustained sparse regime must never flap the plan.
-        for _ in 0..96 {
-            assert_eq!(
-                engine.execute(&q, &sparse_ctx, &udfs).unwrap(),
-                expect_sparse
-            );
-        }
-        let after = engine.explain(&q, sources, &udfs).unwrap();
-        let ExplainPlan::Optimized { reopt, .. } = &after.plan else {
-            panic!("expected optimized plan");
-        };
-        assert_eq!(reopt.len(), 1, "plan flapped: {reopt:?}");
-        // The counter agrees with the surfaced events.
-        assert_eq!(metrics.counter_value("steno.reopt"), 1);
-        assert_eq!(metrics.counter_value("steno.reopt.rejected"), 0);
-        assert_eq!(metrics.counter_value("steno.reopt.error"), 0);
-
-        // The re-optimized plan was compiled against measured run facts:
-        // EXPLAIN surfaces them as the `measured:` line, and the tier
-        // choice consumed the span-measured per-element time (the
-        // rationale switches from the element-count heuristic to the
-        // measured-cost rule).
-        let explained = engine
-            .explain(&q, SourceTypes::from(&sparse_ctx), &udfs)
-            .unwrap();
-        let text = explained.render();
-        assert!(text.contains("\n  measured: "), "{text}");
-        assert!(text.contains("ns/elem"), "{text}");
-        assert!(text.contains("chosen-by: \"measured-cost:"), "{text}");
-    }
-
-    #[test]
-    fn profiled_runs_feed_adaptive_plan_statistics() {
-        // One rule: a run is profiled when asked, traced, or due for an
-        // adaptive sample, and an adaptive engine folds every profiled
-        // run into the cached plan's statistics.
-        let engine = Steno::new().with_adaptive(true);
-        let opts = *engine.options();
+    fn a_run_is_profiled_iff_asked_or_traced() {
+        let engine = Steno::new();
         let c = ctx();
         let udfs = UdfRegistry::new();
-        let n = 2 * ADAPTIVE_WARMUP + 8;
-
         let q = Query::source("xs")
             .where_(Expr::var("x").gt(Expr::litf(1.5)), "x")
             .sum()
@@ -1504,36 +1272,29 @@ mod tests {
             profile: true,
             ..Exec::default()
         };
-        for _ in 0..n {
-            let (_, _, prof) = engine.execute_with(&q, &c, &udfs, &profiled).unwrap();
-            assert!(prof.is_some());
-        }
-        assert_eq!(engine.cache.plan_runs(&q, opts), n);
+        let (_, _, prof) = engine.execute_with(&q, &c, &udfs, &profiled).unwrap();
+        assert!(prof.is_some(), "asked for a profile");
 
-        // With reopt off a profiled run feeds nothing.
-        let no_reopt = Exec {
-            reopt: false,
-            ..profiled
+        let recorder = FlightRecorder::default();
+        let tracer = recorder.begin();
+        let traced = Exec {
+            tracer: &tracer,
+            ..Exec::default()
         };
-        engine.execute_with(&q, &c, &udfs, &no_reopt).unwrap();
-        assert_eq!(engine.cache.plan_runs(&q, opts), n);
+        let (_, _, prof) = engine.execute_with(&q, &c, &udfs, &traced).unwrap();
+        assert!(prof.is_some(), "a live tracer measures through the profile");
+        recorder.finish(&tracer, steno_obs::TraceMeta::default());
 
-        // Unasked, only the adaptive samples are profiled, and exactly
-        // those are fed.
-        let plain = Query::source("xs").sum().build();
-        let mut sampled = 0;
-        for _ in 0..n {
+        for _ in 0..40 {
             let (_, _, prof) = engine
-                .execute_with(&plain, &c, &udfs, &Exec::default())
+                .execute_with(&q, &c, &udfs, &Exec::default())
                 .unwrap();
-            sampled += u64::from(prof.is_some());
+            assert!(prof.is_none(), "an unasked run is never profiled");
         }
-        assert!(sampled < n, "the steady state is not profiled");
-        assert_eq!(engine.cache.plan_runs(&plain, opts), sampled);
     }
 
     #[test]
-    fn one_cache_key_serves_lookups_and_plan_statistics() {
+    fn one_cache_key_serves_lookups_and_engine_compiles() {
         let engine = Steno::new();
         let opts = StenoOptions::default();
         let q = Query::source("xs").sum().build();
@@ -1546,10 +1307,8 @@ mod tests {
             })
             .unwrap();
         assert!(!hit);
-        // The per-plan statistics find the plan the lookup inserted...
-        assert_eq!(engine.cache.begin_run(&q, opts), 0);
-        assert_eq!(engine.cache.begin_run(&q, opts), 1);
-        // ...and a default-options compile through the engine hits it.
+        // A default-options compile through the engine hits the plan
+        // the lookup inserted.
         let again = engine.compile(&q, SourceTypes::from(&c), &udfs).unwrap();
         assert!(Arc::ptr_eq(&plan, &again));
         let stats = engine.detailed_cache_stats();

@@ -73,14 +73,6 @@ pub enum ExplainPlan {
         /// attempted on this plan, in application order, including
         /// rewrites the plan verifier rejected (`applied: false`).
         rewrites: Vec<RewriteEvent>,
-        /// Drift-triggered re-optimization events for this query's
-        /// cached plan, oldest first (empty when the plan never
-        /// drifted).
-        reopt: Vec<String>,
-        /// The measured per-loop facts this plan was compiled against
-        /// (decayed element count, selection density, span-measured
-        /// ns/elem), rendered; `None` for a blind first compile.
-        measured: Option<String>,
         /// The tape verifier's verdict on the compiled bytecode:
         /// `passed (...)` with per-obligation counts, or `rejected: ...`
         /// with the violated proof obligation.
@@ -119,8 +111,6 @@ impl Explain {
                 sinks,
                 lints,
                 rewrites,
-                reopt,
-                measured,
                 tape_check,
                 ..
             } => {
@@ -139,16 +129,7 @@ impl Explain {
                     if let Some(reason) = &plan.vectorize_fallback {
                         out.push_str(&format!("  vectorize-fallback: \"{reason}\""));
                     }
-                    if let Some(why) = &plan.chosen_by {
-                        out.push_str(&format!("  chosen-by: \"{why}\""));
-                    }
                     out.push('\n');
-                }
-                for event in reopt {
-                    out.push_str(&format!("  reopt: {event}\n"));
-                }
-                if let Some(m) = measured {
-                    out.push_str(&format!("  measured: {m}\n"));
                 }
                 if *guards_dropped > 0 {
                     out.push_str(&format!(
@@ -207,8 +188,6 @@ impl Explain {
                 sinks,
                 lints,
                 rewrites,
-                reopt,
-                measured,
                 tape_check,
             } => {
                 let loops_json: Vec<String> = loops
@@ -222,13 +201,8 @@ impl Explain {
                             ),
                             None => "null".to_string(),
                         };
-                        let chosen = match &p.chosen_by {
-                            Some(why) => format!("\"{}\"", json::escape(why)),
-                            None => "null".to_string(),
-                        };
                         format!(
-                            "{{\"tier\": \"{}\", \"vectorize_fallback\": {fallback}, \
-                             \"chosen_by\": {chosen}}}",
+                            "{{\"tier\": \"{}\", \"vectorize_fallback\": {fallback}}}",
                             p.tier
                         )
                     })
@@ -256,14 +230,6 @@ impl Explain {
                         )
                     })
                     .collect();
-                let reopt_json: Vec<String> = reopt
-                    .iter()
-                    .map(|r| format!("\"{}\"", json::escape(r)))
-                    .collect();
-                let measured_json = match measured {
-                    Some(m) => format!("\"{}\"", json::escape(m)),
-                    None => "null".to_string(),
-                };
                 format!(
                     "{{\"query\": \"{}\", \"optimized\": true, \"quil\": \"{}\", \
                      \"engine\": \"{engine}\", \"instr_count\": {instr_count}, \
@@ -272,9 +238,7 @@ impl Explain {
                      \"guards_dropped\": {guards_dropped}, \"fused_kernels\": [{}], \
                      \"slots_reused\": {slots_reused}, \"hoisted\": {hoisted}, \
                      \"superinstrs\": {superinstrs}, \"sinks\": [{}], \"loops\": [{}], \
-                     \"lints\": [{}], \
-                     \"rewrites\": [{}], \"reopt\": [{}], \"measured\": {measured_json}, \
-                     \"tape_check\": \"{}\"}}",
+                     \"lints\": [{}], \"rewrites\": [{}], \"tape_check\": \"{}\"}}",
                     json::escape(&self.query),
                     json::escape(quil),
                     json::escape(result_ty),
@@ -283,7 +247,6 @@ impl Explain {
                     loops_json.join(", "),
                     lints_json.join(", "),
                     rewrites_json.join(", "),
-                    reopt_json.join(", "),
                     json::escape(tape_check)
                 )
             }
@@ -339,12 +302,10 @@ mod tests {
                     LoopPlan {
                         tier: LoopTier::Vectorized,
                         vectorize_fallback: None,
-                        chosen_by: None,
                     },
                     LoopPlan {
                         tier: LoopTier::Scalar,
                         vectorize_fallback: Some(FallbackReason::Shape("loop is \"weird\"")),
-                        chosen_by: Some("observed ~100 elements < 2048 break-even".to_string()),
                     },
                 ],
                 vectorized_loops: 1,
@@ -359,22 +320,16 @@ mod tests {
                 lints: vec!["warning[dead-filter]: filter is always false (op 1)".to_string()],
                 rewrites: vec![
                     RewriteEvent {
-                        rule: "reorder-filters",
-                        detail: "filter op#1 (sel≈0.05) before filter op#0 (sel≈0.90)".to_string(),
+                        rule: "merge-limits",
+                        detail: "Take(10)·Take(3) → Take(3)".to_string(),
                         applied: true,
                     },
                     RewriteEvent {
-                        rule: "pushdown-filter",
-                        detail: "filter op#1 pushed before map op#0".to_string(),
+                        rule: "hoist-limit",
+                        detail: "Take(3) moved before map op#0 (1:1, pure, total)".to_string(),
                         applied: false,
                     },
                 ],
-                reopt: vec![
-                    "selectivity drift: assumed density 0.90, observed 0.05".to_string(),
-                ],
-                measured: Some(
-                    "~100 elements, density 0.05, ~2.4 ns/elem".to_string(),
-                ),
                 tape_check: "passed (cfg 2, dataflow 9, polls 1, div 2, equiv 4)".to_string(),
             },
         };
@@ -385,22 +340,14 @@ mod tests {
             loops[1].get("vectorize_fallback").unwrap().as_str(),
             Some("loop is \"weird\"")
         );
-        assert_eq!(
-            loops[1].get("chosen_by").unwrap().as_str(),
-            Some("observed ~100 elements < 2048 break-even")
-        );
         let rewrites = v.get("rewrites").and_then(|r| r.as_array()).unwrap();
         assert_eq!(rewrites.len(), 2);
         assert_eq!(
             rewrites[0].get("rule").unwrap().as_str(),
-            Some("reorder-filters")
+            Some("merge-limits")
         );
         assert_eq!(rewrites[0].get("applied").unwrap().as_bool(), Some(true));
         assert_eq!(rewrites[1].get("applied").unwrap().as_bool(), Some(false));
-        let reopt = v.get("reopt").and_then(|r| r.as_array()).unwrap();
-        assert!(reopt[0]
-            .as_str()
-            .is_some_and(|s| s.contains("selectivity drift")));
         assert_eq!(v.get("guards_dropped").unwrap().as_f64(), Some(2.0));
         let lints = v.get("lints").and_then(|l| l.as_array()).unwrap();
         assert_eq!(
@@ -426,25 +373,15 @@ mod tests {
         assert_eq!(sinks[0].as_str(), Some("sink s0: sorted f64→f64, top 10"));
         assert!(text.contains("lint: warning[dead-filter]"), "{text}");
         assert!(
-            text.contains("rewrite: reorder-filters: filter op#1"),
+            text.contains("rewrite: merge-limits: Take(10)·Take(3) → Take(3)"),
             "{text}"
         );
         assert!(
-            text.contains("rewrite: pushdown-filter: filter op#1 pushed before map op#0 [dropped: failed verification]"),
+            text.contains(
+                "rewrite: hoist-limit: Take(3) moved before map op#0 (1:1, pure, total) \
+                 [dropped: failed verification]"
+            ),
             "{text}"
-        );
-        assert!(
-            text.contains("chosen-by: \"observed ~100 elements < 2048 break-even\""),
-            "{text}"
-        );
-        assert!(text.contains("reopt: selectivity drift"), "{text}");
-        assert!(
-            text.contains("measured: ~100 elements, density 0.05, ~2.4 ns/elem"),
-            "{text}"
-        );
-        assert_eq!(
-            v.get("measured").unwrap().as_str(),
-            Some("~100 elements, density 0.05, ~2.4 ns/elem")
         );
         assert!(
             text.contains("tape-check: passed (cfg 2, dataflow 9, polls 1, div 2, equiv 4)"),
@@ -456,9 +393,9 @@ mod tests {
         );
     }
 
-    /// Pins the machine-readable schema: every backend-optimization
-    /// field is always present (zero/empty included), so downstream
-    /// tooling can rely on the keys without probing.
+    /// Pins the machine-readable schema: exactly these keys, every
+    /// backend-optimization field always present (zero/empty included),
+    /// so downstream tooling can rely on the keys without probing.
     #[test]
     fn optimized_json_schema_includes_backend_fields() {
         let e = Explain {
@@ -479,13 +416,11 @@ mod tests {
                 sinks: vec![],
                 lints: vec![],
                 rewrites: vec![],
-                reopt: vec![],
-                measured: None,
                 tape_check: "passed (cfg 1, dataflow 2, polls 0, div 0, equiv 0)".to_string(),
             },
         };
         let v = steno_obs::json::parse(&e.to_json()).unwrap();
-        for key in [
+        let keys = [
             "query",
             "optimized",
             "quil",
@@ -503,12 +438,14 @@ mod tests {
             "loops",
             "lints",
             "rewrites",
-            "reopt",
-            "measured",
             "tape_check",
-        ] {
-            assert!(v.get(key).is_some(), "missing key {key}");
-        }
+        ];
+        let steno_obs::json::JsonValue::Obj(fields) = &v else {
+            panic!("EXPLAIN JSON is not an object: {v:?}");
+        };
+        let mut want: Vec<&str> = keys.to_vec();
+        want.sort_unstable();
+        assert_eq!(fields.keys().map(String::as_str).collect::<Vec<_>>(), want);
         assert_eq!(
             v.get("fused_kernels").and_then(|k| k.as_array()).map(|k| k.len()),
             Some(0)

@@ -89,45 +89,7 @@ fn main() -> Result<(), StenoError> {
     )?;
     println!("{report}\n");
 
-    // ---- 5. Feedback-directed optimization: the profile→plan loop. ----
-    // An adaptive engine keeps decayed per-plan statistics and
-    // recompiles when the workload departs the plan's assumptions. The
-    // query is spelled pessimally — the keep-everything filter first —
-    // and the initial compile has no observations, so it must trust the
-    // text order.
-    let adaptive = Steno::new().with_adaptive(true).with_collector(metrics.clone());
-    let q_drift = Query::source("xs")
-        .where_(Expr::var("x").gt(Expr::litf(-1.0e9)), "x") // keeps everything
-        .where_(Expr::var("x").gt(Expr::litf(25.0)), "x") // selective after the drift
-        .select(Expr::var("x") * Expr::var("x"), "x")
-        .sum()
-        .build();
-    let n = 200_000;
-    let dense: Vec<f64> = (0..n)
-        .map(|i| if i % 20 == 0 { 1.0 } else { 30.0 })
-        .collect();
-    let sparse: Vec<f64> = (0..n)
-        .map(|i| if i % 50 == 0 { 30.0 } else { 1.0 })
-        .collect();
-    let dense_ctx = DataContext::new().with_source("xs", dense);
-    let sparse_ctx = DataContext::new().with_source("xs", sparse);
-    for _ in 0..24 {
-        adaptive.execute(&q_drift, &dense_ctx, &udfs)?;
-    }
-    // The workload drifts: the second filter's selectivity collapses
-    // from ~95% to ~2%. The drift detector (decayed stats, hysteresis)
-    // notices, re-optimizes against the live data, and the verifier
-    // checks the rewritten plan before it is installed.
-    for _ in 0..128 {
-        adaptive.execute(&q_drift, &sparse_ctx, &udfs)?;
-        let explained = adaptive.explain(&q_drift, (&sparse_ctx).into(), &udfs)?;
-        if explained.render().contains("reopt:") {
-            break;
-        }
-    }
-    println!("{}", adaptive.explain(&q_drift, (&sparse_ctx).into(), &udfs)?);
-
-    // ---- 6. The metrics snapshot: counters + histograms, as JSON. ----
+    // ---- 5. The metrics snapshot: counters + histograms, as JSON. ----
     let snapshot = metrics.snapshot();
     println!("{snapshot}");
     println!("snapshot JSON: {}", snapshot.to_json());

@@ -7,7 +7,7 @@
 use std::time::Instant;
 
 use steno::prelude::*;
-use steno::vm::query::{CompileFeedback, StenoOptions};
+use steno::vm::query::StenoOptions;
 use steno::vm::CompiledQuery;
 use steno_quil::LowerOptions;
 
@@ -59,7 +59,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             },
             ..StenoOptions::default()
         },
-        CompileFeedback::default(),
     )?;
     let t = Instant::now();
     let hist2 = naive.run(&ctx, &udfs)?;

@@ -1,22 +1,21 @@
-//! Differential testing of the feedback-directed rewrite pass: every
-//! query in the corpus is compiled twice — once with the algebraic
-//! rewrite pass enabled and fed selectivities measured from the live
-//! data, once with rewrites disabled entirely — and the two plans must
-//! agree *bit-for-bit* on their results (`f64` compared by bit pattern,
-//! not `==`). Trap parity is part of the contract: a query that traps
-//! without rewrites must trap identically with them, which is exactly
-//! what the may-trap gate on reordering protects. Two controls bracket
-//! the purity reasoning: an impure UDF must block filter pushdown, and
-//! the same function registered pure must permit it.
+//! Differential testing of the algebraic rewrite pass (`merge-limits`
+//! and `hoist-limit`): every query in the corpus is compiled twice —
+//! once with the rewrite pass enabled, once with it disabled — and the
+//! two plans must agree *bit-for-bit* on their results (`f64` compared
+//! by bit pattern, not `==`). Trap parity is part of the contract: a
+//! query that traps without rewrites must trap identically with them,
+//! which is exactly what the may-trap gate on hoisting protects. Two
+//! controls bracket the purity reasoning: an impure UDF must block
+//! hoisting a limit past the map that calls it, and the same function
+//! registered pure must permit it.
 
 use steno_expr::{DataContext, Expr, UdfRegistry, Value};
 use steno_query::typing::SourceTypes;
 use steno_query::{Query, QueryExpr};
-use steno_vm::query::CompileFeedback;
 use steno_vm::{CompiledQuery, StenoOptions, VmError};
 
-/// Sources sized so the rewrite pass sees meaningful selectivities:
-/// thresholds in the corpus split `xs`/`ns` at various densities.
+/// Sources for the corpus: thresholds split `xs`/`ns` at various
+/// densities, and `ns` contains the divisor zero of the trap control.
 fn ctx() -> DataContext {
     DataContext::new()
         .with_source(
@@ -27,9 +26,9 @@ fn ctx() -> DataContext {
         .with_source("ys", vec![0.5f64, -1.5, 2.0, 4.0])
 }
 
-/// Compiles `q` with the rewrite pass on (fed a sampling context) and
-/// off. `None` when the shape is unsupported by the optimizer — in
-/// which case both modes must agree it is.
+/// Compiles `q` with the rewrite pass on and off. `None` when the shape
+/// is unsupported by the optimizer — in which case both modes must
+/// agree it is.
 fn compile_pair(
     q: &QueryExpr,
     data: &DataContext,
@@ -41,15 +40,16 @@ fn compile_pair(
         rewrites: false,
         ..on
     };
-    let fb = CompileFeedback {
-        sample_ctx: Some(data),
-        loop_stats: None,
-    };
-    let with = CompiledQuery::compile_with(q, SourceTypes::from(data), udfs, on, fb);
-    let blind = CompileFeedback::default();
-    let without = CompiledQuery::compile_with(q, SourceTypes::from(data), udfs, off, blind);
+    let with = CompiledQuery::compile_with(q, SourceTypes::from(data), udfs, on);
+    let without = CompiledQuery::compile_with(q, SourceTypes::from(data), udfs, off);
     match (with, without) {
-        (Ok(a), Ok(b)) => Some((a, b)),
+        (Ok(a), Ok(b)) => {
+            assert!(
+                b.rewrite_log().is_empty(),
+                "rewrites off must skip the pass for `{q}`"
+            );
+            Some((a, b))
+        }
         (Err(_), Err(_)) => None,
         (a, b) => panic!(
             "rewrite toggle changed compilability for `{q}`: with={} without={}",
@@ -109,9 +109,10 @@ fn check_agreement(q: &QueryExpr, data: &DataContext, udfs: &UdfRegistry) -> usi
     with.rewrite_log().iter().filter(|ev| ev.applied).count()
 }
 
-/// Text-spellable corpus: the end-to-end shapes plus multi-filter and
-/// limit-bearing pipelines the rewrite rules target (adjacent takes,
-/// hoistable limits, reorderable filters, pushable predicates).
+/// Text-spellable corpus: the end-to-end shapes plus the limit-bearing
+/// pipelines the rewrite rules target (adjacent takes and skips, limits
+/// hoistable past pure maps) and multi-filter pipelines neither rule
+/// touches.
 const TEXT_CORPUS: &[&str] = &[
     "from x in ns where x % 2 == 0 select x * x",
     "(from x in xs select x * x).sum()",
@@ -136,6 +137,9 @@ const TEXT_CORPUS: &[&str] = &[
     "ns.select(|x| x % 9).distinct().order_by(|x| x)",
     "ns.where(|x| x != 0).select(|x| 60 / x).sum()",
     "xs.order_by(|x| x).take(3).sum()",
+    "ns.skip(3).take(40).take(20).sum()",
+    "xs.select(|x| x * 0.5).skip(10).count()",
+    "ns.select(|x| x + 1).skip(2).skip(3).take(5).sum()",
 ];
 
 #[test]
@@ -154,25 +158,30 @@ fn text_corpus_agrees_bit_for_bit() {
     );
 }
 
+/// Whether `c` applied the `hoist-limit` rule.
+fn hoisted(c: &CompiledQuery) -> bool {
+    c.rewrite_log()
+        .iter()
+        .any(|ev| ev.applied && ev.rule == "hoist-limit")
+}
+
 #[test]
 fn trap_parity_is_preserved() {
     let data = ctx();
     let udfs = UdfRegistry::new();
-    // `60 / (x - 50)` traps at x = 50, which `ns` contains. The
-    // trailing selective filter must NOT be pushed past the trapping
-    // map (the may-trap gate), so both plans trap — identically.
+    // `60 / (x - 50)` traps at x = 50, which `ns` contains, and the
+    // `skip(60)` after it drops that element. Hoisting the skip would
+    // stop the map from ever seeing 50, so the may-trap gate must keep
+    // the skip in place, and both plans trap — identically.
     let trapping = Query::source("ns")
         .select(Expr::liti(60) / (Expr::var("x") - Expr::liti(50)), "x")
-        .where_(Expr::var("y").gt(Expr::liti(1000)), "y")
+        .skip(60)
         .sum()
         .build();
     let (with, without) = compile_pair(&trapping, &data, &udfs).expect("supported shape");
     assert!(
-        !with
-            .rewrite_log()
-            .iter()
-            .any(|ev| ev.applied && ev.rule == "pushdown-filter"),
-        "filter must not push past a trapping map: {:?}",
+        !hoisted(&with),
+        "a limit must not hoist past a trapping map: {:?}",
         with.rewrite_log()
     );
     let a = with.run(&data, &udfs);
@@ -190,33 +199,38 @@ fn trap_parity_is_preserved() {
     check_agreement(&guarded, &data, &udfs);
 }
 
-#[test]
-fn impure_udf_blocks_pushdown() {
-    // Negative control: `scale` is registered WITHOUT a purity fact, so
-    // the selective filter after it must stay put even though moving it
-    // would be profitable (observed selectivity ~0.25).
-    let data = ctx();
+/// `xs.select(|x| scale(x)).skip(100).sum()`, with `scale` doubling its
+/// argument and registered pure or impure.
+fn scaled_skip(pure: bool) -> (QueryExpr, UdfRegistry) {
     let mut udfs = UdfRegistry::new();
-    udfs.register(
-        "scale",
-        vec![steno_expr::Ty::F64],
-        steno_expr::Ty::F64,
-        |args: &[Value]| Value::F64(args[0].as_f64().unwrap_or(0.0) * 2.0),
-    );
+    let scale = |args: &[Value]| Value::F64(args[0].as_f64().unwrap_or(0.0) * 2.0);
+    let (args, ret) = (vec![steno_expr::Ty::F64], steno_expr::Ty::F64);
+    if pure {
+        udfs.register_pure("scale", args, ret, scale);
+    } else {
+        udfs.register("scale", args, ret, scale);
+    }
     let q = Query::source("xs")
         .select(Expr::call("scale", vec![Expr::var("x")]), "x")
-        .where_(Expr::var("y").lt(Expr::litf(-25.0)), "y")
+        .skip(100)
         .sum()
         .build();
+    (q, udfs)
+}
+
+#[test]
+fn impure_udf_blocks_limit_hoist() {
+    // Negative control: `scale` is registered WITHOUT a purity fact, so
+    // the skip after it must stay put even though moving it would save
+    // 100 calls.
+    let data = ctx();
+    let (q, udfs) = scaled_skip(false);
     let Some((with, without)) = compile_pair(&q, &data, &udfs) else {
         panic!("UDF query must compile");
     };
     assert!(
-        !with
-            .rewrite_log()
-            .iter()
-            .any(|ev| ev.applied && ev.rule == "pushdown-filter"),
-        "impure UDF must block pushdown: {:?}",
+        !hoisted(&with),
+        "impure UDF must block hoisting: {:?}",
         with.rewrite_log()
     );
     let a = with.run(&data, &udfs).unwrap();
@@ -224,58 +238,20 @@ fn impure_udf_blocks_pushdown() {
 }
 
 #[test]
-fn pure_udf_permits_pushdown() {
+fn pure_udf_permits_limit_hoist() {
     // Positive control: the identical pipeline with `scale` registered
     // pure. The purity fact is the only difference, and it must be
     // exactly what unlocks the rewrite.
     let data = ctx();
-    let mut udfs = UdfRegistry::new();
-    udfs.register_pure(
-        "scale",
-        vec![steno_expr::Ty::F64],
-        steno_expr::Ty::F64,
-        |args: &[Value]| Value::F64(args[0].as_f64().unwrap_or(0.0) * 2.0),
-    );
-    let q = Query::source("xs")
-        .select(Expr::call("scale", vec![Expr::var("x")]), "x")
-        .where_(Expr::var("y").lt(Expr::litf(-25.0)), "y")
-        .sum()
-        .build();
+    let (q, udfs) = scaled_skip(true);
     let Some((with, without)) = compile_pair(&q, &data, &udfs) else {
         panic!("UDF query must compile");
     };
     assert!(
-        with.rewrite_log()
-            .iter()
-            .any(|ev| ev.applied && ev.rule == "pushdown-filter"),
-        "pure UDF must permit pushdown: {:?}",
+        hoisted(&with),
+        "pure UDF must permit hoisting: {:?}",
         with.rewrite_log()
     );
     let a = with.run(&data, &udfs).unwrap();
     assert_bits_eq(&a, &without.run(&data, &udfs).unwrap(), "pure-udf control");
-}
-
-#[test]
-fn reorder_depends_on_observed_selectivity_but_never_the_result() {
-    // The pessimal order (unselective filter first) and the optimal one
-    // must produce identical bits; the rewrite log records the reorder
-    // only for the pessimal spelling.
-    let data = ctx();
-    let udfs = UdfRegistry::new();
-    let pessimal = Query::source("xs")
-        .where_(Expr::var("x").gt(Expr::litf(-1000.0)), "x") // keeps all
-        .where_(Expr::var("x").gt(Expr::litf(65.0)), "x") // keeps ~4%
-        .select(Expr::var("x") * Expr::var("x"), "x")
-        .sum()
-        .build();
-    let (with, without) = compile_pair(&pessimal, &data, &udfs).expect("supported");
-    assert!(
-        with.rewrite_log()
-            .iter()
-            .any(|ev| ev.applied && ev.rule == "reorder-filters"),
-        "pessimal order must be reordered: {:?}",
-        with.rewrite_log()
-    );
-    let a = with.run(&data, &udfs).unwrap();
-    assert_bits_eq(&a, &without.run(&data, &udfs).unwrap(), "reorder control");
 }

@@ -3,13 +3,13 @@
 //! [`steno_vm::check_program`]. The mutation harness
 //! (`crates/steno-vm/tests/tape_mutation.rs`) proves the checker
 //! rejects miscompiles; this test proves it accepts correct compiles —
-//! across every tier (scalar, vectorized), with and without the
-//! rewrite pass, and on the feedback-directed compile path.
+//! across every tier (scalar, vectorized) and with and without the
+//! rewrite pass.
 
 use steno_expr::{Column, DataContext, Expr, Ty, UdfRegistry, Value};
 use steno_query::typing::SourceTypes;
 use steno_query::{GroupResult, Query, QueryExpr};
-use steno_vm::query::{CompileFeedback, StenoOptions};
+use steno_vm::query::StenoOptions;
 use steno_vm::{CompiledQuery, VectorizationPolicy};
 
 fn x() -> Expr {
@@ -55,38 +55,20 @@ fn option_matrix() -> Vec<StenoOptions> {
     ]
 }
 
-/// Compiles `q` under every option combination plus the rewrite-fed
-/// feedback path, and runs the tape verifier over each result. Returns
-/// the number of programs checked (a query whose shape the optimizer
-/// rejects under every mode contributes zero).
+/// Compiles `q` under every option combination and runs the tape
+/// verifier over each result. Returns the number of programs checked (a
+/// query whose shape the optimizer rejects under every mode contributes
+/// zero).
 fn check_all_modes(q: &QueryExpr, data: &DataContext, udfs: &UdfRegistry, label: &str) -> usize {
     let mut checked = 0usize;
     for opts in option_matrix() {
-        let blind = CompileFeedback::default();
-        if let Ok(c) = CompiledQuery::compile_with(q, SourceTypes::from(data), udfs, opts, blind) {
+        if let Ok(c) = CompiledQuery::compile_with(q, SourceTypes::from(data), udfs, opts) {
             let report = steno_vm::check_program(c.program()).unwrap_or_else(|e| {
                 panic!("false positive on `{label}` (opts {opts:?}): {e}")
             });
             assert!(report.cfg > 0, "checker discharged no CFG obligations");
             checked += 1;
         }
-    }
-    // The feedback-directed path (measured selectivities feeding the
-    // rewrite pass) produces different QUIL — and so different tapes.
-    let fb = CompileFeedback {
-        sample_ctx: Some(data),
-        loop_stats: None,
-    };
-    if let Ok(c) = CompiledQuery::compile_with(
-        q,
-        SourceTypes::from(data),
-        udfs,
-        StenoOptions::default(),
-        fb,
-    ) {
-        steno_vm::check_program(c.program())
-            .unwrap_or_else(|e| panic!("false positive on `{label}` (feedback path): {e}"));
-        checked += 1;
     }
     checked
 }
