@@ -3,10 +3,10 @@
 //! Dryad's contract (§6 of the paper) is that a failed or slow vertex is
 //! re-executed — possibly speculatively — *without changing the job's
 //! answer*. To make every recovery path in the scheduler testable, faults
-//! are injected from a [`FaultPlan`]: a deterministic, seed-drivable
-//! table saying "vertex *i*, attempt *k* → fail / panic / stall". The
-//! runtime consults the plan before running the real vertex body, so a
-//! test can script exactly the failure sequence it wants to observe.
+//! are injected from a [`FaultPlan`]: a deterministic table saying
+//! "vertex *i*, attempt *k* → fail / panic / stall". The runtime
+//! consults the plan before running the real vertex body, so a test can
+//! script exactly the failure sequence it wants to observe.
 //!
 //! The taxonomy ([`FailureClass`]) splits failures the way the recovery
 //! logic must treat them:
@@ -108,27 +108,6 @@ impl FaultPlan {
         FaultPlan::none().with(vertex, 0, FaultKind::Delay(delay))
     }
 
-    /// A pseudo-random plan: each `(vertex, attempt)` cell in the
-    /// `vertices × attempts` grid fails transiently with probability
-    /// `p_fail`, driven by `seed` — the same seed always yields the same
-    /// plan, so "random" failure tests are reproducible.
-    pub fn seeded(seed: u64, vertices: usize, attempts: u32, p_fail: f64) -> FaultPlan {
-        let mut plan = FaultPlan::none();
-        for v in 0..vertices {
-            for k in 0..attempts {
-                let h = splitmix64(
-                    seed ^ (v as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ u64::from(k) << 32,
-                );
-                // Map the top 53 bits to [0, 1).
-                let u = (h >> 11) as f64 / (1u64 << 53) as f64;
-                if u < p_fail {
-                    plan = plan.with(v, k, FaultKind::Error);
-                }
-            }
-        }
-        plan
-    }
-
     /// The fault scheduled for `(vertex, attempt)`, if any.
     pub fn lookup(&self, vertex: usize, attempt: u32) -> Option<&FaultKind> {
         self.faults
@@ -136,17 +115,6 @@ impl FaultPlan {
             .find(|f| f.vertex == vertex && f.attempt == attempt)
             .map(|f| &f.kind)
     }
-}
-
-/// SplitMix64: the one-shot mixing function used for deterministic
-/// jitter and seeded fault plans (no external RNG dependency in the
-/// non-test build).
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Whether a vertex failure may be cured by re-execution.
@@ -279,20 +247,6 @@ mod tests {
             assert_eq!(plan.lookup(v, 0), Some(&FaultKind::Error));
             assert_eq!(plan.lookup(v, 1), None);
         }
-    }
-
-    #[test]
-    fn seeded_plans_are_reproducible() {
-        let a = FaultPlan::seeded(42, 16, 3, 0.3);
-        let b = FaultPlan::seeded(42, 16, 3, 0.3);
-        for v in 0..16 {
-            for k in 0..3 {
-                assert_eq!(a.lookup(v, k), b.lookup(v, k));
-            }
-        }
-        // Degenerate probabilities hit everything / nothing.
-        assert!(FaultPlan::seeded(7, 8, 2, 1.0).lookup(3, 1).is_some());
-        assert!(FaultPlan::seeded(7, 8, 2, 0.0).is_empty());
     }
 
     #[test]

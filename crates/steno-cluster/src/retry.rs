@@ -13,8 +13,6 @@
 
 use std::time::Duration;
 
-use crate::fault::{splitmix64, CancelToken};
-
 /// Bounds on per-vertex re-execution.
 #[derive(Clone, Debug)]
 pub struct RetryPolicy {
@@ -61,19 +59,11 @@ impl RetryPolicy {
 
     /// The pause before retry number `retry` (1-based) of `vertex`:
     /// exponential in `retry`, clamped to [`RetryPolicy::max_backoff`],
-    /// scaled by deterministic jitter.
+    /// scaled by deterministic jitter. Equal `(seed, vertex, retry)`
+    /// always jitters identically, so a failing schedule replays
+    /// exactly, while vertices that fail together desynchronize instead
+    /// of retrying in lockstep.
     pub fn backoff(&self, vertex: usize, retry: u32) -> Duration {
-        self.backoff_keyed(vertex as u64, retry)
-    }
-
-    /// As [`RetryPolicy::backoff`] for an arbitrary 64-bit key. The
-    /// cluster scheduler keys on the vertex index; the service layer
-    /// keys on the request sequence number, so concurrent requests that
-    /// fail together desynchronize instead of retrying in lockstep (the
-    /// retry-storm failure mode SplitMix64 jitter exists to break).
-    /// Equal `(seed, key, retry)` always jitters identically, so a
-    /// failing schedule replays exactly.
-    pub fn backoff_keyed(&self, key: u64, retry: u32) -> Duration {
         if retry == 0 {
             return Duration::ZERO;
         }
@@ -85,24 +75,22 @@ impl RetryPolicy {
         if jitter == 0.0 {
             return exp;
         }
-        let h = splitmix64(self.seed ^ key.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ u64::from(retry));
+        let key = (vertex as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let h = splitmix64(self.seed ^ key ^ u64::from(retry));
         let u = (h >> 11) as f64 / (1u64 << 53) as f64; // [0, 1)
         let scale = 1.0 - jitter * u; // (1 - jitter, 1]
         exp.mul_f64(scale)
     }
+}
 
-    /// Sleeps out the jittered backoff before retry number `retry` of
-    /// `key`, cooperatively: the sleep polls `cancel` every millisecond
-    /// and returns `false` the moment cancellation is requested (a
-    /// cancelled request must not camp on a worker for a full backoff
-    /// window). Returns `true` when the full backoff elapsed.
-    pub fn backoff_sleep(&self, cancel: &CancelToken, key: u64, retry: u32) -> bool {
-        let pause = self.backoff_keyed(key, retry);
-        if pause.is_zero() {
-            return !cancel.is_cancelled();
-        }
-        cancel.sleep_cooperatively(pause)
-    }
+/// SplitMix64: the one-shot mixing function behind the deterministic
+/// backoff jitter (no external RNG dependency in the non-test build).
+fn splitmix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = x;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 /// When to launch a speculative duplicate of a slow vertex.
@@ -243,48 +231,14 @@ mod tests {
     }
 
     #[test]
-    fn keyed_backoff_matches_vertex_backoff_and_desynchronizes_keys() {
+    fn backoff_desynchronizes_vertices() {
         let p = RetryPolicy::default();
-        assert_eq!(p.backoff(7, 3), p.backoff_keyed(7, 3));
-        // Distinct keys should not all land on the same instant; with
-        // 50% jitter over 16 keys a full collision is astronomically
-        // unlikely, so any spread proves the desynchronization works.
+        // Distinct vertices should not all land on the same instant;
+        // with 50% jitter over 16 vertices a full collision is
+        // astronomically unlikely, so any spread proves the
+        // desynchronization works.
         let spread: std::collections::HashSet<Duration> =
-            (0..16u64).map(|k| p.backoff_keyed(k, 4)).collect();
-        assert!(spread.len() > 1, "jitter must separate concurrent keys");
-    }
-
-    #[test]
-    fn backoff_sleep_completes_when_uncancelled() {
-        let p = RetryPolicy {
-            base_backoff: Duration::from_millis(2),
-            jitter: 0.0,
-            ..RetryPolicy::default()
-        };
-        let cancel = CancelToken::new();
-        let start = std::time::Instant::now();
-        assert!(p.backoff_sleep(&cancel, 1, 1));
-        assert!(start.elapsed() >= Duration::from_millis(2));
-        // Retry 0 has no pause but still reports the token's state.
-        assert!(p.backoff_sleep(&cancel, 1, 0));
-    }
-
-    #[test]
-    fn backoff_sleep_aborts_promptly_on_cancellation() {
-        let p = RetryPolicy {
-            base_backoff: Duration::from_secs(5),
-            max_backoff: Duration::from_secs(5),
-            jitter: 0.0,
-            ..RetryPolicy::default()
-        };
-        let cancel = CancelToken::new();
-        cancel.cancel();
-        let start = std::time::Instant::now();
-        assert!(!p.backoff_sleep(&cancel, 0, 1));
-        assert!(
-            start.elapsed() < Duration::from_secs(1),
-            "cancelled sleep must not run out the full backoff"
-        );
-        assert!(!p.backoff_sleep(&cancel, 0, 0));
+            (0..16).map(|v| p.backoff(v, 4)).collect();
+        assert!(spread.len() > 1, "jitter must separate concurrent vertices");
     }
 }

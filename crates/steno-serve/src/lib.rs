@@ -13,22 +13,20 @@
 //!   until the data runs out.
 //! * **Cancellation** — a caller that stops caring cancels its ticket;
 //!   the cluster's `CancelToken` is bridged into the VM as a cancel
-//!   probe, and backoff sleeps observe it too.
+//!   probe.
 //! * **Admission control** — bounded per-tenant queues with per-tenant
 //!   in-flight quotas, dispatched round-robin so one tenant's flood
 //!   cannot starve another. Overflow is *shed* with an explicit
 //!   [`ServeError::Rejected`] carrying a retry hint — never an unbounded
 //!   queue, never a panic.
-//! * **Retries** — transient failures (the [`FailureClass`] taxonomy of
-//!   `steno-cluster`) are retried with deterministically jittered,
-//!   cancellation-aware backoff; deterministic failures fail fast and
-//!   are negatively cached so repeat offenders don't recompile.
-//! * **Graceful degradation** — a [`CompileBreaker`] watches compile
-//!   latency and verifier rejections; under sustained pressure it pins
-//!   new compilations to the scalar tier (cheap to compile, still
-//!   correct) and recovers automatically once compiles look healthy.
-//! * **Observability** — every decision (admit/shed/retry/degrade) and
-//!   the end-to-end latency distribution land in a
+//! * **One attempt per job** — each admitted query is compiled through
+//!   the shared plan cache and run once. A panic while it runs is
+//!   contained and reported as a transient failure (the
+//!   [`FailureClass`] taxonomy of `steno-cluster`); whether to resubmit
+//!   is the caller's decision, as after a shed. Deterministic compile
+//!   failures are negatively cached so repeat offenders don't recompile.
+//! * **Observability** — every decision (admit/shed/fail) and the
+//!   end-to-end latency distribution land in a
 //!   [`steno_obs::Collector`], from which [`SaturationReport`] derives
 //!   the p50/p99 SLO view.
 //!
@@ -40,12 +38,10 @@
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
 )]
 
-pub mod breaker;
 pub mod loadgen;
 pub mod report;
 pub mod service;
 
-pub use breaker::{BreakerConfig, BreakerState, CompileBreaker};
 pub use loadgen::{SplitMix64, Zipf};
 pub use report::SaturationReport;
 pub use service::{QueryRequest, QueryService, QueryTicket, ServeConfig, ServeError};

@@ -5,7 +5,7 @@
 //! [`MemoryCollector`], plus the run's wall clock. It is what the load
 //! generator prints and what `BENCH_serve.json` records: queries/sec at
 //! saturation and p50/p99 end-to-end latency, next to the overload
-//! counters (shed, retries, degraded compiles) that explain *how* the
+//! counters (shed, failed, contained panics) that explain *how* the
 //! service stayed up.
 
 use std::time::Duration;
@@ -31,12 +31,8 @@ pub struct SaturationReport {
     pub deadline_exceeded: u64,
     /// Queries cancelled by their caller.
     pub cancelled: u64,
-    /// Transient-failure retries performed.
-    pub retries: u64,
-    /// Panics contained at the attempt boundary.
+    /// Panics contained while a query ran (each is also `failed`).
     pub panics_contained: u64,
-    /// Compilations degraded to the scalar tier by the breaker.
-    pub degraded_compiles: u64,
     /// Completed queries per second of wall clock.
     pub qps: f64,
     /// Median end-to-end latency (submit → reply), microseconds.
@@ -74,9 +70,7 @@ impl SaturationReport {
             failed: metrics.counter_value("serve.failed"),
             deadline_exceeded: metrics.counter_value("serve.deadline_exceeded"),
             cancelled: metrics.counter_value("serve.cancelled"),
-            retries: metrics.counter_value("serve.retries"),
             panics_contained: metrics.counter_value("serve.panics_contained"),
-            degraded_compiles: metrics.counter_value("serve.degraded_compiles"),
             qps: if duration_s > 0.0 {
                 completed as f64 / duration_s
             } else {
@@ -98,9 +92,9 @@ impl SaturationReport {
         format!(
             "{{\n  \"duration_s\": {:.3},\n  \"submitted\": {},\n  \"admitted\": {},\n  \
              \"shed\": {},\n  \"completed\": {},\n  \"failed\": {},\n  \
-             \"deadline_exceeded\": {},\n  \"cancelled\": {},\n  \"retries\": {},\n  \
-             \"panics_contained\": {},\n  \"degraded_compiles\": {},\n  \
-             \"qps\": {:.1},\n  \"p50_latency_us\": {},\n  \"p99_latency_us\": {},\n  \
+             \"deadline_exceeded\": {},\n  \"cancelled\": {},\n  \
+             \"panics_contained\": {},\n  \"qps\": {:.1},\n  \
+             \"p50_latency_us\": {},\n  \"p99_latency_us\": {},\n  \
              \"p50_queue_wait_us\": {},\n  \"p99_queue_wait_us\": {},\n  \
              \"p50_exec_us\": {},\n  \"p99_exec_us\": {}\n}}\n",
             self.duration_s,
@@ -111,9 +105,7 @@ impl SaturationReport {
             self.failed,
             self.deadline_exceeded,
             self.cancelled,
-            self.retries,
             self.panics_contained,
-            self.degraded_compiles,
             self.qps,
             opt(self.p50_latency_us),
             opt(self.p99_latency_us),
@@ -139,10 +131,7 @@ impl SaturationReport {
             "  outcomes: {} completed, {} failed, {} deadline-exceeded, {} cancelled\n",
             self.completed, self.failed, self.deadline_exceeded, self.cancelled
         ));
-        out.push_str(&format!(
-            "  recovery: {} retries, {} panics contained, {} degraded compiles\n",
-            self.retries, self.panics_contained, self.degraded_compiles
-        ));
+        out.push_str(&format!("  panics contained: {}\n", self.panics_contained));
         let quantile_line = |label: &str, p50: Option<u64>, p99: Option<u64>| match (p50, p99) {
             (Some(p50), Some(p99)) => format!("  {label}: p50 {p50} us, p99 {p99} us\n"),
             _ => format!("  {label}: no samples\n"),
@@ -175,7 +164,6 @@ mod tests {
         m.add("serve.shed", 2);
         m.add("serve.completed", 7);
         m.add("serve.failed", 1);
-        m.add("serve.retries", 3);
         for i in 1..=100u64 {
             m.observe_ns("serve.latency_ns", i * 1000);
             m.observe_ns("serve.queue_wait_ns", i * 100);

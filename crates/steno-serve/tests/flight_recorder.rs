@@ -4,12 +4,12 @@
 //! for every lifecycle phase plus the query's EXPLAIN JSON — in the
 //! engine's flight recorder.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use steno::Steno;
-use steno_cluster::{FaultKind, FaultPlan};
-use steno_expr::{DataContext, Expr, UdfRegistry};
+use steno_expr::{DataContext, Expr, Ty, UdfRegistry};
 use steno_obs::{Anomaly, FlightRecorder, MemoryCollector, SpanRecord, TraceConfig};
 use steno_query::{Query, QueryExpr};
 use steno_serve::{QueryRequest, QueryService, ServeConfig, ServeError};
@@ -44,10 +44,10 @@ fn assert_child_of(spans: &[SpanRecord], child: &str, parent: &str) {
     );
 }
 
-/// The acceptance scenario: a single worker, a scripted 200ms delay on
-/// the first attempt of the first job, a 50ms deadline. The compile
-/// completes in budget, the injected delay sleeps the attempt past the
-/// deadline, and the VM aborts at its first interrupt poll — *inside* a
+/// The acceptance scenario: a single worker, a 50ms deadline, and a
+/// pure UDF in the query that sleeps 200ms on its first call only. The
+/// compile completes in budget, the first call sleeps the run past the
+/// deadline, and the VM aborts at its next interrupt poll — *inside* a
 /// loop whose span has already opened. Deterministic: no data race, no
 /// timing sensitivity beyond 200ms ≫ 50ms.
 #[test]
@@ -58,13 +58,28 @@ fn deadline_exceeded_query_dumps_a_fully_linked_trace() {
         engine,
         ServeConfig {
             workers: 1,
-            faults: FaultPlan::none().with(0, 0, FaultKind::Delay(Duration::from_millis(200))),
             ..ServeConfig::default()
         },
     );
 
-    let req = QueryRequest::new("acme", sum_query(0.5), ctx(10_000), UdfRegistry::new())
-        .with_deadline(Duration::from_millis(50));
+    let napped = AtomicBool::new(false);
+    let mut udfs = UdfRegistry::new();
+    udfs.register_pure("nap", vec![Ty::F64], Ty::F64, move |args| {
+        if !napped.swap(true, Ordering::SeqCst) {
+            std::thread::sleep(Duration::from_millis(200));
+        }
+        args[0].clone()
+    });
+    let q = Query::source("xs")
+        .where_(Expr::var("x").gt(Expr::litf(0.5)), "x")
+        .select(
+            Expr::call("nap", vec![Expr::var("x")]) * Expr::var("x"),
+            "x",
+        )
+        .sum()
+        .build();
+    let req =
+        QueryRequest::new("acme", q, ctx(10_000), udfs).with_deadline(Duration::from_millis(50));
     let err = svc.execute_blocking(req).unwrap_err();
     assert_eq!(err, ServeError::DeadlineExceeded);
 
@@ -75,8 +90,8 @@ fn deadline_exceeded_query_dumps_a_fully_linked_trace() {
     assert_eq!(trace.tenant.as_deref(), Some("acme"));
 
     // The whole lifecycle, parent-linked: request root over admission,
-    // queue wait, and dispatch; compile and the attempt under dispatch;
-    // the VM run under the attempt; the aborted loop under the run.
+    // queue wait, and dispatch; compile and execution under dispatch;
+    // the VM run under execution; the aborted loop under the run.
     let spans = &trace.spans;
     let root = trace.span("serve.request").expect("serve.request root");
     assert_eq!(root.parent, None, "the request span is the trace root");
@@ -84,18 +99,13 @@ fn deadline_exceeded_query_dumps_a_fully_linked_trace() {
     assert_child_of(spans, "serve.queue", "serve.request");
     assert_child_of(spans, "serve.dispatch", "serve.request");
     assert_child_of(spans, "engine.compile", "serve.dispatch");
-    assert_child_of(spans, "serve.attempt", "serve.dispatch");
-    assert_child_of(spans, "vm.run", "serve.attempt");
+    assert_child_of(spans, "serve.execute", "serve.dispatch");
+    assert_child_of(spans, "vm.run", "serve.execute");
     assert_child_of(spans, "vm.loop", "vm.run");
 
     // Annotations survive: the queue span carries its measured wait,
-    // the attempt carries the scripted delay, the root the outcome.
+    // the root the outcome.
     assert!(trace.span("serve.queue").unwrap().note("wait_ns").is_some());
-    assert!(trace
-        .span("serve.attempt")
-        .unwrap()
-        .note("injected_delay_ns")
-        .is_some());
     assert_eq!(
         trace.span("serve.request").unwrap().note("outcome").map(ToString::to_string),
         Some("deadline-exceeded".to_string())

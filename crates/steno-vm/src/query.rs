@@ -58,7 +58,7 @@ impl std::error::Error for OptimizeError {}
 ///
 /// `Auto` (the default) vectorizes every eligible loop and falls back
 /// to the scalar tier otherwise; `Off` disables the tier entirely
-/// (ablation baselines, debugging, the serve breaker's degraded plans).
+/// (ablation baselines, debugging).
 /// Under `Off` every loop runs on the scalar tier, which the tape
 /// verifier checks in full and which polls interrupts at every
 /// back-edge. Per-loop fallback reasons are reported by
@@ -146,7 +146,7 @@ impl CompiledQuery {
     }
 
     /// As [`CompiledQuery::compile`] under explicit [`StenoOptions`]
-    /// (ablation benchmarks, degraded serving tiers).
+    /// (ablation benchmarks).
     ///
     /// # Errors
     ///

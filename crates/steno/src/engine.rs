@@ -150,8 +150,6 @@ pub struct Exec<'a> {
     pub tracer: &'a Tracer,
     /// The span the engine's spans hang under.
     pub parent: Option<SpanId>,
-    /// Compile options overriding the engine's for this call.
-    pub options: Option<StenoOptions>,
     /// Run the profiled interpreter and return its [`QueryProfile`].
     pub profile: bool,
 }
@@ -162,7 +160,6 @@ impl Default for Exec<'_> {
             interrupt: &INERT,
             tracer: &UNTRACED,
             parent: None,
-            options: None,
             profile: false,
         }
     }
@@ -313,9 +310,8 @@ impl Steno {
         Ok((value, path, prof))
     }
 
-    /// Compiles through the cache under `exec.options` (the engine's
-    /// options by default; source types are derived from `sources` only
-    /// on a miss), reporting hit/miss into the engine's
+    /// Compiles through the cache under the engine's options (source
+    /// types are derived from `sources` only on a miss), reporting hit/miss into the engine's
     /// collector (compile latency is recorded on misses) and an
     /// `engine.compile` span (annotated with cache hit and compile time)
     /// into `exec.tracer`. When [`Steno::with_verify`] is on, the cache
@@ -332,14 +328,15 @@ impl Steno {
         let (tracer, parent) = (exec.tracer, exec.parent);
         let mut cspan = tracer.span("engine.compile", parent);
         let compile_id = cspan.id().or(parent);
-        let options = exec.options.unwrap_or(self.options);
-        let result = self.cache.get_or_compile(q, sources, udfs, options, |compiled| {
-            if self.verify {
-                self.admit(compiled, udfs, tracer, compile_id)
-            } else {
-                Ok(())
-            }
-        });
+        let result = self
+            .cache
+            .get_or_compile(q, sources, udfs, self.options, |compiled| {
+                if self.verify {
+                    self.admit(compiled, udfs, tracer, compile_id)
+                } else {
+                    Ok(())
+                }
+            });
         match &result {
             Ok((_, true)) => {
                 cspan.note("cache_hit", 1u64);
@@ -390,8 +387,7 @@ impl Steno {
     /// Runs an already-compiled plan under a per-call [`Exec`] context,
     /// or — with `plan: None` — the iterator fallback, the paper's
     /// behaviour for shapes Steno does not optimize. This is the entry a
-    /// serving layer uses to run plans it compiled itself (e.g. under a
-    /// degraded policy).
+    /// serving layer uses to run plans it compiled itself.
     ///
     /// # Errors
     ///
@@ -440,30 +436,8 @@ impl Steno {
         sources: SourceTypes,
         udfs: &UdfRegistry,
     ) -> Result<Explain, StenoError> {
-        self.explain_with_options(q, sources, udfs, self.options)
-    }
-
-    /// As [`Steno::explain`], explaining the plan compiled under
-    /// explicit per-call options (the serving layer attaches the
-    /// EXPLAIN of the policy a query *actually* ran under — which may
-    /// be a degraded one — to flight-recorder dumps).
-    ///
-    /// # Errors
-    ///
-    /// As [`Steno::explain`].
-    pub fn explain_with_options(
-        &self,
-        q: &QueryExpr,
-        sources: SourceTypes,
-        udfs: &UdfRegistry,
-        options: StenoOptions,
-    ) -> Result<Explain, StenoError> {
         let query = q.to_string();
-        let exec = Exec {
-            options: Some(options),
-            ..Exec::default()
-        };
-        match self.compile_metered(q, sources, udfs, &exec) {
+        match self.compile_metered(q, sources, udfs, &Exec::default()) {
             Ok((compiled, _hit)) => {
                 let lints = steno_analysis::run_default_lints(compiled.chain(), udfs)
                     .iter()
@@ -543,13 +517,9 @@ impl Steno {
 
     /// As [`Steno::compile`] under a per-call [`Exec`] context:
     /// `sources` may be the [`DataContext`] itself, whose source types
-    /// are then derived only when the cache misses; `exec.options`
-    /// overrides the engine default, and `engine.compile`
+    /// are then derived only when the cache misses, and `engine.compile`
     /// (plus, on fresh compilations, `engine.verify`/`engine.tapecheck`)
-    /// spans go into `exec.tracer`. The cache keys on the options, so a
-    /// service layer can degrade individual compilations (e.g. pin
-    /// [`VectorizationPolicy::Off`] while a breaker is open) without
-    /// poisoning plans cached under the healthy policy.
+    /// spans go into `exec.tracer`.
     ///
     /// # Errors
     ///
@@ -1137,46 +1107,6 @@ mod tests {
         assert!(vertices
             .iter()
             .any(|v| v.note("elements").is_some_and(|n| n.to_string() == "25")));
-    }
-
-    #[test]
-    fn per_call_options_compile_distinct_cached_plans() {
-        use steno_vm::EngineKind;
-
-        let engine = Steno::new();
-        let q = Query::source("xs")
-            .select(Expr::var("x") * Expr::var("x"), "x")
-            .sum()
-            .build();
-        let c = ctx();
-        let udfs = UdfRegistry::new();
-
-        let auto = engine.compile(&q, SourceTypes::from(&c), &udfs).unwrap();
-        assert_eq!(auto.engine(), EngineKind::Vectorized);
-
-        let degraded = StenoOptions {
-            vectorize: VectorizationPolicy::Off,
-            ..*engine.options()
-        };
-        let degraded = Exec {
-            options: Some(degraded),
-            ..Exec::default()
-        };
-        let scalar = engine
-            .compile_with(&q, SourceTypes::from(&c), &udfs, &degraded)
-            .unwrap();
-        assert_eq!(scalar.engine(), EngineKind::Scalar);
-
-        // Both plans live in the cache under distinct keys: recompiling
-        // under either policy is a hit, and the stored plans agree.
-        let stats = engine.detailed_cache_stats();
-        assert_eq!(stats.misses, 2);
-        assert_eq!(stats.len, 2);
-        let again = engine
-            .compile_with(&q, SourceTypes::from(&c), &udfs, &degraded)
-            .unwrap();
-        assert!(Arc::ptr_eq(&scalar, &again));
-        assert_eq!(engine.detailed_cache_stats().hits, 1);
     }
 
     #[test]
