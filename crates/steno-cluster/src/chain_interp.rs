@@ -15,11 +15,10 @@
 //! # Error discipline
 //!
 //! Data-dependent failures (division by zero, shape mismatches, unknown
-//! UDFs) are *propagated as [`EvalError`]s*, never panics: the
-//! fault-tolerant scheduler classifies engine errors as deterministic
-//! (§6's contract — a re-executed vertex must fail identically), and that
-//! only works if this engine reports failures the same structured way
-//! `steno-vm` does. Because `steno_linq` iterator closures cannot return
+//! UDFs) are *propagated as [`EvalError`]s*, never panics: a failing
+//! vertex must report the same message as the single-node engines, and
+//! that only works if this engine reports failures the same structured
+//! way `steno-vm` does. Because `steno_linq` iterator closures cannot return
 //! `Result`, errors inside a pull are recorded in a shared first-error
 //! cell (`Scope`) and surfaced when the chain's driver loop finishes;
 //! closures yield inert placeholder values after a failure so the

@@ -1,26 +1,21 @@
-//! The cluster scheduler: map vertices on a worker pool, then reduce —
-//! now with the Dryad re-execution contract of §6.
+//! The cluster executor: map vertices on a worker pool, then reduce.
 //!
-//! Dryad's promise to DryadLINQ programs is that a failed or slow vertex
-//! is re-executed (possibly speculatively) *without changing the job's
-//! answer*. The runtime here reproduces that contract at one-machine
-//! scale:
+//! [`execute_distributed`] lowers the query, splits the chain at its
+//! first non-homomorphic operator (§6), compiles the map subchain once,
+//! and runs it over every partition through [`homomorphic_apply`]. Each
+//! map vertex runs exactly once:
 //!
 //! * **Panic isolation** — vertex bodies run under `catch_unwind`; a
-//!   panicking UDF becomes a structured failure instead of unwinding
-//!   through the scheduler and aborting the job.
-//! * **Retry with backoff** — transient failures (injected faults,
-//!   panics, timeouts) are retried up to
-//!   [`RetryPolicy::max_attempts`], with deterministic exponential
-//!   backoff and jitter.
-//! * **Speculative re-execution** — a vertex running far longer than the
-//!   quantile of its completed siblings gets a backup attempt; the first
-//!   result wins and the loser is cooperatively cancelled.
-//! * **Error taxonomy** — deterministic, data-dependent errors
-//!   (`VmError::DivisionByZero` and friends) are *never* retried and
-//!   surface byte-identical to the single-node engines, so the
-//!   distributed path cannot disagree with reference semantics about
-//!   failures.
+//!   panicking UDF becomes [`DistError::VertexPanic`] instead of
+//!   unwinding through the pool, and the next job runs normally.
+//! * **Deterministic errors** — a data-dependent engine error
+//!   (`VmError::DivisionByZero` and friends) becomes
+//!   [`DistError::VertexFailed`] with a message byte-identical to the
+//!   single-node engine's, reported for the lowest-numbered failing
+//!   vertex whatever the thread timing.
+//!
+//! Re-running failed or slow vertices is the job manager's business
+//! (Dryad's), not the query compiler's; this executor does not retry.
 
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -37,11 +32,8 @@ use steno_quil::{lower, passes, LowerError};
 use steno_vm::CompiledQuery;
 
 use crate::chain_interp;
-use crate::fault::{self, CancelToken, FailureClass, FaultKind, FaultPlan, VertexFailure};
 use crate::job::JobGraph;
 use crate::partition::DistributedCollection;
-use crate::retry::{RetryPolicy, SpeculationPolicy};
-use crate::sync::{Condvar, Mutex};
 
 /// Which executor runs inside each map vertex.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -65,68 +57,6 @@ impl Default for ClusterSpec {
     fn default() -> ClusterSpec {
         ClusterSpec { workers: 4 }
     }
-}
-
-/// The fault-tolerance knobs of a distributed run: retry budget,
-/// straggler speculation, and (for tests) the fault-injection schedule.
-#[derive(Clone, Debug, Default)]
-pub struct RuntimeConfig {
-    /// Retry/backoff/deadline policy for transient vertex failures.
-    pub retry: RetryPolicy,
-    /// When to launch speculative duplicates of stragglers.
-    pub speculation: SpeculationPolicy,
-    /// Deterministic fault injection (empty in production).
-    pub faults: FaultPlan,
-}
-
-impl RuntimeConfig {
-    /// A default runtime with the given fault-injection schedule.
-    pub fn with_faults(faults: FaultPlan) -> RuntimeConfig {
-        RuntimeConfig {
-            faults,
-            ..RuntimeConfig::default()
-        }
-    }
-}
-
-/// One retry decision, for the [`JobReport`] log.
-#[derive(Clone, Debug)]
-pub struct RetryEvent {
-    /// The vertex whose attempt failed.
-    pub vertex: usize,
-    /// The attempt (0-based) that failed transiently.
-    pub attempt: u32,
-    /// Why it failed.
-    pub reason: String,
-    /// The backoff applied before the replacement attempt.
-    pub backoff: Duration,
-}
-
-impl fmt::Display for RetryEvent {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "vertex {} attempt {} failed ({}); retrying after {:?}",
-            self.vertex, self.attempt, self.reason, self.backoff
-        )
-    }
-}
-
-/// What the fault-tolerant `HomomorphicApply` did, beyond the values.
-#[derive(Clone, Debug, Default)]
-pub struct ApplyStats {
-    /// Re-executions caused by transient failures (not speculation).
-    pub retries: usize,
-    /// Speculative backup attempts launched for stragglers.
-    pub speculation_launched: usize,
-    /// Vertices whose winning result came from a speculative backup.
-    pub speculation_wins: usize,
-    /// Attempts launched per vertex (1 = clean first run).
-    pub vertex_attempts: Vec<u32>,
-    /// Wall time of the winning attempt, per vertex.
-    pub vertex_wall: Vec<Duration>,
-    /// Every retry decision, in the order taken.
-    pub retry_log: Vec<RetryEvent>,
 }
 
 /// What a distributed run did, for experiments and tests.
@@ -158,18 +88,8 @@ pub struct JobReport {
     pub partial_aggregation: bool,
     /// The job graph that ran.
     pub graph: JobGraph,
-    /// Map-vertex re-executions caused by transient failures.
-    pub retries: usize,
-    /// Speculative backup attempts launched for stragglers.
-    pub speculation_launched: usize,
-    /// Vertices whose result came from a speculative backup.
-    pub speculation_wins: usize,
-    /// Attempts launched per map vertex (1 = clean first run).
-    pub vertex_attempts: Vec<u32>,
-    /// Wall time of the winning attempt, per map vertex.
+    /// Wall time per map vertex.
     pub vertex_wall: Vec<Duration>,
-    /// Every retry decision taken during the map phase.
-    pub retry_log: Vec<RetryEvent>,
 }
 
 /// `elems / wall`, `None` when the wall clock rounded to zero (sub-tick
@@ -196,8 +116,8 @@ impl JobReport {
         throughput(self.exchanged_elements, self.reduce_wall)
     }
 
-    /// Per-vertex throughput (input elements per second of the winning
-    /// attempt); `None` entries are vertices too fast to measure.
+    /// Per-vertex throughput (input elements per second); `None`
+    /// entries are vertices too fast to measure.
     pub fn vertex_elements_per_sec(&self) -> Vec<Option<f64>> {
         self.vertex_elements
             .iter()
@@ -206,15 +126,8 @@ impl JobReport {
             .collect()
     }
 
-    /// Total attempts launched across all map vertices (equals the
-    /// partition count on a clean run).
-    pub fn total_attempts(&self) -> u64 {
-        self.vertex_attempts.iter().map(|&a| u64::from(a)).sum()
-    }
-
-    /// Folds the report into a metrics [`steno_obs::Collector`]:
-    /// volume/fault counters plus phase, per-vertex, and retry-backoff
-    /// wall-time histograms. Cheap no-op on a disabled collector, so
+    /// Folds the report into a metrics [`steno_obs::Collector`]: volume
+    /// counters plus phase and per-vertex wall-time histograms. Cheap no-op on a disabled collector, so
     /// callers can record unconditionally.
     pub fn record_to(&self, c: &dyn steno_obs::Collector) {
         fn ns(d: Duration) -> u64 {
@@ -226,22 +139,11 @@ impl JobReport {
         c.add("cluster.jobs", 1);
         c.add("cluster.input_elements", self.input_elements as u64);
         c.add("cluster.exchanged_elements", self.exchanged_elements as u64);
-        c.add("cluster.retries", self.retries as u64);
-        c.add(
-            "cluster.speculation_launched",
-            self.speculation_launched as u64,
-        );
-        c.add("cluster.speculation_wins", self.speculation_wins as u64);
-        c.add("cluster.vertex_attempts", self.total_attempts());
-        c.add("cluster.retry_events", self.retry_log.len() as u64);
         c.observe_ns("cluster.compile_ns", ns(self.compile_time));
         c.observe_ns("cluster.map_wall_ns", ns(self.map_wall));
         c.observe_ns("cluster.reduce_wall_ns", ns(self.reduce_wall));
         for w in &self.vertex_wall {
             c.observe_ns("cluster.vertex_wall_ns", ns(*w));
-        }
-        for ev in &self.retry_log {
-            c.observe_ns("cluster.retry_backoff_ns", ns(ev.backoff));
         }
     }
 
@@ -283,7 +185,6 @@ impl JobReport {
                     "exchanged_elements",
                     Note::from(self.exchanged_elements as u64),
                 ),
-                ("retries", Note::from(self.retries as u64)),
             ],
         );
         let compile_end = start + compile;
@@ -291,7 +192,6 @@ impl JobReport {
         let map_end = compile_end + map;
         let map_id = tracer.record("cluster.map", job, compile_end, map_end, Vec::new());
         for (i, wall) in self.vertex_wall.iter().enumerate() {
-            let attempts = self.vertex_attempts.get(i).copied().unwrap_or(1);
             let elements = self.vertex_elements.get(i).copied().unwrap_or(0);
             tracer.record(
                 "cluster.vertex",
@@ -300,7 +200,6 @@ impl JobReport {
                 compile_end + ns(*wall),
                 vec![
                     ("vertex", Note::from(i as u64)),
-                    ("attempts", Note::from(u64::from(attempts))),
                     ("elements", Note::from(elements as u64)),
                 ],
             );
@@ -319,8 +218,7 @@ impl fmt::Display for JobReport {
         write!(
             f,
             "job: {} partitions on {} workers, engine {engine}; \
-             map {:?} ({}), reduce {:?} ({}); {} in → {} exchanged; \
-             retries {}, speculation {}/{}, {} attempts, {} retry events",
+             map {:?} ({}), reduce {:?} ({}); {} in → {} exchanged",
             self.partitions,
             self.workers,
             self.map_wall,
@@ -335,11 +233,6 @@ impl fmt::Display for JobReport {
             },
             self.input_elements,
             self.exchanged_elements,
-            self.retries,
-            self.speculation_wins,
-            self.speculation_launched,
-            self.total_attempts(),
-            self.retry_log.len(),
         )
     }
 }
@@ -353,33 +246,22 @@ pub enum DistError {
     BadRoot(String),
     /// A driver-side stage failed (compilation, reduce, merge).
     Vertex(String),
-    /// A map vertex failed *deterministically*: re-execution must fail
-    /// identically, so it was never retried. `message` is byte-identical
-    /// to the single-node engine's error for the same data.
+    /// A map vertex returned an error. Vertices are deterministic, so
+    /// `message` is byte-identical to the single-node engine's error for
+    /// the same data, and `vertex` is the lowest-numbered failing one.
     VertexFailed {
         /// The failing vertex (partition index).
         vertex: usize,
-        /// Attempts launched for this vertex (1 = failed on first run).
-        attempts: u32,
         /// The single-node-identical error message.
         message: String,
     },
-    /// A map vertex panicked on every allowed attempt. The panic was
-    /// caught at the vertex boundary; the worker pool survived.
+    /// A map vertex panicked. The panic was caught at the vertex
+    /// boundary; the worker pool survived.
     VertexPanic {
         /// The panicking vertex (partition index).
         vertex: usize,
         /// The panic payload (stringified).
         payload: String,
-    },
-    /// Transient failures exhausted the retry budget.
-    RetriesExhausted {
-        /// The failing vertex (partition index).
-        vertex: usize,
-        /// Attempts consumed.
-        attempts: u32,
-        /// The last transient failure observed.
-        last: String,
     },
 }
 
@@ -389,542 +271,107 @@ impl fmt::Display for DistError {
             DistError::Lower(e) => write!(f, "{e}"),
             DistError::BadRoot(msg) => write!(f, "bad root source: {msg}"),
             DistError::Vertex(msg) => write!(f, "vertex failed: {msg}"),
-            DistError::VertexFailed {
-                vertex,
-                attempts,
-                message,
-            } => write!(
-                f,
-                "vertex {vertex} failed deterministically (attempt {attempts}, not retried): {message}"
-            ),
+            DistError::VertexFailed { vertex, message } => {
+                write!(f, "vertex {vertex} failed: {message}")
+            }
             DistError::VertexPanic { vertex, payload } => {
                 write!(f, "vertex {vertex} panicked: {payload}")
             }
-            DistError::RetriesExhausted {
-                vertex,
-                attempts,
-                last,
-            } => write!(
-                f,
-                "vertex {vertex} still failing after {attempts} attempts: {last}"
-            ),
         }
     }
 }
 
 impl std::error::Error for DistError {}
 
-// ---------------------------------------------------------------------
-// The fault-tolerant vertex scheduler.
-// ---------------------------------------------------------------------
-
-/// A scheduled execution of one vertex attempt.
-struct Task {
-    vertex: usize,
-    attempt: u32,
-    speculative: bool,
-    not_before: Instant,
-    cancel: CancelToken,
-}
-
-enum SlotState {
-    Pending,
-    Done,
-    Failed,
-}
-
-/// A running attempt of a vertex.
-struct Inflight {
-    attempt: u32,
-    started: Instant,
-    cancel: CancelToken,
-}
-
-/// Per-vertex scheduler state.
-struct Slot {
-    state: SlotState,
-    value: Option<Value>,
-    /// Attempt ids handed out so far (also the count of launches).
-    next_attempt: u32,
-    /// Attempts that have failed transiently.
-    failed_attempts: u32,
-    /// Tasks for this vertex sitting in the queue.
-    queued: usize,
-    /// Attempts currently executing.
-    inflight: Vec<Inflight>,
-    /// Speculative backups launched.
-    backups: usize,
-    /// Wall time of the winning attempt.
-    wall: Duration,
-    /// Whether the winning attempt was a speculative backup.
-    won_by_speculation: bool,
-}
-
-impl Slot {
-    fn new() -> Slot {
-        Slot {
-            state: SlotState::Pending,
-            value: None,
-            next_attempt: 1, // attempt 0 is seeded into the queue
-            failed_attempts: 0,
-            queued: 1,
-            inflight: Vec::new(),
-            backups: 0,
-            wall: Duration::ZERO,
-            won_by_speculation: false,
-        }
-    }
-
-    fn is_pending(&self) -> bool {
-        matches!(self.state, SlotState::Pending)
-    }
-}
-
-struct Shared {
-    queue: Mutex<Vec<Task>>,
-    cv: Condvar,
-    slots: Vec<Mutex<Slot>>,
-    done: AtomicBool,
-    terminal: AtomicUsize,
-    fatal: Mutex<Option<DistError>>,
-    retries: AtomicUsize,
-    spec_launched: AtomicUsize,
-    spec_wins: AtomicUsize,
-    retry_log: Mutex<Vec<RetryEvent>>,
-}
-
-impl Shared {
-    fn new(n: usize) -> Shared {
-        let now = Instant::now();
-        Shared {
-            queue: Mutex::new(
-                (0..n)
-                    .map(|v| Task {
-                        vertex: v,
-                        attempt: 0,
-                        speculative: false,
-                        not_before: now,
-                        cancel: CancelToken::new(),
-                    })
-                    .collect(),
-            ),
-            cv: Condvar::new(),
-            slots: (0..n).map(|_| Mutex::new(Slot::new())).collect(),
-            done: AtomicBool::new(false),
-            terminal: AtomicUsize::new(0),
-            fatal: Mutex::new(None),
-            retries: AtomicUsize::new(0),
-            spec_launched: AtomicUsize::new(0),
-            spec_wins: AtomicUsize::new(0),
-            retry_log: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Marks one vertex terminally resolved; stops the pool when all are.
-    fn finish_one(&self) {
-        if self.terminal.fetch_add(1, Ordering::SeqCst) + 1 == self.slots.len() {
-            self.stop();
-        }
-    }
-
-    /// Records the job-fatal error (first one wins) and stops the pool.
-    fn fail_job(&self, e: DistError) {
-        {
-            let mut f = self.fatal.lock();
-            if f.is_none() {
-                *f = Some(e);
-            }
-        }
-        self.stop();
-    }
-
-    fn stop(&self) {
-        self.done.store(true, Ordering::Release);
-        self.cv.notify_all();
-    }
-
-    fn is_done(&self) -> bool {
-        self.done.load(Ordering::Acquire)
-    }
-
-    /// Pops the next eligible task, waiting for backoff windows; `None`
-    /// once the pool is shutting down.
-    fn next_task(&self) -> Option<Task> {
-        let mut q = self.queue.lock();
-        loop {
-            if self.is_done() {
-                return None;
-            }
-            let now = Instant::now();
-            if let Some(pos) = q.iter().position(|t| t.not_before <= now) {
-                return Some(q.swap_remove(pos));
-            }
-            let wait = q
-                .iter()
-                .map(|t| t.not_before.saturating_duration_since(now))
-                .min()
-                .unwrap_or(Duration::from_millis(5))
-                .max(Duration::from_micros(100));
-            q = self.cv.wait_timeout(q, wait);
-        }
-    }
-
-    /// Handles a transient attempt failure: schedule a retry while the
-    /// budget lasts, otherwise fail the job once no sibling attempt can
-    /// still rescue the vertex. Caller holds the slot lock.
-    fn transient_failure(
-        &self,
-        cfg: &RuntimeConfig,
-        slot: &mut Slot,
-        vertex: usize,
-        attempt: u32,
-        fail: VertexFailure,
-    ) {
-        slot.failed_attempts += 1;
-        let job_failing = self.fatal.lock().is_some();
-        if !job_failing && slot.failed_attempts < cfg.retry.max_attempts {
-            let next = slot.next_attempt;
-            slot.next_attempt += 1;
-            slot.queued += 1;
-            let backoff = cfg.retry.backoff(vertex, slot.failed_attempts);
-            self.retries.fetch_add(1, Ordering::SeqCst);
-            self.retry_log.lock().push(RetryEvent {
-                vertex,
-                attempt,
-                reason: fail.message,
-                backoff,
-            });
-            self.queue.lock().push(Task {
-                vertex,
-                attempt: next,
-                speculative: false,
-                not_before: Instant::now() + backoff,
-                cancel: CancelToken::new(),
-            });
-            self.cv.notify_all();
-        } else if slot.inflight.is_empty() && slot.queued == 0 {
-            // Nothing left that could still produce a result.
-            slot.state = SlotState::Failed;
-            let e = if fail.panicked {
-                DistError::VertexPanic {
-                    vertex,
-                    payload: fail.message,
-                }
-            } else {
-                DistError::RetriesExhausted {
-                    vertex,
-                    attempts: slot.failed_attempts,
-                    last: fail.message,
-                }
-            };
-            self.fail_job(e);
-        }
-        // Otherwise a queued retry or speculative sibling may still win.
-    }
-}
-
-/// The deliberate injection point for [`FaultKind::Panic`] — the one
-/// place non-test scheduler code is allowed to panic, because the panic
-/// is immediately caught by the vertex boundary it exists to test.
-#[allow(clippy::panic)]
-fn injected_panic(vertex: usize, attempt: u32) -> Value {
-    panic!("injected panic: vertex {vertex} attempt {attempt}")
-}
-
-/// Runs one attempt: consult the fault plan, then the real vertex body
-/// under `catch_unwind`. `None` means the attempt was cooperatively
-/// cancelled mid-stall and produced no outcome.
-fn run_attempt<F>(
-    cfg: &RuntimeConfig,
-    task: &Task,
-    part: &Column,
-    f: &F,
-) -> Option<Result<Value, VertexFailure>>
-where
-    F: Fn(usize, &Column) -> Result<Value, VertexFailure> + Sync,
-{
-    match cfg.faults.lookup(task.vertex, task.attempt) {
-        Some(FaultKind::Error) => {
-            return Some(Err(VertexFailure::transient(format!(
-                "injected fault: vertex {} attempt {}",
-                task.vertex, task.attempt
-            ))))
-        }
-        Some(FaultKind::Panic) => {
-            let r = catch_unwind(AssertUnwindSafe(|| injected_panic(task.vertex, task.attempt)));
-            return Some(match r {
-                Ok(v) => Ok(v), // unreachable: injected_panic always panics
-                Err(p) => Err(VertexFailure::panic(fault::panic_payload(p.as_ref()))),
-            });
-        }
-        // Cancelled while stalling: a losing straggler with no outcome.
-        Some(FaultKind::Delay(d)) if !task.cancel.sleep_cooperatively(*d) => return None,
-        Some(FaultKind::Delay(_)) => {}
-        None => {}
-    }
-    match catch_unwind(AssertUnwindSafe(|| f(task.vertex, part))) {
-        Ok(r) => Some(r),
-        Err(p) => Some(Err(VertexFailure::panic(fault::panic_payload(p.as_ref())))),
-    }
-}
-
-/// Records the outcome of an attempt against its vertex slot.
-fn record_outcome(
-    sh: &Shared,
-    cfg: &RuntimeConfig,
-    task: &Task,
-    started: Instant,
-    outcome: Option<Result<Value, VertexFailure>>,
-) {
-    let mut slot = sh.slots[task.vertex].lock();
-    // De-register from inflight. An attempt the monitor already declared
-    // timed out is no longer tracked; its failure was accounted there.
-    let tracked = match slot.inflight.iter().position(|i| i.attempt == task.attempt) {
-        Some(pos) => {
-            slot.inflight.swap_remove(pos);
-            true
-        }
-        None => false,
-    };
-    let Some(outcome) = outcome else {
-        return; // cancelled stall: no result to record
-    };
-    if !slot.is_pending() {
-        return; // a sibling attempt already resolved this vertex
-    }
-    match outcome {
-        Ok(v) => {
-            slot.state = SlotState::Done;
-            slot.value = Some(v);
-            slot.wall = started.elapsed();
-            slot.won_by_speculation = task.speculative;
-            if task.speculative {
-                sh.spec_wins.fetch_add(1, Ordering::SeqCst);
-            }
-            for i in slot.inflight.drain(..) {
-                i.cancel.cancel();
-            }
-            sh.finish_one();
-        }
-        Err(fail) => match fail.class {
-            FailureClass::Deterministic => {
-                // Dryad's contract says re-execution cannot change the
-                // answer; a deterministic failure *is* the answer.
-                slot.state = SlotState::Failed;
-                for i in slot.inflight.drain(..) {
-                    i.cancel.cancel();
-                }
-                let attempts = slot.next_attempt;
-                sh.fail_job(DistError::VertexFailed {
-                    vertex: task.vertex,
-                    attempts,
-                    message: fail.message,
-                });
-            }
-            FailureClass::Transient => {
-                if tracked {
-                    sh.transient_failure(cfg, &mut slot, task.vertex, task.attempt, fail);
-                }
-            }
-        },
-    }
-}
-
-/// The monitor pass: declare timed-out attempts transient failures and
-/// launch speculative backups for stragglers.
-fn monitor_tick(sh: &Shared, cfg: &RuntimeConfig) {
-    let now = Instant::now();
-    // Attempt deadlines → transient failures (the stuck attempt keeps
-    // running — threads are not preemptible — but a replacement is
-    // scheduled and the stall, if injected, is cooperatively cancelled).
-    if let Some(deadline) = cfg.retry.attempt_deadline {
-        for (v, s) in sh.slots.iter().enumerate() {
-            let mut slot = s.lock();
-            if !slot.is_pending() {
-                continue;
-            }
-            let mut expired = Vec::new();
-            let mut live = Vec::new();
-            for i in slot.inflight.drain(..) {
-                if now.duration_since(i.started) > deadline {
-                    expired.push(i);
-                } else {
-                    live.push(i);
-                }
-            }
-            slot.inflight = live;
-            for i in expired {
-                i.cancel.cancel();
-                let fail = VertexFailure::transient(format!(
-                    "attempt deadline {deadline:?} exceeded at vertex {v}"
-                ));
-                sh.transient_failure(cfg, &mut slot, v, i.attempt, fail);
-            }
-        }
-    }
-    // Straggler speculation.
-    if cfg.speculation.enabled {
-        let completed: Vec<Duration> = sh
-            .slots
-            .iter()
-            .filter_map(|s| {
-                let slot = s.lock();
-                match slot.state {
-                    SlotState::Done => Some(slot.wall),
-                    _ => None,
-                }
-            })
-            .collect();
-        let Some(threshold) = cfg.speculation.threshold(&completed) else {
-            return;
-        };
-        for (v, s) in sh.slots.iter().enumerate() {
-            let mut slot = s.lock();
-            if !slot.is_pending()
-                || slot.backups >= cfg.speculation.max_backups
-                || slot.inflight.is_empty()
-            {
-                continue;
-            }
-            let Some(oldest) = slot.inflight.iter().map(|i| i.started).min() else {
-                continue;
-            };
-            if now.duration_since(oldest) <= threshold {
-                continue;
-            }
-            let attempt = slot.next_attempt;
-            slot.next_attempt += 1;
-            slot.backups += 1;
-            slot.queued += 1;
-            sh.spec_launched.fetch_add(1, Ordering::SeqCst);
-            sh.queue.lock().push(Task {
-                vertex: v,
-                attempt,
-                speculative: true,
-                not_before: now,
-                cancel: CancelToken::new(),
-            });
-            sh.cv.notify_all();
-        }
-    }
-}
-
-/// The fault-tolerant `HomomorphicApply`: applies `f` to every partition
-/// on a pool of `workers` threads, retrying transient failures with
-/// backoff, speculatively duplicating stragglers, and isolating panics —
-/// results are collected in partition order.
+/// The `HomomorphicApply` operator added to PLINQ in §6: "maps a
+/// function across partitions in parallel, as opposed to each element".
+///
+/// Runs `f` once per partition on `workers.clamp(1, n)` scoped threads,
+/// which claim partition indices in increasing order from one shared
+/// counter. Each vertex runs under `catch_unwind`, so a panicking `f`
+/// becomes a [`DistError::VertexPanic`] and the pool survives. Returns
+/// the values in partition order, plus each vertex's wall time.
+///
+/// After any vertex fails, no further vertex is claimed. Claims are
+/// monotonic, so every lower-numbered vertex has already been claimed and
+/// runs to completion: the error reported is always that of the
+/// lowest-numbered failing vertex, as the single-node engine reports the
+/// first failing element.
 ///
 /// # Errors
 ///
-/// [`DistError::VertexFailed`] for deterministic failures (never
-/// retried), [`DistError::VertexPanic`] / [`DistError::RetriesExhausted`]
-/// when the transient-retry budget runs out.
-pub fn homomorphic_apply_rt<F>(
-    partitions: &[Column],
-    workers: usize,
-    cfg: &RuntimeConfig,
-    f: F,
-) -> Result<(Vec<Value>, ApplyStats), DistError>
-where
-    F: Fn(usize, &Column) -> Result<Value, VertexFailure> + Sync,
-{
-    let n = partitions.len();
-    if n == 0 {
-        return Ok((Vec::new(), ApplyStats::default()));
-    }
-    let workers = workers.clamp(1, n);
-    let sh = Shared::new(n);
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| {
-                while let Some(task) = sh.next_task() {
-                    {
-                        let mut slot = sh.slots[task.vertex].lock();
-                        slot.queued = slot.queued.saturating_sub(1);
-                        if !slot.is_pending() {
-                            continue; // stale task for a resolved vertex
-                        }
-                        slot.inflight.push(Inflight {
-                            attempt: task.attempt,
-                            started: Instant::now(),
-                            cancel: task.cancel.clone(),
-                        });
-                    }
-                    let started = Instant::now();
-                    let outcome = run_attempt(cfg, &task, &partitions[task.vertex], &f);
-                    record_outcome(&sh, cfg, &task, started, outcome);
-                }
-            });
-        }
-        // This thread is the monitor: watch for stragglers / timeouts.
-        while !sh.is_done() {
-            std::thread::sleep(Duration::from_micros(500));
-            monitor_tick(&sh, cfg);
-        }
-        // Shutting down: release any attempt still stalling cooperatively.
-        for s in &sh.slots {
-            for i in &s.lock().inflight {
-                i.cancel.cancel();
-            }
-        }
-    });
-
-    if let Some(e) = sh.fatal.lock().take() {
-        return Err(e);
-    }
-    let mut values = Vec::with_capacity(n);
-    let mut stats = ApplyStats {
-        retries: sh.retries.load(Ordering::SeqCst),
-        speculation_launched: sh.spec_launched.load(Ordering::SeqCst),
-        speculation_wins: sh.spec_wins.load(Ordering::SeqCst),
-        vertex_attempts: Vec::with_capacity(n),
-        vertex_wall: Vec::with_capacity(n),
-        retry_log: std::mem::take(&mut *sh.retry_log.lock()),
-    };
-    for (i, s) in sh.slots.into_iter().enumerate() {
-        let slot = s.into_inner();
-        stats.vertex_attempts.push(slot.next_attempt);
-        stats.vertex_wall.push(slot.wall);
-        match (slot.state, slot.value) {
-            (SlotState::Done, Some(v)) => values.push(v),
-            _ => {
-                // Unreachable when the scheduler is correct: every vertex
-                // either resolves or fails the job with its cause.
-                return Err(DistError::Vertex(format!(
-                    "vertex {i} left unresolved by the scheduler"
-                )));
-            }
-        }
-    }
-    Ok((values, stats))
-}
-
-/// Applies `f` to every partition on a pool of `workers` threads and
-/// collects results in partition order — the `HomomorphicApply` operator
-/// added to PLINQ in §6 ("maps a function across partitions in parallel,
-/// as opposed to each element").
-///
-/// Errors from `f` are treated as deterministic (never retried),
-/// matching the pre-fault-tolerance contract of this function; panics in
-/// `f` are isolated and retried. Use [`homomorphic_apply_rt`] for the
-/// full classified interface.
-///
-/// # Errors
-///
-/// As [`homomorphic_apply_rt`].
+/// [`DistError::VertexFailed`] carrying `f`'s message, or
+/// [`DistError::VertexPanic`] carrying the panic payload.
 pub fn homomorphic_apply<F>(
     partitions: &[Column],
     workers: usize,
     f: F,
-) -> Result<Vec<Value>, DistError>
+) -> Result<(Vec<Value>, Vec<Duration>), DistError>
 where
     F: Fn(usize, &Column) -> Result<Value, String> + Sync,
 {
-    let cfg = RuntimeConfig::default();
-    homomorphic_apply_rt(partitions, workers, &cfg, |i, part| {
-        f(i, part).map_err(VertexFailure::deterministic)
-    })
-    .map(|(values, _)| values)
+    let n = partitions.len();
+    let next = AtomicUsize::new(0);
+    let failed = AtomicBool::new(false);
+    let run_vertex = |i: usize| {
+        let start = Instant::now();
+        let outcome = match catch_unwind(AssertUnwindSafe(|| f(i, &partitions[i]))) {
+            Ok(Ok(v)) => Ok(v),
+            Ok(Err(message)) => Err(DistError::VertexFailed { vertex: i, message }),
+            Err(p) => Err(DistError::VertexPanic {
+                vertex: i,
+                payload: panic_payload(p.as_ref()),
+            }),
+        };
+        if outcome.is_err() {
+            failed.store(true, Ordering::Relaxed);
+        }
+        (i, outcome, start.elapsed())
+    };
+    let mut slots: Vec<Option<(Result<Value, DistError>, Duration)>> =
+        (0..n).map(|_| None).collect();
+    std::thread::scope(|s| {
+        let pool: Vec<_> = (0..workers.clamp(1, n.max(1)))
+            .map(|_| {
+                s.spawn(|| {
+                    let mut done = Vec::new();
+                    while !failed.load(Ordering::Relaxed) {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break;
+                        }
+                        done.push(run_vertex(i));
+                    }
+                    done
+                })
+            })
+            .collect();
+        // Vertex bodies are caught, so `join` fails only if the worker's
+        // own bookkeeping panicked; its vertices then read as missing.
+        for (i, outcome, wall) in pool.into_iter().flat_map(|w| w.join().unwrap_or_default()) {
+            slots[i] = Some((outcome, wall));
+        }
+    });
+    let mut values = Vec::with_capacity(n);
+    let mut walls = Vec::with_capacity(n);
+    for (i, slot) in slots.into_iter().enumerate() {
+        let (outcome, wall) =
+            slot.ok_or_else(|| DistError::Vertex(format!("vertex {i} did not run")))?;
+        values.push(outcome?);
+        walls.push(wall);
+    }
+    Ok((values, walls))
+}
+
+/// Extracts a printable payload from a caught panic.
+fn panic_payload(p: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = p.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = p.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
 }
 
 fn count_exchanged(values: &[Value]) -> usize {
@@ -957,8 +404,7 @@ fn run_chain_serial(
 }
 
 /// Executes a query over a partitioned collection on the simulated
-/// cluster (§6), with the default fault-tolerance runtime (retries and
-/// speculation on, no injected faults).
+/// cluster (§6), running each map vertex once.
 ///
 /// The query's root source must be `input`; any other named source it
 /// references is *broadcast* — available in full at every vertex (the
@@ -975,25 +421,6 @@ pub fn execute_distributed(
     udfs: &UdfRegistry,
     spec: &ClusterSpec,
     engine: VertexEngine,
-) -> Result<(Value, JobReport), DistError> {
-    execute_distributed_with(q, input, broadcast, udfs, spec, engine, &RuntimeConfig::default())
-}
-
-/// As [`execute_distributed`], with an explicit [`RuntimeConfig`]
-/// (retry policy, speculation policy, fault injection).
-///
-/// # Errors
-///
-/// As [`execute_distributed`].
-#[allow(clippy::too_many_arguments)]
-pub fn execute_distributed_with(
-    q: &QueryExpr,
-    input: &DistributedCollection,
-    broadcast: &DataContext,
-    udfs: &UdfRegistry,
-    spec: &ClusterSpec,
-    engine: VertexEngine,
-    runtime: &RuntimeConfig,
 ) -> Result<(Value, JobReport), DistError> {
     // Types: the partitioned source plus broadcast sources.
     let mut sources = SourceTypes::from(broadcast);
@@ -1026,23 +453,18 @@ pub fn execute_distributed_with(
     };
     let compile_time = t0.elapsed();
 
-    // ---- map phase (fault-tolerant) ----
+    // ---- map phase ----
     let t_map = Instant::now();
     let map_chain = &plan.map_chain;
-    let (partials, stats) =
-        homomorphic_apply_rt(&input.partitions, spec.workers, runtime, |_, part| {
-            let mut ctx = broadcast.clone();
-            ctx.insert(input.name.clone(), part.clone());
-            match &compiled_map {
-                // Engine runtime errors are data-dependent: deterministic,
-                // never retried, surfaced identical to single-node runs.
-                Some(c) => c
-                    .run(&ctx, udfs)
-                    .map_err(|e| VertexFailure::deterministic(e.to_string())),
-                None => chain_interp::execute_chain(map_chain, &ctx, udfs)
-                    .map_err(|e| VertexFailure::deterministic(e.to_string())),
-            }
-        })?;
+    let (partials, vertex_wall) = homomorphic_apply(&input.partitions, spec.workers, |_, part| {
+        let mut ctx = broadcast.clone();
+        ctx.insert(input.name.clone(), part.clone());
+        // Engine errors keep their single-node text.
+        match &compiled_map {
+            Some(c) => c.run(&ctx, udfs).map_err(|e| e.to_string()),
+            None => chain_interp::execute_chain(map_chain, &ctx, udfs).map_err(|e| e.to_string()),
+        }
+    })?;
     let map_wall = t_map.elapsed();
     let exchanged_elements = count_exchanged(&partials);
     let vertex_elements: Vec<usize> = input.partitions.iter().map(Column::len).collect();
@@ -1066,12 +488,7 @@ pub fn execute_distributed_with(
         map_vm_engine: compiled_map.as_ref().map(CompiledQuery::engine),
         partial_aggregation: plan.uses_partial_aggregation(),
         graph: JobGraph::from_plan(&plan, input.partition_count()),
-        retries: stats.retries,
-        speculation_launched: stats.speculation_launched,
-        speculation_wins: stats.speculation_wins,
-        vertex_attempts: stats.vertex_attempts,
-        vertex_wall: stats.vertex_wall,
-        retry_log: stats.retry_log,
+        vertex_wall,
     };
     Ok((result, report))
 }
@@ -1363,10 +780,6 @@ mod tests {
         assert_eq!(report.exchanged_elements, 10);
         assert_eq!(report.partitions, 10);
         assert!(report.graph.to_string().contains("Agg*"));
-        // A fault-free run does no recovery work.
-        assert_eq!(report.retries, 0);
-        assert_eq!(report.speculation_wins, 0);
-        assert!(report.vertex_attempts.iter().all(|&a| a == 1));
         assert_eq!(report.vertex_wall.len(), 10);
         // Vectorized map vertices and coherent throughput accounting.
         assert_eq!(report.map_vm_engine, Some(steno_vm::EngineKind::Vectorized));
@@ -1381,11 +794,6 @@ mod tests {
         let shown = report.to_string();
         assert!(shown.contains("steno/vectorized"), "display: {shown}");
         assert!(shown.contains("10000 in"), "display: {shown}");
-        // The fault-tolerance summary is part of the human-readable form.
-        assert!(shown.contains("retries 0"), "display: {shown}");
-        assert!(shown.contains("speculation 0/"), "display: {shown}");
-        assert!(shown.contains("10 attempts"), "display: {shown}");
-        assert!(shown.contains("0 retry events"), "display: {shown}");
     }
 
     #[test]
@@ -1395,38 +803,27 @@ mod tests {
         let data: Vec<f64> = (0..1_000).map(|i| i as f64).collect();
         let q = Query::source("xs").sum().build();
         let input = DistributedCollection::from_f64("xs", data, 4);
-        let runtime = RuntimeConfig::with_faults(FaultPlan::fail_each_once(4));
-        let (_, report) = execute_distributed_with(
+        let (_, report) = execute_distributed(
             &q,
             &input,
             &DataContext::new(),
             &UdfRegistry::new(),
             &ClusterSpec { workers: 2 },
             VertexEngine::Steno,
-            &runtime,
         )
         .unwrap();
         let metrics = MemoryCollector::new();
         report.record_to(&metrics);
         assert_eq!(metrics.counter_value("cluster.jobs"), 1);
         assert_eq!(metrics.counter_value("cluster.input_elements"), 1_000);
-        assert_eq!(metrics.counter_value("cluster.retries"), report.retries as u64);
-        assert!(metrics.counter_value("cluster.retries") >= 4);
-        assert_eq!(
-            metrics.counter_value("cluster.vertex_attempts"),
-            report.total_attempts()
-        );
-        assert_eq!(
-            metrics.counter_value("cluster.retry_events"),
-            report.retry_log.len() as u64
-        );
+        assert_eq!(metrics.counter_value("cluster.exchanged_elements"), 4);
         let snap = metrics.snapshot();
         let vertex_hist = snap
             .histograms
             .iter()
             .find(|h| h.name == "cluster.vertex_wall_ns")
             .unwrap();
-        assert_eq!(vertex_hist.count as usize, report.vertex_wall.len());
+        assert_eq!(vertex_hist.count, 4);
         // Recording twice accumulates; a disabled collector is a no-op.
         report.record_to(&metrics);
         assert_eq!(metrics.counter_value("cluster.jobs"), 2);
@@ -1499,12 +896,13 @@ mod tests {
     fn homomorphic_apply_collects_in_partition_order() {
         let parts: Vec<Column> =
             (0..6).map(|i| Column::from_f64(vec![i as f64])).collect();
-        let got = homomorphic_apply(&parts, 3, |i, c| {
+        let (got, walls) = homomorphic_apply(&parts, 3, |i, c| {
             Ok(Value::F64(c.to_values()[0].as_f64().unwrap() + i as f64))
         })
         .unwrap();
         let want: Vec<Value> = (0..6).map(|i| Value::F64(2.0 * i as f64)).collect();
         assert_eq!(got, want);
+        assert_eq!(walls.len(), 6);
     }
 
     #[test]
@@ -1519,13 +917,8 @@ mod tests {
         })
         .unwrap_err();
         match err {
-            DistError::VertexFailed {
-                vertex,
-                attempts,
-                message,
-            } => {
+            DistError::VertexFailed { vertex, message } => {
                 assert_eq!(vertex, 1);
-                assert_eq!(attempts, 1, "string errors are deterministic: no retry");
                 assert_eq!(message, "bad partition");
             }
             other => panic!("expected VertexFailed, got {other:?}"),
@@ -1535,8 +928,7 @@ mod tests {
     #[test]
     fn panicking_closure_is_isolated_and_reported() {
         let parts: Vec<Column> = (0..2).map(|_| Column::from_f64(vec![1.0])).collect();
-        let cfg = RuntimeConfig::default();
-        let err = homomorphic_apply_rt(&parts, 2, &cfg, |i, _| {
+        let err = homomorphic_apply(&parts, 2, |i, _| {
             if i == 0 {
                 panic!("udf exploded");
             }
@@ -1550,21 +942,5 @@ mod tests {
             }
             other => panic!("expected VertexPanic, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn transient_injection_is_retried_to_success() {
-        let parts: Vec<Column> =
-            (0..4).map(|i| Column::from_f64(vec![i as f64])).collect();
-        let cfg = RuntimeConfig::with_faults(FaultPlan::fail_once(2));
-        let (values, stats) = homomorphic_apply_rt(&parts, 2, &cfg, |_, c| {
-            Ok(Value::F64(c.to_values()[0].as_f64().unwrap()))
-        })
-        .unwrap();
-        assert_eq!(values.len(), 4);
-        assert_eq!(stats.retries, 1);
-        assert_eq!(stats.vertex_attempts[2], 2);
-        assert_eq!(stats.retry_log.len(), 1);
-        assert_eq!(stats.retry_log[0].vertex, 2);
     }
 }

@@ -13,24 +13,19 @@
 //!   applied),
 //! * [`job`] — Dryad-style job graphs built from the §6 parallel plan
 //!   (Fig. 12's `Src_i → Trans → Agg_i → Agg*` shape),
-//! * [`exec`] — the scheduler: a worker pool applies the per-partition
-//!   subquery (the `HomomorphicApply` of §6) and a reduce stage merges
-//!   partition results, using partial-aggregation combiners whenever the
-//!   plan declares them.
-//!
-//! On top of the §6 plan splitting, [`exec`] reproduces Dryad's
-//! *re-execution contract*: a failed or slow vertex is re-executed
-//! (possibly speculatively) without changing the job's answer. The
-//! supporting pieces are [`fault`] (deterministic fault injection and the
-//! transient/deterministic failure taxonomy) and [`retry`]
-//! (retry/backoff and straggler-speculation policies).
+//! * [`exec`] — the executor: a worker pool applies the per-partition
+//!   subquery (the `HomomorphicApply` of §6) once per partition, and a
+//!   reduce stage merges partition results, using partial-aggregation
+//!   combiners whenever the plan declares them. A panicking vertex is
+//!   isolated and reported; nothing is retried — re-running vertices is
+//!   Dryad's job manager's business, not Steno's.
 //!
 //! Substitution note (see DESIGN.md): the paper ran on a 100-node Dryad
 //! cluster; here vertices are threads and channels are memory, which
 //! preserves the code paths under study — chain splitting, per-vertex
 //! Steno compilation, partial aggregation — while fitting on one machine.
 
-// The scheduler survives UDF panics by construction (`catch_unwind` at
+// The executor survives UDF panics by construction (`catch_unwind` at
 // the vertex boundary); nothing else in this crate may panic on
 // data-dependent input. Enforced here, relaxed only in tests.
 #![cfg_attr(
@@ -40,17 +35,12 @@
 
 pub mod chain_interp;
 pub mod exec;
-pub mod fault;
 pub mod job;
 pub mod partition;
-pub mod retry;
 pub mod sync;
 
 pub use exec::{
-    execute_distributed, execute_distributed_with, homomorphic_apply, homomorphic_apply_rt,
-    ApplyStats, ClusterSpec, DistError, JobReport, RetryEvent, RuntimeConfig, VertexEngine,
+    execute_distributed, homomorphic_apply, ClusterSpec, DistError, JobReport, VertexEngine,
 };
-pub use fault::{CancelToken, FailureClass, Fault, FaultKind, FaultPlan, VertexFailure};
 pub use job::JobGraph;
 pub use partition::DistributedCollection;
-pub use retry::{RetryPolicy, SpeculationPolicy};

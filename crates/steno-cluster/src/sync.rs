@@ -1,14 +1,12 @@
 //! Poison-recovering wrappers over `std::sync` primitives.
 //!
-//! The fault-tolerant scheduler *expects* panics: vertex bodies are run
-//! under `catch_unwind`, and a panicking attempt must not wedge the
-//! shared scheduler state behind a poisoned lock. These wrappers recover
-//! the inner guard on poisoning — safe here because every critical
-//! section leaves the protected state consistent (single-field writes,
-//! queue push/pop, counter bumps) and the vertex boundary converts the
-//! panic itself into a structured [`VertexFailure`].
-//!
-//! [`VertexFailure`]: crate::fault::VertexFailure
+//! Code that *expects* panics — vertex bodies and served queries run
+//! under `catch_unwind` — must not wedge shared state behind a poisoned
+//! lock. These wrappers recover the inner guard on poisoning — safe
+//! wherever every critical section leaves the protected state consistent
+//! (single-field writes, queue push/pop, counter bumps) and the panic
+//! itself is turned into a structured error at the `catch_unwind`
+//! boundary.
 
 use std::sync::PoisonError;
 use std::time::Duration;
@@ -17,8 +15,8 @@ use std::time::Duration;
 pub type MutexGuard<'a, T> = std::sync::MutexGuard<'a, T>;
 
 /// A mutex whose `lock` recovers from poisoning instead of returning a
-/// `Result` (the `parking_lot`-style API the scheduler is written
-/// against, without the external dependency).
+/// `Result` (the `parking_lot`-style API, without the external
+/// dependency).
 #[derive(Debug, Default)]
 pub struct Mutex<T>(std::sync::Mutex<T>);
 

@@ -2,8 +2,8 @@
 //! *while holding* the lock, interleaved with well-behaved threads.
 //! The poison-recovering wrappers must neither deadlock nor lose state
 //! — every critical section here leaves the protected value consistent
-//! before panicking, which is exactly the contract the scheduler's
-//! state relies on.
+//! before panicking, which is exactly the contract the serving layer's
+//! shared state relies on.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;

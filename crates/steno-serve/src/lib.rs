@@ -12,8 +12,7 @@
 //!   deadline aborts within one poll stride instead of holding a worker
 //!   until the data runs out.
 //! * **Cancellation** — a caller that stops caring cancels its ticket;
-//!   the cluster's `CancelToken` is bridged into the VM as a cancel
-//!   probe.
+//!   the ticket's cancel flag is bridged into the VM as a cancel probe.
 //! * **Admission control** — bounded per-tenant queues with per-tenant
 //!   in-flight quotas, dispatched round-robin so one tenant's flood
 //!   cannot starve another. Overflow is *shed* with an explicit
@@ -21,16 +20,16 @@
 //!   queue, never a panic.
 //! * **One attempt per job** — each admitted query is compiled through
 //!   the shared plan cache and run once. A panic while it runs is
-//!   contained and reported as a transient failure (the
-//!   [`FailureClass`] taxonomy of `steno-cluster`); whether to resubmit
-//!   is the caller's decision, as after a shed. Deterministic compile
-//!   failures are negatively cached so repeat offenders don't recompile.
+//!   contained and reported as a [`FailureClass::Transient`] failure;
+//!   whether to resubmit is the caller's decision, as after a shed.
+//!   Every other failure is [`FailureClass::Deterministic`]; deterministic
+//!   compile failures are negatively cached so repeat offenders don't
+//!   recompile.
 //! * **Observability** — every decision (admit/shed/fail) and the
 //!   end-to-end latency distribution land in a
 //!   [`steno_obs::Collector`], from which [`SaturationReport`] derives
 //!   the p50/p99 SLO view.
 //!
-//! [`FailureClass`]: steno_cluster::FailureClass
 //! [`Steno`]: steno::Steno
 
 #![cfg_attr(
@@ -44,4 +43,4 @@ pub mod service;
 
 pub use loadgen::{SplitMix64, Zipf};
 pub use report::SaturationReport;
-pub use service::{QueryRequest, QueryService, QueryTicket, ServeConfig, ServeError};
+pub use service::{FailureClass, QueryRequest, QueryService, QueryTicket, ServeConfig, ServeError};

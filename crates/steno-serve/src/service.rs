@@ -28,14 +28,13 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use steno::{Exec, Steno, StenoError};
 use steno_cluster::sync::{Condvar, Mutex};
-use steno_cluster::{CancelToken, FailureClass};
 use steno_expr::{DataContext, UdfRegistry, Value};
 use steno_obs::{Anomaly, Note, SpanId, TraceMeta, Tracer};
 use steno_query::typing::SourceTypes;
@@ -119,6 +118,16 @@ impl QueryRequest {
     }
 }
 
+/// Whether a failed query may succeed if resubmitted.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FailureClass {
+    /// A panic was contained while the query ran; it may not recur.
+    Transient,
+    /// Everything else (compile errors, data-dependent `VmError`s): a
+    /// resubmitted query fails identically.
+    Deterministic,
+}
+
 /// Why the service did not return a value.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ServeError {
@@ -165,6 +174,25 @@ impl std::fmt::Display for ServeError {
 }
 
 impl std::error::Error for ServeError {}
+
+/// A cancellation flag shared by a ticket and the worker running its
+/// job; the worker polls it through the VM's cancel probe.
+#[derive(Clone, Debug, Default)]
+struct CancelToken(Arc<AtomicBool>);
+
+impl CancelToken {
+    fn new() -> CancelToken {
+        CancelToken::default()
+    }
+
+    fn cancel(&self) {
+        self.0.store(true, Ordering::Release);
+    }
+
+    fn is_cancelled(&self) -> bool {
+        self.0.load(Ordering::Acquire)
+    }
+}
 
 /// The caller's handle to an admitted query.
 ///

@@ -11,8 +11,7 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
 
-use steno_cluster::exec::{DistError, RuntimeConfig};
-use steno_cluster::{ClusterSpec, DistributedCollection, JobReport, VertexEngine};
+use steno_cluster::{ClusterSpec, DistError, DistributedCollection, JobReport, VertexEngine};
 use steno_expr::{DataContext, EvalError, UdfRegistry, Value};
 use steno_linq::interp;
 use steno_obs::{Collector, FlightRecorder, NoopCollector, SpanId, Tracer};
@@ -46,8 +45,8 @@ pub enum StenoError {
     Vm(VmError),
     /// Optimization failed for a reason other than an unsupported shape.
     Optimize(OptimizeError),
-    /// A distributed execution failed (vertex failure, exhausted retry
-    /// budget, caught vertex panic, bad root source).
+    /// A distributed execution failed (vertex failure, caught vertex
+    /// panic, bad root source).
     Dist(DistError),
     /// The independent plan verifier rejected the optimized QUIL chain
     /// — an optimizer bug was caught before it could produce a wrong
@@ -107,7 +106,6 @@ impl StenoError {
 /// can then be cached by the application").
 pub struct Steno {
     cache: QueryCache,
-    runtime: RuntimeConfig,
     options: StenoOptions,
     collector: Arc<dyn Collector>,
     recorder: Option<Arc<FlightRecorder>>,
@@ -118,7 +116,6 @@ impl Default for Steno {
     fn default() -> Steno {
         Steno {
             cache: QueryCache::new(),
-            runtime: RuntimeConfig::default(),
             options: StenoOptions::default(),
             collector: Arc::new(NoopCollector),
             recorder: None,
@@ -166,9 +163,7 @@ impl Default for Exec<'_> {
 }
 
 impl Steno {
-    /// Creates an engine with an empty query cache and the default
-    /// fault-tolerance runtime (retries and straggler speculation on, no
-    /// injected faults).
+    /// Creates an engine with an empty query cache.
     pub fn new() -> Steno {
         Steno::default()
     }
@@ -204,20 +199,6 @@ impl Steno {
     /// The engine's flight recorder, when one is attached.
     pub fn flight_recorder(&self) -> Option<&Arc<FlightRecorder>> {
         self.recorder.as_ref()
-    }
-
-    /// Sets the fault-tolerance runtime (retry policy, straggler
-    /// speculation, fault injection) used by
-    /// [`Steno::execute_distributed`].
-    #[must_use = "with_runtime returns the configured engine"]
-    pub fn with_runtime(mut self, runtime: RuntimeConfig) -> Steno {
-        self.runtime = runtime;
-        self
-    }
-
-    /// The engine's fault-tolerance runtime configuration.
-    pub fn runtime(&self) -> &RuntimeConfig {
-        &self.runtime
     }
 
     /// Sets the vectorization policy for every query this engine
@@ -542,19 +523,16 @@ impl Steno {
     }
 
     /// Executes a query over a partitioned collection on the simulated
-    /// cluster (§6), under the engine's fault-tolerance runtime: vertex
-    /// panics are isolated, transient failures retried with backoff,
-    /// stragglers speculatively duplicated, and deterministic errors
-    /// surfaced byte-identical to the single-node engines.
-    ///
-    /// The returned [`JobReport`] records retry counts, the retry log,
-    /// speculation wins, and per-vertex attempt/wall-time data alongside
-    /// the usual phase timings.
+    /// cluster (§6): each map vertex runs once, a vertex panic is
+    /// isolated, and a data-dependent error surfaces byte-identical to
+    /// the single-node engines. The returned [`JobReport`] is also folded
+    /// into the engine's collector; [`JobReport::record_spans`] adds its
+    /// phases to a trace.
     ///
     /// # Errors
     ///
     /// Returns [`StenoError::Dist`] for unloweable queries, mismatched
-    /// roots, and vertex failures that survive the retry budget.
+    /// roots, and vertex failures.
     pub fn execute_distributed(
         &self,
         q: &QueryExpr,
@@ -564,56 +542,13 @@ impl Steno {
         spec: &ClusterSpec,
         engine: VertexEngine,
     ) -> Result<(Value, JobReport), StenoError> {
-        self.execute_distributed_traced(
-            q,
-            input,
-            broadcast,
-            udfs,
-            spec,
-            engine,
-            &Tracer::disabled(),
-            None,
-        )
-    }
-
-    /// As [`Steno::execute_distributed`], additionally recording the
-    /// job's phase timings (`cluster.job` → compile/map/reduce, one
-    /// `cluster.vertex` span per map vertex) into `tracer` via
-    /// [`JobReport::record_spans`]. With a disabled tracer this is
-    /// exactly [`Steno::execute_distributed`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Steno::execute_distributed`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn execute_distributed_traced(
-        &self,
-        q: &QueryExpr,
-        input: &DistributedCollection,
-        broadcast: &DataContext,
-        udfs: &UdfRegistry,
-        spec: &ClusterSpec,
-        engine: VertexEngine,
-        tracer: &Tracer,
-        parent: Option<SpanId>,
-    ) -> Result<(Value, JobReport), StenoError> {
-        let result = steno_cluster::execute_distributed_with(
-            q,
-            input,
-            broadcast,
-            udfs,
-            spec,
-            engine,
-            &self.runtime,
-        )
-        .map_err(StenoError::Dist);
-        if let Ok((_, report)) = &result {
-            // Unified telemetry: cluster jobs land in the same
-            // collector as single-node executions.
-            report.record_to(self.collector.as_ref());
-            report.record_spans(tracer, parent);
-        }
-        result
+        let (value, report) =
+            steno_cluster::execute_distributed(q, input, broadcast, udfs, spec, engine)
+                .map_err(StenoError::Dist)?;
+        // Unified telemetry: cluster jobs land in the same collector as
+        // single-node executions.
+        report.record_to(self.collector.as_ref());
+        Ok((value, report))
     }
 }
 
@@ -748,21 +683,13 @@ mod tests {
 
     #[test]
     fn distributed_execution_through_the_facade() {
-        use steno_cluster::FaultPlan;
-
         let q = Query::source("xs")
             .select(Expr::var("x") * Expr::var("x"), "x")
             .sum()
             .build();
-        let input = DistributedCollection::from_f64(
-            "xs",
-            (0..100).map(f64::from).collect(),
-            4,
-        );
-        // Inject one transient failure per map vertex: the answer must
-        // match the fault-free run and the report must show the retries.
-        let engine = Steno::new()
-            .with_runtime(RuntimeConfig::with_faults(FaultPlan::fail_each_once(4)));
+        let data: Vec<f64> = (0..100).map(f64::from).collect();
+        let input = DistributedCollection::from_f64("xs", data.clone(), 4);
+        let engine = Steno::new();
         let (v, report) = engine
             .execute_distributed(
                 &q,
@@ -773,19 +700,12 @@ mod tests {
                 VertexEngine::Steno,
             )
             .unwrap();
-        let clean = Steno::new()
-            .execute_distributed(
-                &q,
-                &input,
-                &DataContext::new(),
-                &UdfRegistry::new(),
-                &ClusterSpec { workers: 2 },
-                VertexEngine::Steno,
-            )
-            .unwrap()
-            .0;
-        assert_eq!(v, clean);
-        assert!(report.retries >= 4, "one retry per vertex: {}", report.retries);
+        // Integer-valued squares sum exactly in any association order.
+        let single = engine
+            .execute(&q, &DataContext::new().with_source("xs", data), &UdfRegistry::new())
+            .unwrap();
+        assert_eq!(v, single);
+        assert_eq!(report.vertex_wall.len(), 4);
     }
 
     #[test]
@@ -1053,7 +973,13 @@ mod tests {
             .unwrap();
         assert_eq!(metrics.counter_value("cluster.jobs"), 1);
         assert_eq!(metrics.counter_value("cluster.input_elements"), 100);
-        assert_eq!(metrics.counter_value("cluster.vertex_attempts"), 4);
+        let snap = metrics.snapshot();
+        let vertex_wall = snap
+            .histograms
+            .iter()
+            .find(|h| h.name == "cluster.vertex_wall_ns")
+            .unwrap();
+        assert_eq!(vertex_wall.count, 4);
     }
 
     #[test]
@@ -1068,18 +994,17 @@ mod tests {
         let tracer = recorder.begin();
         let root = tracer.span("serve.request", None);
         let root_id = root.id();
-        engine
-            .execute_distributed_traced(
+        let (_, report) = engine
+            .execute_distributed(
                 &q,
                 &input,
                 &DataContext::new(),
                 &UdfRegistry::new(),
                 &ClusterSpec { workers: 2 },
                 VertexEngine::Steno,
-                &tracer,
-                root_id,
             )
             .unwrap();
+        report.record_spans(&tracer, root_id);
         drop(root);
         recorder.finish(
             &tracer,

@@ -63,8 +63,7 @@ pub mod prelude {
     pub use crate::engine::{Exec, ExecutionPath, Steno, StenoError};
     pub use crate::explain::{Explain, ExplainPlan};
     pub use steno_cluster::{
-        ClusterSpec, DistError, DistributedCollection, FaultPlan, JobReport, RetryPolicy,
-        RuntimeConfig, SpeculationPolicy, VertexEngine,
+        ClusterSpec, DistError, DistributedCollection, JobReport, VertexEngine,
     };
     pub use steno_expr::{Column, DataContext, Expr, Ty, UdfRegistry, Value};
     pub use steno_linq::Enumerable;

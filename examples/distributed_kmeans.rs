@@ -1,15 +1,9 @@
 //! The distributed k-means of §7.2, run to convergence on the simulated
-//! cluster, comparing Steno-optimized and unoptimized vertices.
+//! cluster, comparing Steno-optimized and unoptimized vertices. Every
+//! iteration checks that both engines assign the same number of points
+//! to each cluster.
 //!
 //! Run with `cargo run --release --example distributed_kmeans`.
-//!
-//! Pass `--faults` to additionally run one iteration under deterministic
-//! fault injection (every map vertex fails its first attempt, one vertex
-//! straggles) and print the retry/speculation section of the
-//! [`JobReport`] — demonstrating Dryad's §6 re-execution contract: the
-//! recovered run returns the identical answer.
-
-use std::time::Duration;
 
 use steno::cluster::{execute_distributed, ClusterSpec, DistributedCollection, VertexEngine};
 use steno::prelude::*;
@@ -110,69 +104,20 @@ fn centroid_column(centroids: &[Vec<f64>]) -> Column {
     )
 }
 
-/// One assignment iteration under deterministic fault injection: every
-/// map vertex fails its first attempt, vertex 0 straggles, and the
-/// recovered answer must equal the fault-free one.
-fn faulted_iteration(
-    q: &QueryExpr,
-    input: &DistributedCollection,
-    broadcast: &DataContext,
-    registry: &UdfRegistry,
-    spec: &ClusterSpec,
-) {
-    use steno::cluster::exec::execute_distributed_with;
-    use steno::cluster::{FaultKind, FaultPlan, RuntimeConfig, SpeculationPolicy};
-
-    let partitions = input.partition_count();
-    let faults = (0..partitions)
-        .fold(FaultPlan::none(), |p, v| p.with(v, 0, FaultKind::Error))
-        // The retry (attempt 1) of vertex 0 stalls: a straggler for the
-        // speculative backup to beat.
-        .with(0, 1, FaultKind::Delay(Duration::from_millis(400)));
-    let runtime = RuntimeConfig {
-        speculation: SpeculationPolicy::aggressive(Duration::from_millis(40)),
-        faults,
-        ..RuntimeConfig::default()
-    };
-
-    let (clean, _) =
-        execute_distributed(q, input, broadcast, registry, spec, VertexEngine::Steno)
-            .expect("fault-free iteration failed");
-    let (recovered, report) = execute_distributed_with(
-        q,
-        input,
-        broadcast,
-        registry,
-        spec,
-        VertexEngine::Steno,
-        &runtime,
-    )
-    .expect("faulted iteration failed to recover");
-    assert_eq!(
-        recovered.key(),
-        clean.key(),
-        "re-execution changed the answer"
-    );
-
-    println!("--- fault-injected iteration (--faults) ---");
-    println!(
-        "every map vertex failed attempt 0; vertex 0's retry stalled {:?}",
-        Duration::from_millis(400)
-    );
-    println!(
-        "recovered: retries {}, speculative backups launched {}, speculative wins {}",
-        report.retries, report.speculation_launched, report.speculation_wins
-    );
-    println!("per-vertex attempts: {:?}", report.vertex_attempts);
-    println!("retry log:");
-    for ev in &report.retry_log {
-        println!("  {ev}");
-    }
-    println!("answer identical to the fault-free run ✓\n");
+/// `(cluster id, points assigned)` per cluster, in result order.
+fn cluster_counts(result: &Value) -> Vec<(i64, i64)> {
+    result
+        .as_seq()
+        .unwrap()
+        .iter()
+        .map(|row| {
+            let (kid, agg) = row.as_pair().unwrap();
+            (kid.as_i64().unwrap(), agg.as_pair().unwrap().1.as_i64().unwrap())
+        })
+        .collect()
 }
 
 fn main() {
-    let with_faults = std::env::args().any(|a| a == "--faults");
     let dim = 8;
     let k = 4;
     let n = 40_000;
@@ -192,10 +137,6 @@ fn main() {
         .collect();
 
     println!("distributed k-means: {n} points, dim {dim}, k={k}, {partitions} partitions\n");
-    if with_faults {
-        let broadcast = DataContext::new().with_source("centroids", centroid_column(&centroids));
-        faulted_iteration(&q, &input, &broadcast, &registry, &spec);
-    }
     for iter in 0..8 {
         let broadcast = DataContext::new().with_source("centroids", centroid_column(&centroids));
         let (result, report) = execute_distributed(
@@ -208,7 +149,7 @@ fn main() {
         )
         .expect("iteration failed");
         // Also run the unoptimized vertices for comparison (same plan).
-        let (_, linq_report) = execute_distributed(
+        let (linq_result, linq_report) = execute_distributed(
             &q,
             &input,
             &broadcast,
@@ -217,6 +158,11 @@ fn main() {
             VertexEngine::Linq,
         )
         .expect("iteration failed");
+        assert_eq!(
+            cluster_counts(&result),
+            cluster_counts(&linq_result),
+            "iteration {iter}: the engines assigned points differently"
+        );
 
         // Step 2: recompute centroids on the driver.
         let mut movement = 0.0;
