@@ -149,13 +149,7 @@ fn eval_with(body: &Expr, param: &str, arg: Value, scope: &Scope, udfs: &UdfRegi
 /// As [`eval_with`] for predicate positions: a failure (or a non-boolean
 /// result) is recorded and reads as `false`, so the stream drains without
 /// further evaluation.
-fn eval_bool_with(
-    body: &Expr,
-    param: &str,
-    arg: Value,
-    scope: &Scope,
-    udfs: &UdfRegistry,
-) -> bool {
+fn eval_bool_with(body: &Expr, param: &str, arg: Value, scope: &Scope, udfs: &UdfRegistry) -> bool {
     if scope.failed() {
         return false;
     }
@@ -445,10 +439,8 @@ fn apply_op(
                                 break;
                             }
                             let item = it.current();
-                            decorated.push((
-                                eval_with(&key, &param, item.clone(), &scope, &udfs),
-                                item,
-                            ));
+                            decorated
+                                .push((eval_with(&key, &param, item.clone(), &scope, &udfs), item));
                         }
                         decorated.sort_by(|(a, _), (b, _)| {
                             let ord = a.cmp_total(b);
@@ -458,8 +450,7 @@ fn apply_op(
                                 ord
                             }
                         });
-                        let items: Vec<Value> =
-                            decorated.into_iter().map(|(_, v)| v).collect();
+                        let items: Vec<Value> = decorated.into_iter().map(|(_, v)| v).collect();
                         Enumerable::from_vec(items).get_enumerator()
                     })
                 }
@@ -586,10 +577,7 @@ mod tests {
         );
         check(
             Query::source("xs")
-                .select_many(
-                    Query::source("xs").select(Expr::var("y") * x(), "y"),
-                    "x",
-                )
+                .select_many(Query::source("xs").select(Expr::var("y") * x(), "y"), "x")
                 .sum()
                 .build(),
         );

@@ -162,7 +162,10 @@ mod tests {
             edges: vec![(0, 1)],
         };
         let drawn = g.to_string();
-        assert!(drawn.contains("[Map]") || drawn.contains("[Concat]"), "{drawn}");
+        assert!(
+            drawn.contains("[Map]") || drawn.contains("[Concat]"),
+            "{drawn}"
+        );
     }
 
     #[test]

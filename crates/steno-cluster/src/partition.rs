@@ -192,10 +192,7 @@ mod tests {
             let holders: Vec<usize> = buckets
                 .iter()
                 .enumerate()
-                .filter(|(_, b)| {
-                    b.iter()
-                        .any(|v| v.as_pair().unwrap().0 == &Value::I64(k))
-                })
+                .filter(|(_, b)| b.iter().any(|v| v.as_pair().unwrap().0 == &Value::I64(k)))
                 .map(|(i, _)| i)
                 .collect();
             assert_eq!(holders.len(), 1, "key {k} split across buckets");

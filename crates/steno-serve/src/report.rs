@@ -79,7 +79,9 @@ impl SaturationReport {
             p50_latency_us: latency.and_then(|h| h.quantile(0.5)).map(|ns| ns / 1000),
             p99_latency_us: latency.and_then(|h| h.quantile(0.99)).map(|ns| ns / 1000),
             p50_queue_wait_us: queue_wait.and_then(|h| h.quantile(0.5)).map(|ns| ns / 1000),
-            p99_queue_wait_us: queue_wait.and_then(|h| h.quantile(0.99)).map(|ns| ns / 1000),
+            p99_queue_wait_us: queue_wait
+                .and_then(|h| h.quantile(0.99))
+                .map(|ns| ns / 1000),
             p50_exec_us: exec.and_then(|h| h.quantile(0.5)).map(|ns| ns / 1000),
             p99_exec_us: exec.and_then(|h| h.quantile(0.99)).map(|ns| ns / 1000),
         }
