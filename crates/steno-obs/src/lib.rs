@@ -48,6 +48,6 @@ pub use metrics::{
     Collector, HistogramSnapshot, MemoryCollector, MetricsSnapshot, NoopCollector, Span,
 };
 pub use trace::{
-    Anomaly, FlightRecorder, Note, QueryTrace, SpanGuard, SpanId, SpanRecord, TraceConfig,
-    TraceMeta, Tracer,
+    Anomaly, FlightRecorder, Note, PendingTrace, QueryTrace, SpanGuard, SpanId, SpanRecord,
+    TraceConfig, TraceMeta, Tracer,
 };

@@ -18,7 +18,7 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Spans kept per thread before the oldest are overwritten. Sized for a
@@ -508,7 +508,7 @@ impl QueryTrace {
     }
 }
 
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
@@ -519,13 +519,51 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 /// the last [`TraceConfig::capacity`] traces regardless of volume, so a
 /// service can run it continuously and dump the recent history the
 /// moment something trips.
+///
+/// A producer that answers its caller before finishing a trace announces
+/// the trace with [`pending`](FlightRecorder::pending): until it is
+/// finished, every reader waits for it, so a caller that has its answer
+/// also sees the trace.
 #[derive(Debug)]
 pub struct FlightRecorder {
     cfg: TraceConfig,
     next_id: AtomicU64,
     recorded: AtomicU64,
     anomalies: AtomicU64,
-    ring: Mutex<VecDeque<QueryTrace>>,
+    ring: Mutex<Ring>,
+    /// Signalled when the last pending trace is settled.
+    settled: Condvar,
+}
+
+/// The stored traces and the number announced but not yet finished.
+#[derive(Debug, Default)]
+struct Ring {
+    traces: VecDeque<QueryTrace>,
+    pending: usize,
+}
+
+/// A trace announced by [`FlightRecorder::pending`]. Readers of the
+/// recorder wait until it is finished or dropped.
+#[derive(Debug)]
+pub struct PendingTrace<'a> {
+    recorder: &'a FlightRecorder,
+}
+
+impl PendingTrace<'_> {
+    /// Finishes the announced trace (see [`FlightRecorder::finish`]).
+    pub fn finish(self, tracer: &Tracer, meta: TraceMeta) -> Option<Anomaly> {
+        self.recorder.finish(tracer, meta)
+    }
+}
+
+impl Drop for PendingTrace<'_> {
+    fn drop(&mut self) {
+        let mut ring = lock(&self.recorder.ring);
+        ring.pending -= 1;
+        if ring.pending == 0 {
+            self.recorder.settled.notify_all();
+        }
+    }
 }
 
 impl Default for FlightRecorder {
@@ -542,7 +580,8 @@ impl FlightRecorder {
             next_id: AtomicU64::new(1),
             recorded: AtomicU64::new(0),
             anomalies: AtomicU64::new(0),
-            ring: Mutex::new(VecDeque::new()),
+            ring: Mutex::new(Ring::default()),
+            settled: Condvar::new(),
         }
     }
 
@@ -597,22 +636,42 @@ impl FlightRecorder {
             self.anomalies.fetch_add(1, Ordering::Relaxed);
         }
         let mut ring = lock(&self.ring);
-        if ring.len() >= self.cfg.capacity.max(1) {
-            ring.pop_front();
+        if ring.traces.len() >= self.cfg.capacity.max(1) {
+            ring.traces.pop_front();
         }
-        ring.push_back(trace);
+        ring.traces.push_back(trace);
         anomaly
+    }
+
+    /// Announces a trace that will be finished later, through the
+    /// returned guard. Until then every reader below waits for it.
+    pub fn pending(&self) -> PendingTrace<'_> {
+        lock(&self.ring).pending += 1;
+        PendingTrace { recorder: self }
+    }
+
+    /// The ring, once no announced trace is pending.
+    fn settled(&self) -> MutexGuard<'_, Ring> {
+        let mut ring = lock(&self.ring);
+        while ring.pending > 0 {
+            ring = self
+                .settled
+                .wait(ring)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        ring
     }
 
     /// The recent traces, oldest first.
     pub fn recent(&self) -> Vec<QueryTrace> {
-        lock(&self.ring).iter().cloned().collect()
+        self.settled().traces.iter().cloned().collect()
     }
 
     /// The recent *anomalous* traces, oldest first — what an operator
     /// dumps after an incident.
     pub fn dumps(&self) -> Vec<QueryTrace> {
-        lock(&self.ring)
+        self.settled()
+            .traces
             .iter()
             .filter(|t| t.anomaly.is_some())
             .cloned()
@@ -621,7 +680,8 @@ impl FlightRecorder {
 
     /// The most recent anomalous trace, rendered.
     pub fn last_dump(&self) -> Option<String> {
-        lock(&self.ring)
+        self.settled()
+            .traces
             .iter()
             .rev()
             .find(|t| t.anomaly.is_some())
@@ -630,11 +690,13 @@ impl FlightRecorder {
 
     /// Total traces finished through this recorder.
     pub fn recorded(&self) -> u64 {
+        let _settled = self.settled();
         self.recorded.load(Ordering::Relaxed)
     }
 
     /// Total traces classified anomalous.
     pub fn anomaly_count(&self) -> u64 {
+        let _settled = self.settled();
         self.anomalies.load(Ordering::Relaxed)
     }
 }
@@ -838,5 +900,28 @@ mod tests {
         assert!(dump.contains("\n    #"), "child indent in {dump}");
         assert!(dump.contains("tier=vectorized elements=7"), "{dump}");
         assert!(dump.contains("explain:\n{\"query\": \"xs.sum()\"}"), "{dump}");
+    }
+
+    #[test]
+    fn readers_wait_for_a_pending_trace() {
+        let rec = FlightRecorder::default();
+        std::thread::scope(|s| {
+            let pending = rec.pending();
+            let reader = s.spawn(|| rec.dumps().len());
+            std::thread::sleep(Duration::from_millis(20));
+            assert!(!reader.is_finished(), "the reader waits for the trace");
+            let t = rec.begin();
+            pending.finish(
+                &t,
+                TraceMeta {
+                    anomaly: Some(Anomaly::Trap),
+                    ..meta("xs.sum()")
+                },
+            );
+            assert_eq!(reader.join().unwrap(), 1);
+        });
+        // A guard dropped unfinished releases its readers too.
+        drop(rec.pending());
+        assert_eq!(rec.recorded(), 1);
     }
 }
